@@ -6,10 +6,8 @@
 // profile delay grid — the committed single-process count is 5426593
 // defeats) is partitioned into 4 content-addressed shards
 // (dist/shard_plan.hpp) and executed by TWO child processes — separate
-// address spaces driving `rvt_cli shard run` — that share one
-// filesystem orbit-cache directory (dist/serialize.hpp's FsOrbitStore:
-// the in-memory claim/publish protocol extended across the process
-// boundary via atomic renames). Each shard streams its per-index
+// address spaces driving `rvt_cli shard run`, each memoizing its defeat
+// counts in a private in-memory cache. Each shard streams its per-index
 // verdict summaries into a crash-safe journal (dist/journal.hpp);
 // merging the sealed journals (dist/merge.hpp) must reproduce the
 // defeat total of a plain single-process EnumerationContext sweep run
@@ -20,12 +18,8 @@
 //
 // The bench FAILS unless: both child processes exit 0, the merged total
 // equals the single-process total, the default battery's total equals
-// the committed constant, every shard sealed its journal, and the
-// shared cache dir actually mediated cross-process sharing (some
-// process adopted sets it did not extract — asserted via the second
-// process's tier hits reported in its journal-run output... telemetry
-// is asserted in-process instead: the merge validates the journals and
-// the bench re-runs shard 0 expecting a detected double completion).
+// the committed constant, every shard sealed its journal, and a re-run
+// of shard 0 detects the double completion and recomputes nothing.
 #include <unistd.h>
 
 #include <cstdint>
@@ -73,7 +67,7 @@ int main(int argc, char** argv) {
       "The E10 defeat-density battery split across " +
           std::to_string(kShards) + " shards in " +
           std::to_string(kProcesses) +
-          " separate processes over one shared orbit-cache dir:\nthe "
+          " separate processes:\nthe "
           "merged journals must reproduce the single-process defeat count "
           "bit for bit.");
 
@@ -113,18 +107,16 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(scratch);
   const std::string plan_path = scratch + "/plan.bin";
   const std::string journal_dir = scratch + "/journals";
-  const std::string cache_dir = scratch + "/cache";
 
   const dist::ShardPlan plan = dist::make_shard_plan(*workload, kShards);
   dist::write_plan(plan_path, plan);
 
-  // Two child processes, each running half the shards sequentially,
-  // sharing the cache dir. `wait` on the explicit pids propagates the
-  // children's exit codes.
+  // Two child processes, each running half the shards sequentially.
+  // `wait` on the explicit pids propagates the children's exit codes.
   const std::string cli = cli_path(argv[0]);
   auto run_cmd = [&](unsigned shard) {
     return cli + " shard run " + plan_path + " " + std::to_string(shard) +
-           " --journal-dir " + journal_dir + " --cache-dir " + cache_dir;
+           " --journal-dir " + journal_dir;
   };
   const std::string spawn = "(" + run_cmd(0) + " && " + run_cmd(1) +
                             ") & p0=$!; (" + run_cmd(2) + " && " +
@@ -178,21 +170,6 @@ int main(int argc, char** argv) {
     all_ok = false;
   }
 
-  // The shared dir must have actually carried sets between processes:
-  // every published file is one binding extracted ONCE machine-wide.
-  // (The dir only exists if the children ran — a failed spawn must still
-  // reach the verdict line below, not die iterating a missing path.)
-  std::size_t cache_files = 0;
-  if (std::filesystem::is_directory(cache_dir)) {
-    for (const auto& entry :
-         std::filesystem::directory_iterator(cache_dir)) {
-      cache_files += entry.is_regular_file() ? 1 : 0;
-    }
-  }
-  std::cout << "shared cache dir: " << cache_files
-            << " published orbit sets\n";
-  all_ok = all_ok && cache_files > 0;
-
   bench::JsonReport report("E13");
   report.workload("rendezvous", 2);
   report.shards(kShards);
@@ -202,7 +179,6 @@ int main(int argc, char** argv) {
   report.metric("single_defeats", static_cast<double>(single_total));
   report.metric("single_seconds", single_seconds);
   report.metric("distributed_seconds", dist_seconds);
-  report.metric("shared_cache_files", static_cast<double>(cache_files));
   report.note("simd", sim::simd_path_name());
   util::ObservabilitySummary obs_summary;
   obs_summary.time_to_first_survivor_ms =

@@ -3,30 +3,26 @@
 //
 // Two layers of drills:
 //
-//  * IN-PROCESS fault drills (err-action failpoints only — a crash
-//    action would kill the bench) exercise the self-healing cache tier
-//    and journal recovery with exact counter assertions: a transient
-//    publish failure retries and succeeds; corrupt tier files are
-//    quarantined (renamed aside) and recomputed through; a persistently
-//    failing tier degrades to compute-through after kDegradeAfter
-//    exhausted operations; an injected journal-append failure surfaces
-//    as SerializeError and the next run resumes exactly past the valid
-//    prefix. Every drill's defeat sum must equal the fault-free sum.
+//  * An IN-PROCESS fault drill (err-action failpoints only — a crash
+//    action would kill the bench) exercises journal recovery with exact
+//    counter assertions: an injected journal-append failure surfaces as
+//    SerializeError and the next run resumes exactly past the valid
+//    prefix, with the defeat sum equal to the fault-free sum.
 //
 //  * ORCHESTRATED chaos scenarios run the full battery 4-shard under
 //    the supervision loop (dist/orchestrator.hpp) with the scenario's
 //    RVT_FAILPOINTS injected into first-attempt children: mid-shard
-//    child kills, torn journal tails, corrupted cache-tier decodes,
-//    publish errors. Crash scenarios must show requeues (the fault
-//    actually fired) and EVERY scenario must merge bit-identical to the
-//    single-process total — 5426593 on the default battery. A forced
-//    quarantine run (fault env on every attempt, attempts exhausted)
-//    must produce a manifest whose merge reports the missing ranges
-//    explicitly while the plain merge refuses.
+//    child kills and torn journal tails. Crash scenarios must show
+//    requeues (the fault actually fired) and EVERY scenario must merge
+//    bit-identical to the single-process total — 5426593 on the
+//    default battery. A forced quarantine run (fault env on every
+//    attempt, attempts exhausted) must produce a manifest whose merge
+//    reports the missing ranges explicitly while the plain merge
+//    refuses.
 //
 // An optional argv[1] (max_n, default 14) shrinks the orchestrated
 // battery for quick/CI-reduced runs; the 5426593 constant is only
-// asserted on the default. The in-process drills always run the small
+// asserted on the default. The in-process drill always runs the small
 // e10:6 battery. A fault-free timing pair (registry disarmed vs armed
 // on a never-firing site) records the failpoint overhead ratio.
 #include <unistd.h>
@@ -34,7 +30,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -48,7 +43,6 @@
 #include "sim/orbit_cache.hpp"
 #include "sim/simd.hpp"
 #include "util/failpoint.hpp"
-#include "util/retry.hpp"
 
 namespace {
 
@@ -74,10 +68,9 @@ int main(int argc, char** argv) {
   const int max_n = argc > 1 ? std::atoi(argv[1]) : 14;
   bench::header(
       "E14 chaos battery (fault injection + self-healing orchestration)",
-      "The E10 battery under seeded faults — child kills, torn journals, "
-      "corrupt tier files, publish errors —\nmust merge bit-identical to "
-      "the fault-free count; exhausted shards must quarantine into "
-      "explicit missing ranges.");
+      "The E10 battery under seeded faults — child kills, torn "
+      "journals —\nmust merge bit-identical to the fault-free count; "
+      "exhausted shards must quarantine into explicit missing ranges.");
 
   bool all_ok = true;
   auto& registry = util::FailPointRegistry::instance();
@@ -88,7 +81,7 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(scratch);
   std::filesystem::create_directories(scratch);
 
-  // ---- in-process drills on the small battery -----------------------------
+  // ---- in-process drill on the small battery ------------------------------
   const auto small = dist::EnumWorkload::parse("e10:6");
   std::uint64_t small_total = 0;
   {
@@ -99,83 +92,15 @@ int main(int argc, char** argv) {
     }
   }
   const dist::ShardPlan small_plan = dist::make_shard_plan(*small, 1);
-  std::cout << "in-process drills (e10:6, " << small->count()
+  std::cout << "in-process drill (e10:6, " << small->count()
             << " indices, fault-free sum " << small_total << "):\n";
 
-  std::uint64_t drill_injected = 0, drill_retries = 0, drill_degraded = 0;
+  std::uint64_t drill_injected = 0;
 
-  // Drill 1: a transient publish failure retries and succeeds.
-  {
-    const std::string jd = scratch + "/d1-journals", cd = scratch + "/d1-cache";
-    registry.configure("fs_store.store=err@hit:1");
-    dist::FsOrbitStore tier(cd, util::no_delay_policy(3));
-    sim::OrbitCache cache;
-    cache.set_backing(&tier);
-    const auto stats = dist::run_shard(*small, small_plan, 0, jd, &cache);
-    drill_injected += registry.total_fired();
-    drill_retries += stats.telemetry.tier_retries;
-    registry.reset();
-    all_ok &= check(stats.sum == small_total &&
-                        stats.telemetry.tier_retries >= 1 &&
-                        stats.telemetry.tier_exhausted == 0 &&
-                        tier.stats().store_failures == 0,
-                    "transient publish fault: " +
-                        std::to_string(stats.telemetry.tier_retries) +
-                        " retries, no exhaustion, sum intact");
-  }
-
-  // Drill 2: corrupt tier files quarantine aside and recompute through.
-  {
-    const std::string cd = scratch + "/d2-cache";
-    {  // populate the tier with real published sets
-      dist::FsOrbitStore tier(cd);
-      sim::OrbitCache cache;
-      cache.set_backing(&tier);
-      dist::run_shard(*small, small_plan, 0, scratch + "/d2-pre", &cache);
-    }
-    std::size_t corrupted = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(cd)) {
-      std::ofstream f(entry.path(), std::ios::binary | std::ios::trunc);
-      f << "not a framed orbit set";
-      ++corrupted;
-    }
-    dist::FsOrbitStore tier(cd);
-    sim::OrbitCache cache;
-    cache.set_backing(&tier);
-    const auto stats =
-        dist::run_shard(*small, small_plan, 0, scratch + "/d2-journals", &cache);
-    all_ok &= check(stats.sum == small_total &&
-                        stats.telemetry.tier_quarantined == corrupted &&
-                        tier.stats().decode_failures == corrupted,
-                    "corrupt tier: " + std::to_string(corrupted) +
-                        " files quarantined aside, sum intact");
-  }
-
-  // Drill 3: a persistently failing tier degrades to compute-through.
-  {
-    registry.configure("fs_store.store=err@always");
-    dist::FsOrbitStore tier(scratch + "/d3-cache", util::no_delay_policy(2));
-    sim::OrbitCache cache;
-    cache.set_backing(&tier);
-    const auto stats =
-        dist::run_shard(*small, small_plan, 0, scratch + "/d3-journals", &cache);
-    drill_injected += registry.total_fired();
-    drill_degraded += stats.telemetry.tier_degraded;
-    registry.reset();
-    all_ok &= check(stats.sum == small_total &&
-                        stats.telemetry.tier_degraded == 1 &&
-                        stats.telemetry.tier_exhausted >=
-                            dist::FsOrbitStore::kDegradeAfter,
-                    "persistent publish failure: degraded to "
-                    "compute-through after " +
-                        std::to_string(stats.telemetry.tier_exhausted) +
-                        " exhausted publishes, sum intact");
-  }
-
-  // Drill 4: an injected append failure surfaces as SerializeError and
+  // Drill: an injected append failure surfaces as SerializeError and
   // the next run resumes exactly past the valid prefix.
   {
-    const std::string jd = scratch + "/d4-journals";
+    const std::string jd = scratch + "/append-journals";
     registry.configure("journal.append=err@hit:5");
     bool threw = false;
     try {
@@ -197,7 +122,7 @@ int main(int argc, char** argv) {
 
   // Failpoint overhead: a fault-free shard run with the registry
   // disarmed vs armed on a site that never fires. The sites sit on IO
-  // paths (journal append, tier load/store), so even armed the cost is
+  // paths (journal append and seal), so even armed the cost is
   // one map lookup per IO — the ratio is recorded, not asserted (CI
   // timing noise), but a gross regression shows up in the artifact.
   double overhead_ratio = 0.0;
@@ -253,7 +178,6 @@ int main(int argc, char** argv) {
   for (const std::string& scenario : dist::chaos_scenarios()) {
     const std::uint64_t seed = bench::kDefaultSeed;
     const std::string jd = scratch + "/" + scenario + "-journals";
-    const std::string cd = scratch + "/" + scenario + "-cache";
     dist::OrchestratorConfig cfg;
     cfg.journal_dir = jd;
     cfg.max_concurrent = kRunners;
@@ -263,7 +187,7 @@ int main(int argc, char** argv) {
     if (!fp.empty()) cfg.first_attempt_env.emplace_back("RVT_FAILPOINTS", fp);
     std::cout.flush();  // children share the fd: keep the log ordered
     const dist::OrchestratorReport report = dist::orchestrate(
-        plan, cfg, dist::cli_shard_launcher(cli, plan_path, jd, cd));
+        plan, cfg, dist::cli_shard_launcher(cli, plan_path, jd));
     std::uint64_t merged_total = 0;
     bool merged_ok = false;
     if (report.all_complete()) {
@@ -303,7 +227,7 @@ int main(int argc, char** argv) {
         "RVT_FAILPOINTS", dist::chaos_failpoint_config("child-kill", 4,
                                                        shard_width));
     const dist::OrchestratorReport report = dist::orchestrate(
-        plan, cfg, dist::cli_shard_launcher(cli, plan_path, jd, ""));
+        plan, cfg, dist::cli_shard_launcher(cli, plan_path, jd));
     quarantined_shards = report.quarantined;
     const dist::QuarantineManifest manifest =
         dist::quarantine_manifest(plan, report);
@@ -348,8 +272,6 @@ int main(int argc, char** argv) {
   faults.scenario = "chaos-battery";
   faults.seed = bench::kDefaultSeed;
   faults.injected = drill_injected;
-  faults.retried = drill_retries;
-  faults.degraded = drill_degraded;
   faults.requeued = total_requeues;
   faults.quarantined = quarantined_shards;
   report.faults(faults);

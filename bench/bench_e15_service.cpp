@@ -7,22 +7,19 @@
 // runner daemons launched as real `rvt_cli worker` subprocesses (the
 // same binary a remote host would run):
 //
-//  * CLEAN FLEET: 2 workers drain the sharded battery using the
-//    coordinator's remote orbit store (NetOrbitStore — no local cache
-//    directory on the workers). The merged journal total must equal
-//    the single-process total — 5426593 on the default battery — and
-//    the live metrics endpoint's snapshot must be self-consistent with
-//    the merge: its committed_defeats IS the merged total and its
-//    shards_completed IS the plan's shard count.
+//  * CLEAN FLEET: 2 workers drain the sharded battery, each memoizing
+//    defeat counts in its own in-memory cache. The merged journal total
+//    must equal the single-process total — 5426593 on the default
+//    battery — and the live metrics endpoint's snapshot must be
+//    self-consistent with the merge: its committed_defeats IS the
+//    merged total and its shards_completed IS the plan's shard count.
 //
 //  * RUNNER-KILL CHAOS: 3 workers, one launched with
 //    RVT_FAILPOINTS='worker.index=crash@hit:25' so it dies (_exit)
 //    mid-first-lease. The unsealed disconnect must requeue the shard
 //    (requeues >= 1 — zero means the fault never fired, which would
 //    make the drill vacuous) and the surviving workers must still
-//    merge bit-identical with nothing quarantined. The chaos phase
-//    reuses the clean phase's content-addressed cache directory, so it
-//    also measures the warm-tier fleet.
+//    merge bit-identical with nothing quarantined.
 //
 // An optional argv[1] (max_n, default 14) shrinks the battery for
 // quick/CI-reduced runs; the 5426593 constant is only asserted on the
@@ -153,19 +150,16 @@ int main(int argc, char** argv) {
   }
 
   const dist::ShardPlan plan = dist::make_shard_plan(*workload, kShards);
-  const std::string cache_dir = scratch + "/cache";
   util::Table table(
       {"phase", "workers", "leases", "requeues", "expiries", "defeats", "ok"});
 
-  // ---- clean fleet: 2 remote-store workers -------------------------------
+  // ---- clean fleet: 2 workers --------------------------------------------
   svc::ServiceReport clean_rep;
   double clean_seconds = 0, ttfs = 0;
   {
-    std::cout << "\nclean fleet (" << kShards << " shards, 2 workers, "
-              << "remote orbit store):\n";
+    std::cout << "\nclean fleet (" << kShards << " shards, 2 workers):\n";
     svc::CoordinatorConfig cfg;
     cfg.journal_dir = scratch + "/clean-journals";
-    cfg.cache_dir = cache_dir;
     svc::Coordinator coord(plan, cfg);
     bench::WallTimer fleet_timer;
     std::vector<WorkerProc> fleet;
@@ -196,10 +190,6 @@ int main(int argc, char** argv) {
     all_ok &= check(merged == single_total,
                     "merged " + std::to_string(merged) +
                         " defeats == single-process total");
-    all_ok &= check(clean_rep.tier_stores >= 1 && clean_rep.tier_hits >= 1,
-                    "remote orbit store served the fleet (" +
-                        std::to_string(clean_rep.tier_stores) + " stores, " +
-                        std::to_string(clean_rep.tier_hits) + " hits)");
 
     // The live metrics snapshot must agree with the merged journals —
     // the endpoint is the same counters the merge validates, so any
@@ -244,10 +234,9 @@ int main(int argc, char** argv) {
   double chaos_seconds = 0;
   {
     std::cout << "\nrunner-kill chaos (3 workers, one crashes at its 25th "
-              << "index, warm cache tier):\n";
+              << "index):\n";
     svc::CoordinatorConfig cfg;
     cfg.journal_dir = scratch + "/chaos-journals";
-    cfg.cache_dir = cache_dir;  // content-addressed: reuse the warm tier
     svc::Coordinator coord(plan, cfg);
     bench::WallTimer fleet_timer;
     std::vector<WorkerProc> fleet;
@@ -315,12 +304,6 @@ int main(int argc, char** argv) {
   report.metric("single_seconds", single_seconds);
   report.metric("clean_fleet_seconds", clean_seconds);
   report.metric("chaos_fleet_seconds", chaos_seconds);
-  report.metric("remote_store_gets",
-                static_cast<double>(clean_rep.tier_gets));
-  report.metric("remote_store_hits",
-                static_cast<double>(clean_rep.tier_hits));
-  report.metric("remote_store_stores",
-                static_cast<double>(clean_rep.tier_stores));
   report.note("simd", sim::simd_path_name());
   // Enumeration-delay observability over both fleet phases, merged the
   // same deterministic bucket-wise way the coordinator merges shards.

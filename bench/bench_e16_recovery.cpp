@@ -170,7 +170,7 @@ bool read_ports(const std::string& port_file, std::uint16_t* port,
 }
 
 struct ServeArgs {
-  std::string cli, spec, journal_dir, cache_dir, log;
+  std::string cli, spec, journal_dir, log;
   std::uint16_t port = 0, mport = 0;  ///< 0 = ephemeral (needs port_file)
   std::string port_file;
   std::uint64_t lease_timeout_ms = 4000;
@@ -185,7 +185,6 @@ pid_t spawn_serve(const ServeArgs& a) {
       "--workload",    a.spec,
       "--shards",      std::to_string(kShards),
       "--journal-dir", a.journal_dir,
-      "--cache-dir",   a.cache_dir,
       "--port",        std::to_string(a.port),
       "--metrics-port", std::to_string(a.mport),
       "--lease-timeout-ms", std::to_string(a.lease_timeout_ms),
@@ -204,8 +203,7 @@ pid_t spawn_serve(const ServeArgs& a) {
 
 pid_t spawn_worker(const std::string& cli, std::uint16_t port,
                    const std::string& name, const std::string& log,
-                   std::uint64_t io_timeout_ms = 100,
-                   const std::string& cache_dir = "") {
+                   std::uint64_t io_timeout_ms = 100) {
   std::vector<std::string> args{cli,
                                 "worker",
                                 "--connect",
@@ -220,10 +218,6 @@ pid_t spawn_worker(const std::string& cli, std::uint16_t port,
                                 "300",
                                 "--reconnect-base-ms",
                                 "20"};
-  if (!cache_dir.empty()) {
-    args.push_back("--cache-dir");
-    args.push_back(cache_dir);
-  }
   return spawn(args, log);
 }
 
@@ -297,7 +291,6 @@ int main(int argc, char** argv) {
                     "single-process total equals the committed 5426593");
   }
   const dist::ShardPlan plan = dist::make_shard_plan(*workload, kShards);
-  const std::string cache_dir = scratch + "/cache";
 
   util::Table table({"scenario", "resumes", "replayed", "regranted", "fenced",
                      "reconnects", "defeats", "ok"});
@@ -309,7 +302,7 @@ int main(int argc, char** argv) {
               << "then `serve --resume` on the same ports:\n";
     bench::WallTimer timer;
     const std::string jdir = scratch + "/s1-journals";
-    ServeArgs sa{cli, spec, jdir, cache_dir, scratch + "/s1-serve1.log"};
+    ServeArgs sa{cli, spec, jdir, scratch + "/s1-serve1.log"};
     sa.port_file = scratch + "/s1-ports";
     const pid_t serve1 = spawn_serve(sa);
     std::uint16_t port = 0, mport = 0;
@@ -386,7 +379,7 @@ int main(int argc, char** argv) {
               << "in the same window; a replacement joins after resume:\n";
     bench::WallTimer timer;
     const std::string jdir = scratch + "/s2-journals";
-    ServeArgs sa{cli, spec, jdir, cache_dir, scratch + "/s2-serve1.log"};
+    ServeArgs sa{cli, spec, jdir, scratch + "/s2-serve1.log"};
     sa.port_file = scratch + "/s2-ports";
     const pid_t serve1 = spawn_serve(sa);
     std::uint16_t port = 0, mport = 0;
@@ -454,7 +447,7 @@ int main(int argc, char** argv) {
               << "workers' stall limit, SIGCONT, no restart:\n";
     bench::WallTimer timer;
     const std::string jdir = scratch + "/s3-journals";
-    ServeArgs sa{cli, spec, jdir, cache_dir, scratch + "/s3-serve.log"};
+    ServeArgs sa{cli, spec, jdir, scratch + "/s3-serve.log"};
     sa.port_file = scratch + "/s3-ports";
     sa.lease_timeout_ms = 1500;
     sa.expect = single_total;
@@ -464,14 +457,11 @@ int main(int argc, char** argv) {
                     "coordinator published its ports");
     // io-timeout 50ms puts the session framing stall limit at ~2.5s —
     // well under the 5s stall, so the workers MUST notice and
-    // reconnect. A LOCAL cache dir, not the remote orbit store: the
-    // drill is the dispatch session's stall detection, and the remote
-    // store's own (1s-timeout) connection would otherwise absorb the
-    // stall inside a compute-side orbit round trip.
-    const pid_t w6 = spawn_worker(cli, port, "w6", scratch + "/s3-w6.log",
-                                  50, cache_dir);
-    const pid_t w7 = spawn_worker(cli, port, "w7", scratch + "/s3-w7.log",
-                                  50, cache_dir);
+    // reconnect.
+    const pid_t w6 =
+        spawn_worker(cli, port, "w6", scratch + "/s3-w6.log", 50);
+    const pid_t w7 =
+        spawn_worker(cli, port, "w7", scratch + "/s3-w7.log", 50);
 
     const std::string progressed = poll_metrics(
         mport,
@@ -514,7 +504,7 @@ int main(int argc, char** argv) {
               << "the run ledger before `--resume`:\n";
     bench::WallTimer timer;
     const std::string jdir = scratch + "/s4-journals";
-    ServeArgs sa{cli, spec, jdir, cache_dir, scratch + "/s4-serve1.log"};
+    ServeArgs sa{cli, spec, jdir, scratch + "/s4-serve1.log"};
     sa.port_file = scratch + "/s4-ports";
     const pid_t serve1 = spawn_serve(sa);
     std::uint16_t port = 0, mport = 0;

@@ -11,28 +11,26 @@
 //
 //   rvt_cli shard plan --workload e10[:<max_n>] --shards N --out FILE
 //   rvt_cli shard run <plan-file> <shard-index> --journal-dir DIR
-//                     [--cache-dir DIR]
 //   rvt_cli shard merge <plan-file> --journal-dir DIR [--expect-defeats N]
 //                       [--quarantine FILE]
 //   rvt_cli shard orchestrate <plan-file> --journal-dir DIR
-//                     [--cache-dir DIR] [--runners N] [--max-attempts N]
+//                     [--runners N] [--max-attempts N]
 //                     [--lease-timeout-ms N] [--poll-interval-ms N]
 //                     [--child-failpoints SPEC] [--quarantine-out FILE]
 //   rvt_cli shard chaos <plan-file> --scenario NAME --journal-dir DIR
-//                     [--cache-dir DIR] [--seed N] [--runners N]
+//                     [--seed N] [--runners N]
 //                     [--expect-defeats N]
 //     The distributed-enumeration driver (src/dist/): `plan` partitions
 //     a workload into content-addressed shard specs; `run` executes one
 //     shard into a crash-safe journal, resuming a killed run at the
-//     first uncommitted index (an optional --cache-dir makes a shared
-//     filesystem the cross-process orbit-cache tier); `merge` validates
-//     and totals the sealed journals — bit-identical to a
-//     single-process sweep (with --quarantine, the manifest's shards
+//     first uncommitted index; `merge` validates and totals the sealed
+//     journals — bit-identical to a single-process sweep (with
+//     --quarantine, the manifest's shards
 //     may be missing and are reported as explicit uncovered ranges);
 //     `orchestrate` supervises child runners with lease/requeue/
 //     quarantine recovery (dist/orchestrator.hpp); `chaos` is one
 //     orchestrated run under a seeded fault scenario
-//     (none|child-kill|torn-journal|corrupt-tier|publish-error).
+//     (none|child-kill|torn-journal).
 //     Exit codes: 0 ok, 1 usage/validation failure/count mismatch,
 //     3 partial coverage (orchestrate/chaos with quarantined shards).
 //
@@ -41,24 +39,23 @@
 //   --child-failpoints` / `chaos` arm it in first-attempt children.
 //
 //   rvt_cli serve --workload e10[:<max_n>] --shards N --journal-dir DIR
-//                 [--plan FILE] [--cache-dir DIR] [--port N]
+//                 [--plan FILE] [--port N]
 //                 [--metrics-port N] [--port-file FILE] [--max-attempts N]
 //                 [--lease-timeout-ms N] [--poll-interval-ms N]
 //                 [--expect-defeats N] [--quarantine-out FILE]
-//   rvt_cli worker --connect HOST:PORT [--name S] [--cache-dir DIR]
+//   rvt_cli worker --connect HOST:PORT [--name S]
 //                 [--throttle-ms N] [--progress-interval-ms N]
 //     The shard-dispatch service tier (src/svc/): `serve` runs the
 //     network coordinator — it leases shard ranges to remote workers
 //     over TCP, journals their streamed records locally (so requeues
-//     resume from the committed prefix), serves the remote orbit-cache
-//     store, and blocks until every shard is sealed or quarantined.
+//     resume from the committed prefix), and blocks until every shard
+//     is sealed or quarantined.
 //     Live progress is scraped from the metrics listener with any HTTP
 //     client: `curl http://HOST:METRICS_PORT/` returns a bench-report-
 //     style JSON snapshot. --port-file writes "PORT METRICS_PORT" once
 //     both listeners are bound (for scripts racing against startup).
 //     `worker` is the runner daemon: it drains the coordinator and
-//     exits when told kDrained. Without --cache-dir the worker uses the
-//     coordinator's remote orbit store. Exit codes mirror orchestrate:
+//     exits when told kDrained. Exit codes mirror orchestrate:
 //     0 complete, 3 partial coverage (quarantined shards), 1 error.
 //
 //   rvt_cli trace export --chrome <trace-file> [--out FILE]
@@ -97,6 +94,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/baseline.hpp"
@@ -133,20 +131,19 @@ int usage() {
                "       rvt_cli shard plan --workload e10[:<max_n>] "
                "--shards N --out FILE\n"
                "       rvt_cli shard run <plan-file> <shard-index> "
-               "--journal-dir DIR [--cache-dir DIR] "
-               "[--progress-interval-ms N]\n"
+               "--journal-dir DIR [--progress-interval-ms N]\n"
                "       rvt_cli shard merge <plan-file> --journal-dir DIR "
                "[--expect-defeats N] [--quarantine FILE]\n"
                "       rvt_cli shard orchestrate <plan-file> --journal-dir "
-               "DIR [--cache-dir DIR] [--runners N] [--max-attempts N] "
+               "DIR [--runners N] [--max-attempts N] "
                "[--lease-timeout-ms N] [--child-failpoints SPEC] "
                "[--quarantine-out FILE]\n"
                "       rvt_cli shard chaos <plan-file> --scenario "
-               "none|child-kill|torn-journal|corrupt-tier|publish-error "
-               "--journal-dir DIR [--cache-dir DIR] [--seed N] "
+               "none|child-kill|torn-journal "
+               "--journal-dir DIR [--seed N] "
                "[--runners N] [--expect-defeats N]\n"
                "       rvt_cli serve --workload e10[:<max_n>] --shards N "
-               "--journal-dir DIR [--plan FILE] [--cache-dir DIR] "
+               "--journal-dir DIR [--plan FILE] "
                "[--port N] [--metrics-port N] [--port-file FILE] "
                "[--max-attempts N] [--lease-timeout-ms N] "
                "[--poll-interval-ms N] [--expect-defeats N] "
@@ -155,7 +152,7 @@ int usage() {
                "live JSON snapshot; --resume replays the run ledger in "
                "--journal-dir after a crash)\n"
                "       rvt_cli worker --connect HOST:PORT [--name S] "
-               "[--cache-dir DIR] [--throttle-ms N] [--io-timeout-ms N] "
+               "[--throttle-ms N] [--io-timeout-ms N] "
                "[--reconnect-attempts N] [--reconnect-base-ms N] "
                "[--progress-interval-ms N]\n"
                "       rvt_cli trace export --chrome <trace-file> "
@@ -239,7 +236,7 @@ int run_shard_mode(int argc, char** argv) {
       return 1;
     }
     const std::size_t shard_index = static_cast<std::size_t>(shard_parsed);
-    std::string journal_dir, cache_dir;
+    std::string journal_dir;
     dist::ShardRunOptions run_opt;
     for (int i = 5; i < argc; ++i) {
       const std::string a = argv[i];
@@ -252,8 +249,6 @@ int run_shard_mode(int argc, char** argv) {
       };
       if (a == "--journal-dir") {
         journal_dir = next();
-      } else if (a == "--cache-dir") {
-        cache_dir = next();
       } else if (a == "--progress-interval-ms") {
         if (!parse_u64_strict(next(), run_opt.progress_interval_ms)) {
           std::cerr << "bad value for --progress-interval-ms: " << argv[i]
@@ -269,11 +264,6 @@ int run_shard_mode(int argc, char** argv) {
       const dist::ShardPlan plan = dist::load_plan(plan_path);
       const auto w = dist::EnumWorkload::parse(plan.workload_spec);
       sim::OrbitCache cache;
-      std::unique_ptr<dist::FsOrbitStore> tier;
-      if (!cache_dir.empty()) {
-        tier = std::make_unique<dist::FsOrbitStore>(cache_dir);
-        cache.set_backing(tier.get());
-      }
       const dist::ShardRunStats stats =
           dist::run_shard(*w, plan, shard_index, journal_dir, &cache, run_opt);
       const auto cs = cache.stats();
@@ -285,23 +275,9 @@ int run_shard_mode(int argc, char** argv) {
         std::cout << "shard " << shard_index << ": resumed past "
                   << stats.committed_before << ", computed "
                   << stats.computed << ", sum " << stats.sum
-                  << " (cache: " << cs.hits << " hits, " << cs.tier_hits
-                  << " tier hits, " << cs.tier_stores << " tier stores; "
-                  << stats.telemetry.canonical_collapses
+                  << " (cache: " << cs.hits << " hits, " << cs.misses
+                  << " misses; " << stats.telemetry.canonical_collapses
                   << " canonical collapses)\n";
-        if (stats.telemetry.tier_retries != 0 ||
-            stats.telemetry.tier_exhausted != 0 ||
-            stats.telemetry.tier_quarantined != 0 ||
-            stats.telemetry.tier_degraded != 0) {
-          std::cout << "tier faults: " << stats.telemetry.tier_retries
-                    << " retries, " << stats.telemetry.tier_exhausted
-                    << " exhausted, " << stats.telemetry.tier_quarantined
-                    << " quarantined"
-                    << (stats.telemetry.tier_degraded != 0
-                            ? ", DEGRADED to compute-through"
-                            : "")
-                    << "\n";
-        }
       }
     } catch (const std::exception& e) {
       std::cerr << "shard run: " << e.what() << "\n";
@@ -391,7 +367,7 @@ int run_shard_mode(int argc, char** argv) {
   if (verb == "orchestrate" || verb == "chaos") {
     if (argc < 4) return usage();
     const std::string plan_path = argv[3];
-    std::string journal_dir, cache_dir, child_failpoints, quarantine_out;
+    std::string journal_dir, child_failpoints, quarantine_out;
     std::string scenario;
     std::uint64_t runners = 2, max_attempts = 3, lease_ms = 10000, seed = 1;
     std::uint64_t poll_ms = 20, expect = 0;
@@ -413,8 +389,6 @@ int run_shard_mode(int argc, char** argv) {
       };
       if (a == "--journal-dir") {
         journal_dir = next();
-      } else if (a == "--cache-dir") {
-        cache_dir = next();
       } else if (a == "--runners") {
         next_u64(runners);
       } else if (a == "--max-attempts") {
@@ -466,7 +440,7 @@ int run_shard_mode(int argc, char** argv) {
                                            child_failpoints);
       }
       const dist::ShardLauncher launch =
-          dist::cli_shard_launcher(argv[0], plan_path, journal_dir, cache_dir);
+          dist::cli_shard_launcher(argv[0], plan_path, journal_dir);
       const dist::OrchestratorReport report =
           dist::orchestrate(plan, cfg, launch);
       for (const auto& o : report.shards) {
@@ -514,7 +488,7 @@ int run_shard_mode(int argc, char** argv) {
 
 int run_serve_mode(int argc, char** argv) {
   using namespace rvt;
-  std::string workload_spec = "e10", plan_path, journal_dir, cache_dir;
+  std::string workload_spec = "e10", plan_path, journal_dir;
   std::string port_file, quarantine_out;
   std::uint64_t shards = 4, port = 0, metrics_port = 0;
   std::uint64_t max_attempts = 3, lease_ms = 10000, poll_ms = 20;
@@ -544,8 +518,6 @@ int run_serve_mode(int argc, char** argv) {
       next_u64(shards);
     } else if (a == "--journal-dir") {
       journal_dir = next();
-    } else if (a == "--cache-dir") {
-      cache_dir = next();
     } else if (a == "--port") {
       next_u64(port);
     } else if (a == "--metrics-port") {
@@ -583,7 +555,6 @@ int run_serve_mode(int argc, char** argv) {
     }
     svc::CoordinatorConfig cfg;
     cfg.journal_dir = journal_dir;
-    cfg.cache_dir = cache_dir;
     cfg.port = static_cast<std::uint16_t>(port);
     cfg.metrics_port = static_cast<std::uint16_t>(metrics_port);
     cfg.max_attempts = static_cast<unsigned>(max_attempts);
@@ -625,6 +596,22 @@ int run_serve_mode(int argc, char** argv) {
       }
     }
     coord.wait_complete();
+    // A worker idling on a kWait lease learns the campaign is over only
+    // at its next lease request; stopping at once would strand it in its
+    // reconnect backoff. Give connected workers a bounded window to hear
+    // kDrained and hang up.
+    const auto drain_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    const auto worker_connected = [&coord] {
+      for (const svc::RunnerHealth& h : coord.report().runners) {
+        if (h.connected && h.role == "worker") return true;
+      }
+      return false;
+    };
+    while (worker_connected() &&
+           std::chrono::steady_clock::now() < drain_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
     const svc::ServiceReport rep = coord.report();
     coord.stop();
     std::cout << "serve: " << rep.shards_completed << "/" << rep.shards_total
@@ -686,8 +673,6 @@ int run_worker_mode(int argc, char** argv) {
       connect = next();
     } else if (a == "--name") {
       opt.name = next();
-    } else if (a == "--cache-dir") {
-      opt.cache_dir = next();
     } else if (a == "--throttle-ms") {
       if (!parse_u64_strict(next(), opt.throttle_ms)) {
         std::cerr << "bad value for --throttle-ms: " << argv[i] << "\n";
@@ -740,16 +725,6 @@ int run_worker_mode(int argc, char** argv) {
               << rep.indices << " indices, " << rep.defeats << " defeats, "
               << rep.chunks << " chunks, " << rep.reconnects
               << " reconnects, " << rep.fenced << " fenced\n";
-    if (rep.telemetry.tier_retries != 0 || rep.telemetry.tier_exhausted != 0 ||
-        rep.telemetry.tier_degraded != 0) {
-      std::cout << "tier faults: " << rep.telemetry.tier_retries
-                << " retries, " << rep.telemetry.tier_exhausted
-                << " exhausted"
-                << (rep.telemetry.tier_degraded != 0
-                        ? ", DEGRADED to compute-through"
-                        : "")
-                << "\n";
-    }
   } catch (const std::exception& e) {
     std::cerr << "worker: " << e.what() << "\n";
     return 1;

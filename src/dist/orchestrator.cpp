@@ -209,11 +209,9 @@ QuarantineManifest quarantine_manifest(const ShardPlan& plan,
 }
 
 ShardLauncher cli_shard_launcher(std::string cli, std::string plan_path,
-                                 std::string journal_dir,
-                                 std::string cache_dir) {
+                                 std::string journal_dir) {
   return [cli = std::move(cli), plan_path = std::move(plan_path),
-          journal_dir = std::move(journal_dir),
-          cache_dir = std::move(cache_dir)](
+          journal_dir = std::move(journal_dir)](
              std::size_t shard_index, unsigned attempt,
              const std::vector<std::pair<std::string, std::string>>&
                  extra_env) -> pid_t {
@@ -241,20 +239,14 @@ ShardLauncher cli_shard_launcher(std::string cli, std::string plan_path,
     std::vector<const char*> argv = {cli.c_str(),         "shard",
                                      "run",               plan_path.c_str(),
                                      shard_str.c_str(),   "--journal-dir",
-                                     journal_dir.c_str()};
-    if (!cache_dir.empty()) {
-      argv.push_back("--cache-dir");
-      argv.push_back(cache_dir.c_str());
-    }
-    argv.push_back(nullptr);
+                                     journal_dir.c_str(), nullptr};
     ::execv(cli.c_str(), const_cast<char* const*>(argv.data()));
     ::_exit(127);
   };
 }
 
 std::vector<std::string> chaos_scenarios() {
-  return {"none", "child-kill", "torn-journal", "corrupt-tier",
-          "publish-error"};
+  return {"none", "child-kill", "torn-journal"};
 }
 
 std::string chaos_failpoint_config(const std::string& scenario,
@@ -270,15 +262,8 @@ std::string chaos_failpoint_config(const std::string& scenario,
   if (scenario == "torn-journal") {
     return "journal.append=crash@hit:" + depth;
   }
-  if (scenario == "corrupt-tier") {
-    return "fs_store.load.decode=err@prob:0.5:" + std::to_string(seed);
-  }
-  if (scenario == "publish-error") {
-    return "fs_store.store=err@always";
-  }
   throw std::invalid_argument("unknown chaos scenario '" + scenario +
-                              "' (none | child-kill | torn-journal | "
-                              "corrupt-tier | publish-error)");
+                              "' (none | child-kill | torn-journal)");
 }
 
 }  // namespace rvt::dist

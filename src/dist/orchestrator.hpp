@@ -109,12 +109,11 @@ QuarantineManifest quarantine_manifest(const ShardPlan& plan,
                                        const OrchestratorReport& report);
 
 /// fork/exec launcher for the real CLI: `cli shard run <plan_path> <i>
-/// --journal-dir <journal_dir> [--cache-dir <cache_dir>]`, stdout+stderr
-/// redirected to <journal_dir>/shard-<i>.attempt-<k>.log, extra_env
-/// exported. The child _exit(127)s if exec fails.
+/// --journal-dir <journal_dir>`, stdout+stderr redirected to
+/// <journal_dir>/shard-<i>.attempt-<k>.log, extra_env exported. The
+/// child _exit(127)s if exec fails.
 ShardLauncher cli_shard_launcher(std::string cli, std::string plan_path,
-                                 std::string journal_dir,
-                                 std::string cache_dir = {});
+                                 std::string journal_dir);
 
 // ---- chaos scenarios (bench E14 + `shard chaos`) --------------------------
 
@@ -123,10 +122,7 @@ ShardLauncher cli_shard_launcher(std::string cli, std::string plan_path,
 ///  * "none"          — control run, no faults armed;
 ///  * "child-kill"    — a runner dies mid-shard (run_shard.index crash);
 ///  * "torn-journal"  — a runner dies mid-append, leaving a torn record
-///                      tail (journal.append crash);
-///  * "corrupt-tier"  — cache-tier files fail to decode with
-///                      probability 1/2 (fs_store.load.decode err);
-///  * "publish-error" — every tier publish fails (fs_store.store err).
+///                      tail (journal.append crash).
 std::vector<std::string> chaos_scenarios();
 
 /// The RVT_FAILPOINTS config string for `scenario`. `seed` makes the

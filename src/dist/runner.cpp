@@ -117,13 +117,6 @@ ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,
   stats.sum = writer.sum();
   stats.telemetry = ctx.telemetry();
   stats.delay = delay.finish();
-  if (cache != nullptr && cache->backing() != nullptr) {
-    const sim::OrbitTierFaultStats fs = cache->backing()->fault_stats();
-    stats.telemetry.tier_retries = fs.retries;
-    stats.telemetry.tier_exhausted = fs.exhausted;
-    stats.telemetry.tier_quarantined = fs.quarantined;
-    stats.telemetry.tier_degraded = fs.degraded ? 1 : 0;
-  }
   return stats;
 }
 

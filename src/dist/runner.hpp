@@ -1,8 +1,8 @@
 // One shard's worth of enumeration, journaled and resumable.
 //
 // run_shard() drives the workload's indices [begin, end) through a fused
-// EnumerationContext (optionally over an OrbitCache whose backing tier
-// is a shared filesystem — the cross-process claim/publish protocol) and
+// EnumerationContext (optionally over an in-memory OrbitCache, which
+// memoizes each (grid, canonical automaton) defeat count once) and
 // appends one verdict-summary record per index to the shard's journal:
 //
 //  * fresh shard  -> journal created, every index computed;
@@ -42,9 +42,9 @@ struct ShardRunOptions {
 };
 
 /// Runs shard `shard_index` of `plan` for workload `w`, journaling under
-/// `journal_dir` (created if missing). `cache` may be null (no orbit
-/// sharing); attach an FsOrbitStore-backed cache to share extractions
-/// across the machine boundary. Throws std::invalid_argument if the
+/// `journal_dir` (created if missing). `cache` may be null (every count
+/// computed); pass one cache to several shards of this process to share
+/// their memoized counts. Throws std::invalid_argument if the
 /// plan does not match the workload (fingerprint or shard index), and
 /// SerializeError on unusable journal IO.
 ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,

@@ -77,6 +77,9 @@ void WireReader::raw(void* p, std::size_t n) {
   if (n > b_.size() - pos_) {
     throw SerializeError("wire: read past end of payload");
   }
+  // Zero-length reads are legal (empty arrays) and may come with null
+  // pointers, which memcpy must never see.
+  if (n == 0) return;
   std::memcpy(p, b_.data() + pos_, n);
   pos_ += n;
 }
@@ -240,9 +243,8 @@ deserialize_orbit_set(std::span<const std::uint8_t> payload) {
   const std::uint32_t n = r.u32();
   // Bound every size field against the bytes actually present BEFORE
   // allocating from it: a forged count must throw SerializeError here,
-  // not length_error/bad_alloc out of a resize (FsOrbitStore::load turns
-  // SerializeError into a cache miss; anything else would escape with
-  // the cache claim held).
+  // not length_error/bad_alloc out of a resize (NetOrbitStore::load turns
+  // SerializeError into a miss; anything else would escape the loader).
   if (n > r.remaining()) {
     throw SerializeError("orbit set: orbit count exceeds payload");
   }
@@ -405,7 +407,7 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
   return bytes;
 }
 
-// ---- the filesystem cache tier --------------------------------------------
+// ---- formatting -----------------------------------------------------------
 
 std::string hex128(std::uint64_t hi, std::uint64_t lo) {
   char buf[33];
@@ -413,142 +415,6 @@ std::string hex128(std::uint64_t hi, std::uint64_t lo) {
                 static_cast<unsigned long long>(hi),
                 static_cast<unsigned long long>(lo));
   return buf;
-}
-
-std::string orbit_key_hex(const sim::OrbitKey& key) {
-  return hex128(key.hi, key.lo);
-}
-
-FsOrbitStore::FsOrbitStore(std::string dir, util::RetryPolicy retry)
-    : dir_(std::move(dir)), retry_(std::move(retry)) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);  // best effort
-}
-
-std::string FsOrbitStore::path_for(const sim::OrbitKey& key) const {
-  return dir_ + "/" + orbit_key_hex(key) + ".orbs";
-}
-
-void FsOrbitStore::note_exhausted() {
-  exhausted_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t streak =
-      failure_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= kDegradeAfter) {
-    degraded_.store(true, std::memory_order_relaxed);
-  }
-}
-
-void FsOrbitStore::note_ok() {
-  failure_streak_.store(0, std::memory_order_relaxed);
-}
-
-void FsOrbitStore::quarantine(const std::string& path) {
-  // A unique suffix per quarantine keeps successive corruptions of a
-  // re-published key from clobbering each other's evidence; rename stays
-  // within the directory so it is atomic, and a losing racer's failure
-  // is fine — the file is gone either way.
-  const std::uint64_t n =
-      quarantined_.fetch_add(1, std::memory_order_relaxed);
-  const std::string aside = path + ".quarantined-" + std::to_string(n);
-  std::error_code ec;
-  std::filesystem::rename(path, aside, ec);
-  if (ec) {
-    quarantined_.fetch_sub(1, std::memory_order_relaxed);
-    std::filesystem::remove(path, ec);  // last resort: stop the re-fail loop
-  }
-}
-
-std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet> FsOrbitStore::load(
-    const sim::OrbitKey& key) {
-  if (degraded_.load(std::memory_order_relaxed)) return nullptr;
-  const std::string path = path_for(key);
-  loads_.fetch_add(1, std::memory_order_relaxed);
-  // Transient-failure half: distinguish ABSENT (a genuine miss — no
-  // retry, the common case) from an EXISTING file that cannot be read
-  // (retried on the backoff schedule).
-  std::optional<std::vector<std::uint8_t>> bytes;
-  util::RetryStats rs;
-  const bool ok = util::retry_bool(retry_, &rs, [&] {
-    if (util::failpoint_error("fs_store.load")) return false;
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) {
-      bytes.reset();
-      return true;  // miss, not a failure
-    }
-    bytes = read_file(path);
-    return bytes.has_value();
-  });
-  retries_.fetch_add(rs.retries, std::memory_order_relaxed);
-  if (!ok) {
-    read_failures_.fetch_add(1, std::memory_order_relaxed);
-    note_exhausted();
-    return nullptr;
-  }
-  // A genuine miss is NEUTRAL for the degradation streak: exists()
-  // succeeding proves nothing about read/write health, and the common
-  // load-miss / store-fail alternation of a write-dead tier must not
-  // keep resetting the streak below the threshold.
-  if (!bytes.has_value()) return nullptr;
-  note_ok();
-  try {
-    if (util::failpoint_error("fs_store.load.decode")) {
-      throw SerializeError("injected decode fault (fs_store.load.decode)");
-    }
-    return deserialize_orbit_set(
-        unframe_payload(WireKind::kOrbitSet, *bytes));
-  } catch (const std::exception&) {
-    // Torn/corrupt/foreign-version file == tier miss. The codec throws
-    // SerializeError for everything it detects, but the contract — a
-    // broken tier entry must never escape into the sweep with the cache
-    // claim held — is worth the belt-and-suspenders catch (bad_alloc
-    // from a forged size the checks missed, filesystem surprises).
-    // Decoding is deterministic, so the file can never serve this key:
-    // quarantine it instead of re-reading and re-failing on every miss.
-    decode_failures_.fetch_add(1, std::memory_order_relaxed);
-    quarantine(path);
-    return nullptr;
-  }
-}
-
-void FsOrbitStore::store(
-    const sim::OrbitKey& key,
-    const std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet>& set) {
-  if (set == nullptr || degraded_.load(std::memory_order_relaxed)) return;
-  const std::vector<std::uint8_t> framed =
-      frame_payload(WireKind::kOrbitSet, serialize_orbit_set(*set));
-  const std::string path = path_for(key);
-  stores_.fetch_add(1, std::memory_order_relaxed);
-  util::RetryStats rs;
-  const bool ok = util::retry_bool(retry_, &rs, [&] {
-    if (util::failpoint_error("fs_store.store")) return false;
-    return write_file_atomic(path, framed);
-  });
-  retries_.fetch_add(rs.retries, std::memory_order_relaxed);
-  if (!ok) {
-    store_failures_.fetch_add(1, std::memory_order_relaxed);
-    note_exhausted();
-    return;  // best effort: the in-memory tier stays authoritative
-  }
-  note_ok();
-}
-
-FsOrbitStore::Stats FsOrbitStore::stats() const {
-  Stats s;
-  s.loads = loads_.load(std::memory_order_relaxed);
-  s.read_failures = read_failures_.load(std::memory_order_relaxed);
-  s.decode_failures = decode_failures_.load(std::memory_order_relaxed);
-  s.quarantined = quarantined_.load(std::memory_order_relaxed);
-  s.stores = stores_.load(std::memory_order_relaxed);
-  s.store_failures = store_failures_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.exhausted = exhausted_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_relaxed);
-  return s;
-}
-
-sim::OrbitTierFaultStats FsOrbitStore::fault_stats() const {
-  const Stats s = stats();
-  return {s.retries, s.exhausted, s.quarantined, s.degraded};
 }
 
 }  // namespace rvt::dist

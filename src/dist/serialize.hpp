@@ -1,8 +1,8 @@
 // Binary serialization for the distributed-enumeration subsystem.
 //
-// Every artifact that crosses a process (or machine) boundary — published
-// OrbitSets on the shared-filesystem cache tier, shard plans, shard
-// journals — is written in one framed wire format:
+// Every artifact that crosses a process (or machine) boundary — shard
+// plans, shard journals, the run ledger, service-tier messages — is
+// written in one framed wire format:
 //
 //     [ WireHeader | payload bytes ]
 //
@@ -10,22 +10,18 @@
 // payload length and a 64-bit FNV-1a checksum of the payload. Readers
 // refuse wrong magic/kind, a version they do not speak, a length that
 // disagrees with the file, and a checksum mismatch — a torn or corrupted
-// artifact must surface as a SerializeError (or a cache-tier miss), never
-// as silently wrong verdict data. Integers are fixed-width little-endian;
-// the codec asserts a little-endian host (every deployment target is).
+// artifact must surface as a SerializeError, never as silently wrong
+// verdict data. Integers are fixed-width little-endian; the codec
+// asserts a little-endian host (every deployment target is).
 //
 // OrbitSet payloads round-trip EXACTLY: the deserialized set binds its
 // orbits into contiguous arenas (sim/orbit_buf.hpp) just like
 // snapshot_orbits() builds them, so adopting a deserialized set via
 // rebind_adopted() is indistinguishable from adopting a locally published
-// one — which is what makes a directory of these files a cross-machine
-// orbit-cache tier (FsOrbitStore): files are named by the 32-hex-digit
-// content key and published via write-temp + atomic rename, the same
-// claim/publish discipline the in-memory cache uses, extended to the
-// filesystem.
+// one. The codec is the payload of the service protocol's kOrbitGet
+// reply (svc/net_store.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,8 +31,6 @@
 #include <vector>
 
 #include "sim/compiled.hpp"
-#include "sim/orbit_cache.hpp"
-#include "util/retry.hpp"
 
 namespace rvt::dist {
 
@@ -62,8 +56,8 @@ enum class WireKind : std::uint16_t {
   kJournalChunk = 9,  ///< streamed journal records (growth = heartbeat)
   kSeal = 10,         ///< runner declares its leased shard complete
   kError = 11,        ///< refusal with a machine-readable code
-  kOrbitGet = 12,     ///< remote orbit store: load by content key
-  kOrbitPut = 13,     ///< remote orbit store: best-effort publish
+  kOrbitGet = 12,     ///< remote orbit store: load (always answered absent)
+  kOrbitPut = 13,     ///< remote orbit store: publish (never stored)
   kLedger = 14,       ///< coordinator write-ahead run ledger (dist/ledger.hpp)
   kTraceChunk = 15,   ///< flushed span/event trace batch (obs/trace.hpp)
 };
@@ -185,85 +179,10 @@ bool write_file_atomic(const std::string& path,
 /// Whole file, or nullopt if it cannot be read.
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);
 
-// ---- the filesystem cache tier --------------------------------------------
+// ---- formatting -----------------------------------------------------------
 
 /// 32-hex-digit rendering of a 128-bit (hi, lo) pair — the one
-/// formatter behind cache filenames, shard ids and log lines.
+/// formatter behind shard ids and log lines.
 std::string hex128(std::uint64_t hi, std::uint64_t lo);
-
-/// 32-hex-digit filename stem of a content key (hi then lo).
-std::string orbit_key_hex(const sim::OrbitKey& key);
-
-/// sim::OrbitStore over a directory (created on construction): one
-/// framed OrbitSet file per content key, published atomically. A missing,
-/// torn or corrupt file is a miss — load() never throws; store() is
-/// best-effort and swallows IO errors (the in-memory tier stays
-/// authoritative). Point several processes' caches at one directory (a
-/// shared filesystem) and the claim/publish protocol extends across
-/// machines: the first process to extract a binding publishes the file,
-/// every other process adopts it.
-///
-/// Fault handling (the self-healing contract, exercised by bench E14):
-///  * TRANSIENT failures — an existing file that cannot be read, an
-///    atomic publish that fails — retry on the deterministic backoff
-///    schedule of the RetryPolicy (util/retry.hpp);
-///  * CORRUPT files — bytes read fine but the frame or codec refuses —
-///    are renamed aside (".quarantined-<n>" suffix) instead of being
-///    re-read and re-failed on every subsequent miss, and counted;
-///  * PERSISTENT failure — kDegradeAfter consecutive operations
-///    exhausting their retries — DEGRADES the store to compute-through:
-///    every later load is a miss and every store a no-op, so the sweep
-///    stays correct (each process re-extracts privately) and stops
-///    paying for a dead tier. Degradation is sticky for the store's
-///    lifetime; any success before the threshold resets the streak.
-/// Counters are surfaced through stats()/fault_stats() into the shard
-/// runner's telemetry.
-class FsOrbitStore final : public sim::OrbitStore {
- public:
-  explicit FsOrbitStore(std::string dir, util::RetryPolicy retry = {});
-
-  std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet> load(
-      const sim::OrbitKey& key) override;
-  void store(const sim::OrbitKey& key,
-             const std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet>&
-                 set) override;
-  sim::OrbitTierFaultStats fault_stats() const override;
-
-  /// Consecutive exhausted operations after which the store degrades.
-  static constexpr std::uint64_t kDegradeAfter = 4;
-
-  struct Stats {
-    std::uint64_t loads = 0;            ///< load() calls that went to disk
-    std::uint64_t read_failures = 0;    ///< existing file unreadable (pre-retry)
-    std::uint64_t decode_failures = 0;  ///< frame/codec refused the bytes
-    std::uint64_t quarantined = 0;      ///< corrupt files renamed aside
-    std::uint64_t stores = 0;           ///< store() calls that attempted IO
-    std::uint64_t store_failures = 0;   ///< publishes that exhausted retries
-    std::uint64_t retries = 0;          ///< re-attempts across load + store
-    std::uint64_t exhausted = 0;        ///< operations that failed every attempt
-    bool degraded = false;              ///< compute-through mode entered
-  };
-  Stats stats() const;
-
-  std::string path_for(const sim::OrbitKey& key) const;
-  const std::string& dir() const { return dir_; }
-
- private:
-  /// An operation exhausted its retries / succeeded: advance or reset
-  /// the consecutive-failure streak that trips degradation.
-  void note_exhausted();
-  void note_ok();
-  /// Renames a corrupt file aside; best-effort (a concurrent quarantine
-  /// of the same file wins the rename race, losers count nothing).
-  void quarantine(const std::string& path);
-
-  std::string dir_;
-  util::RetryPolicy retry_;
-  std::atomic<std::uint64_t> loads_{0}, read_failures_{0},
-      decode_failures_{0}, quarantined_{0}, stores_{0}, store_failures_{0},
-      retries_{0}, exhausted_{0};
-  std::atomic<std::uint64_t> failure_streak_{0};
-  std::atomic<bool> degraded_{false};
-};
 
 }  // namespace rvt::dist

@@ -153,8 +153,7 @@ std::unique_ptr<TcpStream> TcpListener::accept() {
 }
 
 void TcpListener::close() {
-  if (closed_) return;
-  closed_ = true;
+  if (closed_.exchange(true)) return;
   ::shutdown(fd_, SHUT_RDWR);  // wakes a blocked accept (EINVAL)
 }
 

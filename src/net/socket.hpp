@@ -10,6 +10,7 @@
 // peer.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -95,7 +96,8 @@ class TcpListener {
  private:
   int fd_;
   std::uint16_t port_ = 0;
-  bool closed_ = false;
+  /// Written by close() on one thread, read by accept() on another.
+  std::atomic<bool> closed_{false};
 };
 
 /// Minimal HTTP/1.0 GET — the metrics-endpoint client used by bench E15

@@ -82,7 +82,19 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
       if (k == 2 && s[0] == s[1]) slot.meet_ok = false;
     }
     slot.orbit_ptr.assign(static_cast<std::size_t>(n), nullptr);
-    if (cache_ != nullptr) slot.tree_key = tree_orbit_key(*grid.tree);
+    if (cache_ != nullptr) {
+      slot.tree_key = tree_orbit_key(*grid.tree);
+      KeyHasher h;
+      h.feed(slot.tree_key);
+      h.feed(k);
+      h.feed(grid.query_count());
+      for (std::size_t i = 0; i < grid.starts.size(); ++i) {
+        h.feed(static_cast<std::uint64_t>(grid.starts[i]));
+        h.feed(grid.delays[i]);
+      }
+      h.feed(max_rounds_);
+      slot.grid_key = h.key();
+    }
   }
 }
 
@@ -100,7 +112,48 @@ void EnumerationContext::bind(const TabularAutomaton& a) {
   automaton_key_valid_ = false;
 }
 
+const OrbitKey& EnumerationContext::automaton_key() {
+  if (!automaton_key_valid_) {
+    // Canonical dedup key: equivalent enumerated automata (unreachable
+    // states, renumbering, impossible-input entries) share one cache
+    // entry — one extraction, one count — per tree or grid.
+    const TabularAutomaton canon = canonical_reachable_form(*automaton_);
+    if (!(canon == *automaton_)) ++stats_.canonical_collapses;
+    automaton_key_ = automaton_orbit_key(canon);
+    automaton_key_valid_ = true;
+  }
+  return automaton_key_;
+}
+
+EnumerationContext::Slot& EnumerationContext::prepare_local(std::size_t g) {
+  if (automaton_ == nullptr) {
+    throw std::logic_error("EnumerationContext: bind() an automaton first");
+  }
+  Slot& slot = slots_[g];
+  if (slot.warmed_serial == serial_) return slot;
+  const std::uint64_t obs_t0 = obs::enabled() ? obs::now_ns() : 0;
+  if (!slot.engine.has_value()) {
+    slot.engine.emplace(*grids_[g].tree, *automaton_);
+    ++stats_.bindings;
+  } else if (slot.bound_serial != serial_) {  // else bound via prepare_scan
+    slot.engine->rebind(*automaton_);
+    ++stats_.bindings;
+  }
+  slot.cache_hit = false;
+  slot.engine->warm_orbits(slot.warm_starts);
+  // Orbit references are stable for the rest of the binding (every start
+  // a query can touch is warmed); snapshot them for the verdict loops.
+  for (const tree::NodeId s : slot.warm_starts) {
+    slot.orbit_ptr[static_cast<std::size_t>(s)] = &slot.engine->orbit(s);
+  }
+  slot.bound_serial = serial_;
+  slot.warmed_serial = serial_;
+  note_binding_prepared(obs_t0, false);
+  return slot;
+}
+
 EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
+  if (cache_ == nullptr) return prepare_local(g);
   if (automaton_ == nullptr) {
     throw std::logic_error("EnumerationContext: bind() an automaton first");
   }
@@ -112,100 +165,81 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
     slot.engine.emplace(*grids_[g].tree, *automaton_);
   }
   const bool bound = slot.bound_serial == serial_;  // via prepare_scan
-  slot.cache_hit = false;
   if (!bound) ++stats_.bindings;
-  if (cache_ != nullptr) {
-    if (!automaton_key_valid_) {
-      // Canonical dedup key: equivalent enumerated automata (unreachable
-      // states, renumbering, impossible-input entries) share one cache
-      // entry — and one extraction — per tree.
-      const TabularAutomaton canon = canonical_reachable_form(*automaton_);
-      if (!(canon == *automaton_)) ++stats_.canonical_collapses;
-      automaton_key_ = automaton_orbit_key(canon);
-      automaton_key_valid_ = true;
+  const OrbitKey key = combine_orbit_keys(slot.tree_key, automaton_key());
+  auto set = cache_->acquire(key);
+  if (set != nullptr) {
+    // Adopt only if the published set covers every start this grid
+    // queries (it does when the key was published by a same-grid
+    // worker; a different grid's publication may not) — then the
+    // engine skips recompiling its tables entirely, and prefetching
+    // the set's buffers hides their DRAM latency behind the rest of
+    // the preparation.
+    bool covered = true;
+    for (const tree::NodeId s : slot.warm_starts) {
+      if (!set->has_orbit[static_cast<std::size_t>(s)]) {
+        covered = false;
+        break;
+      }
+      const auto& o = set->orbits[static_cast<std::size_t>(s)];
+      // The orbit pointers come straight from the set (stable: the
+      // engine holds the shared_ptr until its next rebind), and the
+      // prefetches pull the buffers the verdict loop will touch.
+      slot.orbit_ptr[static_cast<std::size_t>(s)] = &o;
+      __builtin_prefetch(o.node.data());
+      __builtin_prefetch(o.first_visit.data());
     }
-    const OrbitKey key = combine_orbit_keys(slot.tree_key, automaton_key_);
-    auto set = cache_->acquire(key);
-    if (set != nullptr) {
-      // Adopt only if the published set covers every start this grid
-      // queries (it does when the key was published by a same-grid
-      // worker; a different grid's publication may not) — then the
-      // engine skips recompiling its tables entirely, and prefetching
-      // the set's buffers hides their DRAM latency behind the rest of
-      // the preparation.
-      bool covered = true;
-      for (const tree::NodeId s : slot.warm_starts) {
-        if (!set->has_orbit[static_cast<std::size_t>(s)]) {
-          covered = false;
-          break;
+    ++stats_.cache_hits;
+    slot.cache_hit = true;
+    if (covered) {
+      slot.engine->rebind_adopted(std::move(set));
+      slot.bound_serial = serial_;
+      slot.warmed_serial = serial_;
+      note_binding_prepared(obs_t0, true);
+      return slot;
+    }
+    // Partial coverage: bind fully and extract the gaps locally (we
+    // hold no claim, so nothing is published).
+    if (!constructed && !bound) slot.engine->rebind(*automaton_);
+    slot.engine->adopt_shared_orbits(std::move(set));
+    slot.engine->warm_orbits(slot.warm_starts);
+  } else {
+    // We hold the claim: extract the whole grid's needs (orbits via the
+    // batched stepper, collision tables of the cycles any query pair
+    // can touch) and publish.
+    ++stats_.cache_misses;
+    slot.cache_hit = false;
+    try {
+      if (!constructed && !bound) slot.engine->rebind(*automaton_);
+      const CompiledConfigEngine& e = *slot.engine;
+      e.warm_orbits(slot.warm_starts);
+      const EnumGrid& grid = grids_[g];
+      const std::size_t k = grid.agents;
+      const tree::NodeId* prev = nullptr;
+      for (std::size_t q = 0; q < grid.query_count(); ++q) {
+        const tree::NodeId* s = grid.starts.data() + q * k;
+        if (prev != nullptr &&
+            std::memcmp(prev, s, k * sizeof(tree::NodeId)) == 0) {
+          continue;  // delay run: same tuple, same tables
         }
-        const auto& o = set->orbits[static_cast<std::size_t>(s)];
-        // The orbit pointers come straight from the set (stable: the
-        // engine holds the shared_ptr until its next rebind), and the
-        // prefetches pull the buffers the verdict loop will touch.
-        slot.orbit_ptr[static_cast<std::size_t>(s)] = &o;
-        __builtin_prefetch(o.node.data());
-        __builtin_prefetch(o.first_visit.data());
-      }
-      if (covered) {
-        slot.engine->rebind_adopted(std::move(set));
-        slot.cache_hit = true;
-        ++stats_.cache_hits;
-        slot.bound_serial = serial_;
-        slot.warmed_serial = serial_;
-        note_binding_prepared(obs_t0, true);
-        return slot;
-      } else {
-        // Partial coverage: bind fully and extract the gaps locally (we
-        // hold no claim, so nothing is published).
-        if (!constructed && !bound) slot.engine->rebind(*automaton_);
-        slot.engine->adopt_shared_orbits(std::move(set));
-        slot.engine->warm_orbits(slot.warm_starts);
-        slot.cache_hit = true;
-        ++stats_.cache_hits;
-      }
-    } else {
-      // We hold the claim: extract the whole grid's needs (orbits via the
-      // batched stepper, collision tables of the cycles any query pair
-      // can touch) and publish.
-      ++stats_.cache_misses;
-      try {
-        if (!constructed && !bound) slot.engine->rebind(*automaton_);
-        const CompiledConfigEngine& e = *slot.engine;
-        e.warm_orbits(slot.warm_starts);
-        const EnumGrid& grid = grids_[g];
-        const std::size_t k = grid.agents;
-        const tree::NodeId* prev = nullptr;
-        for (std::size_t q = 0; q < grid.query_count(); ++q) {
-          const tree::NodeId* s = grid.starts.data() + q * k;
-          if (prev != nullptr &&
-              std::memcmp(prev, s, k * sizeof(tree::NodeId)) == 0) {
-            continue;  // delay run: same tuple, same tables
-          }
-          prev = s;
-          for (std::size_t i = 0; i < k; ++i) {
-            const auto& A = e.orbit(s[i]);
-            for (std::size_t j = i + 1; j < k; ++j) {
-              const auto& B = e.orbit(s[j]);
-              if (A.lambda <= CompiledConfigEngine::kCollisionLimit &&
-                  B.lambda <= CompiledConfigEngine::kCollisionLimit) {
-                e.cycle_pair_collisions(A.cycle_root, B.cycle_root);
-              }
+        prev = s;
+        for (std::size_t i = 0; i < k; ++i) {
+          const auto& A = e.orbit(s[i]);
+          for (std::size_t j = i + 1; j < k; ++j) {
+            const auto& B = e.orbit(s[j]);
+            if (A.lambda <= CompiledConfigEngine::kCollisionLimit &&
+                B.lambda <= CompiledConfigEngine::kCollisionLimit) {
+              e.cycle_pair_collisions(A.cycle_root, B.cycle_root);
             }
           }
         }
-        cache_->publish(key, e.snapshot_orbits());
-      } catch (...) {
-        cache_->abandon(key);
-        throw;
       }
+      cache_->publish(key, e.snapshot_orbits());
+    } catch (...) {
+      cache_->abandon(key);
+      throw;
     }
-  } else {
-    if (!constructed && !bound) slot.engine->rebind(*automaton_);
-    slot.engine->warm_orbits(slot.warm_starts);
   }
-  // Orbit references are stable for the rest of the binding (every start
-  // a query can touch is warmed); snapshot them for the verdict loops.
   for (const tree::NodeId s : slot.warm_starts) {
     slot.orbit_ptr[static_cast<std::size_t>(s)] = &slot.engine->orbit(s);
   }
@@ -213,6 +247,33 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
   slot.warmed_serial = serial_;
   note_binding_prepared(obs_t0, slot.cache_hit);
   return slot;
+}
+
+template <typename Scan>
+std::uint64_t EnumerationContext::memoized_count(std::size_t g,
+                                                 CountKind kind, Scan scan) {
+  if (cache_ == nullptr) return scan(prepare_local(g));
+  if (automaton_ == nullptr) {
+    throw std::logic_error("EnumerationContext: bind() an automaton first");
+  }
+  const OrbitKey key =
+      count_memo_key(slots_[g].grid_key, automaton_key(), kind);
+  // A hit prepares no binding, so it records no binding latency: the
+  // lookup is a few nanoseconds, less than reading the clock.
+  if (const std::optional<std::uint64_t> hit = cache_->acquire_count(key)) {
+    ++stats_.bindings;
+    ++stats_.cache_hits;
+    return *hit;
+  }
+  ++stats_.cache_misses;
+  try {
+    const std::uint64_t count = scan(prepare_local(g));
+    cache_->publish_count(key, count);
+    return count;
+  } catch (...) {
+    cache_->abandon(key);
+    throw;
+  }
 }
 
 EnumerationContext::Slot& EnumerationContext::prepare_scan(std::size_t g) {
@@ -350,29 +411,29 @@ std::ptrdiff_t EnumerationContext::first_unmet(std::size_t g) {
 
 std::uint64_t EnumerationContext::count_unmet(std::size_t g) {
   require_meet(g);
-  Slot& slot = prepare(g);
-  prefetch_next(g);
-  const CompiledConfigEngine& e = *slot.engine;
-  const auto* optr = slot.orbit_ptr.data();
-  const EnumGrid& grid = grids_[g];
-  std::uint64_t unmet = 0;
-  const tree::NodeId* sdata = grid.starts.data();
-  const std::uint64_t* ddata = grid.delays.data();
-  const std::size_t nq = grid.query_count();
-  std::size_t i = 0;
-  while (i < nq) {
-    const tree::NodeId* s = sdata + 2 * i;
-    std::size_t j = i + 1;
-    while (j < nq && sdata[2 * j] == s[0] && sdata[2 * j + 1] == s[1]) {
-      ++j;
+  return memoized_count(g, CountKind::kUnmet, [&](const Slot& slot) {
+    const CompiledConfigEngine& e = *slot.engine;
+    const auto* optr = slot.orbit_ptr.data();
+    const EnumGrid& grid = grids_[g];
+    std::uint64_t unmet = 0;
+    const tree::NodeId* sdata = grid.starts.data();
+    const std::uint64_t* ddata = grid.delays.data();
+    const std::size_t nq = grid.query_count();
+    std::size_t i = 0;
+    while (i < nq) {
+      const tree::NodeId* s = sdata + 2 * i;
+      std::size_t j = i + 1;
+      while (j < nq && sdata[2 * j] == s[0] && sdata[2 * j + 1] == s[1]) {
+        ++j;
+      }
+      const detail::PairState st = detail::make_pair_state(
+          e, *optr[s[0]], *optr[s[1]], /*same_engine=*/true, s[0], s[1]);
+      unmet += detail::count_unmet_run(st, ddata + 2 * i, j - i, max_rounds_);
+      i = j;
     }
-    const detail::PairState st = detail::make_pair_state(
-        e, *optr[s[0]], *optr[s[1]], /*same_engine=*/true, s[0], s[1]);
-    unmet += detail::count_unmet_run(st, ddata + 2 * i, j - i, max_rounds_);
-    i = j;
-  }
-  stats_.queries += nq;
-  return unmet;
+    stats_.queries += nq;
+    return unmet;
+  });
 }
 
 std::span<const GatherVerdict> EnumerationContext::verify_gather(
@@ -424,32 +485,32 @@ std::ptrdiff_t EnumerationContext::first_ungathered(std::size_t g) {
 }
 
 std::uint64_t EnumerationContext::count_ungathered(std::size_t g) {
-  Slot& slot = prepare(g);
-  prefetch_next(g);
-  const CompiledConfigEngine& e = *slot.engine;
-  const auto* optr = slot.orbit_ptr.data();
-  const EnumGrid& grid = grids_[g];
-  const std::size_t k = grid.agents;
-  const tree::NodeId* sdata = grid.starts.data();
-  const std::uint64_t* ddata = grid.delays.data();
-  const std::size_t nq = grid.query_count();
-  std::uint64_t ungathered = 0;
-  detail::TupleState st;
-  std::size_t i = 0;
-  while (i < nq) {
-    const tree::NodeId* s = sdata + k * i;
-    std::size_t j = i + 1;
-    while (j < nq &&
-           std::memcmp(sdata + k * j, s, k * sizeof(tree::NodeId)) == 0) {
-      ++j;
+  return memoized_count(g, CountKind::kUngathered, [&](const Slot& slot) {
+    const CompiledConfigEngine& e = *slot.engine;
+    const auto* optr = slot.orbit_ptr.data();
+    const EnumGrid& grid = grids_[g];
+    const std::size_t k = grid.agents;
+    const tree::NodeId* sdata = grid.starts.data();
+    const std::uint64_t* ddata = grid.delays.data();
+    const std::size_t nq = grid.query_count();
+    std::uint64_t ungathered = 0;
+    detail::TupleState st;
+    std::size_t i = 0;
+    while (i < nq) {
+      const tree::NodeId* s = sdata + k * i;
+      std::size_t j = i + 1;
+      while (j < nq &&
+             std::memcmp(sdata + k * j, s, k * sizeof(tree::NodeId)) == 0) {
+        ++j;
+      }
+      refresh_tuple(st, e, optr, s, k);
+      ungathered +=
+          detail::count_ungathered_run(st, ddata + k * i, j - i, max_rounds_);
+      i = j;
     }
-    refresh_tuple(st, e, optr, s, k);
-    ungathered +=
-        detail::count_ungathered_run(st, ddata + k * i, j - i, max_rounds_);
-    i = j;
-  }
-  stats_.queries += nq;
-  return ungathered;
+    stats_.queries += nq;
+    return ungathered;
+  });
 }
 
 EnumTelemetry EnumerationContext::telemetry() const {

@@ -26,10 +26,14 @@
 // cache protocol (orbits are per-agent; nothing below this layer knows k).
 //
 // Grids are validated once at construction; the steady state allocates
-// nothing. When an OrbitCache is attached, each binding's orbits are
-// acquired from / published to it, so a battery shared by several workers
-// (or repeated passes of one worker) extracts each orbit once per machine
-// — every verdict carries the cache_hit flag for telemetry.
+// nothing. When an OrbitCache is attached, the COUNT calls (count_unmet /
+// count_ungathered) are memoized in it: each grid gets a content key at
+// construction, and a count is computed once per (grid key, canonical
+// automaton key) per machine — every equivalent binding after the first
+// is answered without binding, extracting or scanning. The verdict and
+// early-exit calls instead acquire / publish the binding's orbit set, so
+// a battery shared by several workers extracts each orbit once per
+// machine — every verdict carries the cache_hit flag for telemetry.
 //
 // sweep_enumeration() fans an automaton range across workers, one context
 // per worker (sweep_indexed), with deterministic result ordering and
@@ -119,26 +123,18 @@ struct EnumGrid {
 /// Telemetry aggregated across the workers of one sweep_enumeration call
 /// (or collected manually from a directly-driven context).
 struct EnumTelemetry {
-  std::uint64_t queries = 0;           ///< verdicts produced
+  std::uint64_t queries = 0;           ///< verdicts computed (memo hits: 0)
   std::uint64_t bindings = 0;          ///< (automaton, grid) preparations
-  std::uint64_t cache_hits = 0;        ///< bindings served by the cache
-  std::uint64_t cache_misses = 0;      ///< bindings extracted locally
+  /// (automaton, grid) bindings served by the cache: a memoized count,
+  /// or an adopted orbit set.
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;      ///< bindings computed locally
   std::uint64_t orbits_extracted = 0;  ///< orbit walks actually run
   /// Automata whose canonical reachable form differs from their raw
   /// table — i.e. bindings the canonical dedup key can merge with an
   /// equivalent automaton's cache entry. The K = 3 exhaustive battery
   /// measurably collapses (asserted in tests/test_enumeration.cpp).
   std::uint64_t canonical_collapses = 0;
-  /// Durable-tier fault handling (filled by the shard runner from the
-  /// cache's backing OrbitStore after a run; zero for in-process sweeps
-  /// with no tier): transient IO failures retried, operations that
-  /// exhausted the retry schedule, corrupt tier files quarantined, and
-  /// whether the tier disabled itself (compute-through — the sweep's
-  /// verdicts are unaffected, only extraction is repaid).
-  std::uint64_t tier_retries = 0;
-  std::uint64_t tier_exhausted = 0;
-  std::uint64_t tier_quarantined = 0;
-  std::uint64_t tier_degraded = 0;  ///< 0/1
   double hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
     return total == 0 ? 0.0
@@ -189,7 +185,10 @@ class EnumerationContext {
   /// materializing verdicts — the accumulation shape of defeat-density
   /// profiles, where the verdict buffer writes would be the largest
   /// remaining per-query cost. Equals counting met == false over
-  /// verify(g).
+  /// verify(g). With a cache attached the count is memoized under
+  /// (grid key, canonical automaton key): a hit returns it without
+  /// touching the engine; a miss claims the key, computes locally and
+  /// publishes only the count (the claim is abandoned on an exception).
   std::uint64_t count_unmet(std::size_t g);
 
   /// Gathering verdicts of grid g (any arity, k = 2 included) under the
@@ -207,7 +206,7 @@ class EnumerationContext {
 
   /// Number of grid-g queries with gathered == false, without
   /// materializing verdicts. Equals counting gathered == false over
-  /// verify_gather(g).
+  /// verify_gather(g). Memoized like count_unmet (under its own kind).
   std::uint64_t count_ungathered(std::size_t g);
 
   std::size_t grid_count() const { return grids_.size(); }
@@ -219,6 +218,10 @@ class EnumerationContext {
   struct Slot {
     std::optional<CompiledConfigEngine> engine;
     OrbitKey tree_key;
+    /// Content key of the whole grid (tree key, arity, starts, delays,
+    /// horizon) — the grid half of every memo key. Content-identical
+    /// grids share it, and their counts with it.
+    OrbitKey grid_key;
     std::vector<tree::NodeId> warm_starts;  ///< unique starts of the grid
     /// Orbit pointer per start node, refreshed by prepare(): the verdict
     /// loop then reads k pointers per query instead of going through the
@@ -238,9 +241,17 @@ class EnumerationContext {
   /// Ensures slot g's engine is bound to the current automaton with its
   /// orbits warmed (or adopted from the cache); returns the slot.
   Slot& prepare(std::size_t g);
+  /// prepare() without the cache: bind and warm the orbits locally.
+  Slot& prepare_local(std::size_t g);
   /// Binding only (no warm-up, no cache, orbit_ptr not refreshed) — the
   /// lazy path of first_unmet().
   Slot& prepare_scan(std::size_t g);
+  /// The bound automaton's canonical key, computed once per binding.
+  const OrbitKey& automaton_key();
+  /// The memo around count_unmet/count_ungathered: `scan` computes the
+  /// count over a locally prepared slot.
+  template <typename Scan>
+  std::uint64_t memoized_count(std::size_t g, CountKind kind, Scan scan);
   /// Prefetch hint: while grid g's queries run, pull grid g + 1's
   /// published set (if any) toward the caches so the next prepare() does
   /// not stall on DRAM. Wrong guesses are harmless.
@@ -289,10 +300,6 @@ auto sweep_enumeration(std::span<const EnumGrid> grids, std::uint64_t count,
         telemetry->cache_misses += t.cache_misses;
         telemetry->orbits_extracted += t.orbits_extracted;
         telemetry->canonical_collapses += t.canonical_collapses;
-        telemetry->tier_retries += t.tier_retries;
-        telemetry->tier_exhausted += t.tier_exhausted;
-        telemetry->tier_quarantined += t.tier_quarantined;
-        telemetry->tier_degraded |= t.tier_degraded;
       },
       num_threads);
   return results;

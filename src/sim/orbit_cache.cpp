@@ -1,29 +1,25 @@
 #include "sim/orbit_cache.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstring>
+#include <new>
 
 namespace rvt::sim {
 
 namespace {
 
-/// Two independent FNV-1a streams (different offset bases and an extra
-/// avalanche) fed the same serialized words.
-struct Fnv2 {
-  std::uint64_t hi = 0xcbf29ce484222325ull;
-  std::uint64_t lo = 0x9e3779b97f4a7c15ull;
-  void feed(std::uint64_t word) {
-    hi = (hi ^ word) * 0x100000001b3ull;
-    lo = (lo ^ (word * 0xff51afd7ed558ccdull)) * 0xc4ceb9fe1a85ec53ull;
-    lo ^= lo >> 33;
-  }
-  OrbitKey key() const { return {hi, lo}; }
-};
+/// Domain word of count-memo keys: no orbit-set key is ever hashed from
+/// a stream starting with it.
+constexpr std::uint64_t kCountMemoDomain = 0x636f756e742d6d65ull;  // "count-me"
 
 }  // namespace
 
 OrbitKey tree_orbit_key(const tree::Tree& t) {
-  Fnv2 h;
+  KeyHasher h;
   const tree::NodeId n = t.node_count();
   h.feed(static_cast<std::uint64_t>(n));
   for (tree::NodeId v = 0; v < n; ++v) {
@@ -38,7 +34,7 @@ OrbitKey tree_orbit_key(const tree::Tree& t) {
 }
 
 OrbitKey automaton_orbit_key(const TabularAutomaton& a) {
-  Fnv2 h;
+  KeyHasher h;
   h.feed(static_cast<std::uint64_t>(a.initial));
   h.feed(static_cast<std::uint64_t>(a.max_degree));
   h.feed(static_cast<std::uint64_t>(a.delta.size()));
@@ -57,11 +53,19 @@ OrbitKey canonical_automaton_key(const TabularAutomaton& a) {
 }
 
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton) {
-  Fnv2 h;
-  h.feed(tree.hi);
-  h.feed(tree.lo);
-  h.feed(automaton.hi);
-  h.feed(automaton.lo);
+  KeyHasher h;
+  h.feed(tree);
+  h.feed(automaton);
+  return h.key();
+}
+
+OrbitKey count_memo_key(const OrbitKey& grid, const OrbitKey& automaton,
+                        CountKind kind) {
+  KeyHasher h;
+  h.feed(kCountMemoDomain);
+  h.feed(static_cast<std::uint64_t>(kind));
+  h.feed(grid);
+  h.feed(automaton);
   return h.key();
 }
 
@@ -72,18 +76,20 @@ OrbitCache::OrbitCache(unsigned shard_count, std::size_t capacity,
       max_bytes_(max_bytes) {
   const std::size_t per_shard = std::bit_ceil(
       std::max<std::size_t>(capacity / shards_.size(), 8));
-  for (Shard& sh : shards_) {
-    sh.slots = std::vector<Slot>(per_shard);
+  table_bytes_ = shards_.size() * per_shard * sizeof(Slot);
+  // Anonymous pages read as zero and are only backed once written: an
+  // all-zero Slot is an empty slot, so nothing is initialized here.
+  table_ = ::mmap(nullptr, table_bytes_, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (table_ == MAP_FAILED) throw std::bad_alloc();
+  Slot* const slots = static_cast<Slot*>(table_);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i].slots = slots + i * per_shard;
+    shards_[i].mask = per_shard - 1;
   }
 }
 
-OrbitCache::~OrbitCache() {
-  for (Shard& sh : shards_) {
-    for (Slot& slot : sh.slots) {
-      delete slot.node.load(std::memory_order_relaxed);
-    }
-  }
-}
+OrbitCache::~OrbitCache() { ::munmap(table_, table_bytes_); }
 
 OrbitCache::Shard& OrbitCache::shard_for(const OrbitKey& key) {
   return shards_[static_cast<std::size_t>(key.lo >> 53) & shard_mask_];
@@ -99,34 +105,29 @@ const OrbitCache::OrbitSet* OrbitCache::peek(const OrbitKey& key) const {
   return n != nullptr ? n->set.get() : nullptr;
 }
 
-std::size_t OrbitCache::probe_start(const Shard& sh, const OrbitKey& key) {
-  return static_cast<std::size_t>(key.hi) & (sh.slots.size() - 1);
-}
-
 const OrbitCache::Node* OrbitCache::find(const Shard& sh,
                                          const OrbitKey& key,
                                          std::uint64_t epoch) {
-  const std::size_t mask = sh.slots.size() - 1;
-  for (std::size_t i = probe_start(sh, key);;
-       i = (i + 1) & mask) {
-    const Slot& slot = sh.slots[i];
-    const Node* n = slot.node.load(std::memory_order_acquire);
+  for (std::size_t i = static_cast<std::size_t>(key.hi) & sh.mask;;
+       i = (i + 1) & sh.mask) {
+    Slot& slot = sh.slots[i];
+    const Node* n =
+        std::atomic_ref<Node*>(slot.node).load(std::memory_order_acquire);
     if (n == nullptr) return nullptr;  // key absent: slots fill front-first
-    if (slot.hi == key.hi && slot.lo == key.lo && n->epoch == epoch) {
+    if (slot.hi == key.hi && n->key.lo == key.lo && n->epoch == epoch) {
       return n;
     }
   }
 }
 
-std::shared_ptr<const OrbitCache::OrbitSet> OrbitCache::acquire(
-    const OrbitKey& key) {
+const OrbitCache::Node* OrbitCache::acquire_node(const OrbitKey& key) {
   Shard& sh = shard_for(key);
   const std::uint64_t ep = epoch_.load(std::memory_order_acquire);
   // Hit fast path: slots go empty -> published exactly once per epoch and
   // entries are immutable, so a lock-free linear probe suffices.
   if (const Node* n = find(sh, key, ep); n != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return n->set;
+    return n;
   }
   std::unique_lock<std::mutex> lk(sh.mu);
   for (;;) {
@@ -134,30 +135,13 @@ std::shared_ptr<const OrbitCache::OrbitSet> OrbitCache::acquire(
     // queued on the mutex (or while we waited on the condvar).
     if (const Node* n = find(sh, key, ep); n != nullptr) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return n->set;
+      return n;
     }
     const auto claim =
         std::find(sh.claimed.begin(), sh.claimed.end(), key);
     if (claim == sh.claimed.end()) {
       sh.claimed.push_back(key);
       misses_.fetch_add(1, std::memory_order_relaxed);
-      if (backing_ != nullptr) {
-        // Consult the durable tier WITH the claim held (and the shard
-        // unlocked — the load is IO): workers racing for this key block
-        // on the condvar exactly as for a local extraction, so one
-        // process-wide load serves them all.
-        lk.unlock();
-        std::shared_ptr<const OrbitSet> set = backing_->load(key);
-        if (set != nullptr) {
-          tier_hits_.fetch_add(1, std::memory_order_relaxed);
-          // Install for the waiters (publish_local releases the claim;
-          // a budget reject only means the table stays cold) and serve
-          // the caller directly from the loaded set either way.
-          publish_local(key, set);
-          return set;
-        }
-        return nullptr;  // tier miss: caller extracts and publishes
-      }
       return nullptr;  // caller is now the publisher
     }
     waits_.fetch_add(1, std::memory_order_relaxed);
@@ -165,43 +149,53 @@ std::shared_ptr<const OrbitCache::OrbitSet> OrbitCache::acquire(
   }
 }
 
-void OrbitCache::publish(const OrbitKey& key,
-                         std::shared_ptr<const OrbitSet> set) {
-  // Forward to the durable tier BEFORE the local install wakes waiters:
-  // the store is IO and nothing blocks on it, while waiters woken first
-  // would race ahead of the bytes other processes need.
-  if (backing_ != nullptr && set != nullptr) {
-    backing_->store(key, set);
-    tier_stores_.fetch_add(1, std::memory_order_relaxed);
-  }
-  publish_local(key, std::move(set));
+std::shared_ptr<const OrbitCache::OrbitSet> OrbitCache::acquire(
+    const OrbitKey& key) {
+  const Node* n = acquire_node(key);
+  return n != nullptr ? n->set : nullptr;
 }
 
-void OrbitCache::publish_local(const OrbitKey& key,
-                               std::shared_ptr<const OrbitSet> set) {
-  Shard& sh = shard_for(key);
+std::optional<std::uint64_t> OrbitCache::acquire_count(const OrbitKey& key) {
+  const Node* n = acquire_node(key);
+  if (n == nullptr) return std::nullopt;
+  return n->count;
+}
+
+void OrbitCache::publish(const OrbitKey& key,
+                         std::shared_ptr<const OrbitSet> set) {
+  const std::size_t sz = set != nullptr ? set->bytes : 0;
+  const bool accept = set != nullptr;
+  install(Node{key, 0, std::move(set), 0}, sz, accept);
+}
+
+void OrbitCache::publish_count(const OrbitKey& key, std::uint64_t count) {
+  install(Node{key, 0, nullptr, count}, sizeof(Node), true);
+}
+
+void OrbitCache::install(Node node, std::size_t sz, bool accept) {
+  Shard& sh = shard_for(node.key);
   {
     const std::lock_guard<std::mutex> lk(sh.mu);
     const auto claim =
-        std::find(sh.claimed.begin(), sh.claimed.end(), key);
+        std::find(sh.claimed.begin(), sh.claimed.end(), node.key);
     if (claim != sh.claimed.end()) sh.claimed.erase(claim);
-    const std::size_t sz = set != nullptr ? set->bytes : 0;
     // Keep the probe table under 7/8 load so lookups stay short.
-    const bool fits =
-        set != nullptr &&
-        bytes_.load(std::memory_order_relaxed) + sz <= max_bytes_ &&
-        sh.filled + 1 <= sh.slots.size() - sh.slots.size() / 8;
+    const std::size_t slots = sh.mask + 1;
+    const bool fits = accept &&
+                      bytes_.load(std::memory_order_relaxed) + sz <=
+                          max_bytes_ &&
+                      sh.filled + 1 <= slots - slots / 8;
     if (fits) {
-      const std::size_t mask = sh.slots.size() - 1;
-      std::size_t i = probe_start(sh, key);
-      while (sh.slots[i].node.load(std::memory_order_relaxed) != nullptr) {
-        i = (i + 1) & mask;
+      std::size_t i = static_cast<std::size_t>(node.key.hi) & sh.mask;
+      while (std::atomic_ref<Node*>(sh.slots[i].node)
+                 .load(std::memory_order_relaxed) != nullptr) {
+        i = (i + 1) & sh.mask;
       }
-      Node* node = new Node{key, epoch_.load(std::memory_order_relaxed),
-                            std::move(set)};
-      sh.slots[i].hi = key.hi;
-      sh.slots[i].lo = key.lo;
-      sh.slots[i].node.store(node, std::memory_order_release);
+      node.epoch = epoch_.load(std::memory_order_relaxed);
+      Node& stored = sh.nodes.emplace_back(std::move(node));
+      sh.slots[i].hi = stored.key.hi;
+      std::atomic_ref<Node*>(sh.slots[i].node)
+          .store(&stored, std::memory_order_release);
       ++sh.filled;
       bytes_.fetch_add(sz, std::memory_order_relaxed);
       publishes_.fetch_add(1, std::memory_order_relaxed);
@@ -225,14 +219,16 @@ void OrbitCache::abandon(const OrbitKey& key) {
 
 void OrbitCache::advance_epoch() {
   epoch_.fetch_add(1, std::memory_order_acq_rel);
+  for (Shard& sh : shards_) sh.mu.lock();
+  // Dropping the pages zeroes every slot again, and the untouched ones
+  // cost nothing; memset is the fallback should the kernel refuse.
+  if (::madvise(table_, table_bytes_, MADV_DONTNEED) != 0) {
+    std::memset(table_, 0, table_bytes_);
+  }
   for (Shard& sh : shards_) {
-    const std::lock_guard<std::mutex> lk(sh.mu);
-    for (Slot& slot : sh.slots) {
-      delete slot.node.exchange(nullptr, std::memory_order_acq_rel);
-      slot.hi = 0;
-      slot.lo = 0;
-    }
+    sh.nodes.clear();
     sh.filled = 0;
+    sh.mu.unlock();
   }
   bytes_.store(0, std::memory_order_relaxed);
 }
@@ -242,9 +238,7 @@ OrbitCache::Stats OrbitCache::stats() const {
           misses_.load(std::memory_order_relaxed),
           waits_.load(std::memory_order_relaxed),
           publishes_.load(std::memory_order_relaxed),
-          rejects_.load(std::memory_order_relaxed),
-          tier_hits_.load(std::memory_order_relaxed),
-          tier_stores_.load(std::memory_order_relaxed)};
+          rejects_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace rvt::sim

@@ -76,11 +76,6 @@ std::string service_json(const ServiceReport& r,
   u64("journal_bytes_streamed", r.journal_bytes_streamed);
   u64("cache_tier_gets", r.tier_gets);
   u64("cache_tier_hits", r.tier_hits);
-  u64("cache_tier_stores", r.tier_stores);
-  u64("cache_tier_retries", r.tier_faults.retries);
-  u64("cache_tier_exhausted", r.tier_faults.exhausted);
-  u64("cache_tier_quarantined", r.tier_faults.quarantined);
-  u64("cache_tier_degraded", r.tier_faults.degraded ? 1 : 0);
   u64("recovery_resumed", r.resumed);
   u64("recovery_ledger_epoch", r.ledger_epoch);
   u64("recovery_ledger_records_replayed", r.ledger_records_replayed);
@@ -182,9 +177,6 @@ Coordinator::Coordinator(dist::ShardPlan plan, CoordinatorConfig cfg)
   if (ec) {
     throw dist::SerializeError("coordinator: cannot create journal dir " +
                                cfg_.journal_dir);
-  }
-  if (!cfg_.cache_dir.empty()) {
-    fs_store_ = std::make_unique<dist::FsOrbitStore>(cfg_.cache_dir);
   }
   shards_.resize(plan_.shards.size());
   // Scan every journal once: the DATA authority both the plain adoption
@@ -826,45 +818,22 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
           break;
         }
         case dist::WireKind::kOrbitGet: {
-          const OrbitGet get = decode_orbit_get(f.payload);
-          OrbitGetReply gr;
-          // fs_store_ is internally synchronized — no mu_ during IO.
-          if (fs_store_) {
-            const auto set = fs_store_->load(get.key);
-            if (set) {
-              gr.found = true;
-              gr.payload = dist::serialize_orbit_set(*set);
-            }
-          }
+          decode_orbit_get(f.payload);
           {
             std::lock_guard<std::mutex> lk(mu_);
             runners_[session_id].last_seen = std::chrono::steady_clock::now();
             ++tier_gets_;
-            if (gr.found) ++tier_hits_;
           }
-          reply = encode(gr);
+          reply = encode(OrbitGetReply{});  // absent: nothing is stored
           break;
         }
         case dist::WireKind::kOrbitPut: {
-          const OrbitPut put = decode_orbit_put(f.payload);
-          OrbitPutReply pr;
-          pr.accepted = true;  // best-effort, like FsOrbitStore::store
-          if (fs_store_) {
-            try {
-              // Deserialize first: a malformed payload must never be
-              // published into the content-addressed tier.
-              fs_store_->store(put.key, dist::deserialize_orbit_set(
-                                            put.payload));
-            } catch (const dist::SerializeError&) {
-              pr.accepted = false;
-            }
-          }
+          decode_orbit_put(f.payload);
           {
             std::lock_guard<std::mutex> lk(mu_);
             runners_[session_id].last_seen = std::chrono::steady_clock::now();
-            if (pr.accepted && fs_store_) ++tier_stores_;
           }
-          reply = encode(pr);
+          reply = encode(OrbitPutReply{});  // accepted = false: not stored
           break;
         }
         default:
@@ -993,9 +962,6 @@ ServiceReport Coordinator::report_locked() const {
   r.committed_defeats = committed_defeats_;
   r.journal_bytes_streamed = journal_bytes_streamed_;
   r.tier_gets = tier_gets_;
-  r.tier_hits = tier_hits_;
-  r.tier_stores = tier_stores_;
-  if (fs_store_) r.tier_faults = fs_store_->fault_stats();
   r.uptime_seconds = seconds_since(start_, now);
   r.shards_per_second = r.uptime_seconds > 0
                             ? static_cast<double>(sealed_this_run_) /

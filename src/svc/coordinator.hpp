@@ -22,16 +22,16 @@
 //    abandon the shard. Their records are NOT lost wholesale — the
 //    prefix the coordinator already journaled stays committed.
 //
-// The coordinator also serves the remote orbit-store half (kOrbitGet /
-// kOrbitPut) against an optional local FsOrbitStore, so the cache
-// tier's retry/quarantine/degrade policy composes unchanged — a runner
-// publishing through NetOrbitStore lands in the same content-addressed
-// directory a shared-filesystem fleet would use.
+// The coordinator still answers the remote orbit-store messages
+// (kOrbitGet / kOrbitPut) so older clients and NetOrbitStore probes get
+// a well-formed reply, but it stores nothing: every get is answered
+// absent and every put not stored. Workers memoize defeat counts in
+// their own in-memory cache instead of sharing orbit sets.
 //
 // A separate metrics listener answers plain HTTP/1.0 GETs with a
 // bench-report-style JSON document (service_json): live progress for a
 // fleet run — shards completed/leased/requeued/quarantined, shards/s,
-// per-runner health with last-heartbeat age, cache tier counters,
+// per-runner health with last-heartbeat age, orbit-store requests,
 // time-to-first-sealed-shard. The telemetry export is deliberately a
 // separate listener from the dispatch protocol (the bnet/telemetry
 // plugin split): scraping metrics can never head-of-line-block a lease.
@@ -63,9 +63,6 @@ namespace rvt::svc {
 
 struct CoordinatorConfig {
   std::string journal_dir;  ///< required; created on construction
-  /// Orbit cache directory backing kOrbitGet/kOrbitPut; empty disables
-  /// the remote store (gets miss, puts are dropped).
-  std::string cache_dir;
   std::uint16_t port = 0;          ///< dispatch listener; 0 = ephemeral
   std::uint16_t metrics_port = 0;  ///< metrics listener; 0 = ephemeral
   unsigned max_attempts = 3;
@@ -114,11 +111,10 @@ struct ServiceReport {
   std::uint64_t committed_indices = 0;
   std::uint64_t committed_defeats = 0;
   std::uint64_t journal_bytes_streamed = 0;  ///< chunk payload bytes
-  // Remote orbit store served by this coordinator.
+  // Remote orbit-store requests answered (hits stay 0: nothing is
+  // stored).
   std::uint64_t tier_gets = 0;
   std::uint64_t tier_hits = 0;
-  std::uint64_t tier_stores = 0;
-  sim::OrbitTierFaultStats tier_faults;
   double uptime_seconds = 0;
   double shards_per_second = 0;  ///< sealed THIS run / uptime
   /// Negative until the first record / first seal of this run.
@@ -293,7 +289,6 @@ class Coordinator {
   CoordinatorConfig cfg_;
   std::unique_ptr<net::TcpListener> listener_;
   std::unique_ptr<net::TcpListener> metrics_listener_;
-  std::unique_ptr<dist::FsOrbitStore> fs_store_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -317,7 +312,7 @@ class Coordinator {
   std::uint64_t journal_bytes_streamed_ = 0;
   std::uint64_t sealed_total_ = 0;      ///< incl. adopted pre-sealed
   std::uint64_t sealed_this_run_ = 0;
-  std::uint64_t tier_gets_ = 0, tier_hits_ = 0, tier_stores_ = 0;
+  std::uint64_t tier_gets_ = 0;
   std::uint64_t campaign_id_ = 0;
   std::chrono::steady_clock::time_point start_;
   std::optional<std::chrono::steady_clock::time_point> first_record_at_;

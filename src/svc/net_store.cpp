@@ -54,109 +54,41 @@ void NetOrbitStore::ensure_connected_locked() {
   stream_ = std::move(s);
 }
 
-void NetOrbitStore::note_exhausted_locked() {
-  ++exhausted_;
-  if (++failure_streak_ >= kDegradeAfter) degraded_ = true;
-}
-
-bool NetOrbitStore::probe_due_locked() {
-  return ++degraded_skips_ % kProbeEvery == 0;
-}
-
-void NetOrbitStore::note_probe_success_locked() {
-  // Any transport-healthy round trip proves the coordinator is back —
-  // found or not; the degradation was about TRANSPORT, so its recovery
-  // is too.
-  degraded_ = false;
-  failure_streak_ = 0;
-  degraded_skips_ = 0;
-  ++undegrades_;
-}
-
 std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet>
 NetOrbitStore::load(const sim::OrbitKey& key) {
   std::lock_guard<std::mutex> lk(mu_);
-  const bool probing = degraded_;
-  if (probing && !probe_due_locked()) return nullptr;
-  ++loads_;
+  ++stats_.loads;
   OrbitGetReply reply;
-  bool ok = false;
-  // A probe gets ONE attempt — a degraded tier must not pay the
-  // retry-once tax per probe on a coordinator that is still down.
-  const int attempts = probing ? 1 : 2;
-  for (int attempt = 0; attempt < attempts && !ok; ++attempt) {
+  for (int attempt = 0;; ++attempt) {
     try {
       ensure_connected_locked();
       const net::Frame f = round_trip(*stream_, dist::WireKind::kOrbitGet,
                                       encode(OrbitGet{key}));
       reply = decode_orbit_get_reply(f.payload);
-      ok = true;
+      break;
     } catch (const std::exception&) {
       stream_.reset();
-      if (attempt == 0 && !probing) {
-        ++reconnects_;
-      } else if (probing) {
-        return nullptr;  // still down; streak untouched, stay degraded
-      } else {
-        note_exhausted_locked();
+      if (attempt == 1) {
+        ++stats_.exhausted;
         return nullptr;
       }
+      ++stats_.reconnects;
     }
   }
-  if (probing) note_probe_success_locked();
-  // Like FsOrbitStore, an absent key is NEUTRAL for the degradation
-  // streak; only a transport-healthy round trip that DELIVERED a set
-  // proves the tier useful enough to reset it.
   if (!reply.found) return nullptr;
-  failure_streak_ = 0;
   try {
     const auto set = dist::deserialize_orbit_set(reply.payload);
-    ++hits_;
+    ++stats_.hits;
     return set;
   } catch (const std::exception&) {
-    // Corrupt payload == tier miss, never an escape into the sweep.
-    ++decode_failures_;
+    ++stats_.decode_failures;
     return nullptr;
   }
 }
 
-void NetOrbitStore::store(
-    const sim::OrbitKey& key,
-    const std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet>& set) {
-  if (set == nullptr) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  const bool probing = degraded_;
-  if (probing && !probe_due_locked()) return;
-  ++stores_;
-  OrbitPut put;
-  put.key = key;
-  put.payload = dist::serialize_orbit_set(*set);
-  const int attempts = probing ? 1 : 2;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    try {
-      ensure_connected_locked();
-      round_trip(*stream_, dist::WireKind::kOrbitPut, encode(put));
-      if (probing) note_probe_success_locked();
-      failure_streak_ = 0;
-      return;
-    } catch (const std::exception&) {
-      stream_.reset();
-      if (attempt == 0 && !probing) ++reconnects_;
-    }
-  }
-  if (probing) return;  // still down; streak untouched, stay degraded
-  note_exhausted_locked();  // best effort: the in-memory tier is enough
-}
-
 NetOrbitStore::Stats NetOrbitStore::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return {loads_,      hits_,           stores_,     reconnects_,
-          exhausted_,  decode_failures_, undegrades_, degraded_};
-}
-
-sim::OrbitTierFaultStats NetOrbitStore::fault_stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return {reconnects_, exhausted_, 0, degraded_};
+  return stats_;
 }
 
 }  // namespace rvt::svc

@@ -1,26 +1,14 @@
-// sim::OrbitStore over the coordinator's remote orbit-store protocol.
+// Client of the coordinator's remote orbit-store messages.
 //
-// A runner daemon plugs this behind its OrbitCache exactly where a
-// shared-filesystem fleet plugs FsOrbitStore: the first runner to
-// extract a binding publishes it (kOrbitPut), every other runner adopts
-// it (kOrbitGet). The coordinator persists through its own FsOrbitStore,
-// so the tier's retry / quarantine / degrade policy composes unchanged —
-// this class only adds the transport and mirrors the degradation
-// contract for the NETWORK half:
+// Fleets no longer share orbit sets: each worker memoizes defeat counts
+// in its own in-memory OrbitCache, and the coordinator answers every
+// kOrbitGet absent. This client remains as a cheap, well-defined round
+// trip against a live coordinator (external latency probes link it):
 //  * a failed request is retried once on a fresh connection (transient
 //    blips — coordinator restart, dropped TCP — heal);
-//  * both attempts failing counts toward a consecutive-failure streak;
-//    kDegradeAfter such operations degrade the store to compute-through,
-//    so a dead coordinator stops costing a connect timeout per miss
-//    (the sweep stays correct, runners re-extract);
-//  * degradation is NOT forever: every kProbeEvery-th skipped operation
-//    runs one single-attempt probe, so a coordinator that came back
-//    (restart, partition healed) regains its orbit-cache tier — a
-//    failed probe costs one connect timeout per kProbeEvery misses and
-//    leaves the store degraded;
-//  * a payload the codec refuses is a miss, never an escape — same as a
-//    corrupt cache file.
-// load()/store() never throw; all failure is a miss or a no-op.
+//  * both attempts failing counts as exhausted and is a miss;
+//  * a payload the codec refuses is a miss, never an escape.
+// load() never throws; all failure is a miss.
 #pragma once
 
 #include <cstdint>
@@ -33,35 +21,23 @@
 
 namespace rvt::svc {
 
-class NetOrbitStore final : public sim::OrbitStore {
+class NetOrbitStore {
  public:
   NetOrbitStore(std::string host, std::uint16_t port,
                 std::string name = "net-store");
-  ~NetOrbitStore() override;
+  ~NetOrbitStore();
 
+  /// The set the coordinator holds for `key`, or nullptr when absent or
+  /// on any failure.
   std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet> load(
-      const sim::OrbitKey& key) override;
-  void store(const sim::OrbitKey& key,
-             const std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet>&
-                 set) override;
-  sim::OrbitTierFaultStats fault_stats() const override;
-
-  /// Consecutive exhausted operations after which the store degrades
-  /// (mirrors FsOrbitStore::kDegradeAfter).
-  static constexpr std::uint64_t kDegradeAfter = 4;
-  /// While degraded, every this-many-th skipped operation probes the
-  /// coordinator once; a healthy round trip un-degrades the store.
-  static constexpr std::uint64_t kProbeEvery = 32;
+      const sim::OrbitKey& key);
 
   struct Stats {
     std::uint64_t loads = 0;
     std::uint64_t hits = 0;
-    std::uint64_t stores = 0;
     std::uint64_t reconnects = 0;       ///< retried ops (fresh connection)
     std::uint64_t exhausted = 0;        ///< ops that failed both attempts
     std::uint64_t decode_failures = 0;  ///< payloads the codec refused
-    std::uint64_t undegrades = 0;       ///< probes that revived the tier
-    bool degraded = false;
   };
   Stats stats() const;
 
@@ -69,21 +45,13 @@ class NetOrbitStore final : public sim::OrbitStore {
   /// Connects + handshakes if needed. Throws net::NetError /
   /// dist::SerializeError; the caller drops the stream on failure.
   void ensure_connected_locked();
-  void note_exhausted_locked();
-  /// While degraded: true on the operations that should probe (every
-  /// kProbeEvery-th), false on the ones that skip.
-  bool probe_due_locked();
-  void note_probe_success_locked();
 
   std::string host_;
   std::uint16_t port_;
   std::string name_;
   mutable std::mutex mu_;
   std::unique_ptr<net::TcpStream> stream_;
-  std::uint64_t loads_ = 0, hits_ = 0, stores_ = 0, reconnects_ = 0,
-                exhausted_ = 0, decode_failures_ = 0, failure_streak_ = 0,
-                degraded_skips_ = 0, undegrades_ = 0;
-  bool degraded_ = false;
+  Stats stats_;
 };
 
 }  // namespace rvt::svc

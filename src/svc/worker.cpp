@@ -16,7 +16,6 @@
 #include "obs/enum_stats.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "svc/net_store.hpp"
 #include "svc/protocol.hpp"
 #include "util/failpoint.hpp"
 
@@ -176,17 +175,9 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
   }
   bound_fp = ack.fingerprint;
 
+  // One cache for every lease of this worker: a count memoized in one
+  // shard answers the equivalent automata of every later shard.
   sim::OrbitCache cache;
-  std::unique_ptr<dist::FsOrbitStore> fs_tier;
-  std::unique_ptr<NetOrbitStore> net_tier;
-  if (!opt.cache_dir.empty()) {
-    fs_tier = std::make_unique<dist::FsOrbitStore>(opt.cache_dir);
-    cache.set_backing(fs_tier.get());
-  } else if (opt.remote_store) {
-    net_tier =
-        std::make_unique<NetOrbitStore>(host, port, opt.name + "-store");
-    cache.set_backing(net_tier.get());
-  }
   sim::EnumerationContext ctx(w->grids(), w->max_rounds(), &cache);
 
   // The lease a drop must not forget: grant + compute position + the
@@ -353,13 +344,6 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
 
   rep.delay = delay.finish();
   rep.telemetry = ctx.telemetry();
-  if (cache.backing() != nullptr) {
-    const sim::OrbitTierFaultStats fs = cache.backing()->fault_stats();
-    rep.telemetry.tier_retries = fs.retries;
-    rep.telemetry.tier_exhausted = fs.exhausted;
-    rep.telemetry.tier_quarantined = fs.quarantined;
-    rep.telemetry.tier_degraded = fs.degraded ? 1 : 0;
-  }
   return rep;
 }
 

@@ -42,11 +42,6 @@ namespace rvt::svc {
 
 struct WorkerOptions {
   std::string name = "worker";
-  /// Local filesystem orbit-cache tier; empty + remote_store=true uses
-  /// the coordinator's remote store (NetOrbitStore), empty + false runs
-  /// with the in-memory cache only.
-  std::string cache_dir;
-  bool remote_store = true;
   /// Records per journal chunk; a flush also happens after
   /// flush_interval_ms regardless of fill, so slow indices still
   /// heartbeat.

@@ -29,17 +29,13 @@
 // scenario seed). Hit counters are per-site and process-wide.
 //
 // What a fired action MEANS is the site's contract: an `err` at
-// "fs_store.load" is a transient IO failure (retried), at
-// "fs_store.load.decode" a corrupt file (quarantined), at
-// "journal.append" an append failure (SerializeError). A `crash` is
+// "journal.append" is an append failure (SerializeError), at
+// "wire.unframe" a frame that fails to decode. A `crash` is
 // always an immediate _exit — except sites that deliberately tear state
 // first (journal.append writes a partial record before dying, the torn
 // tail the recovery scan must drop).
 //
 // Registered sites:
-//   fs_store.load          FsOrbitStore::load       err = read failure
-//   fs_store.load.decode   FsOrbitStore::load       err = decode failure
-//   fs_store.store         FsOrbitStore::store      err = publish failure
 //   journal.append         JournalWriter::record    crash tears a record
 //   journal.seal           JournalWriter::finish    crash loses the seal
 //   wire.unframe           unframe_payload          err = frame decode

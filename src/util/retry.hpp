@@ -1,13 +1,11 @@
 // Bounded exponential backoff for transient failures.
 //
 // The distributed tier treats IO failures in two classes: TRANSIENT
-// (a read or atomic-rename that may succeed if repeated — NFS hiccup,
-// ENOSPC racing a cleaner, an injected fault) and PERSISTENT (still
-// failing after the bounded schedule). retry_bool() drives the schedule;
-// what persistence MEANS is the caller's policy — FsOrbitStore counts
-// exhausted operations and degrades itself to compute-through once they
-// look systemic, because a cache tier must never make the sweep worse
-// than having no tier at all.
+// (a connect or read that may succeed if repeated — a coordinator
+// restart, a dropped connection, an injected fault) and PERSISTENT
+// (still failing after the bounded schedule). retry_bool() drives the
+// schedule; what persistence MEANS is the caller's policy — a worker's
+// reconnect loop gives up and reports the coordinator unreachable.
 //
 // The schedule is deterministic: attempt k (1-based) sleeps
 // base_delay * 2^(k-1), capped at max_delay, before retrying — no

@@ -200,11 +200,10 @@ TEST_F(DistTest, ShardedRunMergesBitIdenticalToSingleProcess) {
   const auto w = dist::EnumWorkload::parse("e10:5");
   const std::uint64_t want = single_process_total(*w);
   const dist::ShardPlan plan = dist::make_shard_plan(*w, 3);
-  // Shards share one fs cache tier, like processes on a shared mount.
-  dist::FsOrbitStore tier(path("cache"));
+  // Shards share one in-memory cache, like the leases of one worker:
+  // counts memoized by an earlier shard answer the later ones.
+  sim::OrbitCache cache;
   for (std::size_t s = 0; s < plan.shards.size(); ++s) {
-    sim::OrbitCache cache;
-    cache.set_backing(&tier);
     const auto stats =
         dist::run_shard(*w, plan, s, path("journals"), &cache);
     EXPECT_FALSE(stats.already_complete);

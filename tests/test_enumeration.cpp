@@ -1,7 +1,8 @@
 // Fused rebind+grid enumeration (sim/enumeration.hpp): the context's
 // verify()/count_unmet()/first_unmet() must agree query-for-query with
 // the unfused verify_grid() path, across rebinds, grids, thread counts
-// and cache attachment.
+// and cache attachment — and the defeat-count memo must answer exactly
+// what a cache-less context computes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -328,6 +329,128 @@ TEST(Enumeration, SweepIsDeterministicAcrossThreadCounts) {
         sweep_enumeration(grids, 40, 100000, fn, threads, &cache);
     ASSERT_EQ(parallel, serial) << threads << " threads";
   }
+}
+
+/// A 3-agent gathering grid on `t`: a few start triples, each under a
+/// short run of delay vectors.
+EnumGrid gather_grid(const tree::Tree& t) {
+  EnumGrid grid(&t, 3);
+  const tree::NodeId n = t.node_count();
+  for (tree::NodeId u = 0; u + 2 < n; ++u) {
+    const std::vector<tree::NodeId> s{u, static_cast<tree::NodeId>(u + 1),
+                                      static_cast<tree::NodeId>(n - 1)};
+    for (const std::uint64_t d : {0ull, 2ull, 5ull}) {
+      const std::vector<std::uint64_t> delays{0, d, 2 * d};
+      grid.push(s, delays);
+    }
+  }
+  return grid;
+}
+
+TEST(Enumeration, MemoCountsMatchCachelessCounts) {
+  // Differential: seeded K <= 3 automata (with canonical-equivalent
+  // pairs among them), counted through a memoizing context and a plain
+  // one. Every count must agree — a memo hit answers for an equivalent
+  // automaton, never a different one.
+  std::vector<tree::Tree> trees;
+  trees.push_back(tree::line(6));
+  trees.push_back(tree::line_edge_colored(7, 1));
+  auto grids = small_grids(trees);
+  grids.push_back(gather_grid(trees[0]));
+  const std::size_t meet_grids = trees.size();
+
+  util::Rng rng(0x3e30ull);
+  std::vector<TabularAutomaton> automata;
+  for (int K = 1; K <= 3; ++K) {
+    std::uint64_t count = K;
+    for (int i = 0; i < 2 * K; ++i) count *= K;
+    for (int i = 0; i < K; ++i) count *= 3;
+    for (int rep = 0; rep < 80; ++rep) {
+      automata.push_back(enum_line_automaton(K, rng.index(count)).tabular());
+    }
+  }
+  // The sample must exercise sharing: two raw-distinct automata with one
+  // canonical key.
+  bool equivalent_pair = false;
+  for (std::size_t i = 0; i < automata.size() && !equivalent_pair; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (!(automata[i] == automata[j]) &&
+          canonical_automaton_key(automata[i]) ==
+              canonical_automaton_key(automata[j])) {
+        equivalent_pair = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(equivalent_pair);
+
+  OrbitCache cache;
+  EnumerationContext memo(grids, 100000, &cache);
+  EnumerationContext plain(grids, 100000, nullptr);
+  for (std::size_t i = 0; i < automata.size(); ++i) {
+    memo.bind(automata[i]);
+    plain.bind(automata[i]);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      if (g < meet_grids) {
+        ASSERT_EQ(memo.count_unmet(g), plain.count_unmet(g)) << i << " " << g;
+      }
+      ASSERT_EQ(memo.count_ungathered(g), plain.count_ungathered(g))
+          << i << " " << g;
+    }
+  }
+  const EnumTelemetry t = memo.telemetry();
+  EXPECT_GT(t.cache_hits, 0u);
+  EXPECT_GT(t.cache_misses, 0u);
+  // Only counts were published — never an orbit set.
+  EXPECT_EQ(cache.stats().publishes, t.cache_misses);
+  EXPECT_EQ(cache.stats().rejects, 0u);
+  // A hit skips the scan entirely: fewer verdicts than the plain context.
+  EXPECT_LT(t.queries, plain.telemetry().queries);
+  EXPECT_LT(t.orbits_extracted, plain.telemetry().orbits_extracted);
+}
+
+TEST(Enumeration, MemoKeysSeparateDelaysHorizonsAndCountKinds) {
+  std::vector<tree::Tree> trees;
+  trees.push_back(tree::line(7));
+  // Two grids on one tree, identical but for ONE delay.
+  std::vector<EnumGrid> grids = small_grids(trees);
+  grids.push_back(grids[0]);
+  grids[1].delays[3] += 1;
+  const TabularAutomaton a = enum_line_automaton(2, 37).tabular();
+
+  OrbitCache cache;
+  EnumerationContext ctx(grids, 100000, &cache);
+  ctx.bind(a);
+  (void)ctx.count_unmet(0);
+  (void)ctx.count_unmet(1);
+  EXPECT_EQ(ctx.telemetry().cache_misses, 2u);  // the delay split the key
+  EXPECT_EQ(ctx.telemetry().cache_hits, 0u);
+  // The same grid under its other count is a different key too.
+  (void)ctx.count_ungathered(0);
+  EXPECT_EQ(ctx.telemetry().cache_misses, 3u);
+  // And a content-identical copy of grid 0 DOES share: a hit.
+  std::vector<EnumGrid> copy{grids[0]};
+  EnumerationContext same(copy, 100000, &cache);
+  same.bind(a);
+  (void)same.count_unmet(0);
+  EXPECT_EQ(same.telemetry().cache_hits, 1u);
+
+  // One grid under two horizons never shares a count.
+  EnumerationContext short_horizon(copy, 50, &cache);
+  short_horizon.bind(a);
+  EnumerationContext short_plain(copy, 50, nullptr);
+  short_plain.bind(a);
+  EXPECT_EQ(short_horizon.count_unmet(0), short_plain.count_unmet(0));
+  EXPECT_EQ(short_horizon.telemetry().cache_misses, 1u);
+  EXPECT_EQ(short_horizon.telemetry().cache_hits, 0u);
+
+  // Every memoized count equals the plain one.
+  EnumerationContext plain(grids, 100000, nullptr);
+  plain.bind(a);
+  ctx.bind(a);
+  EXPECT_EQ(ctx.count_unmet(0), plain.count_unmet(0));
+  EXPECT_EQ(ctx.count_unmet(1), plain.count_unmet(1));
+  EXPECT_EQ(ctx.count_ungathered(0), plain.count_ungathered(0));
 }
 
 TEST(Enumeration, ValidatesGridsAndBindingUpFront) {

@@ -2,12 +2,16 @@
 // claim/publish/abandon protocol, epoch invalidation, and — the load-
 // bearing guarantee — that under many workers racing rebinds and lookups
 // no orbit is ever extracted twice for one (automaton hash, epoch) on a
-// single machine. The races run under the ASan/UBSan CI job like every
-// tier-1 test.
+// single machine — and that the defeat-count memo computes each
+// (grid, canonical automaton) key once, degrading to recomputation when
+// the table is full. The races run under the ASan/UBSan CI job like
+// every tier-1 test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -198,6 +202,134 @@ TEST(OrbitCache, NoOrbitExtractedTwicePerBindingAcrossRacingWorkers) {
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     EXPECT_EQ(per_epoch_counts[epoch], solo) << "epoch " << epoch;
   }
+}
+
+TEST(CountMemo, ClaimPublishAcquireCountRoundTrip) {
+  OrbitCache cache(4, 1024);
+  const OrbitKey grid{1, 2};
+  const OrbitKey automaton{3, 4};
+  const OrbitKey key = count_memo_key(grid, automaton, CountKind::kUnmet);
+  // Domain-separated from the other kind and from orbit-set keys.
+  EXPECT_NE(key, count_memo_key(grid, automaton, CountKind::kUngathered));
+  EXPECT_NE(key, combine_orbit_keys(grid, automaton));
+  EXPECT_NE(key, count_memo_key(automaton, grid, CountKind::kUnmet));
+
+  EXPECT_EQ(cache.acquire_count(key), std::nullopt);  // claims
+  cache.publish_count(key, 0);  // a zero count is a real answer
+  EXPECT_EQ(cache.acquire_count(key), std::optional<std::uint64_t>(0));
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.publishes, 1u);
+  EXPECT_EQ(cache.peek(key), nullptr);  // a count is not an orbit set
+
+  cache.advance_epoch();
+  EXPECT_EQ(cache.acquire_count(key), std::nullopt);
+  cache.abandon(key);
+  EXPECT_EQ(cache.acquire_count(key), std::nullopt);  // claimable again
+  cache.publish_count(key, 41);
+  EXPECT_EQ(cache.acquire_count(key), std::optional<std::uint64_t>(41));
+}
+
+/// Seeded line automata plus two small pair grids: the shared fixture of
+/// the memo sweeps below.
+struct MemoBattery {
+  std::vector<TabularAutomaton> automata;
+  std::uint64_t distinct = 0;  ///< distinct canonical forms
+  std::vector<tree::Tree> trees;
+
+  MemoBattery(std::uint64_t n, std::uint64_t seed) {
+    util::Rng rng(seed);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      automata.push_back(
+          random_line_automaton(1 + static_cast<int>(rng.index(4)), rng)
+              .tabular());
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      bool fresh = true;
+      for (std::uint64_t j = 0; j < i && fresh; ++j) {
+        fresh = canonical_automaton_key(automata[i]) !=
+                canonical_automaton_key(automata[j]);
+      }
+      distinct += fresh ? 1 : 0;
+    }
+    trees.push_back(tree::line(6));
+    trees.push_back(tree::line_edge_colored(7, 0));
+  }
+
+  EnumGrid grid(std::size_t t) const {
+    EnumGrid g;
+    g.tree = &trees[t];
+    for (tree::NodeId u = 0; u < trees[t].node_count(); ++u) {
+      for (tree::NodeId v = u + 1; v < trees[t].node_count(); ++v) {
+        g.push({u, v, 0, 0});
+        g.push({u, v, 2, 0});
+      }
+    }
+    return g;
+  }
+
+  std::vector<std::uint64_t> sweep(std::span<const EnumGrid> grids,
+                                   std::uint64_t dup, unsigned workers,
+                                   OrbitCache* cache,
+                                   EnumTelemetry* telemetry) const {
+    return sweep_enumeration(
+        grids, automata.size() * dup, /*max_rounds=*/100000,
+        [&](EnumerationContext& ctx, std::uint64_t i) {
+          ctx.bind(automata[i % automata.size()]);
+          std::uint64_t unmet = 0;
+          for (std::size_t g = 0; g < ctx.grid_count(); ++g) {
+            unmet += ctx.count_unmet(g);
+          }
+          return unmet;
+        },
+        workers, cache, telemetry);
+  }
+};
+
+TEST(CountMemo, EachKeyComputedOnceAcrossRacingWorkers) {
+  // Grids 0 and 2 are content-identical copies (same tree content, same
+  // queries, same horizon): they share one grid key, so per canonical
+  // automaton there are TWO memo keys, not three — and under 8 racing
+  // workers each is computed exactly once.
+  const MemoBattery b(24, 0x3e3011);
+  ASSERT_GT(b.distinct, 12u);
+  std::vector<EnumGrid> grids{b.grid(0), b.grid(1), b.grid(0)};
+  const std::uint64_t starts =
+      static_cast<std::uint64_t>(b.trees[0].node_count() +
+                                 b.trees[1].node_count());
+
+  OrbitCache cache(4);  // few shards: force real contention
+  EnumTelemetry telemetry;
+  const auto counts = b.sweep(grids, /*dup=*/6, 8, &cache, &telemetry);
+  EXPECT_EQ(telemetry.orbits_extracted, b.distinct * starts);
+  EXPECT_EQ(telemetry.cache_misses, b.distinct * 2);
+  EXPECT_EQ(cache.stats().publishes, b.distinct * 2);
+  EXPECT_EQ(telemetry.cache_hits + telemetry.cache_misses,
+            b.automata.size() * 6 * grids.size());
+
+  EnumTelemetry solo_telemetry;
+  EXPECT_EQ(counts, b.sweep(grids, 6, 1, nullptr, &solo_telemetry));
+}
+
+TEST(CountMemo, FullTableDegradesToRecomputation) {
+  // 8 slots, at most 7 filled: the sweep overflows the table at once.
+  // Rejected publishes are counted, their keys are recomputed on the
+  // next visit, and every total is unchanged.
+  const MemoBattery b(24, 0xf0115);
+  std::vector<EnumGrid> grids{b.grid(0), b.grid(1)};
+  OrbitCache tiny(1, 8);
+  EnumTelemetry telemetry;
+  const auto counts = b.sweep(grids, /*dup=*/3, 4, &tiny, &telemetry);
+  const auto stats = tiny.stats();
+  EXPECT_EQ(stats.publishes, 7u);
+  EXPECT_GT(stats.rejects, 0u);
+  EXPECT_EQ(stats.publishes + stats.rejects, telemetry.cache_misses);
+  // More computed than distinct keys: rejected keys came back as misses.
+  EXPECT_GT(telemetry.cache_misses, b.distinct * grids.size());
+
+  EnumTelemetry solo_telemetry;
+  EXPECT_EQ(counts, b.sweep(grids, 3, 1, nullptr, &solo_telemetry));
 }
 
 /// Raw acquire/publish race on one key: exactly one claimer, everyone

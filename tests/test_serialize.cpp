@@ -9,10 +9,8 @@
 //    equality when an engine adopts the deserialized set;
 //  * rejection of truncation at EVERY prefix length, of any single
 //    corrupted byte (checksum), and of a bumped format version;
-//  * the atomic-rename filesystem tier: load-after-store equality,
-//    misses on absent/corrupt files (never exceptions), and the
-//    OrbitCache backing hook serving a second cache from the first's
-//    published files.
+//  * zero-length reads and the zero-record journal chunk of the
+//    worker's reconnect probe.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -23,6 +21,7 @@
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
 #include "sim/orbit_cache.hpp"
+#include "svc/protocol.hpp"
 #include "tree/builders.hpp"
 #include "util/failpoint.hpp"
 #include "util/retry.hpp"
@@ -264,166 +263,7 @@ TEST(Serialize, DeserializerRejectsOverflowingOrbitHeader) {
                dist::SerializeError);
 }
 
-class SerializeFsTier : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = "serialize-fs-tier-" +
-           std::to_string(static_cast<unsigned>(::getpid()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
-};
-
-TEST_F(SerializeFsTier, StoreLoadRoundTripAndMissSemantics) {
-  util::Rng rng(0xf57e42);
-  tree::Tree t = tree::line(6);
-  const TabularAutomaton a =
-      sim::random_line_automaton(3, rng).tabular();
-  const auto set = random_published_set(t, a);
-  const sim::OrbitKey key = sim::combine_orbit_keys(
-      sim::tree_orbit_key(t), sim::canonical_automaton_key(a));
-
-  dist::FsOrbitStore store(dir_);
-  EXPECT_EQ(store.load(key), nullptr);  // absent: miss, no throw
-  store.store(key, set);
-  const auto back = store.load(key);
-  ASSERT_NE(back, nullptr);
-  expect_sets_equal(*back, *set);
-
-  // Corrupt the file: load degrades to a miss, never throws.
-  {
-    auto bytes = *dist::read_file(store.path_for(key));
-    bytes[bytes.size() / 2] ^= 0xff;
-    ASSERT_TRUE(dist::write_file_atomic(store.path_for(key), bytes));
-  }
-  EXPECT_EQ(store.load(key), nullptr);
-  // Truncated file: also a miss. (Re-publish first: the corrupt load
-  // above QUARANTINED the file aside.)
-  store.store(key, set);
-  {
-    auto bytes = *dist::read_file(store.path_for(key));
-    bytes.resize(bytes.size() / 3);
-    ASSERT_TRUE(dist::write_file_atomic(store.path_for(key), bytes));
-  }
-  EXPECT_EQ(store.load(key), nullptr);
-}
-
-TEST_F(SerializeFsTier, CorruptFileIsQuarantinedAsideNotRefailed) {
-  util::Rng rng(0xdecade);
-  tree::Tree t = tree::line(5);
-  const TabularAutomaton a = sim::random_line_automaton(2, rng).tabular();
-  const auto set = random_published_set(t, a);
-  const sim::OrbitKey key = sim::combine_orbit_keys(
-      sim::tree_orbit_key(t), sim::canonical_automaton_key(a));
-
-  dist::FsOrbitStore store(dir_);
-  store.store(key, set);
-  auto bytes = *dist::read_file(store.path_for(key));
-  bytes[bytes.size() - 1] ^= 0x01;
-  ASSERT_TRUE(dist::write_file_atomic(store.path_for(key), bytes));
-
-  EXPECT_EQ(store.load(key), nullptr);
-  auto s = store.stats();
-  EXPECT_EQ(s.decode_failures, 1u);
-  EXPECT_EQ(s.quarantined, 1u);
-  EXPECT_FALSE(s.degraded);  // corruption is not tier sickness
-  // The file is renamed aside — evidence kept, re-fail loop broken.
-  EXPECT_FALSE(std::filesystem::exists(store.path_for(key)));
-  EXPECT_TRUE(std::filesystem::exists(store.path_for(key) + ".quarantined-0"));
-  // The next load is a clean miss: no second decode, no second rename.
-  EXPECT_EQ(store.load(key), nullptr);
-  s = store.stats();
-  EXPECT_EQ(s.decode_failures, 1u);
-  EXPECT_EQ(s.quarantined, 1u);
-  // The tier stays healthy: a re-publish serves the key again.
-  store.store(key, set);
-  EXPECT_NE(store.load(key), nullptr);
-  EXPECT_EQ(store.fault_stats().quarantined, 1u);
-}
-
-TEST_F(SerializeFsTier, TransientFaultsRetryOnTheBoundedSchedule) {
-  util::Rng rng(0x7e7af1);
-  tree::Tree t = tree::line(5);
-  const TabularAutomaton a = sim::random_line_automaton(2, rng).tabular();
-  const auto set = random_published_set(t, a);
-  const sim::OrbitKey key = sim::combine_orbit_keys(
-      sim::tree_orbit_key(t), sim::canonical_automaton_key(a));
-  auto& reg = util::FailPointRegistry::instance();
-
-  dist::FsOrbitStore store(dir_, util::no_delay_policy(3));
-  // One injected publish failure: the retry lands the file.
-  reg.configure("fs_store.store=err@hit:1");
-  store.store(key, set);
-  reg.reset();
-  EXPECT_EQ(store.stats().store_failures, 0u);
-  EXPECT_EQ(store.stats().retries, 1u);
-  EXPECT_TRUE(std::filesystem::exists(store.path_for(key)));
-  // One injected read failure on an EXISTING file: retried, then served.
-  reg.configure("fs_store.load=err@hit:1");
-  EXPECT_NE(store.load(key), nullptr);
-  reg.reset();
-  const auto s = store.stats();
-  EXPECT_EQ(s.read_failures, 0u);
-  EXPECT_EQ(s.retries, 2u);
-  EXPECT_EQ(s.exhausted, 0u);
-  EXPECT_FALSE(s.degraded);
-  // An ABSENT file is a miss on the first attempt — never retried.
-  EXPECT_EQ(store.load(sim::OrbitKey{0xabc, 0xdef}), nullptr);
-  EXPECT_EQ(store.stats().retries, 2u);
-}
-
-TEST_F(SerializeFsTier, PersistentFailureDegradesToComputeThrough) {
-  util::Rng rng(0xdead11);
-  tree::Tree t = tree::line(5);
-  const TabularAutomaton a = sim::random_line_automaton(2, rng).tabular();
-  const auto set = random_published_set(t, a);
-  auto& reg = util::FailPointRegistry::instance();
-
-  dist::FsOrbitStore store(dir_, util::no_delay_policy(2));
-  reg.configure("fs_store.store=err@always");
-  for (std::uint64_t i = 0; i < dist::FsOrbitStore::kDegradeAfter; ++i) {
-    store.store(sim::OrbitKey{i + 1, i + 1}, set);
-  }
-  reg.reset();
-  const auto s = store.stats();
-  EXPECT_EQ(s.exhausted, dist::FsOrbitStore::kDegradeAfter);
-  EXPECT_TRUE(s.degraded);
-  EXPECT_TRUE(store.fault_stats().degraded);
-  // Degradation is sticky compute-through: with the fault GONE, stores
-  // are no-ops and loads are misses — the sweep stays correct, the dead
-  // tier stops being paid for.
-  const sim::OrbitKey key{0x77, 0x88};
-  store.store(key, set);
-  EXPECT_FALSE(std::filesystem::exists(store.path_for(key)));
-  EXPECT_EQ(store.load(key), nullptr);
-  EXPECT_EQ(store.stats().stores, dist::FsOrbitStore::kDegradeAfter);
-}
-
-TEST_F(SerializeFsTier, SuccessResetsTheDegradationStreak) {
-  util::Rng rng(0x600d);
-  tree::Tree t = tree::line(5);
-  const TabularAutomaton a = sim::random_line_automaton(2, rng).tabular();
-  const auto set = random_published_set(t, a);
-  auto& reg = util::FailPointRegistry::instance();
-
-  dist::FsOrbitStore store(dir_, util::no_delay_policy(2));
-  // kDegradeAfter - 1 exhausted publishes, then a success, then one
-  // more failure: the streak broke, so the store must NOT be degraded.
-  reg.configure("fs_store.store=err@always");
-  for (std::uint64_t i = 0; i + 1 < dist::FsOrbitStore::kDegradeAfter; ++i) {
-    store.store(sim::OrbitKey{i + 1, i + 1}, set);
-  }
-  reg.reset();
-  store.store(sim::OrbitKey{0x50, 0x50}, set);  // succeeds, resets streak
-  reg.configure("fs_store.store=err@always");
-  store.store(sim::OrbitKey{0x51, 0x51}, set);
-  reg.reset();
-  EXPECT_EQ(store.stats().exhausted, dist::FsOrbitStore::kDegradeAfter);
-  EXPECT_FALSE(store.stats().degraded);
-}
-
-TEST_F(SerializeFsTier, UnframeFailpointSurfacesAsSerializeError) {
+TEST(SerializeWire, UnframeFailpointSurfacesAsSerializeError) {
   auto& reg = util::FailPointRegistry::instance();
   const std::vector<std::uint8_t> framed =
       dist::frame_payload(dist::WireKind::kShardPlan, {});
@@ -434,35 +274,33 @@ TEST_F(SerializeFsTier, UnframeFailpointSurfacesAsSerializeError) {
   EXPECT_NO_THROW(dist::unframe_payload(dist::WireKind::kShardPlan, framed));
 }
 
-TEST_F(SerializeFsTier, SecondCacheAdoptsFirstCachesPublishes) {
-  // Two OrbitCaches over one directory stand in for two processes on a
-  // shared filesystem: everything cache A publishes, cache B must adopt
-  // from the tier without its workers extracting anything.
-  util::Rng rng(0x2ca15e5);
-  tree::Tree t = tree::line(7);
-  const TabularAutomaton a =
-      sim::random_line_automaton(4, rng).tabular();
-  const sim::OrbitKey key = sim::combine_orbit_keys(
-      sim::tree_orbit_key(t), sim::canonical_automaton_key(a));
+TEST(SerializeWire, ZeroLengthReadsTouchNothing) {
+  // A zero-length read may come with a null destination (an empty
+  // vector's data()); it must succeed without handing memcpy a null
+  // pointer, and only at the very end of the payload.
+  const std::vector<std::uint8_t> empty;
+  dist::WireReader r(empty);
+  r.raw(nullptr, 0);
+  r.expect_end();
+  EXPECT_THROW(r.raw(nullptr, 1), dist::SerializeError);
+}
 
-  dist::FsOrbitStore tier_a(dir_);
-  sim::OrbitCache cache_a;
-  cache_a.set_backing(&tier_a);
-  ASSERT_EQ(cache_a.acquire(key), nullptr);  // claim (tier empty)
-  cache_a.publish(key, random_published_set(t, a));
-  EXPECT_EQ(cache_a.stats().tier_stores, 1u);
-
-  dist::FsOrbitStore tier_b(dir_);
-  sim::OrbitCache cache_b;
-  cache_b.set_backing(&tier_b);
-  const auto adopted = cache_b.acquire(key);  // tier hit, no claim
-  ASSERT_NE(adopted, nullptr);
-  EXPECT_EQ(cache_b.stats().tier_hits, 1u);
-  // Now in cache_b's memory table: the next acquire is a plain hit.
-  const auto again = cache_b.acquire(key);
-  ASSERT_NE(again, nullptr);
-  EXPECT_EQ(cache_b.stats().hits, 1u);
-  expect_sets_equal(*adopted, *cache_a.acquire(key));
+TEST(SerializeWire, ZeroRecordJournalChunkRoundTrips) {
+  // The worker's post-reconnect lease probe is a chunk with no records.
+  svc::JournalChunk probe;
+  probe.shard_index = 3;
+  probe.token = 0x51ab;
+  const std::vector<std::uint8_t> bytes = svc::encode(probe);
+  const svc::JournalChunk back = svc::decode_journal_chunk(bytes);
+  EXPECT_EQ(back.shard_index, 3u);
+  EXPECT_EQ(back.token, 0x51abu);
+  EXPECT_TRUE(back.records.empty());
+  // Framed and unframed like every session message.
+  const auto framed =
+      dist::frame_payload(dist::WireKind::kJournalChunk, bytes);
+  const auto payload =
+      dist::unframe_payload(dist::WireKind::kJournalChunk, framed);
+  EXPECT_TRUE(svc::decode_journal_chunk(payload).records.empty());
 }
 
 }  // namespace
