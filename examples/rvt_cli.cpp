@@ -596,10 +596,11 @@ int run_serve_mode(int argc, char** argv) {
       }
     }
     coord.wait_complete();
-    // A worker idling on a kWait lease learns the campaign is over only
-    // at its next lease request; stopping at once would strand it in its
-    // reconnect backoff. Give connected workers a bounded window to hear
-    // kDrained and hang up.
+    // Idle workers hold a lease request and hear kDrained the moment the
+    // last shard seals, but the worker that sealed it still has to send
+    // its next lease request to learn the campaign is over; stopping at
+    // once would strand it in its reconnect backoff. Give connected
+    // workers a bounded window to hear kDrained and hang up.
     const auto drain_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     const auto worker_connected = [&coord] {

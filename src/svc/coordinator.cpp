@@ -446,13 +446,15 @@ void Coordinator::fail_attempt_locked(std::size_t shard,
     s.writer.reset();
     ledger_append_nothrow_locked(
         {dist::LedgerEvent::kQuarantine, shard, s.attempts});
-    cv_.notify_all();
   } else {
     s.phase = ShardPhase::kPending;
     pending_.push_back(shard);
     ++requeues_;
     ledger_append_nothrow_locked({dist::LedgerEvent::kFail, shard, s.attempts});
   }
+  // Either way a held lease request can now be answered: a requeued
+  // shard is grantable, a quarantine may have drained the campaign.
+  cv_.notify_all();
 }
 
 void Coordinator::release_if_held_locked(std::uint64_t session_id,
@@ -474,9 +476,9 @@ std::vector<std::uint8_t> Coordinator::grant_lease_locked(
     return encode(g);
   }
   if (pending_.empty()) {
+    // The session already held the request for session_read_timeout:
+    // ask again at once (retry_ms stays 0).
     g.status = LeaseStatus::kWait;
-    g.retry_ms = std::max<std::uint64_t>(
-        50, static_cast<std::uint64_t>(cfg_.poll_interval.count()) * 10);
     return encode(g);
   }
   const std::size_t i = pending_.front();
@@ -655,14 +657,30 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
       if (stop_.load()) break;
       dist::WireKind reply_kind = f.kind;
       std::vector<std::uint8_t> reply;
+      bool answered = true;
       switch (f.kind) {
         case dist::WireKind::kLeaseRequest: {
-          std::lock_guard<std::mutex> lk(mu_);
+          std::unique_lock<std::mutex> lk(mu_);
           runners_[session_id].last_seen = std::chrono::steady_clock::now();
+          // Hold the request while nothing is grantable: a seal, requeue
+          // or quarantine notifies cv_, so an idle worker hears its grant
+          // or kDrained at once instead of polling. The hold is bounded by
+          // session_read_timeout, well inside the worker's read deadline;
+          // stop() notifies without mu_, and a wake-up it races past costs
+          // no more than the read timeout every session already waits out.
+          cv_.wait_for(lk, cfg_.session_read_timeout, [this] {
+            return !pending_.empty() || done_locked() || stop_.load();
+          });
+          if (stop_.load()) {
+            answered = false;  // stopping: no reply, as after a crash
+            break;
+          }
           std::size_t leased = kNoShard;
           try {
             reply = grant_lease_locked(session_id, name, &leased);
           } catch (const dist::SerializeError& e) {
+            // The shard went back on pending_: wake other held requests.
+            cv_.notify_all();
             reply_kind = dist::WireKind::kError;
             reply = encode(ErrorReply{ErrorCode::kRefused,
                                       std::string("journal: ") + e.what()});
@@ -737,7 +755,6 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
               // bad; the committed prefix stays, the shard requeues.
               fail_attempt_locked(chunk.shard_index,
                                   std::string("bad chunk: ") + e.what());
-              cv_.notify_all();
               cr.accepted = false;
             }
           } else {
@@ -841,6 +858,7 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
           reply = encode(
               ErrorReply{ErrorCode::kBadRequest, "unexpected message kind"});
       }
+      if (!answered) break;
       send(reply_kind, reply);
     }
   } catch (const dist::WireVersionError& e) {

@@ -22,6 +22,13 @@
 //    abandon the shard. Their records are NOT lost wholesale — the
 //    prefix the coordinator already journaled stays committed.
 //
+// A lease request that finds nothing pending while shards are still out
+// is HELD (long-polled) on the coordinator's condition variable: every
+// seal, requeue and quarantine wakes it, so an idle worker learns of a
+// requeued shard or of the drained campaign at once. The hold is bounded
+// by session_read_timeout, after which the reply is kWait and the worker
+// asks again. A coordinator stopping during a hold sends no reply.
+//
 // The coordinator still answers the remote orbit-store messages
 // (kOrbitGet / kOrbitPut) so older clients and NetOrbitStore probes get
 // a well-formed reply, but it stores nothing: every get is answered
@@ -68,10 +75,12 @@ struct CoordinatorConfig {
   unsigned max_attempts = 3;
   /// Lease expires after this long without journal growth.
   std::chrono::milliseconds lease_timeout{10000};
-  /// Reaper wake-up cadence (also the kWait retry hint's unit).
+  /// Reaper wake-up cadence: how often leases are checked for expiry.
   std::chrono::milliseconds poll_interval{20};
   /// Session read timeout: the granularity at which session threads
-  /// notice stop() and stalled peers.
+  /// notice stop() and stalled peers. It also bounds how long a lease
+  /// request with nothing grantable is held before it answers kWait;
+  /// keep it below the worker's io_timeout_ms x kFrameStallLimit.
   std::chrono::milliseconds session_read_timeout{200};
   /// false: a fresh campaign — the run ledger is (re)created. true:
   /// `serve --resume` — the existing ledger is REQUIRED, replayed

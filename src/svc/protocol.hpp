@@ -81,7 +81,7 @@ struct HelloReply {
 
 enum class LeaseStatus : std::uint8_t {
   kGranted = 0,
-  kWait = 1,     ///< nothing pending NOW; retry after retry_ms
+  kWait = 1,     ///< nothing became grantable while the request was held
   kDrained = 2,  ///< every shard sealed or quarantined — disconnect
 };
 
@@ -96,7 +96,9 @@ struct LeaseGrant {
   std::uint64_t next_index = 0;
   std::uint64_t resume_sum = 0;
   std::uint64_t token = 0;     ///< must accompany every chunk/seal
-  std::uint64_t retry_ms = 0;  ///< kWait: backoff before re-requesting
+  /// kWait: backoff before re-requesting. 0 from a coordinator that
+  /// holds lease requests; older coordinators answered at once with one.
+  std::uint64_t retry_ms = 0;
   /// Campaign/trace id the coordinator minted for this plan (protocol
   /// v3 optional tail; 0 from a v2 peer). Workers adopt it as their
   /// obs::trace campaign id so their spans stitch under the
@@ -104,6 +106,9 @@ struct LeaseGrant {
   std::uint64_t campaign_id = 0;
 };
 
+/// Liveness probe and lease-validity check. run_worker no longer sends
+/// it (an idle worker's held lease request keeps its session fresh);
+/// the coordinator still answers it, and it never renews a lease.
 struct Heartbeat {
   std::uint64_t shard_index = 0;
   std::uint64_t token = 0;  ///< 0 = pure liveness, no lease to check

@@ -1,6 +1,5 @@
 #include "svc/worker.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -252,16 +251,10 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
         if (g.status == LeaseStatus::kDrained) {
           drained = true;
         } else if (g.status == LeaseStatus::kWait) {
-          // Stay observable while idle: heartbeat (token 0 = pure
-          // liveness) through the backoff the coordinator asked for.
-          const auto until =
-              Clock::now() + std::chrono::milliseconds(g.retry_ms);
-          do {
-            round_trip(*stream, dist::WireKind::kHeartbeat,
-                       encode(Heartbeat{0, 0}));
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                std::min<std::uint64_t>(g.retry_ms, 50)));
-          } while (Clock::now() < until);
+          // The coordinator held the request as long as it could; ask
+          // again. retry_ms is 0 unless an older coordinator, which
+          // answers at once, asks for a backoff.
+          std::this_thread::sleep_for(std::chrono::milliseconds(g.retry_ms));
         } else {
           ++rep.leases;
           // Adopt the coordinator-minted campaign id so every span this

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "dist/ledger.hpp"
 #include "dist/merge.hpp"
 #include "dist/serialize.hpp"
 #include "dist/shard_plan.hpp"
@@ -77,13 +78,17 @@ std::unique_ptr<net::TcpStream> dial(const svc::Coordinator& coord,
   return s;
 }
 
-svc::LeaseGrant request_lease(net::TcpStream& s) {
-  net::send_frame(s, dist::WireKind::kLeaseRequest,
-                  svc::encode_lease_request());
+svc::LeaseGrant read_lease_grant(net::TcpStream& s) {
   net::Frame f;
   EXPECT_EQ(net::recv_frame(s, f), net::RecvStatus::kFrame);
   EXPECT_EQ(f.kind, dist::WireKind::kLeaseGrant);
   return svc::decode_lease_grant(f.payload);
+}
+
+svc::LeaseGrant request_lease(net::TcpStream& s) {
+  net::send_frame(s, dist::WireKind::kLeaseRequest,
+                  svc::encode_lease_request());
+  return read_lease_grant(s);
 }
 
 // ---- the happy fleet ------------------------------------------------------
@@ -414,16 +419,159 @@ svc::SealReply send_seal(net::TcpStream& s, std::uint64_t shard,
   return svc::decode_seal_reply(f.payload);
 }
 
-/// Requests leases until one is granted (or the queue drains), riding
-/// out kWait while a disconnected holder's requeue lands.
+/// Requests leases until one is granted (or the queue drains). Each
+/// request is held until a shard is grantable, so this only loops when
+/// a disconnected holder's requeue takes longer than one hold.
 svc::LeaseGrant lease_until_granted(net::TcpStream& s) {
-  for (int i = 0; i < 500; ++i) {
+  for (int i = 0; i < 50; ++i) {
     const svc::LeaseGrant g = request_lease(s);
     if (g.status != svc::LeaseStatus::kWait) return g;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ADD_FAILURE() << "lease never granted";
   return {};
+}
+
+// ---- held lease requests --------------------------------------------------
+
+/// Sends a lease request and reports whether the coordinator HOLDS it:
+/// no reply within `quiet`. The stream's read timeout is restored.
+bool send_held_lease_request(net::TcpStream& s,
+                             std::chrono::milliseconds quiet) {
+  net::send_frame(s, dist::WireKind::kLeaseRequest,
+                  svc::encode_lease_request());
+  s.set_read_timeout_ms(static_cast<unsigned>(quiet.count()));
+  net::Frame f;
+  const net::RecvStatus st = net::recv_frame(s, f, /*idle_ok=*/true);
+  s.set_read_timeout_ms(2000);
+  return st == net::RecvStatus::kIdle;
+}
+
+double ms_since(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t)
+      .count();
+}
+
+// A hold bound far above the wake-up latencies asserted below, so a
+// request that is answered only because its hold ran out fails them.
+constexpr std::chrono::milliseconds kLongHold{1000};
+constexpr std::chrono::milliseconds kQuiet{50};
+
+TEST_F(ServiceTest, HeldLeaseRequestWakesOnLastSeal) {
+  const auto w = dist::EnumWorkload::parse("e10:6");
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 1);
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  cfg.session_read_timeout = kLongHold;
+  svc::Coordinator coord(plan, cfg);
+
+  auto a = dial(coord, "worker", "a");
+  const svc::LeaseGrant ga = request_lease(*a);
+  ASSERT_EQ(ga.status, svc::LeaseStatus::kGranted);
+
+  // B asks while A holds the only unsealed shard: the request is held.
+  auto b = dial(coord, "worker", "b");
+  ASSERT_TRUE(send_held_lease_request(*b, kQuiet))
+      << "the lease request was answered instead of held";
+
+  std::vector<svc::JournalRecord> recs;
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = ga.begin; i < ga.end; ++i) {
+    recs.push_back({i, 1});
+    ++sum;
+  }
+  ASSERT_TRUE(send_chunk(*a, 0, ga.token, recs).accepted);
+  ASSERT_TRUE(send_seal(*a, 0, ga.token, sum).accepted);
+  const auto sealed_at = std::chrono::steady_clock::now();
+
+  // The seal drains the campaign and wakes B's one request.
+  const svc::LeaseGrant gb = read_lease_grant(*b);
+  EXPECT_EQ(gb.status, svc::LeaseStatus::kDrained);
+  EXPECT_LT(ms_since(sealed_at), 150.0);
+}
+
+TEST_F(ServiceTest, HeldLeaseRequestWakesOnRequeue) {
+  const auto w = dist::EnumWorkload::parse("e10:6");
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 1);
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  cfg.session_read_timeout = kLongHold;
+  svc::Coordinator coord(plan, cfg);
+
+  auto a = dial(coord, "worker", "a");
+  const svc::LeaseGrant ga = request_lease(*a);
+  ASSERT_EQ(ga.status, svc::LeaseStatus::kGranted);
+  auto b = dial(coord, "worker", "b");
+  ASSERT_TRUE(send_held_lease_request(*b, kQuiet))
+      << "the lease request was answered instead of held";
+
+  // A drops unsealed: the requeue grants the shard to B's held request.
+  a.reset();
+  const auto dropped_at = std::chrono::steady_clock::now();
+  const svc::LeaseGrant gb = read_lease_grant(*b);
+  ASSERT_EQ(gb.status, svc::LeaseStatus::kGranted);
+  EXPECT_EQ(gb.shard_index, 0u);
+  EXPECT_NE(gb.token, 0u);
+  EXPECT_NE(gb.token, ga.token);
+  EXPECT_LT(ms_since(dropped_at), 500.0);
+  EXPECT_EQ(coord.report().shards_requeued, 1u);
+}
+
+TEST_F(ServiceTest, HeldLeaseRequestWakesOnExpiryRequeue) {
+  const auto w = dist::EnumWorkload::parse("e10:6");
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 1);
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  cfg.session_read_timeout = kLongHold;
+  cfg.lease_timeout = std::chrono::milliseconds(100);
+  cfg.poll_interval = std::chrono::milliseconds(10);
+  svc::Coordinator coord(plan, cfg);
+
+  // A takes the shard and stays connected but commits nothing.
+  auto a = dial(coord, "worker", "a");
+  const svc::LeaseGrant ga = request_lease(*a);
+  ASSERT_EQ(ga.status, svc::LeaseStatus::kGranted);
+  const auto granted_at = std::chrono::steady_clock::now();
+  auto b = dial(coord, "worker", "b");
+  ASSERT_TRUE(send_held_lease_request(*b, kQuiet))
+      << "the lease request was answered instead of held";
+
+  // The reaper's requeue, not the end of the hold, answers B.
+  const svc::LeaseGrant gb = read_lease_grant(*b);
+  ASSERT_EQ(gb.status, svc::LeaseStatus::kGranted);
+  EXPECT_EQ(gb.shard_index, 0u);
+  EXPECT_NE(gb.token, ga.token);
+  EXPECT_LT(ms_since(granted_at), 600.0);
+  EXPECT_EQ(coord.report().lease_expiries, 1u);
+}
+
+TEST_F(ServiceTest, StopWhileLeaseRequestHeldSendsNoReply) {
+  const auto w = dist::EnumWorkload::parse("e10:6");
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 1);
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  cfg.session_read_timeout = std::chrono::milliseconds(500);
+  svc::Coordinator coord(plan, cfg);
+
+  auto a = dial(coord, "worker", "a");
+  ASSERT_EQ(request_lease(*a).status, svc::LeaseStatus::kGranted);
+  auto b = dial(coord, "worker", "b");
+  ASSERT_TRUE(send_held_lease_request(*b, kQuiet))
+      << "the lease request was answered instead of held";
+  const std::string lpath = dist::ledger_path(cfg.journal_dir);
+  const std::size_t records_before = dist::read_ledger(lpath)->records.size();
+
+  const auto stop_at = std::chrono::steady_clock::now();
+  coord.stop();
+  EXPECT_LT(ms_since(stop_at),
+            static_cast<double>(cfg.session_read_timeout.count()) + 500.0);
+
+  // B's session closes with its request unanswered: no grant, no kWait,
+  // and nothing new in the ledger (A's open lease is not failed either).
+  net::Frame f;
+  EXPECT_EQ(net::recv_frame(*b, f), net::RecvStatus::kEof);
+  EXPECT_EQ(dist::read_ledger(lpath)->records.size(), records_before);
+  EXPECT_EQ(coord.report().leases_granted, 1u);
 }
 
 TEST_F(ServiceTest, ResumeReplaysExactStateFieldForField) {
