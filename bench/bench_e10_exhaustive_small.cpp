@@ -187,7 +187,11 @@ int main() {
   // load per idle site — so armed-vs-idle must stay within noise: the
   // bench FAILS if the ratio of the minima exceeds 1.05x.
   const auto sample = profile_sample();
-  sim::OrbitCache cache;
+  // Sized like a worker's cache for this workload (dist::
+  // memo_cache_capacity): every pass refills it, and a default-sized
+  // table would fault in all of its 16 MiB again after each epoch.
+  sim::OrbitCache cache(16, sim::OrbitCache::capacity_for(
+                                sample.size() * profile_grids.size()));
   sim::EnumerationContext profile_ctx(profile_grids, kHorizon, &cache);
   constexpr int kCompiledWarmup = 1;
   constexpr int kCompiledRepeats = 7;

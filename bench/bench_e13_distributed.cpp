@@ -76,12 +76,13 @@ int main(int argc, char** argv) {
       dist::EnumWorkload::parse("e10:" + std::to_string(max_n));
 
   // Single-process reference: a plain in-process sweep of the same
-  // workload over a private in-memory cache.
+  // workload over a private in-memory cache, sized like the shard
+  // processes' caches.
   bench::WallTimer single_timer;
   std::uint64_t single_total = 0;
   obs::EnumDelayTracker delay;
   {
-    sim::OrbitCache cache;
+    sim::OrbitCache cache(16, dist::memo_cache_capacity(*workload));
     sim::EnumerationContext ctx(workload->grids(), workload->max_rounds(),
                                 &cache);
     for (std::uint64_t i = 0; i < workload->count(); ++i) {

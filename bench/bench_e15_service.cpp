@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
   bench::WallTimer single_timer;
   std::uint64_t single_total = 0;
   {
-    sim::OrbitCache cache;
+    // Sized like the workers' caches, so both sides key the same table.
+    sim::OrbitCache cache(16, dist::memo_cache_capacity(*workload));
     sim::EnumerationContext ctx(workload->grids(), workload->max_rounds(),
                                 &cache);
     for (std::uint64_t i = 0; i < workload->count(); ++i) {

@@ -263,7 +263,7 @@ int run_shard_mode(int argc, char** argv) {
     try {
       const dist::ShardPlan plan = dist::load_plan(plan_path);
       const auto w = dist::EnumWorkload::parse(plan.workload_spec);
-      sim::OrbitCache cache;
+      sim::OrbitCache cache(16, dist::memo_cache_capacity(*w));
       const dist::ShardRunStats stats =
           dist::run_shard(*w, plan, shard_index, journal_dir, &cache, run_opt);
       const auto cs = cache.stats();

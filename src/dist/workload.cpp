@@ -146,4 +146,8 @@ std::uint64_t EnumWorkload::defeats(sim::EnumerationContext& ctx,
   return defeats;
 }
 
+std::size_t memo_cache_capacity(const EnumWorkload& w) {
+  return sim::OrbitCache::capacity_for(w.grids().size() * w.count());
+}
+
 }  // namespace rvt::dist

@@ -102,4 +102,13 @@ class EnumWorkload {
   std::vector<std::pair<int, std::uint64_t>> sample_;
 };
 
+/// Slot capacity (OrbitCache's `capacity`) for a cache that memoizes the
+/// counts of `w`: room for grids() x count() entries — the most distinct
+/// memo keys the workload can have — at the cache's 7/8 load limit.
+/// Processes that give each campaign a fresh cache (svc::run_worker,
+/// `rvt_cli shard run`) size it with this instead of the 2^19-slot
+/// default, whose 16 MiB table a small workload would still touch
+/// throughout (e10:14 -> 2^16 slots, 2 MiB).
+std::size_t memo_cache_capacity(const EnumWorkload& w);
+
 }  // namespace rvt::dist

@@ -44,6 +44,10 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
         "EnumerationContext: max_rounds must be > 0");
   }
   slots_.resize(grids_.size());
+  // Content key of each grid (tree key, arity, starts, delays, horizon):
+  // the grid half of every memo key. Content-identical grids share it,
+  // and their counts with it.
+  std::vector<OrbitKey> grid_keys;
   for (std::size_t g = 0; g < grids_.size(); ++g) {
     const EnumGrid& grid = grids_[g];
     if (grid.tree == nullptr || grid.tree->node_count() < 2) {
@@ -93,9 +97,17 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
         h.feed(grid.delays[i]);
       }
       h.feed(max_rounds_);
-      slot.grid_key = h.key();
+      grid_keys.push_back(h.key());
     }
   }
+  if (cache_ == nullptr) return;
+  // Kind-major, like memo_keys_: kUnmet for every grid, then kUngathered.
+  for (const CountKind kind : {CountKind::kUnmet, CountKind::kUngathered}) {
+    for (const OrbitKey& grid_key : grid_keys) {
+      memo_prefixes_.push_back(count_memo_prefix(grid_key, kind));
+    }
+  }
+  memo_keys_.resize(memo_prefixes_.size());
 }
 
 void EnumerationContext::require_meet(std::size_t g) const {
@@ -116,13 +128,33 @@ const OrbitKey& EnumerationContext::automaton_key() {
   if (!automaton_key_valid_) {
     // Canonical dedup key: equivalent enumerated automata (unreachable
     // states, renumbering, impossible-input entries) share one cache
-    // entry — one extraction, one count — per tree or grid.
-    const TabularAutomaton canon = canonical_reachable_form(*automaton_);
-    if (!(canon == *automaton_)) ++stats_.canonical_collapses;
-    automaton_key_ = automaton_orbit_key(canon);
+    // entry — one extraction, one count — per tree or grid. Streamed,
+    // so keying a binding allocates nothing.
+    bool collapsed = false;
+    automaton_key_ = canonical_automaton_key(*automaton_, &collapsed);
+    if (collapsed) ++stats_.canonical_collapses;
     automaton_key_valid_ = true;
   }
   return automaton_key_;
+}
+
+const OrbitKey& EnumerationContext::memo_key(std::size_t g, CountKind kind) {
+  const std::size_t k = kind == CountKind::kUnmet ? 0 : 1;
+  const std::size_t base = k * grids_.size();
+  if (memo_serial_[k] != serial_) {
+    // First count of this kind in the binding: key every grid at once
+    // and start their slots' line fills, so each later count_*(g) of the
+    // binding probes a line that is already on its way in.
+    const OrbitKey& akey = automaton_key();
+    for (std::size_t h = base; h < base + grids_.size(); ++h) {
+      KeyHasher hasher = memo_prefixes_[h];
+      hasher.feed(akey);
+      memo_keys_[h] = hasher.key();
+      cache_->prefetch(memo_keys_[h]);
+    }
+    memo_serial_[k] = serial_;
+  }
+  return memo_keys_[base + g];
 }
 
 EnumerationContext::Slot& EnumerationContext::prepare_local(std::size_t g) {
@@ -256,8 +288,7 @@ std::uint64_t EnumerationContext::memoized_count(std::size_t g,
   if (automaton_ == nullptr) {
     throw std::logic_error("EnumerationContext: bind() an automaton first");
   }
-  const OrbitKey key =
-      count_memo_key(slots_[g].grid_key, automaton_key(), kind);
+  const OrbitKey key = memo_key(g, kind);
   // A hit prepares no binding, so it records no binding latency: the
   // lookup is a few nanoseconds, less than reading the clock.
   if (const std::optional<std::uint64_t> hit = cache_->acquire_count(key)) {

@@ -30,10 +30,13 @@
 // count_ungathered) are memoized in it: each grid gets a content key at
 // construction, and a count is computed once per (grid key, canonical
 // automaton key) per machine — every equivalent binding after the first
-// is answered without binding, extracting or scanning. The verdict and
-// early-exit calls instead acquire / publish the binding's orbit set, so
-// a battery shared by several workers extracts each orbit once per
-// machine — every verdict carries the cache_hit flag for telemetry.
+// is answered without binding, extracting or scanning. A binding's first
+// count keys every grid at once and prefetches their memo slots, so the
+// later counts of the binding read lines already on their way in. The
+// verdict and early-exit calls instead acquire / publish the binding's
+// orbit set, so a battery shared by several workers extracts each orbit
+// once per machine — every verdict carries the cache_hit flag for
+// telemetry.
 //
 // sweep_enumeration() fans an automaton range across workers, one context
 // per worker (sweep_indexed), with deterministic result ordering and
@@ -218,10 +221,6 @@ class EnumerationContext {
   struct Slot {
     std::optional<CompiledConfigEngine> engine;
     OrbitKey tree_key;
-    /// Content key of the whole grid (tree key, arity, starts, delays,
-    /// horizon) — the grid half of every memo key. Content-identical
-    /// grids share it, and their counts with it.
-    OrbitKey grid_key;
     std::vector<tree::NodeId> warm_starts;  ///< unique starts of the grid
     /// Orbit pointer per start node, refreshed by prepare(): the verdict
     /// loop then reads k pointers per query instead of going through the
@@ -246,8 +245,14 @@ class EnumerationContext {
   /// Binding only (no warm-up, no cache, orbit_ptr not refreshed) — the
   /// lazy path of first_unmet().
   Slot& prepare_scan(std::size_t g);
-  /// The bound automaton's canonical key, computed once per binding.
+  /// The bound automaton's canonical key (canonical_automaton_key, which
+  /// allocates nothing), computed once per binding; counts a canonical
+  /// collapse in the telemetry when the canonical form differs from the
+  /// bound table.
   const OrbitKey& automaton_key();
+  /// Grid g's memo key for `kind` under the bound automaton. The first
+  /// call per (binding, kind) keys EVERY grid and prefetches their slots.
+  const OrbitKey& memo_key(std::size_t g, CountKind kind);
   /// The memo around count_unmet/count_ungathered: `scan` computes the
   /// count over a locally prepared slot.
   template <typename Scan>
@@ -265,6 +270,13 @@ class EnumerationContext {
   OrbitKey automaton_key_;
   bool automaton_key_valid_ = false;
   std::vector<Slot> slots_;
+  /// count_memo_prefix of every (kind, grid), kind-major (kUnmet, then
+  /// kUngathered); empty without a cache.
+  std::vector<KeyHasher> memo_prefixes_;
+  /// Memo keys of the current binding, same layout, valid for the
+  /// binding memo_serial_[kind] names.
+  std::vector<OrbitKey> memo_keys_;
+  std::uint64_t memo_serial_[2] = {0, 0};
   std::vector<Verdict> verdicts_;
   std::vector<GatherVerdict> gather_verdicts_;
   EnumTelemetry stats_;

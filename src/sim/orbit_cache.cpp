@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstring>
 #include <new>
+#include <numeric>
 
 namespace rvt::sim {
 
@@ -48,8 +49,68 @@ OrbitKey automaton_orbit_key(const TabularAutomaton& a) {
   return h.key();
 }
 
-OrbitKey canonical_automaton_key(const TabularAutomaton& a) {
-  return automaton_orbit_key(canonical_reachable_form(a));
+OrbitKey canonical_automaton_key(const TabularAutomaton& a,
+                                 bool* collapsed) {
+  const int D = a.max_degree;
+  const int K = a.num_states();
+  if (K > kStreamedKeyMaxStates || D > kStreamedKeyMaxDegree) {
+    const TabularAutomaton canon = canonical_reachable_form(a);
+    if (collapsed != nullptr) *collapsed = !(canon == a);
+    return automaton_orbit_key(canon);
+  }
+  // canonical_reachable_form's BFS over every input a tree of max degree
+  // <= D can present, in stack arrays: discovery order is the canonical
+  // numbering.
+  int order[kStreamedKeyMaxStates];
+  int renum[kStreamedKeyMaxStates];
+  std::fill_n(renum, K, -1);
+  int reached = 1;
+  renum[a.initial] = 0;
+  order[0] = a.initial;
+  for (int head = 0; head < reached; ++head) {
+    const int s = order[head];
+    for (int d = 1; d <= D; ++d) {
+      for (int i = -1; i < d; ++i) {
+        const int t = a.next(s, i, d);
+        if (renum[t] < 0) {
+          renum[t] = reached;
+          order[reached++] = t;
+        }
+      }
+    }
+  }
+  int act_mod = 1;
+  for (int d = 2; d <= D; ++d) act_mod = std::lcm(act_mod, d);
+  // Stream automaton_orbit_key's words of the canonical table — initial
+  // state 0, the degree, the table size, delta in storage order (state,
+  // entry port, degree; impossible inputs i >= d are 0), then lambda —
+  // comparing each against `a`'s own entry on the way.
+  const std::size_t row = static_cast<std::size_t>(D + 1) * D;
+  KeyHasher h;
+  h.feed(0);
+  h.feed(static_cast<std::uint64_t>(D));
+  h.feed(static_cast<std::uint64_t>(reached) * row);
+  bool same = a.initial == 0 && reached == K;
+  for (int s2 = 0; s2 < reached; ++s2) {
+    const int s = order[s2];
+    const int* out = a.delta.data() + static_cast<std::size_t>(s2) * row;
+    for (int i = -1; i < D; ++i) {
+      for (int d = 1; d <= D; ++d, ++out) {
+        const int v = i < d ? renum[a.next(s, i, d)] : 0;
+        h.feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+        same = same && *out == v;
+      }
+    }
+  }
+  for (int s2 = 0; s2 < reached; ++s2) {
+    const int act = a.lambda[static_cast<std::size_t>(order[s2])];
+    const int v = act < 0 ? kStay : act % act_mod;
+    h.feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)) ^
+           0xa5a5a5a5a5a5a5a5ull);
+    same = same && a.lambda[static_cast<std::size_t>(s2)] == v;
+  }
+  if (collapsed != nullptr) *collapsed = !same;
+  return h.key();
 }
 
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton) {
@@ -59,12 +120,17 @@ OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton) {
   return h.key();
 }
 
-OrbitKey count_memo_key(const OrbitKey& grid, const OrbitKey& automaton,
-                        CountKind kind) {
+KeyHasher count_memo_prefix(const OrbitKey& grid, CountKind kind) {
   KeyHasher h;
   h.feed(kCountMemoDomain);
   h.feed(static_cast<std::uint64_t>(kind));
   h.feed(grid);
+  return h;
+}
+
+OrbitKey count_memo_key(const OrbitKey& grid, const OrbitKey& automaton,
+                        CountKind kind) {
+  KeyHasher h = count_memo_prefix(grid, kind);
   h.feed(automaton);
   return h.key();
 }
@@ -91,51 +157,43 @@ OrbitCache::OrbitCache(unsigned shard_count, std::size_t capacity,
 
 OrbitCache::~OrbitCache() { ::munmap(table_, table_bytes_); }
 
-OrbitCache::Shard& OrbitCache::shard_for(const OrbitKey& key) {
-  return shards_[static_cast<std::size_t>(key.lo >> 53) & shard_mask_];
-}
-
-const OrbitCache::Shard& OrbitCache::shard_for(const OrbitKey& key) const {
-  return shards_[static_cast<std::size_t>(key.lo >> 53) & shard_mask_];
-}
-
 const OrbitCache::OrbitSet* OrbitCache::peek(const OrbitKey& key) const {
-  const Node* n =
-      find(shard_for(key), key, epoch_.load(std::memory_order_acquire));
-  return n != nullptr ? n->set.get() : nullptr;
+  std::uintptr_t tag = 0;
+  if (find(shard_for(key), key, tag) == nullptr || tag == kCountTag) {
+    return nullptr;
+  }
+  return reinterpret_cast<const std::shared_ptr<const OrbitSet>*>(tag)
+      ->get();
 }
 
-const OrbitCache::Node* OrbitCache::find(const Shard& sh,
-                                         const OrbitKey& key,
-                                         std::uint64_t epoch) {
+const OrbitCache::Slot* OrbitCache::find(const Shard& sh, const OrbitKey& key,
+                                         std::uintptr_t& tag) {
   for (std::size_t i = static_cast<std::size_t>(key.hi) & sh.mask;;
        i = (i + 1) & sh.mask) {
     Slot& slot = sh.slots[i];
-    const Node* n =
-        std::atomic_ref<Node*>(slot.node).load(std::memory_order_acquire);
-    if (n == nullptr) return nullptr;  // key absent: slots fill front-first
-    if (slot.hi == key.hi && n->key.lo == key.lo && n->epoch == epoch) {
-      return n;
-    }
+    tag = std::atomic_ref<std::uintptr_t>(slot.tag).load(
+        std::memory_order_acquire);
+    if (tag == 0) return nullptr;  // key absent: slots fill front-first
+    if (slot.hi == key.hi && slot.lo == key.lo) return &slot;
   }
 }
 
-const OrbitCache::Node* OrbitCache::acquire_node(const OrbitKey& key) {
+const OrbitCache::Slot* OrbitCache::acquire_slot(const OrbitKey& key,
+                                                 std::uintptr_t& tag) {
   Shard& sh = shard_for(key);
-  const std::uint64_t ep = epoch_.load(std::memory_order_acquire);
   // Hit fast path: slots go empty -> published exactly once per epoch and
   // entries are immutable, so a lock-free linear probe suffices.
-  if (const Node* n = find(sh, key, ep); n != nullptr) {
+  if (const Slot* slot = find(sh, key, tag); slot != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return n;
+    return slot;
   }
   std::unique_lock<std::mutex> lk(sh.mu);
   for (;;) {
     // Re-check under the lock: a publisher may have finished while we
     // queued on the mutex (or while we waited on the condvar).
-    if (const Node* n = find(sh, key, ep); n != nullptr) {
+    if (const Slot* slot = find(sh, key, tag); slot != nullptr) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return n;
+      return slot;
     }
     const auto claim =
         std::find(sh.claimed.begin(), sh.claimed.end(), key);
@@ -151,51 +209,62 @@ const OrbitCache::Node* OrbitCache::acquire_node(const OrbitKey& key) {
 
 std::shared_ptr<const OrbitCache::OrbitSet> OrbitCache::acquire(
     const OrbitKey& key) {
-  const Node* n = acquire_node(key);
-  return n != nullptr ? n->set : nullptr;
+  std::uintptr_t tag = 0;
+  // Orbit-set and count keys are domain-separated (count_memo_key), so a
+  // slot found here holds a set.
+  if (acquire_slot(key, tag) == nullptr || tag == kCountTag) return nullptr;
+  return *reinterpret_cast<const std::shared_ptr<const OrbitSet>*>(tag);
 }
 
 std::optional<std::uint64_t> OrbitCache::acquire_count(const OrbitKey& key) {
-  const Node* n = acquire_node(key);
-  if (n == nullptr) return std::nullopt;
-  return n->count;
+  std::uintptr_t tag = 0;
+  const Slot* slot = acquire_slot(key, tag);
+  if (slot == nullptr) return std::nullopt;
+  return slot->count;
 }
 
 void OrbitCache::publish(const OrbitKey& key,
                          std::shared_ptr<const OrbitSet> set) {
-  const std::size_t sz = set != nullptr ? set->bytes : 0;
-  const bool accept = set != nullptr;
-  install(Node{key, 0, std::move(set), 0}, sz, accept);
+  install(key, /*is_count=*/false, std::move(set), 0);
 }
 
 void OrbitCache::publish_count(const OrbitKey& key, std::uint64_t count) {
-  install(Node{key, 0, nullptr, count}, sizeof(Node), true);
+  install(key, /*is_count=*/true, nullptr, count);
 }
 
-void OrbitCache::install(Node node, std::size_t sz, bool accept) {
-  Shard& sh = shard_for(node.key);
+void OrbitCache::install(const OrbitKey& key, bool is_count,
+                         std::shared_ptr<const OrbitSet> set,
+                         std::uint64_t count) {
+  Shard& sh = shard_for(key);
+  const std::size_t sz = set != nullptr ? set->bytes : 0;  // counts: none
   {
     const std::lock_guard<std::mutex> lk(sh.mu);
-    const auto claim =
-        std::find(sh.claimed.begin(), sh.claimed.end(), node.key);
+    const auto claim = std::find(sh.claimed.begin(), sh.claimed.end(), key);
     if (claim != sh.claimed.end()) sh.claimed.erase(claim);
     // Keep the probe table under 7/8 load so lookups stay short.
     const std::size_t slots = sh.mask + 1;
-    const bool fits = accept &&
+    const bool fits = (is_count || set != nullptr) &&
                       bytes_.load(std::memory_order_relaxed) + sz <=
                           max_bytes_ &&
                       sh.filled + 1 <= slots - slots / 8;
     if (fits) {
-      std::size_t i = static_cast<std::size_t>(node.key.hi) & sh.mask;
-      while (std::atomic_ref<Node*>(sh.slots[i].node)
-                 .load(std::memory_order_relaxed) != nullptr) {
+      std::size_t i = static_cast<std::size_t>(key.hi) & sh.mask;
+      while (std::atomic_ref<std::uintptr_t>(sh.slots[i].tag)
+                 .load(std::memory_order_relaxed) != 0) {
         i = (i + 1) & sh.mask;
       }
-      node.epoch = epoch_.load(std::memory_order_relaxed);
-      Node& stored = sh.nodes.emplace_back(std::move(node));
-      sh.slots[i].hi = stored.key.hi;
-      std::atomic_ref<Node*>(sh.slots[i].node)
-          .store(&stored, std::memory_order_release);
+      Slot& slot = sh.slots[i];
+      slot.hi = key.hi;
+      slot.lo = key.lo;
+      std::uintptr_t tag = kCountTag;
+      if (is_count) {
+        slot.count = count;
+      } else {
+        tag = reinterpret_cast<std::uintptr_t>(
+            &sh.sets.emplace_back(std::move(set)));
+      }
+      std::atomic_ref<std::uintptr_t>(slot.tag).store(
+          tag, std::memory_order_release);
       ++sh.filled;
       bytes_.fetch_add(sz, std::memory_order_relaxed);
       publishes_.fetch_add(1, std::memory_order_relaxed);
@@ -220,13 +289,14 @@ void OrbitCache::abandon(const OrbitKey& key) {
 void OrbitCache::advance_epoch() {
   epoch_.fetch_add(1, std::memory_order_acq_rel);
   for (Shard& sh : shards_) sh.mu.lock();
-  // Dropping the pages zeroes every slot again, and the untouched ones
-  // cost nothing; memset is the fallback should the kernel refuse.
+  // Dropping the pages zeroes every slot again — inline counts included,
+  // which is why slots carry no epoch — and the untouched ones cost
+  // nothing; memset is the fallback should the kernel refuse.
   if (::madvise(table_, table_bytes_, MADV_DONTNEED) != 0) {
     std::memset(table_, 0, table_bytes_);
   }
   for (Shard& sh : shards_) {
-    sh.nodes.clear();
+    sh.sets.clear();
     sh.filled = 0;
     sh.mu.unlock();
   }

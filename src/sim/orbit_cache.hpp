@@ -14,11 +14,13 @@
 // (grid, canonical automaton) key (count_memo_key) is served to every
 // later count of an equivalent binding without binding, extracting or
 // scanning anything — the count path of EnumerationContext stores only
-// counts, never orbit sets.
+// counts, never orbit sets. A count lives INSIDE its probe slot, so a
+// memo hit reads one 32-byte slot (half a cache line) and nothing else;
+// prefetch() lets a caller start that read early.
 //
 // Concurrency design:
 //  * N shards, selected by key hash. Each shard keeps its published
-//    entries in a fixed-capacity open-addressed table of entry pointers
+//    entries in a fixed-capacity open-addressed table of 32-byte slots
 //    — the HIT path linear-probes it lock-free (acquire loads only;
 //    entries are immutable and never removed within an epoch, so probing
 //    is sound without any reader coordination). Capacity is fixed up
@@ -34,20 +36,26 @@
 //    block on the shard condition variable until the publisher finishes,
 //    then adopt the published entry — so nothing is computed twice for
 //    one (key, epoch), which the concurrency tests assert via engine
-//    extraction counters. (If a publish is rejected over budget, or a
-//    claim abandoned, the blocked workers re-contend and one of them
-//    recomputes — the no-duplicate guarantee is best-effort only once
-//    the budget is hit.)
-//  * Epochs invalidate in O(1): advance_epoch() bumps the epoch counter
-//    and frees stale entries. It is NOT safe concurrently with
-//    acquire/publish — quiesce workers between sweeps first (the
-//    enumeration harness does: epochs advance between phases, never
-//    inside one).
+//    extraction counters. (If a publish is rejected over budget or
+//    capacity, or a claim abandoned, the blocked workers re-contend and
+//    one of them recomputes — the no-duplicate guarantee is best-effort
+//    only once the table is full.)
+//  * Epochs invalidate in O(1): advance_epoch() bumps the epoch counter,
+//    zeroes the whole slot table and frees the orbit sets. It is NOT safe
+//    concurrently with acquire/publish — quiesce workers between sweeps
+//    first (the enumeration harness does: epochs advance between phases,
+//    never inside one). Because every slot is empty again afterwards, no
+//    entry needs to record the epoch it was published in.
 //
-// The memory budget caps the bytes of published entries; past it,
-// publishes are rejected (counted in stats) and workers simply keep
+// The memory budget (max_bytes) caps the bytes of published ORBIT SETS;
+// past it, their publishes are rejected (counted) and workers simply keep
 // their private results — the cache degrades to a no-op rather than
-// evicting under readers.
+// evicting under readers. Counts allocate nothing beyond their slot, so
+// they are bounded by the slot capacity alone. A cache that serves one
+// known workload should be sized for it (capacity_for): the table is
+// 32 bytes per slot, and a hashed workload touches every page of it.
+// svc::run_worker and `rvt_cli shard run` pass dist::memo_cache_capacity,
+// room for every memo key of their workload.
 #pragma once
 
 #include <atomic>
@@ -109,7 +117,20 @@ OrbitKey automaton_orbit_key(const TabularAutomaton& a);
 /// keys bindings with this; verdicts are unchanged because key-equal
 /// automata produce identical trajectories on every tree the binding
 /// can query.
-OrbitKey canonical_automaton_key(const TabularAutomaton& a);
+///
+/// Always equal to automaton_orbit_key(canonical_reachable_form(a)), but
+/// computed without building the canonical table: the BFS renumbering
+/// runs in stack arrays and the canonical words stream straight into the
+/// hasher, so keying allocates nothing (automata above
+/// kStreamedKeyMaxStates states or kStreamedKeyMaxDegree fall back to the
+/// allocating form). When `collapsed` is non-null it receives whether
+/// the canonical form differs from `a` itself, i.e.
+/// !(canonical_reachable_form(a) == a).
+OrbitKey canonical_automaton_key(const TabularAutomaton& a,
+                                 bool* collapsed = nullptr);
+/// Bounds of canonical_automaton_key's allocation-free path.
+inline constexpr int kStreamedKeyMaxStates = 64;
+inline constexpr int kStreamedKeyMaxDegree = 16;
 /// Order-sensitive combination of two keys.
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton);
 
@@ -123,6 +144,10 @@ enum class CountKind : std::uint64_t { kUnmet = 1, kUngathered = 2 };
 /// orbit-set keys of combine_orbit_keys, so both share one table.
 OrbitKey count_memo_key(const OrbitKey& grid, const OrbitKey& automaton,
                         CountKind kind);
+/// count_memo_key's hasher state before the automaton key is fed: a
+/// caller keying many automata against one grid computes it once, then
+/// copies it and feeds each automaton key (bit-identical keys).
+KeyHasher count_memo_prefix(const OrbitKey& grid, CountKind kind);
 
 class OrbitCache {
  public:
@@ -139,10 +164,11 @@ class OrbitCache {
   /// `shard_count` is rounded up to a power of two (default 16);
   /// `capacity` is the total slot count across shards (rounded so each
   /// shard's table is a power of two; at most 7/8 of the slots fill, so
-  /// the default 2^19 slots hold ~458k entries — a K = 3 campaign pass
-  /// memoizes ~208k counts); `max_bytes` caps the approximate footprint
-  /// of published entries (default 2 GiB — far above the batteries'
-  /// needs, so rejects only guard runaway workloads).
+  /// the default 2^19 slots — a 16 MiB table — hold ~458k entries; a
+  /// K = 3 campaign pass memoizes ~208k counts); `max_bytes` caps the
+  /// approximate footprint of published orbit sets (default 2 GiB — far
+  /// above the batteries' needs, so rejects only guard runaway
+  /// workloads). Counts are not charged against it.
   explicit OrbitCache(unsigned shard_count = 16,
                       std::size_t capacity = std::size_t{1} << 19,
                       std::size_t max_bytes = std::size_t{1} << 31);
@@ -150,6 +176,12 @@ class OrbitCache {
 
   OrbitCache(const OrbitCache&) = delete;
   OrbitCache& operator=(const OrbitCache&) = delete;
+
+  /// The `capacity` that holds `entries` published entries at the 7/8
+  /// load limit (before the per-shard power-of-two rounding).
+  static constexpr std::size_t capacity_for(std::size_t entries) {
+    return (entries * 8 + 6) / 7;
+  }
 
   /// Lock-free on hit: the published set for `key` in the current epoch.
   /// On miss the caller becomes the key's PUBLISHER (returns nullptr) and
@@ -164,6 +196,15 @@ class OrbitCache {
   /// for acquire().
   const OrbitSet* peek(const OrbitKey& key) const;
 
+  /// Hint, not a lookup: starts pulling the slot a later acquire_count()
+  /// / acquire() of `key` probes first into the CPU caches. No claim, no
+  /// stats, no memory-model effect; a key that is never asked costs one
+  /// wasted line fill.
+  void prefetch(const OrbitKey& key) const {
+    const Shard& sh = shard_for(key);
+    __builtin_prefetch(&sh.slots[static_cast<std::size_t>(key.hi) & sh.mask]);
+  }
+
   /// Publishes the claimed key's set and wakes its waiters. Over budget
   /// the set is dropped (waiters wake, re-contend, and one re-extracts).
   void publish(const OrbitKey& key, std::shared_ptr<const OrbitSet> set);
@@ -174,8 +215,9 @@ class OrbitCache {
   /// blocking of other claimants.
   std::optional<std::uint64_t> acquire_count(const OrbitKey& key);
 
-  /// Publishes the claimed key's count and wakes its waiters. A full
-  /// shard rejects it (counted); the waiters then recompute.
+  /// Publishes the claimed key's count into its probe slot and wakes its
+  /// waiters. Allocates nothing and charges no bytes; a full shard
+  /// rejects it (counted), and the waiters then recompute.
   void publish_count(const OrbitKey& key, std::uint64_t count);
 
   /// Releases a claim without publishing (the computation failed);
@@ -189,57 +231,70 @@ class OrbitCache {
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_relaxed);
   }
+  /// Approximate bytes of the published orbit sets (counts cost none).
   std::size_t bytes() const {
     return bytes_.load(std::memory_order_relaxed);
   }
   Stats stats() const;
 
  private:
-  /// One published entry: an orbit set, or (set == nullptr) a memoized
-  /// count.
-  struct Node {
-    OrbitKey key;
-    std::uint64_t epoch = 0;
-    std::shared_ptr<const OrbitSet> set;
-    std::uint64_t count = 0;
-  };
-  /// One probe slot, trivially zero-initialized (the table is a fresh
-  /// anonymous mapping). `node` is only ever accessed through
-  /// std::atomic_ref; the key mirror `hi` lives next to it so a probe
-  /// costs one cache line, not a Node dereference per compared entry.
-  /// The publisher writes hi before the release store of node (under the
-  /// shard mutex); readers only read it after an acquire load sees
-  /// node != nullptr, so the mirror is race-free.
+  /// One probe slot, 32 bytes, so it never straddles a cache line (the
+  /// table is page-aligned). Trivially zero-initialized: the table is a
+  /// fresh anonymous mapping, and an all-zero slot is empty.
+  ///
+  /// `tag` is the publication marker, only ever accessed through
+  /// std::atomic_ref: 0 = empty, kCountTag = a memoized count held in
+  /// `count`, anything else = the address of the published orbit set's
+  /// shared_ptr in its shard's `sets`. The publisher (under the shard
+  /// mutex, into an empty slot) writes hi, lo and count first and then
+  /// release-stores tag; readers acquire-load tag and read the other
+  /// fields only once it is non-zero. A slot is written once per epoch,
+  /// so those plain reads never race with a write.
   struct Slot {
-    Node* node;
+    std::uintptr_t tag;
     std::uint64_t hi;
+    std::uint64_t lo;
+    std::uint64_t count;
   };
+  static_assert(sizeof(Slot) == 32);
+  static constexpr std::uintptr_t kCountTag = 1;
+
   struct Shard {
     /// Open-addressed, linear-probed, power-of-two sized window of the
-    /// shared mapping. Slots go from nullptr to a published Node exactly
-    /// once per epoch (store-release under the shard mutex); readers
-    /// probe with acquire loads only.
+    /// shared mapping. Slots go from empty to published exactly once per
+    /// epoch (store-release under the shard mutex); readers probe with
+    /// acquire loads only.
     Slot* slots = nullptr;
     std::size_t mask = 0;
     std::size_t filled = 0;  ///< guarded by mu
     std::mutex mu;
     std::condition_variable cv;
     std::vector<OrbitKey> claimed;  ///< keys currently being computed
-    std::deque<Node> nodes;  ///< entry storage; deque keeps them in place
+    /// Orbit-set storage; the deque keeps the elements in place, so a
+    /// slot's tag can point at one.
+    std::deque<std::shared_ptr<const OrbitSet>> sets;
   };
 
   /// The claim protocol shared by acquire() and acquire_count(): the
-  /// published node, or nullptr when the caller now holds the claim.
-  const Node* acquire_node(const OrbitKey& key);
-  /// Releases the claim and, unless `accept` is false or the shard /
-  /// budget is full, installs `node` (sized `sz` bytes); wakes waiters.
-  void install(Node node, std::size_t sz, bool accept);
+  /// published slot (its acquire-loaded tag in `tag`), or nullptr when
+  /// the caller now holds the claim.
+  const Slot* acquire_slot(const OrbitKey& key, std::uintptr_t& tag);
+  /// Releases the claim and, unless `set` is null for an orbit-set entry
+  /// or the shard / byte budget is full, installs the entry: the orbit
+  /// set `set` or, when `is_count`, the count `count`. Wakes waiters.
+  void install(const OrbitKey& key, bool is_count,
+               std::shared_ptr<const OrbitSet> set, std::uint64_t count);
 
-  Shard& shard_for(const OrbitKey& key);
-  const Shard& shard_for(const OrbitKey& key) const;
-  /// Lock-free probe for `key`; returns the node or nullptr.
-  static const Node* find(const Shard& sh, const OrbitKey& key,
-                          std::uint64_t epoch);
+  Shard& shard_for(const OrbitKey& key) {
+    return shards_[static_cast<std::size_t>(key.lo >> 53) & shard_mask_];
+  }
+  const Shard& shard_for(const OrbitKey& key) const {
+    return shards_[static_cast<std::size_t>(key.lo >> 53) & shard_mask_];
+  }
+  /// Lock-free probe for `key`: the published slot or nullptr, with its
+  /// acquire-loaded tag in `tag`.
+  static const Slot* find(const Shard& sh, const OrbitKey& key,
+                          std::uintptr_t& tag);
 
   std::vector<Shard> shards_;
   std::size_t shard_mask_ = 0;

@@ -175,8 +175,9 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
   bound_fp = ack.fingerprint;
 
   // One cache for every lease of this worker: a count memoized in one
-  // shard answers the equivalent automata of every later shard.
-  sim::OrbitCache cache;
+  // shard answers the equivalent automata of every later shard. Sized
+  // for the workload, not the default table.
+  sim::OrbitCache cache(16, dist::memo_cache_capacity(*w));
   sim::EnumerationContext ctx(w->grids(), w->max_rounds(), &cache);
 
   // The lease a drop must not forget: grant + compute position + the

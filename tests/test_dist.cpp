@@ -221,6 +221,43 @@ TEST_F(DistTest, ShardedRunMergesBitIdenticalToSingleProcess) {
   EXPECT_EQ(rerun.computed, 0u);
 }
 
+TEST_F(DistTest, WorkloadSizedCacheHoldsEveryCountOfItsShards) {
+  // svc::run_worker and `rvt_cli shard run` size their cache with
+  // memo_cache_capacity instead of the 2^19-slot default: grids x count
+  // entries at the 7/8 load, which for e10:14 rounds to 2^16 slots.
+  const auto w = dist::EnumWorkload::parse("e10:14");
+  const std::size_t capacity = dist::memo_cache_capacity(*w);
+  EXPECT_GE(capacity * 7, w->grids().size() * w->count() * 8);
+  EXPECT_GT(capacity, std::size_t{1} << 15);
+  EXPECT_LE(capacity, std::size_t{1} << 16);
+
+  // Reference per-shard sums: no cache at all.
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 6);
+  sim::EnumerationContext ctx(w->grids(), w->max_rounds(), nullptr);
+  std::vector<std::uint64_t> want;
+  for (const dist::ShardSpec& spec : plan.shards) {
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = spec.begin; i < spec.end; ++i) {
+      sum += w->defeats(ctx, i);
+    }
+    want.push_back(sum);
+  }
+
+  // One sized cache across every shard, as one worker's leases share it:
+  // nothing is rejected and every shard seals its reference sum.
+  sim::OrbitCache cache(16, capacity);
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < plan.shards.size(); ++s) {
+    const auto stats = dist::run_shard(*w, plan, s, path("journals"), &cache);
+    EXPECT_EQ(stats.sum, want[s]) << "shard " << s;
+    total += stats.sum;
+  }
+  EXPECT_EQ(cache.stats().rejects, 0u);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_EQ(total, 5426593u);  // the committed E10 profile count
+  EXPECT_EQ(dist::merge_journals(plan, path("journals")).total, total);
+}
+
 TEST_F(DistTest, ResumeAfterKillRecomputesOnlyUncommittedIndices) {
   const auto w = dist::EnumWorkload::parse("e10:5");
   const dist::ShardPlan plan = dist::make_shard_plan(*w, 2);

@@ -5,7 +5,8 @@
 // single machine — and that the defeat-count memo computes each
 // (grid, canonical automaton) key once, degrading to recomputation when
 // the table is full. The races run under the ASan/UBSan CI job like
-// every tier-1 test.
+// every tier-1 test, and under the TSan job, which checks the lock-free
+// slot publication.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,6 +46,55 @@ TEST(OrbitKeys, DistinguishBindings) {
   const auto kb = combine_orbit_keys(tree_orbit_key(line9),
                                      automaton_orbit_key(a));
   EXPECT_NE(ka, kb);
+}
+
+TEST(CanonicalKey, StreamedKeyMatchesCanonicalForm) {
+  // canonical_automaton_key streams the canonical table's words without
+  // building it; it must agree bit for bit with hashing the built form,
+  // and report a collapse exactly when the canonical form differs.
+  util::Rng rng(0xca40c);
+  std::vector<TabularAutomaton> cases;
+  for (int k = 1; k <= 6; ++k) {
+    for (int r = 0; r < 300; ++r) {
+      cases.push_back(random_line_automaton(k, rng).tabular());
+    }
+  }
+  for (int r = 0; r < 300; ++r) {  // D = 3, port-sensitive tables
+    cases.push_back(
+        random_tree_automaton(1 + static_cast<int>(rng.index(6)), rng)
+            .tabular());
+  }
+  // Above the stack bound: the allocating fallback.
+  cases.push_back(
+      random_line_automaton(kStreamedKeyMaxStates + 9, rng).tabular());
+  // Canonical forms are their own canonical form: no collapse. The same
+  // tables with every action raised by lcm(1..D) collapse through their
+  // actions alone.
+  const std::size_t drawn = cases.size();
+  for (std::size_t i = 0; i < drawn; i += 7) {
+    const TabularAutomaton canon = canonical_reachable_form(cases[i]);
+    cases.push_back(canon);
+    TabularAutomaton raised = canon;
+    for (int& act : raised.lambda) {
+      if (act >= 0) act += canon.max_degree == 2 ? 2 : 6;
+    }
+    cases.push_back(raised);
+  }
+  std::size_t collapsed_count = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const TabularAutomaton& a = cases[i];
+    const TabularAutomaton canon = canonical_reachable_form(a);
+    bool collapsed = false;
+    EXPECT_EQ(canonical_automaton_key(a, &collapsed),
+              automaton_orbit_key(canon))
+        << "case " << i;
+    EXPECT_EQ(collapsed, !(canon == a)) << "case " << i;
+    EXPECT_EQ(canonical_automaton_key(a), automaton_orbit_key(canon));
+    collapsed_count += collapsed ? 1 : 0;
+  }
+  EXPECT_GT(collapsed_count, 0u);
+  EXPECT_LT(collapsed_count, cases.size());
+  EXPECT_GT(cases[drawn - 1].num_states(), kStreamedKeyMaxStates);
 }
 
 TEST(OrbitCache, ClaimPublishAcquireRoundTrip) {
@@ -229,6 +279,67 @@ TEST(CountMemo, ClaimPublishAcquireCountRoundTrip) {
   EXPECT_EQ(cache.acquire_count(key), std::nullopt);  // claimable again
   cache.publish_count(key, 41);
   EXPECT_EQ(cache.acquire_count(key), std::optional<std::uint64_t>(41));
+
+  // Counts live inline in their probe slots and carry no epoch: the
+  // epoch advance alone must empty them. Fill most of the table, advance,
+  // and every key must be claimable again (no stale count served), then
+  // hold its new value — twice over, so the second advance clears slots
+  // the first one already recycled.
+  std::vector<OrbitKey> keys;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    keys.push_back(count_memo_key(grid, OrbitKey{i, ~i}, CountKind::kUnmet));
+  }
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    cache.advance_epoch();
+    EXPECT_EQ(cache.acquire_count(key), std::nullopt);  // 41 is gone too
+    cache.abandon(key);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(cache.acquire_count(keys[i]), std::nullopt)
+          << "round " << round << " key " << i;
+      cache.publish_count(keys[i], round * 1000 + i);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(cache.acquire_count(keys[i]),
+                std::optional<std::uint64_t>(round * 1000 + i))
+          << "round " << round << " key " << i;
+    }
+  }
+  EXPECT_EQ(cache.stats().rejects, 0u);
+}
+
+TEST(CountMemo, CountEntriesChargeNoBytes) {
+  // A count is held in its probe slot: no node, no bytes. Even a zero
+  // byte budget, which rejects every orbit set, accepts counts — they
+  // are bounded by slot capacity alone.
+  OrbitCache cache(2, 64, /*max_bytes=*/0);
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const OrbitKey key{i, i * 7 + 1};
+    ASSERT_EQ(cache.acquire_count(key), std::nullopt);
+    cache.publish_count(key, i);
+  }
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.stats().publishes, 20u);
+  EXPECT_EQ(cache.stats().rejects, 0u);
+  const OrbitKey set_key{99, 98};
+  EXPECT_EQ(cache.acquire(set_key), nullptr);
+  auto set = std::make_shared<CompiledConfigEngine::OrbitSet>();
+  set->bytes = 1;
+  cache.publish(set_key, set);
+  EXPECT_EQ(cache.stats().rejects, 1u);  // orbit sets still pay bytes
+
+  OrbitCache roomy(2, 64);
+  ASSERT_EQ(roomy.acquire(set_key), nullptr);
+  set->bytes = 100;
+  roomy.publish(set_key, set);
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const OrbitKey key{i, i * 7 + 1};
+    ASSERT_EQ(roomy.acquire_count(key), std::nullopt);
+    roomy.publish_count(key, i);
+  }
+  EXPECT_EQ(roomy.bytes(), 100u);  // the orbit set's bytes only
+  EXPECT_EQ(roomy.acquire_count(OrbitKey{3, 22}),
+            std::optional<std::uint64_t>(3));
+  EXPECT_EQ(roomy.peek(set_key), set.get());
 }
 
 /// Seeded line automata plus two small pair grids: the shared fixture of
@@ -330,6 +441,47 @@ TEST(CountMemo, FullTableDegradesToRecomputation) {
 
   EnumTelemetry solo_telemetry;
   EXPECT_EQ(counts, b.sweep(grids, 3, 1, nullptr, &solo_telemetry));
+}
+
+TEST(CountMemo, PrefetchBatchIsNotALookup) {
+  // The first memoized count of a binding keys and prefetches EVERY
+  // grid. Those prefetches are hints: lookup accounting is one hit or
+  // one miss per count actually asked, whatever subset of grids (and
+  // kinds) a binding asks for.
+  const MemoBattery b(24, 0xba7c4);
+  std::vector<EnumGrid> grids{b.grid(0), b.grid(1), b.grid(0), b.grid(1)};
+  const std::uint64_t n = b.automata.size() * 4;
+  const auto one_grid = [&](EnumerationContext& ctx, std::uint64_t i) {
+    ctx.bind(b.automata[i % b.automata.size()]);
+    return ctx.count_unmet((i / 3) % ctx.grid_count());
+  };
+  const auto both_kinds = [&](EnumerationContext& ctx, std::uint64_t i) {
+    ctx.bind(b.automata[i % b.automata.size()]);
+    std::uint64_t sum = 0;
+    for (std::size_t g = 0; g < ctx.grid_count(); ++g) {
+      // Alternate which kind opens the binding's batch.
+      sum = sum * 31 + (((g + i) % 2 == 0) ? ctx.count_unmet(g)
+                                           : ctx.count_ungathered(g));
+      sum = sum * 31 + (((g + i) % 2 == 0) ? ctx.count_ungathered(g)
+                                           : ctx.count_unmet(g));
+    }
+    return sum;
+  };
+  const auto check = [&](auto fn, std::uint64_t calls, const char* what) {
+    OrbitCache cache(4);
+    EnumTelemetry telemetry;
+    const auto counts =
+        sweep_enumeration(grids, n, 100000, fn, 4, &cache, &telemetry);
+    const OrbitCache::Stats st = cache.stats();
+    EXPECT_EQ(st.hits + st.misses, calls) << what;
+    EXPECT_EQ(telemetry.cache_hits + telemetry.cache_misses, calls) << what;
+    EXPECT_EQ(st.misses, telemetry.cache_misses) << what;
+    EXPECT_EQ(st.publishes, st.misses) << what;
+    EXPECT_EQ(st.rejects, 0u) << what;
+    EXPECT_EQ(counts, sweep_enumeration(grids, n, 100000, fn, 1)) << what;
+  };
+  check(one_grid, n, "one grid per binding");
+  check(both_kinds, n * grids.size() * 2, "alternating kinds");
 }
 
 /// Raw acquire/publish race on one key: exactly one claimer, everyone
