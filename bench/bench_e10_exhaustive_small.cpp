@@ -226,10 +226,13 @@ int main() {
       });
   all_ok = all_ok && compiled_sum == reference_sum;  // engines must agree
   all_ok = all_ok && probe_sum == compiled_sum;  // probe re-ran the same work
-  const auto cache_stats = cache.stats();
+  // telemetry() first: it reports the context's last binding-row hits to
+  // the cache, so the stats read after it are exact.
   const auto telemetry = profile_ctx.telemetry();
+  const auto cache_stats = cache.stats();
   // Every pass must compute each (grid, canonical automaton) key exactly
-  // once and serve every repeat from the memo. Keys per pass = distinct
+  // once and serve every repeat from the memo: one hit or one miss per
+  // count asked, and misses == keys per pass. Keys per pass = distinct
   // canonical forms x distinct grid contents (some battery trees are
   // port-labeled copies of one another, and their grids share counts).
   const auto key_less = [](const sim::OrbitKey& x, const sim::OrbitKey& y) {
@@ -258,7 +261,10 @@ int main() {
   }
   const std::uint64_t keys_per_pass = distinct_canonical * distinct_grids;
   constexpr std::uint64_t kPasses = 2 * (kCompiledWarmup + kCompiledRepeats);
+  const std::uint64_t counts_asked =
+      kPasses * sample.size() * profile_grids.size();
   all_ok = all_ok && cache_stats.hits > 0 && cache_stats.rejects == 0 &&
+           cache_stats.hits + cache_stats.misses == counts_asked &&
            telemetry.cache_misses == kPasses * keys_per_pass;
   const double speedup = compiled_s > 0 ? reference_s / compiled_s : 0.0;
   std::cout << "\ndefeat-density profile workload (" << sample.size()
@@ -271,11 +277,11 @@ int main() {
             << "  legacy stepper:   " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x\n"
             << "  count memo:       " << cache_stats.hits << " hits / "
-            << cache_stats.misses << " misses (repeat share "
-            << telemetry.hit_rate() << ", " << keys_per_pass
-            << " keys per pass)\n";
+            << cache_stats.misses << " misses of " << counts_asked
+            << " counts (repeat share " << telemetry.hit_rate() << ", "
+            << keys_per_pass << " keys per pass)\n";
   const double obs_ratio = compiled_s > 0 ? obs_on_s / compiled_s : 0.0;
-  all_ok = all_ok && obs_ratio <= 1.05;
+  const bool obs_ok = obs_ratio <= 1.05;
   std::cout << "  obs armed:        " << obs_on_s << " s (ratio " << obs_ratio
             << "x vs idle, budget 1.05x)\n";
 
@@ -315,8 +321,14 @@ int main() {
   report.table(table);
   std::cout << "report: " << report.write() << "\n";
 
+  // Two verdicts: the paper claim (with the checks that certify the work
+  // behind it) and the timing gate, so a noisy timer cannot print a
+  // failed Thm 4.2. Either one failing fails the bench.
   bench::verdict(all_ok,
                  "no automaton with <= 3 states survives the small-line "
                  "battery (Thm 4.2 at the bottom of the hierarchy)");
-  return all_ok ? 0 : 1;
+  bench::verdict(obs_ok,
+                 "armed observability stays within 1.05x of the idle "
+                 "profile pass (obs overhead gate)");
+  return all_ok && obs_ok ? 0 : 1;
 }

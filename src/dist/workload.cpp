@@ -20,9 +20,10 @@ std::vector<BatteryTree> make_line_battery(int max_n) {
     for (auto& t : labelings) {
       BatteryTree bt;
       bt.t = std::move(t);
+      const tree::SymmetrizablePairs symmetrizable(bt.t);
       for (tree::NodeId u = 0; u < n; ++u) {
         for (tree::NodeId v = u + 1; v < n; ++v) {
-          if (tree::perfectly_symmetrizable(bt.t, u, v)) continue;
+          if (symmetrizable(u, v)) continue;
           bt.pairs.emplace_back(u, v);
         }
       }

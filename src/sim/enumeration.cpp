@@ -38,7 +38,8 @@ inline void note_binding_prepared(std::uint64_t t0_ns, bool cache_hit) {
 EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
                                        std::uint64_t max_rounds,
                                        OrbitCache* cache)
-    : grids_(grids), max_rounds_(max_rounds), cache_(cache) {
+    : grids_(grids), max_rounds_(max_rounds), cache_(cache),
+      row_hits_(cache) {
   if (max_rounds_ == 0) {
     throw std::invalid_argument(
         "EnumerationContext: max_rounds must be > 0");
@@ -108,6 +109,7 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
     }
   }
   memo_keys_.resize(memo_prefixes_.size());
+  memo_row_.resize(memo_prefixes_.size());
 }
 
 void EnumerationContext::require_meet(std::size_t g) const {
@@ -119,6 +121,7 @@ void EnumerationContext::require_meet(std::size_t g) const {
 }
 
 void EnumerationContext::bind(const TabularAutomaton& a) {
+  row_hits_.flush();  // the previous binding's hits, in one add
   automaton_ = &a;
   ++serial_;
   automaton_key_valid_ = false;
@@ -138,23 +141,30 @@ const OrbitKey& EnumerationContext::automaton_key() {
   return automaton_key_;
 }
 
-const OrbitKey& EnumerationContext::memo_key(std::size_t g, CountKind kind) {
+std::size_t EnumerationContext::memo_row(CountKind kind) {
   const std::size_t k = kind == CountKind::kUnmet ? 0 : 1;
   const std::size_t base = k * grids_.size();
-  if (memo_serial_[k] != serial_) {
-    // First count of this kind in the binding: key every grid at once
-    // and start their slots' line fills, so each later count_*(g) of the
-    // binding probes a line that is already on its way in.
-    const OrbitKey& akey = automaton_key();
-    for (std::size_t h = base; h < base + grids_.size(); ++h) {
-      KeyHasher hasher = memo_prefixes_[h];
-      hasher.feed(akey);
-      memo_keys_[h] = hasher.key();
-      cache_->prefetch(memo_keys_[h]);
+  const std::uint64_t epoch = cache_->epoch();
+  if (memo_serial_[k] != serial_ || row_epoch_[k] != epoch) {
+    // First count of this kind in the binding (or the first since an
+    // epoch advance emptied the cache): key every grid, then probe every
+    // slot once without claiming, the binding's slot reads overlapping
+    // instead of queueing behind each other.
+    if (memo_serial_[k] != serial_) {
+      const OrbitKey& akey = automaton_key();
+      for (std::size_t h = base; h < base + grids_.size(); ++h) {
+        KeyHasher hasher = memo_prefixes_[h];
+        hasher.feed(akey);
+        memo_keys_[h] = hasher.key();
+      }
+      memo_serial_[k] = serial_;
     }
-    memo_serial_[k] = serial_;
+    cache_->probe_counts(
+        std::span<const OrbitKey>(memo_keys_).subspan(base, grids_.size()),
+        std::span(memo_row_).subspan(base, grids_.size()));
+    row_epoch_[k] = epoch;
   }
-  return memo_keys_[base + g];
+  return base;
 }
 
 EnumerationContext::Slot& EnumerationContext::prepare_local(std::size_t g) {
@@ -288,9 +298,18 @@ std::uint64_t EnumerationContext::memoized_count(std::size_t g,
   if (automaton_ == nullptr) {
     throw std::logic_error("EnumerationContext: bind() an automaton first");
   }
-  const OrbitKey key = memo_key(g, kind);
+  const std::size_t h = memo_row(kind) + g;
   // A hit prepares no binding, so it records no binding latency: the
   // lookup is a few nanoseconds, less than reading the clock.
+  if (const std::optional<std::uint64_t>& known = memo_row_[h]) {
+    row_hits_.add();
+    ++stats_.bindings;
+    ++stats_.cache_hits;
+    return *known;
+  }
+  // Not published when the row was probed: claim it — or find it
+  // published by another worker since.
+  const OrbitKey& key = memo_keys_[h];
   if (const std::optional<std::uint64_t> hit = cache_->acquire_count(key)) {
     ++stats_.bindings;
     ++stats_.cache_hits;
@@ -545,6 +564,7 @@ std::uint64_t EnumerationContext::count_ungathered(std::size_t g) {
 }
 
 EnumTelemetry EnumerationContext::telemetry() const {
+  row_hits_.flush();
   EnumTelemetry t = stats_;
   for (const Slot& slot : slots_) {
     if (slot.engine.has_value()) {

@@ -31,8 +31,11 @@
 // construction, and a count is computed once per (grid key, canonical
 // automaton key) per machine — every equivalent binding after the first
 // is answered without binding, extracting or scanning. A binding's first
-// count keys every grid at once and prefetches their memo slots, so the
-// later counts of the binding read lines already on their way in. The
+// count of a kind keys every grid and probes every memo slot once, without
+// claiming: the answers found make the binding's ROW, and each later
+// count of a known grid is served from it with no call into the cache
+// and no atomic (the hits served reach the cache's stats once per
+// binding). A grid the probe did not find takes the claiming lookup. The
 // verdict and early-exit calls instead acquire / publish the binding's
 // orbit set, so a battery shared by several workers extracts each orbit
 // once per machine — every verdict carries the cache_hit flag for
@@ -49,6 +52,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/compiled.hpp"
@@ -190,7 +194,8 @@ class EnumerationContext {
   /// remaining per-query cost. Equals counting met == false over
   /// verify(g). With a cache attached the count is memoized under
   /// (grid key, canonical automaton key): a hit returns it without
-  /// touching the engine; a miss claims the key, computes locally and
+  /// touching the engine (from the binding row when the binding's probe
+  /// pass found it); a miss claims the key, computes locally and
   /// publishes only the count (the claim is abandoned on an exception).
   std::uint64_t count_unmet(std::size_t g);
 
@@ -214,10 +219,39 @@ class EnumerationContext {
 
   std::size_t grid_count() const { return grids_.size(); }
   /// Telemetry accumulated by this context so far (orbits_extracted sums
-  /// over the engines built so far).
+  /// over the engines built so far). Also reports the memo hits served
+  /// from the binding row to the attached cache's stats(), which
+  /// otherwise receive them at the next bind() or at destruction.
   EnumTelemetry telemetry() const;
 
  private:
+  /// Memo hits served from the binding row and not yet added to the
+  /// cache's stats. Reports them on flush() and at destruction; a
+  /// moved-from tally holds none, so a moved-from context reports nothing.
+  class HitTally {
+   public:
+    explicit HitTally(OrbitCache* cache) : cache_(cache) {}
+    HitTally(HitTally&& o) noexcept
+        : cache_(o.cache_), pending_(std::exchange(o.pending_, 0)) {}
+    HitTally& operator=(HitTally&& o) noexcept {
+      if (this != &o) {
+        flush();
+        cache_ = o.cache_;
+        pending_ = std::exchange(o.pending_, 0);
+      }
+      return *this;
+    }
+    ~HitTally() { flush(); }
+    void add() { ++pending_; }
+    void flush() {
+      if (pending_ != 0) cache_->add_hits(std::exchange(pending_, 0));
+    }
+
+   private:
+    OrbitCache* cache_;
+    std::uint64_t pending_ = 0;
+  };
+
   struct Slot {
     std::optional<CompiledConfigEngine> engine;
     OrbitKey tree_key;
@@ -250,9 +284,11 @@ class EnumerationContext {
   /// collapse in the telemetry when the canonical form differs from the
   /// bound table.
   const OrbitKey& automaton_key();
-  /// Grid g's memo key for `kind` under the bound automaton. The first
-  /// call per (binding, kind) keys EVERY grid and prefetches their slots.
-  const OrbitKey& memo_key(std::size_t g, CountKind kind);
+  /// Index of the (kind, grid 0) entry of memo_keys_ / memo_row_, with
+  /// the row filled for the bound automaton: the first call per
+  /// (binding, kind) — or after the cache's epoch moved — keys every grid
+  /// and probes every slot once.
+  std::size_t memo_row(CountKind kind);
   /// The memo around count_unmet/count_ungathered: `scan` computes the
   /// count over a locally prepared slot.
   template <typename Scan>
@@ -276,7 +312,13 @@ class EnumerationContext {
   /// Memo keys of the current binding, same layout, valid for the
   /// binding memo_serial_[kind] names.
   std::vector<OrbitKey> memo_keys_;
+  /// The binding row, same layout: the count the probe pass found per
+  /// (kind, grid), or nullopt. Valid for the binding memo_serial_[kind]
+  /// names and the cache epoch row_epoch_[kind] names.
+  std::vector<std::optional<std::uint64_t>> memo_row_;
   std::uint64_t memo_serial_[2] = {0, 0};
+  std::uint64_t row_epoch_[2] = {0, 0};
+  mutable HitTally row_hits_;
   std::vector<Verdict> verdicts_;
   std::vector<GatherVerdict> gather_verdicts_;
   EnumTelemetry stats_;

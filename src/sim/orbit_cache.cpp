@@ -166,18 +166,6 @@ const OrbitCache::OrbitSet* OrbitCache::peek(const OrbitKey& key) const {
       ->get();
 }
 
-const OrbitCache::Slot* OrbitCache::find(const Shard& sh, const OrbitKey& key,
-                                         std::uintptr_t& tag) {
-  for (std::size_t i = static_cast<std::size_t>(key.hi) & sh.mask;;
-       i = (i + 1) & sh.mask) {
-    Slot& slot = sh.slots[i];
-    tag = std::atomic_ref<std::uintptr_t>(slot.tag).load(
-        std::memory_order_acquire);
-    if (tag == 0) return nullptr;  // key absent: slots fill front-first
-    if (slot.hi == key.hi && slot.lo == key.lo) return &slot;
-  }
-}
-
 const OrbitCache::Slot* OrbitCache::acquire_slot(const OrbitKey& key,
                                                  std::uintptr_t& tag) {
   Shard& sh = shard_for(key);

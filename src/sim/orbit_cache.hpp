@@ -15,8 +15,11 @@
 // later count of an equivalent binding without binding, extracting or
 // scanning anything — the count path of EnumerationContext stores only
 // counts, never orbit sets. A count lives INSIDE its probe slot, so a
-// memo hit reads one 32-byte slot (half a cache line) and nothing else;
-// prefetch() lets a caller start that read early.
+// memo hit reads one 32-byte slot (half a cache line) and nothing else.
+// probe_counts() reads a batch of them without claiming, blocking or
+// counting — a caller that looks up many keys at once (one per grid of a
+// binding) overlaps their reads and reports the hits it served in one
+// add_hits().
 //
 // Concurrency design:
 //  * N shards, selected by key hash. Each shard keeps its published
@@ -65,6 +68,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/compiled.hpp"
@@ -196,13 +200,31 @@ class OrbitCache {
   /// for acquire().
   const OrbitSet* peek(const OrbitKey& key) const;
 
-  /// Hint, not a lookup: starts pulling the slot a later acquire_count()
-  /// / acquire() of `key` probes first into the CPU caches. No claim, no
-  /// stats, no memory-model effect; a key that is never asked costs one
-  /// wasted line fill.
-  void prefetch(const OrbitKey& key) const {
-    const Shard& sh = shard_for(key);
-    __builtin_prefetch(&sh.slots[static_cast<std::size_t>(key.hi) & sh.mask]);
+  /// Non-claiming lock-free count lookup over a batch: out[i] is the
+  /// count published under keys[i], or nullopt — with no claim, no
+  /// blocking and no stats. Every key's home slot is requested before
+  /// the first compare, so the batch's slot reads overlap even where a
+  /// probe walks past its home slot. A nullopt proves nothing about later
+  /// calls (another worker may be computing the key): acquire_count()
+  /// claims it. A caller serving an answer found here reports it through
+  /// add_hits(). `out` must be at least as long as `keys`.
+  void probe_counts(std::span<const OrbitKey> keys,
+                    std::span<std::optional<std::uint64_t>> out) const {
+    for (const OrbitKey& key : keys) {
+      const Shard& sh = shard_for(key);
+      __builtin_prefetch(&sh.slots[static_cast<std::size_t>(key.hi) & sh.mask]);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      std::uintptr_t tag = 0;
+      const Slot* slot = find(shard_for(keys[i]), keys[i], tag);
+      out[i] = slot == nullptr ? std::nullopt
+                               : std::optional<std::uint64_t>(slot->count);
+    }
+  }
+
+  /// Adds `n` hits served from probe_counts() answers to stats().hits.
+  void add_hits(std::uint64_t n) {
+    hits_.fetch_add(n, std::memory_order_relaxed);
   }
 
   /// Publishes the claimed key's set and wakes its waiters. Over budget
@@ -294,7 +316,16 @@ class OrbitCache {
   /// Lock-free probe for `key`: the published slot or nullptr, with its
   /// acquire-loaded tag in `tag`.
   static const Slot* find(const Shard& sh, const OrbitKey& key,
-                          std::uintptr_t& tag);
+                          std::uintptr_t& tag) {
+    for (std::size_t i = static_cast<std::size_t>(key.hi) & sh.mask;;
+         i = (i + 1) & sh.mask) {
+      Slot& slot = sh.slots[i];
+      tag = std::atomic_ref<std::uintptr_t>(slot.tag).load(
+          std::memory_order_acquire);
+      if (tag == 0) return nullptr;  // key absent: slots fill front-first
+      if (slot.hi == key.hi && slot.lo == key.lo) return &slot;
+    }
+  }
 
   std::vector<Shard> shards_;
   std::size_t shard_mask_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "tree/center.hpp"
 
@@ -179,20 +180,49 @@ bool symmetric_positions(const Tree& t, NodeId u, NodeId v) {
   return f && (*f)[u] == v;
 }
 
-bool perfectly_symmetrizable(const Tree& t, NodeId u, NodeId v) {
+namespace {
+
+/// Topological id of `node`'s half of the central split, rooted at the
+/// half's central endpoint and marked at `node`.
+int marked_half_id(const Tree& t, const CentralSplit& cs, Canonizer& cz,
+                   NodeId node) {
+  return cs.in_x_half[node] ? cz.topo_id(t, cs.x, cs.y, node)
+                            : cz.topo_id(t, cs.y, cs.x, node);
+}
+
+void require_distinct(NodeId u, NodeId v) {
   if (u == v) {
     throw std::invalid_argument(
         "perfectly_symmetrizable: initial positions must differ");
   }
+}
+
+}  // namespace
+
+bool perfectly_symmetrizable(const Tree& t, NodeId u, NodeId v) {
+  require_distinct(u, v);
   const auto cs = central_split(t);
   if (!cs) return false;  // central node: every automorphism would fix it
   if (cs->in_x_half[u] == cs->in_x_half[v]) return false;
-  NodeId a = u, b = v;
-  if (!cs->in_x_half[a]) std::swap(a, b);  // a in x's half, b in y's
   Canonizer cz;
-  const int ida = cz.topo_id(t, cs->x, cs->y, a);
-  const int idb = cz.topo_id(t, cs->y, cs->x, b);
-  return ida == idb;
+  return marked_half_id(t, *cs, cz, u) == marked_half_id(t, *cs, cz, v);
+}
+
+SymmetrizablePairs::SymmetrizablePairs(const Tree& t) {
+  auto cs = central_split(t);
+  if (!cs) return;
+  Canonizer cz;
+  half_id_.resize(static_cast<std::size_t>(t.node_count()));
+  for (NodeId v = 0; v < t.node_count(); ++v) {
+    half_id_[v] = marked_half_id(t, *cs, cz, v);
+  }
+  in_x_half_ = std::move(cs->in_x_half);
+}
+
+bool SymmetrizablePairs::operator()(NodeId u, NodeId v) const {
+  require_distinct(u, v);
+  return !in_x_half_.empty() && in_x_half_[u] != in_x_half_[v] &&
+         half_id_[u] == half_id_[v];
 }
 
 namespace {

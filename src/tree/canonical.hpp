@@ -84,6 +84,23 @@ bool symmetric_positions(const Tree& t, NodeId u, NodeId v);
 /// otherwise: co-located agents have trivially met).
 bool perfectly_symmetrizable(const Tree& t, NodeId u, NodeId v);
 
+/// perfectly_symmetrizable for every pair of one tree at once: one
+/// central split, one Canonizer and one marked-half topo_id per node
+/// (the id of the node's half rooted at its central endpoint, marked at
+/// the node). A pair is symmetrizable iff its nodes lie in opposite
+/// halves with equal ids — O(1) per pair after O(n) canonizations, where
+/// the per-pair predicate pays two canonizations and a split per call.
+class SymmetrizablePairs {
+ public:
+  explicit SymmetrizablePairs(const Tree& t);
+  /// Equals perfectly_symmetrizable(t, u, v); requires u != v likewise.
+  bool operator()(NodeId u, NodeId v) const;
+
+ private:
+  std::vector<char> in_x_half_;  ///< empty: the tree has a central node
+  std::vector<int> half_id_;     ///< node -> marked-half topo_id
+};
+
 /// All automorphisms (port-oblivious) of T as node maps, by brute force.
 /// Guarded to n <= 10; used by tests to cross-check the predicates above.
 std::vector<std::vector<NodeId>> enumerate_automorphisms(const Tree& t);

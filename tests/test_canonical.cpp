@@ -246,6 +246,45 @@ TEST(Symmetrizable, RequiresOppositeHalves) {
   EXPECT_FALSE(perfectly_symmetrizable(l8, 1, 2));
 }
 
+TEST(Symmetrizable, PerTreeFormMatchesPerPairPredicate) {
+  // Every labeling of the line battery (make_line_battery(20)), seeded
+  // random trees with n <= 12 and mirrored two-sided trees, so both
+  // answers occur.
+  std::vector<Tree> cases;
+  for (NodeId n = 3; n <= 20; ++n) {
+    cases.push_back(line(n));
+    cases.push_back(line_edge_colored(n, 0));
+    cases.push_back(line_edge_colored(n, 1));
+    if (n % 2 == 0) cases.push_back(line_symmetric_colored(n - 1));
+  }
+  util::Rng rng(0x5e77);
+  for (int rep = 0; rep < 40; ++rep) {
+    const auto n = static_cast<NodeId>(2 + rng.index(11));
+    cases.push_back(randomize_ports(random_attachment(n, rng), rng));
+  }
+  for (std::uint64_t mask = 0; mask < 8; ++mask) {
+    const Tree side = side_tree(4, mask);
+    cases.push_back(two_sided_tree(side, side, 2 + 2 * (mask % 2)).tree);
+  }
+  std::size_t pairs = 0, symmetrizable = 0;
+  for (const Tree& t : cases) {
+    const SymmetrizablePairs per_tree(t);
+    for (NodeId u = 0; u < t.node_count(); ++u) {
+      for (NodeId v = 0; v < t.node_count(); ++v) {
+        if (u == v) continue;
+        const bool want = perfectly_symmetrizable(t, u, v);
+        EXPECT_EQ(per_tree(u, v), want)
+            << t.to_string() << " u=" << u << " v=" << v;
+        ++pairs;
+        symmetrizable += want ? 1 : 0;
+      }
+    }
+    EXPECT_THROW(per_tree(0, 0), std::invalid_argument);
+  }
+  EXPECT_GT(symmetrizable, 100u);
+  EXPECT_GT(pairs - symmetrizable, 1000u);
+}
+
 TEST(Automorphisms, GuardsLargeTrees) {
   EXPECT_THROW(enumerate_automorphisms(line(11)), std::invalid_argument);
 }

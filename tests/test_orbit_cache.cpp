@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <thread>
@@ -444,10 +445,10 @@ TEST(CountMemo, FullTableDegradesToRecomputation) {
 }
 
 TEST(CountMemo, PrefetchBatchIsNotALookup) {
-  // The first memoized count of a binding keys and prefetches EVERY
-  // grid. Those prefetches are hints: lookup accounting is one hit or
-  // one miss per count actually asked, whatever subset of grids (and
-  // kinds) a binding asks for.
+  // The first memoized count of a binding (per kind) keys and probes
+  // EVERY grid to fill the binding row. Those probes are not lookups:
+  // accounting is one hit or one miss per count actually asked, whatever
+  // subset of grids (and kinds) a binding asks for.
   const MemoBattery b(24, 0xba7c4);
   std::vector<EnumGrid> grids{b.grid(0), b.grid(1), b.grid(0), b.grid(1)};
   const std::uint64_t n = b.automata.size() * 4;
@@ -482,6 +483,138 @@ TEST(CountMemo, PrefetchBatchIsNotALookup) {
   };
   check(one_grid, n, "one grid per binding");
   check(both_kinds, n * grids.size() * 2, "alternating kinds");
+}
+
+TEST(CountMemo, ProbeCountsNeitherClaimsNorCounts) {
+  OrbitCache cache(4, 1024);
+  const OrbitKey keys[] = {
+      count_memo_key(OrbitKey{1, 2}, OrbitKey{3, 4}, CountKind::kUnmet),
+      count_memo_key(OrbitKey{1, 2}, OrbitKey{5, 6}, CountKind::kUnmet)};
+  std::optional<std::uint64_t> row[2] = {7, 7};
+  cache.probe_counts(keys, row);
+  EXPECT_EQ(row[0], std::nullopt);
+  EXPECT_EQ(row[1], std::nullopt);
+  // The probe claimed nothing: the first acquire still gets the claim.
+  EXPECT_EQ(cache.acquire_count(keys[1]), std::nullopt);
+  cache.publish_count(keys[1], 0);
+  cache.probe_counts(keys, row);
+  EXPECT_EQ(row[0], std::nullopt);
+  EXPECT_EQ(row[1], std::optional<std::uint64_t>(0));
+  auto st = cache.stats();
+  EXPECT_EQ(st.hits, 0u);  // probes record nothing ...
+  EXPECT_EQ(st.misses, 1u);
+  cache.add_hits(3);  // ... the caller reports what it served
+  EXPECT_EQ(cache.stats().hits, 3u);
+}
+
+/// A binding row test fixture: one MemoBattery, its two grids, and the
+/// plain (cache-less) count of every grid for automaton 0.
+struct RowFixture {
+  MemoBattery b{8, 0x70c0};
+  std::vector<EnumGrid> grids{b.grid(0), b.grid(1)};
+  std::vector<std::uint64_t> plain;
+
+  RowFixture() {
+    EnumerationContext ctx(grids, 100000);
+    ctx.bind(b.automata[0]);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      plain.push_back(ctx.count_unmet(g));
+    }
+  }
+};
+
+TEST(CountMemo, RowReprobesAfterEpochAdvance) {
+  const RowFixture f;
+  OrbitCache cache(4);
+  EnumerationContext ctx(f.grids, 100000, &cache);
+  ctx.bind(f.b.automata[0]);
+  EXPECT_EQ(ctx.count_unmet(0), f.plain[0]);  // miss: computed, published
+  ctx.bind(f.b.automata[0]);
+  EXPECT_EQ(ctx.count_unmet(0), f.plain[0]);  // served from the row
+  EXPECT_EQ(ctx.telemetry().cache_hits, 1u);
+  const std::uint64_t queries = ctx.telemetry().queries;
+  // Same binding, new epoch: the row's count predates it, so the next
+  // count must probe again, miss and recompute.
+  cache.advance_epoch();
+  EXPECT_EQ(ctx.count_unmet(0), f.plain[0]);
+  const EnumTelemetry t = ctx.telemetry();
+  EXPECT_EQ(t.cache_misses, 2u);
+  EXPECT_EQ(t.cache_hits, 1u);
+  EXPECT_GT(t.queries, queries);
+  const OrbitCache::Stats st = cache.stats();
+  EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(st.publishes, 2u);
+  EXPECT_EQ(st.hits, 1u);
+}
+
+TEST(CountMemo, RowMissSeesLaterPublish) {
+  const RowFixture f;
+  OrbitCache cache(4);
+  EnumerationContext a(f.grids, 100000, &cache);
+  EnumerationContext b(f.grids, 100000, &cache);
+  a.bind(f.b.automata[0]);
+  EXPECT_EQ(a.count_unmet(1), f.plain[1]);  // A's row: nothing published
+  b.bind(f.b.automata[0]);
+  EXPECT_EQ(b.count_unmet(0), f.plain[0]);  // B publishes grid 0
+  // Unknown to A's row, but published since: the claiming lookup hits.
+  EXPECT_EQ(a.count_unmet(0), f.plain[0]);
+  EXPECT_EQ(a.telemetry().cache_hits, 1u);
+  EXPECT_EQ(a.telemetry().cache_misses, 1u);
+  const OrbitCache::Stats st = cache.stats();
+  EXPECT_EQ(st.hits + st.misses, 3u);  // one per count asked
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.publishes, st.misses);
+}
+
+TEST(CountMemo, HitsReachStatsOncePerBinding) {
+  const RowFixture f;
+  OrbitCache cache(4);
+  {
+    EnumerationContext publisher(f.grids, 100000, &cache);
+    publisher.bind(f.b.automata[0]);
+    for (std::size_t g = 0; g < f.grids.size(); ++g) {
+      publisher.count_unmet(g);
+    }
+  }
+  ASSERT_EQ(cache.stats().misses, 2u);
+  const auto hits = [&] { return cache.stats().hits; };
+  const auto count_all = [&](EnumerationContext& ctx) {
+    ctx.bind(f.b.automata[0]);
+    for (std::size_t g = 0; g < f.grids.size(); ++g) {
+      EXPECT_EQ(ctx.count_unmet(g), f.plain[g]);
+    }
+  };
+
+  EnumerationContext ctx(f.grids, 100000, &cache);
+  count_all(ctx);
+  EXPECT_EQ(hits(), 0u);  // pending until the binding ends ...
+  ctx.bind(f.b.automata[1]);
+  EXPECT_EQ(hits(), 2u);  // ... reported by the next bind()
+  count_all(ctx);
+  EXPECT_EQ(ctx.telemetry().cache_hits, 4u);
+  EXPECT_EQ(hits(), 4u);  // telemetry() reports them too
+  EXPECT_EQ(ctx.telemetry().cache_hits, 4u);
+  EXPECT_EQ(hits(), 4u);  // once
+
+  {
+    auto from = std::make_unique<EnumerationContext>(f.grids, 100000, &cache);
+    count_all(*from);
+    EnumerationContext to(std::move(*from));
+    from.reset();  // a moved-from context reports nothing
+    EXPECT_EQ(hits(), 4u);
+  }  // destruction reports the pending hits
+  EXPECT_EQ(hits(), 6u);
+
+  {
+    EnumerationContext x(f.grids, 100000, &cache);
+    EnumerationContext y(f.grids, 100000, &cache);
+    count_all(x);
+    count_all(y);
+    x = std::move(y);  // x's own pending hits are reported, y's move over
+    EXPECT_EQ(hits(), 8u);
+  }
+  EXPECT_EQ(hits(), 10u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 /// Raw acquire/publish race on one key: exactly one claimer, everyone
