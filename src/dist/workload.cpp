@@ -148,7 +148,7 @@ std::uint64_t EnumWorkload::defeats(sim::EnumerationContext& ctx,
 }
 
 std::size_t memo_cache_capacity(const EnumWorkload& w) {
-  return sim::OrbitCache::capacity_for(w.grids().size() * w.count());
+  return sim::OrbitCache::capacity_for(w.count());
 }
 
 }  // namespace rvt::dist

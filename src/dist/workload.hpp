@@ -103,12 +103,12 @@ class EnumWorkload {
 };
 
 /// Slot capacity (OrbitCache's `capacity`) for a cache that memoizes the
-/// counts of `w`: room for grids() x count() entries — the most distinct
-/// memo keys the workload can have — at the cache's 7/8 load limit.
-/// Processes that give each campaign a fresh cache (svc::run_worker,
-/// `rvt_cli shard run`) size it with this instead of the 2^19-slot
-/// default, whose 16 MiB table a small workload would still touch
-/// throughout (e10:14 -> 2^16 slots, 2 MiB).
+/// counts of `w`: room for count() rows — one per enumeration index, the
+/// most distinct row keys the workload can have — at the cache's 7/8 load
+/// limit. Processes that give each campaign a fresh cache
+/// (svc::run_worker, `rvt_cli shard run`) size it with this instead of
+/// the 2^19-slot default, whose 16 MiB table a small workload would
+/// still touch throughout (e10:14 -> 2048 slots, 64 KiB).
 std::size_t memo_cache_capacity(const EnumWorkload& w);
 
 }  // namespace rvt::dist

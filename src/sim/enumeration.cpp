@@ -1,5 +1,6 @@
 #include "sim/enumeration.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -33,6 +34,31 @@ inline void note_binding_prepared(std::uint64_t t0_ns, bool cache_hit) {
   (cache_hit ? hits : misses).add(1);
 }
 
+/// Exact content equality of two grids: tree structure (degrees,
+/// neighbors and reverse ports), arity, starts and delays. The cheap
+/// checks run first: battery grids on one tree size share their query
+/// lists and differ in port labeling.
+bool same_content(const EnumGrid& x, const EnumGrid& y) {
+  const tree::Tree& a = *x.tree;
+  const tree::Tree& b = *y.tree;
+  if (a.node_count() != b.node_count() || x.agents != y.agents ||
+      x.starts.size() != y.starts.size()) {
+    return false;
+  }
+  if (&a != &b) {
+    for (tree::NodeId v = 0; v < a.node_count(); ++v) {
+      if (a.degree(v) != b.degree(v)) return false;
+      for (tree::Port p = 0; p < a.degree(v); ++p) {
+        if (a.neighbor(v, p) != b.neighbor(v, p) ||
+            a.reverse_port(v, p) != b.reverse_port(v, p)) {
+          return false;
+        }
+      }
+    }
+  }
+  return x.starts == y.starts && x.delays == y.delays;
+}
+
 }  // namespace
 
 EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
@@ -45,10 +71,11 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
         "EnumerationContext: max_rounds must be > 0");
   }
   slots_.resize(grids_.size());
-  // Content key of each grid (tree key, arity, starts, delays, horizon):
-  // the grid half of every memo key. Content-identical grids share it,
-  // and their counts with it.
-  std::vector<OrbitKey> grid_keys;
+  // The battery key hashes each grid's content key (tree key, arity,
+  // starts, delays, horizon) in order: the grid-list half of every row
+  // key, so contexts over the same grid list share rows.
+  KeyHasher battery;
+  battery.feed(grids_.size());
   for (std::size_t g = 0; g < grids_.size(); ++g) {
     const EnumGrid& grid = grids_[g];
     if (grid.tree == nullptr || grid.tree->node_count() < 2) {
@@ -98,18 +125,18 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
         h.feed(grid.delays[i]);
       }
       h.feed(max_rounds_);
-      grid_keys.push_back(h.key());
+      battery.feed(h.key());
     }
+    std::size_t first = 0;
+    while (!same_content(grids_[first], grid)) ++first;
+    distinct_.push_back(first);
   }
   if (cache_ == nullptr) return;
-  // Kind-major, like memo_keys_: kUnmet for every grid, then kUngathered.
-  for (const CountKind kind : {CountKind::kUnmet, CountKind::kUngathered}) {
-    for (const OrbitKey& grid_key : grid_keys) {
-      memo_prefixes_.push_back(count_memo_prefix(grid_key, kind));
-    }
+  battery_key_ = battery.key();
+  for (MemoRow& row : rows_) {
+    row.computed.resize(grids_.size());
+    row.owed.resize(grids_.size());
   }
-  memo_keys_.resize(memo_prefixes_.size());
-  memo_row_.resize(memo_prefixes_.size());
 }
 
 void EnumerationContext::require_meet(std::size_t g) const {
@@ -141,30 +168,48 @@ const OrbitKey& EnumerationContext::automaton_key() {
   return automaton_key_;
 }
 
-std::size_t EnumerationContext::memo_row(CountKind kind) {
-  const std::size_t k = kind == CountKind::kUnmet ? 0 : 1;
-  const std::size_t base = k * grids_.size();
-  const std::uint64_t epoch = cache_->epoch();
-  if (memo_serial_[k] != serial_ || row_epoch_[k] != epoch) {
-    // First count of this kind in the binding (or the first since an
-    // epoch advance emptied the cache): key every grid, then probe every
-    // slot once without claiming, the binding's slot reads overlapping
-    // instead of queueing behind each other.
-    if (memo_serial_[k] != serial_) {
-      const OrbitKey& akey = automaton_key();
-      for (std::size_t h = base; h < base + grids_.size(); ++h) {
-        KeyHasher hasher = memo_prefixes_[h];
-        hasher.feed(akey);
-        memo_keys_[h] = hasher.key();
-      }
-      memo_serial_[k] = serial_;
-    }
-    cache_->probe_counts(
-        std::span<const OrbitKey>(memo_keys_).subspan(base, grids_.size()),
-        std::span(memo_row_).subspan(base, grids_.size()));
-    row_epoch_[k] = epoch;
+EnumerationContext::MemoRow& EnumerationContext::lookup_row(CountKind kind,
+                                                            MemoRow& row) {
+  // Before the first bind() no row matches (rows start at epoch 0, the
+  // cache at 1), so every unbound count lands here.
+  if (automaton_ == nullptr) {
+    throw std::logic_error("EnumerationContext: bind() an automaton first");
   }
-  return base;
+  const std::uint64_t epoch = cache_->epoch();
+  const OrbitKey key = row_memo_key(battery_key_, automaton_key(), kind);
+  row.local = false;
+  row.counts = cache_->find_row(key);
+  if (row.counts == nullptr) row.counts = cache_->acquire_row(key);
+  if (row.counts == nullptr) {
+    // We hold the claim: compute every distinct grid of the row once and
+    // copy the rest. An unmet row covers the meet-capable grids only.
+    std::uint64_t computed = 0;
+    try {
+      std::fill(row.owed.begin(), row.owed.end(), 0);
+      for (std::size_t g = 0; g < grids_.size(); ++g) {
+        if (kind == CountKind::kUnmet && !slots_[g].meet_ok) {
+          row.computed[g] = 0;
+        } else if (distinct_[g] != g) {
+          row.computed[g] = row.computed[distinct_[g]];
+        } else {
+          row.computed[g] =
+              kind == CountKind::kUnmet ? scan_unmet(g) : scan_ungathered(g);
+          row.owed[g] = 1;
+          ++computed;
+          ++stats_.cache_misses;
+        }
+      }
+    } catch (...) {
+      cache_->abandon(key);
+      throw;
+    }
+    cache_->publish_row(key, row.computed, computed);
+    row.counts = row.computed.data();
+    row.local = true;
+  }
+  row.serial = serial_;
+  row.epoch = epoch;
+  return row;
 }
 
 EnumerationContext::Slot& EnumerationContext::prepare_local(std::size_t g) {
@@ -291,39 +336,21 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
   return slot;
 }
 
-template <typename Scan>
 std::uint64_t EnumerationContext::memoized_count(std::size_t g,
-                                                 CountKind kind, Scan scan) {
-  if (cache_ == nullptr) return scan(prepare_local(g));
-  if (automaton_ == nullptr) {
-    throw std::logic_error("EnumerationContext: bind() an automaton first");
-  }
-  const std::size_t h = memo_row(kind) + g;
-  // A hit prepares no binding, so it records no binding latency: the
-  // lookup is a few nanoseconds, less than reading the clock.
-  if (const std::optional<std::uint64_t>& known = memo_row_[h]) {
+                                                 CountKind kind) {
+  MemoRow& row = memo_row(kind);
+  // A grid this binding just computed was its miss; every other count
+  // served from the row is a hit. A hit prepares no binding, so it
+  // records no binding latency: reading the row costs less than reading
+  // the clock.
+  if (row.local && row.owed[g] != 0) {
+    row.owed[g] = 0;
+  } else {
     row_hits_.add();
     ++stats_.bindings;
     ++stats_.cache_hits;
-    return *known;
   }
-  // Not published when the row was probed: claim it — or find it
-  // published by another worker since.
-  const OrbitKey& key = memo_keys_[h];
-  if (const std::optional<std::uint64_t> hit = cache_->acquire_count(key)) {
-    ++stats_.bindings;
-    ++stats_.cache_hits;
-    return *hit;
-  }
-  ++stats_.cache_misses;
-  try {
-    const std::uint64_t count = scan(prepare_local(g));
-    cache_->publish_count(key, count);
-    return count;
-  } catch (...) {
-    cache_->abandon(key);
-    throw;
-  }
+  return row.counts[g];
 }
 
 EnumerationContext::Slot& EnumerationContext::prepare_scan(std::size_t g) {
@@ -435,8 +462,22 @@ std::span<const Verdict> EnumerationContext::verify(std::size_t g) {
   return {verdicts_.data(), nq};
 }
 
+std::ptrdiff_t EnumerationContext::first_answer(std::size_t g, int kind) {
+  Slot& first = slots_[distinct_[g]];
+  if (first.first_serial[kind] != serial_ || automaton_ == nullptr) {
+    first.first_index[kind] = kind == 0 ? scan_first_unmet(distinct_[g])
+                                        : scan_first_ungathered(distinct_[g]);
+    first.first_serial[kind] = serial_;
+  }
+  return first.first_index[kind];
+}
+
 std::ptrdiff_t EnumerationContext::first_unmet(std::size_t g) {
   require_meet(g);
+  return first_answer(g, 0);
+}
+
+std::ptrdiff_t EnumerationContext::scan_first_unmet(std::size_t g) {
   Slot& slot = prepare_scan(g);
   const CompiledConfigEngine& e = *slot.engine;
   const EnumGrid& grid = grids_[g];
@@ -461,29 +502,33 @@ std::ptrdiff_t EnumerationContext::first_unmet(std::size_t g) {
 
 std::uint64_t EnumerationContext::count_unmet(std::size_t g) {
   require_meet(g);
-  return memoized_count(g, CountKind::kUnmet, [&](const Slot& slot) {
-    const CompiledConfigEngine& e = *slot.engine;
-    const auto* optr = slot.orbit_ptr.data();
-    const EnumGrid& grid = grids_[g];
-    std::uint64_t unmet = 0;
-    const tree::NodeId* sdata = grid.starts.data();
-    const std::uint64_t* ddata = grid.delays.data();
-    const std::size_t nq = grid.query_count();
-    std::size_t i = 0;
-    while (i < nq) {
-      const tree::NodeId* s = sdata + 2 * i;
-      std::size_t j = i + 1;
-      while (j < nq && sdata[2 * j] == s[0] && sdata[2 * j + 1] == s[1]) {
-        ++j;
-      }
-      const detail::PairState st = detail::make_pair_state(
-          e, *optr[s[0]], *optr[s[1]], /*same_engine=*/true, s[0], s[1]);
-      unmet += detail::count_unmet_run(st, ddata + 2 * i, j - i, max_rounds_);
-      i = j;
+  return cache_ == nullptr ? scan_unmet(g)
+                           : memoized_count(g, CountKind::kUnmet);
+}
+
+std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
+  const Slot& slot = prepare_local(g);
+  const CompiledConfigEngine& e = *slot.engine;
+  const auto* optr = slot.orbit_ptr.data();
+  const EnumGrid& grid = grids_[g];
+  std::uint64_t unmet = 0;
+  const tree::NodeId* sdata = grid.starts.data();
+  const std::uint64_t* ddata = grid.delays.data();
+  const std::size_t nq = grid.query_count();
+  std::size_t i = 0;
+  while (i < nq) {
+    const tree::NodeId* s = sdata + 2 * i;
+    std::size_t j = i + 1;
+    while (j < nq && sdata[2 * j] == s[0] && sdata[2 * j + 1] == s[1]) {
+      ++j;
     }
-    stats_.queries += nq;
-    return unmet;
-  });
+    const detail::PairState st = detail::make_pair_state(
+        e, *optr[s[0]], *optr[s[1]], /*same_engine=*/true, s[0], s[1]);
+    unmet += detail::count_unmet_run(st, ddata + 2 * i, j - i, max_rounds_);
+    i = j;
+  }
+  stats_.queries += nq;
+  return unmet;
 }
 
 std::span<const GatherVerdict> EnumerationContext::verify_gather(
@@ -510,6 +555,10 @@ std::span<const GatherVerdict> EnumerationContext::verify_gather(
 }
 
 std::ptrdiff_t EnumerationContext::first_ungathered(std::size_t g) {
+  return first_answer(g, 1);
+}
+
+std::ptrdiff_t EnumerationContext::scan_first_ungathered(std::size_t g) {
   Slot& slot = prepare_scan(g);
   const CompiledConfigEngine& e = *slot.engine;
   const EnumGrid& grid = grids_[g];
@@ -535,32 +584,36 @@ std::ptrdiff_t EnumerationContext::first_ungathered(std::size_t g) {
 }
 
 std::uint64_t EnumerationContext::count_ungathered(std::size_t g) {
-  return memoized_count(g, CountKind::kUngathered, [&](const Slot& slot) {
-    const CompiledConfigEngine& e = *slot.engine;
-    const auto* optr = slot.orbit_ptr.data();
-    const EnumGrid& grid = grids_[g];
-    const std::size_t k = grid.agents;
-    const tree::NodeId* sdata = grid.starts.data();
-    const std::uint64_t* ddata = grid.delays.data();
-    const std::size_t nq = grid.query_count();
-    std::uint64_t ungathered = 0;
-    detail::TupleState st;
-    std::size_t i = 0;
-    while (i < nq) {
-      const tree::NodeId* s = sdata + k * i;
-      std::size_t j = i + 1;
-      while (j < nq &&
-             std::memcmp(sdata + k * j, s, k * sizeof(tree::NodeId)) == 0) {
-        ++j;
-      }
-      refresh_tuple(st, e, optr, s, k);
-      ungathered +=
-          detail::count_ungathered_run(st, ddata + k * i, j - i, max_rounds_);
-      i = j;
+  return cache_ == nullptr ? scan_ungathered(g)
+                           : memoized_count(g, CountKind::kUngathered);
+}
+
+std::uint64_t EnumerationContext::scan_ungathered(std::size_t g) {
+  const Slot& slot = prepare_local(g);
+  const CompiledConfigEngine& e = *slot.engine;
+  const auto* optr = slot.orbit_ptr.data();
+  const EnumGrid& grid = grids_[g];
+  const std::size_t k = grid.agents;
+  const tree::NodeId* sdata = grid.starts.data();
+  const std::uint64_t* ddata = grid.delays.data();
+  const std::size_t nq = grid.query_count();
+  std::uint64_t ungathered = 0;
+  detail::TupleState st;
+  std::size_t i = 0;
+  while (i < nq) {
+    const tree::NodeId* s = sdata + k * i;
+    std::size_t j = i + 1;
+    while (j < nq &&
+           std::memcmp(sdata + k * j, s, k * sizeof(tree::NodeId)) == 0) {
+      ++j;
     }
-    stats_.queries += nq;
-    return ungathered;
-  });
+    refresh_tuple(st, e, optr, s, k);
+    ungathered +=
+        detail::count_ungathered_run(st, ddata + k * i, j - i, max_rounds_);
+    i = j;
+  }
+  stats_.queries += nq;
+  return ungathered;
 }
 
 EnumTelemetry EnumerationContext::telemetry() const {

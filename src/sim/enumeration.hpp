@@ -26,20 +26,27 @@
 // cache protocol (orbits are per-agent; nothing below this layer knows k).
 //
 // Grids are validated once at construction; the steady state allocates
-// nothing. When an OrbitCache is attached, the COUNT calls (count_unmet /
-// count_ungathered) are memoized in it: each grid gets a content key at
-// construction, and a count is computed once per (grid key, canonical
-// automaton key) per machine — every equivalent binding after the first
-// is answered without binding, extracting or scanning. A binding's first
-// count of a kind keys every grid and probes every memo slot once, without
-// claiming: the answers found make the binding's ROW, and each later
-// count of a known grid is served from it with no call into the cache
-// and no atomic (the hits served reach the cache's stats once per
-// binding). A grid the probe did not find takes the claiming lookup. The
-// verdict and early-exit calls instead acquire / publish the binding's
-// orbit set, so a battery shared by several workers extracts each orbit
-// once per machine — every verdict carries the cache_hit flag for
-// telemetry.
+// nothing. The constructor also maps each grid to its first content-
+// identical grid (same tree structure, arity, starts and delays): a
+// battery may hold copies (the E10 battery's 42 grids have 35 distinct
+// contents), and first_unmet / first_ungathered on a copy return the
+// original's answer for the binding — asked there if it was not yet.
+//
+// When an OrbitCache is attached, the COUNT calls (count_unmet /
+// count_ungathered) are memoized in it, one ROW per (grid list, canonical
+// automaton, count kind): the counts of every grid. The grid list's
+// battery key is hashed once at construction. A binding's first count of
+// a kind keys its row and probes it once, without claiming; a hit
+// answers that count and every later one of the binding from the row,
+// with no call into the cache (the hits served reach the cache's stats
+// once per binding). A miss claims the row and computes it EAGERLY —
+// every distinct grid once, copies copied — then publishes it. Every
+// shipped count caller asks every grid of a binding; a caller asking one
+// grid per binding should not attach a cache, since each miss pays for
+// the whole row. The verdict and early-exit calls instead acquire /
+// publish the binding's orbit set, so a battery shared by several
+// workers extracts each orbit once per machine — every verdict carries
+// the cache_hit flag for telemetry.
 //
 // sweep_enumeration() fans an automaton range across workers, one context
 // per worker (sweep_indexed), with deterministic result ordering and
@@ -192,11 +199,11 @@ class EnumerationContext {
   /// materializing verdicts — the accumulation shape of defeat-density
   /// profiles, where the verdict buffer writes would be the largest
   /// remaining per-query cost. Equals counting met == false over
-  /// verify(g). With a cache attached the count is memoized under
-  /// (grid key, canonical automaton key): a hit returns it without
-  /// touching the engine (from the binding row when the binding's probe
-  /// pass found it); a miss claims the key, computes locally and
-  /// publishes only the count (the claim is abandoned on an exception).
+  /// verify(g). With a cache attached the count comes from the binding's
+  /// unmet row (battery key, canonical automaton key): a hit returns it
+  /// without touching the engine; a miss claims the row, computes every
+  /// distinct meet-capable grid locally and publishes the row (the claim
+  /// is abandoned on an exception).
   std::uint64_t count_unmet(std::size_t g);
 
   /// Gathering verdicts of grid g (any arity, k = 2 included) under the
@@ -214,19 +221,20 @@ class EnumerationContext {
 
   /// Number of grid-g queries with gathered == false, without
   /// materializing verdicts. Equals counting gathered == false over
-  /// verify_gather(g). Memoized like count_unmet (under its own kind).
+  /// verify_gather(g). Memoized like count_unmet, in the binding's
+  /// ungathered row (every grid).
   std::uint64_t count_ungathered(std::size_t g);
 
   std::size_t grid_count() const { return grids_.size(); }
   /// Telemetry accumulated by this context so far (orbits_extracted sums
   /// over the engines built so far). Also reports the memo hits served
-  /// from the binding row to the attached cache's stats(), which
-  /// otherwise receive them at the next bind() or at destruction.
+  /// from rows to the attached cache's stats(), which otherwise receive
+  /// them at the next bind() or at destruction.
   EnumTelemetry telemetry() const;
 
  private:
-  /// Memo hits served from the binding row and not yet added to the
-  /// cache's stats. Reports them on flush() and at destruction; a
+  /// Memo hits served from rows and not yet added to the cache's
+  /// stats. Reports them on flush() and at destruction; a
   /// moved-from tally holds none, so a moved-from context reports nothing.
   class HitTally {
    public:
@@ -266,6 +274,26 @@ class EnumerationContext {
     /// Grid qualifies for the meet API: agents == 2 with pairwise
     /// distinct starts per query (precomputed by the constructor).
     bool meet_ok = false;
+    /// first_unmet (0) / first_ungathered (1) answer of this grid for
+    /// the binding named by first_serial.
+    std::ptrdiff_t first_index[2] = {0, 0};
+    std::uint64_t first_serial[2] = {0, 0};
+  };
+
+  /// The binding's memo row of one count kind.
+  struct MemoRow {
+    /// Count per grid (unmet rows: meet-capable grids only), from the
+    /// cache or `computed`. Valid for the binding `serial` names and the
+    /// cache epoch `epoch` names.
+    const std::uint64_t* counts = nullptr;
+    std::uint64_t serial = 0;
+    std::uint64_t epoch = 0;
+    /// This binding computed the row: `owed` marks the grids it computed
+    /// whose first count is not asked yet — already accounted as misses,
+    /// so serving them counts no hit.
+    bool local = false;
+    std::vector<std::uint64_t> computed;
+    std::vector<std::uint8_t> owed;
   };
 
   /// Throws unless grid g qualifies for the meet API (see meet_ok).
@@ -284,15 +312,27 @@ class EnumerationContext {
   /// collapse in the telemetry when the canonical form differs from the
   /// bound table.
   const OrbitKey& automaton_key();
-  /// Index of the (kind, grid 0) entry of memo_keys_ / memo_row_, with
-  /// the row filled for the bound automaton: the first call per
-  /// (binding, kind) — or after the cache's epoch moved — keys every grid
-  /// and probes every slot once.
-  std::size_t memo_row(CountKind kind);
-  /// The memo around count_unmet/count_ungathered: `scan` computes the
-  /// count over a locally prepared slot.
-  template <typename Scan>
-  std::uint64_t memoized_count(std::size_t g, CountKind kind, Scan scan);
+  /// The binding's row of `kind`, looked up (or computed and published)
+  /// at the binding's first count of the kind, or after the cache's epoch
+  /// moved.
+  MemoRow& memo_row(CountKind kind) {
+    MemoRow& row = rows_[kind == CountKind::kUnmet ? 0 : 1];
+    if (row.serial == serial_ && row.epoch == cache_->epoch()) return row;
+    return lookup_row(kind, row);
+  }
+  MemoRow& lookup_row(CountKind kind, MemoRow& row);
+  /// Grid g's count from the binding's row of `kind`.
+  std::uint64_t memoized_count(std::size_t g, CountKind kind);
+  /// The count scans over a locally prepared slot of grid g.
+  std::uint64_t scan_unmet(std::size_t g);
+  std::uint64_t scan_ungathered(std::size_t g);
+  /// first_unmet (kind 0) / first_ungathered (kind 1) of grid g, scanned
+  /// once per (binding, distinct grid) and stored on the distinct grid's
+  /// slot.
+  std::ptrdiff_t first_answer(std::size_t g, int kind);
+  /// The early-exit scans themselves.
+  std::ptrdiff_t scan_first_unmet(std::size_t g);
+  std::ptrdiff_t scan_first_ungathered(std::size_t g);
   /// Prefetch hint: while grid g's queries run, pull grid g + 1's
   /// published set (if any) toward the caches so the next prepare() does
   /// not stall on DRAM. Wrong guesses are harmless.
@@ -306,18 +346,11 @@ class EnumerationContext {
   OrbitKey automaton_key_;
   bool automaton_key_valid_ = false;
   std::vector<Slot> slots_;
-  /// count_memo_prefix of every (kind, grid), kind-major (kUnmet, then
-  /// kUngathered); empty without a cache.
-  std::vector<KeyHasher> memo_prefixes_;
-  /// Memo keys of the current binding, same layout, valid for the
-  /// binding memo_serial_[kind] names.
-  std::vector<OrbitKey> memo_keys_;
-  /// The binding row, same layout: the count the probe pass found per
-  /// (kind, grid), or nullopt. Valid for the binding memo_serial_[kind]
-  /// names and the cache epoch row_epoch_[kind] names.
-  std::vector<std::optional<std::uint64_t>> memo_row_;
-  std::uint64_t memo_serial_[2] = {0, 0};
-  std::uint64_t row_epoch_[2] = {0, 0};
+  /// Per grid, the first grid with identical content (itself if none).
+  std::vector<std::size_t> distinct_;
+  /// Content hash of the grid list, in order; only with a cache.
+  OrbitKey battery_key_;
+  MemoRow rows_[2];  ///< kUnmet, kUngathered
   mutable HitTally row_hits_;
   std::vector<Verdict> verdicts_;
   std::vector<GatherVerdict> gather_verdicts_;

@@ -13,9 +13,9 @@ namespace rvt::sim {
 
 namespace {
 
-/// Domain word of count-memo keys: no orbit-set key is ever hashed from
-/// a stream starting with it.
-constexpr std::uint64_t kCountMemoDomain = 0x636f756e742d6d65ull;  // "count-me"
+/// Domain word of row-memo keys: no orbit-set key is ever hashed from a
+/// stream starting with it.
+constexpr std::uint64_t kRowMemoDomain = 0x726f772d6d656d6full;  // "row-memo"
 
 }  // namespace
 
@@ -120,17 +120,12 @@ OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton) {
   return h.key();
 }
 
-KeyHasher count_memo_prefix(const OrbitKey& grid, CountKind kind) {
+OrbitKey row_memo_key(const OrbitKey& battery, const OrbitKey& automaton,
+                      CountKind kind) {
   KeyHasher h;
-  h.feed(kCountMemoDomain);
+  h.feed(kRowMemoDomain);
   h.feed(static_cast<std::uint64_t>(kind));
-  h.feed(grid);
-  return h;
-}
-
-OrbitKey count_memo_key(const OrbitKey& grid, const OrbitKey& automaton,
-                        CountKind kind) {
-  KeyHasher h = count_memo_prefix(grid, kind);
+  h.feed(battery);
   h.feed(automaton);
   return h.key();
 }
@@ -159,7 +154,7 @@ OrbitCache::~OrbitCache() { ::munmap(table_, table_bytes_); }
 
 const OrbitCache::OrbitSet* OrbitCache::peek(const OrbitKey& key) const {
   std::uintptr_t tag = 0;
-  if (find(shard_for(key), key, tag) == nullptr || tag == kCountTag) {
+  if (find(shard_for(key), key, tag) == nullptr || row_of(tag) != nullptr) {
     return nullptr;
   }
   return reinterpret_cast<const std::shared_ptr<const OrbitSet>*>(tag)
@@ -171,23 +166,16 @@ const OrbitCache::Slot* OrbitCache::acquire_slot(const OrbitKey& key,
   Shard& sh = shard_for(key);
   // Hit fast path: slots go empty -> published exactly once per epoch and
   // entries are immutable, so a lock-free linear probe suffices.
-  if (const Slot* slot = find(sh, key, tag); slot != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-  }
+  if (const Slot* slot = find(sh, key, tag); slot != nullptr) return slot;
   std::unique_lock<std::mutex> lk(sh.mu);
   for (;;) {
     // Re-check under the lock: a publisher may have finished while we
     // queued on the mutex (or while we waited on the condvar).
-    if (const Slot* slot = find(sh, key, tag); slot != nullptr) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return slot;
-    }
+    if (const Slot* slot = find(sh, key, tag); slot != nullptr) return slot;
     const auto claim =
         std::find(sh.claimed.begin(), sh.claimed.end(), key);
     if (claim == sh.claimed.end()) {
       sh.claimed.push_back(key);
-      misses_.fetch_add(1, std::memory_order_relaxed);
       return nullptr;  // caller is now the publisher
     }
     waits_.fetch_add(1, std::memory_order_relaxed);
@@ -198,41 +186,58 @@ const OrbitCache::Slot* OrbitCache::acquire_slot(const OrbitKey& key,
 std::shared_ptr<const OrbitCache::OrbitSet> OrbitCache::acquire(
     const OrbitKey& key) {
   std::uintptr_t tag = 0;
-  // Orbit-set and count keys are domain-separated (count_memo_key), so a
-  // slot found here holds a set.
-  if (acquire_slot(key, tag) == nullptr || tag == kCountTag) return nullptr;
+  if (acquire_slot(key, tag) == nullptr) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  // Orbit-set and row keys are domain-separated (row_memo_key), so a slot
+  // found here holds a set.
+  if (row_of(tag) != nullptr) return nullptr;
   return *reinterpret_cast<const std::shared_ptr<const OrbitSet>*>(tag);
 }
 
-std::optional<std::uint64_t> OrbitCache::acquire_count(const OrbitKey& key) {
+const std::uint64_t* OrbitCache::acquire_row(const OrbitKey& key) {
   std::uintptr_t tag = 0;
-  const Slot* slot = acquire_slot(key, tag);
-  if (slot == nullptr) return std::nullopt;
-  return slot->count;
+  return acquire_slot(key, tag) == nullptr ? nullptr : row_of(tag);
 }
 
 void OrbitCache::publish(const OrbitKey& key,
                          std::shared_ptr<const OrbitSet> set) {
-  install(key, /*is_count=*/false, std::move(set), 0);
+  const std::size_t sz = set != nullptr ? set->bytes : 0;
+  install(key, set != nullptr, sz, [&](Shard& sh) {
+    return reinterpret_cast<std::uintptr_t>(
+        &sh.sets.emplace_back(std::move(set)));
+  });
 }
 
-void OrbitCache::publish_count(const OrbitKey& key, std::uint64_t count) {
-  install(key, /*is_count=*/true, nullptr, count);
+void OrbitCache::publish_row(const OrbitKey& key,
+                             std::span<const std::uint64_t> row,
+                             std::uint64_t computed) {
+  misses_.fetch_add(computed, std::memory_order_relaxed);
+  install(key, /*entry=*/true, /*bytes=*/0, [&](Shard& sh) {
+    std::uint64_t* const copy =
+        sh.rows
+            .emplace_back(
+                std::make_unique_for_overwrite<std::uint64_t[]>(row.size()))
+            .get();
+    std::copy(row.begin(), row.end(), copy);
+    return reinterpret_cast<std::uintptr_t>(copy) | kRowBit;
+  });
 }
 
-void OrbitCache::install(const OrbitKey& key, bool is_count,
-                         std::shared_ptr<const OrbitSet> set,
-                         std::uint64_t count) {
+template <typename Make>
+void OrbitCache::install(const OrbitKey& key, bool entry, std::size_t bytes,
+                         Make make) {
   Shard& sh = shard_for(key);
-  const std::size_t sz = set != nullptr ? set->bytes : 0;  // counts: none
   {
     const std::lock_guard<std::mutex> lk(sh.mu);
     const auto claim = std::find(sh.claimed.begin(), sh.claimed.end(), key);
     if (claim != sh.claimed.end()) sh.claimed.erase(claim);
     // Keep the probe table under 7/8 load so lookups stay short.
     const std::size_t slots = sh.mask + 1;
-    const bool fits = (is_count || set != nullptr) &&
-                      bytes_.load(std::memory_order_relaxed) + sz <=
+    const bool fits = entry &&
+                      bytes_.load(std::memory_order_relaxed) + bytes <=
                           max_bytes_ &&
                       sh.filled + 1 <= slots - slots / 8;
     if (fits) {
@@ -244,17 +249,10 @@ void OrbitCache::install(const OrbitKey& key, bool is_count,
       Slot& slot = sh.slots[i];
       slot.hi = key.hi;
       slot.lo = key.lo;
-      std::uintptr_t tag = kCountTag;
-      if (is_count) {
-        slot.count = count;
-      } else {
-        tag = reinterpret_cast<std::uintptr_t>(
-            &sh.sets.emplace_back(std::move(set)));
-      }
       std::atomic_ref<std::uintptr_t>(slot.tag).store(
-          tag, std::memory_order_release);
+          make(sh), std::memory_order_release);
       ++sh.filled;
-      bytes_.fetch_add(sz, std::memory_order_relaxed);
+      bytes_.fetch_add(bytes, std::memory_order_relaxed);
       publishes_.fetch_add(1, std::memory_order_relaxed);
     } else {
       rejects_.fetch_add(1, std::memory_order_relaxed);
@@ -277,14 +275,15 @@ void OrbitCache::abandon(const OrbitKey& key) {
 void OrbitCache::advance_epoch() {
   epoch_.fetch_add(1, std::memory_order_acq_rel);
   for (Shard& sh : shards_) sh.mu.lock();
-  // Dropping the pages zeroes every slot again — inline counts included,
-  // which is why slots carry no epoch — and the untouched ones cost
-  // nothing; memset is the fallback should the kernel refuse.
+  // Dropping the pages zeroes every slot again — which is why slots
+  // carry no epoch — and the untouched ones cost nothing; memset is the
+  // fallback should the kernel refuse.
   if (::madvise(table_, table_bytes_, MADV_DONTNEED) != 0) {
     std::memset(table_, 0, table_bytes_);
   }
   for (Shard& sh : shards_) {
     sh.sets.clear();
+    sh.rows.clear();
     sh.filled = 0;
     sh.mu.unlock();
   }

@@ -10,16 +10,14 @@
 // tables) under a 128-bit content key of the binding, and every other
 // worker adopts the published set read-only.
 //
-// The same table also memoizes ANSWERS: a defeat count published under a
-// (grid, canonical automaton) key (count_memo_key) is served to every
-// later count of an equivalent binding without binding, extracting or
-// scanning anything — the count path of EnumerationContext stores only
-// counts, never orbit sets. A count lives INSIDE its probe slot, so a
-// memo hit reads one 32-byte slot (half a cache line) and nothing else.
-// probe_counts() reads a batch of them without claiming, blocking or
-// counting — a caller that looks up many keys at once (one per grid of a
-// binding) overlaps their reads and reports the hits it served in one
-// add_hits().
+// The same table also memoizes ANSWERS, one ROW per (grid list,
+// canonical automaton, count kind): the defeat count of every grid of an
+// EnumerationContext's battery for one automaton class, published under
+// row_memo_key. A binding's first count of a kind looks its row up with
+// one lock-free probe (find_row: no claim, no blocking, no stats), and
+// every later count of that binding is read from the row — the count
+// path stores only rows, never orbit sets. A row lives in its shard's
+// row storage; its probe slot holds the address.
 //
 // Concurrency design:
 //  * N shards, selected by key hash. Each shard keeps its published
@@ -34,8 +32,8 @@
 //    zero pages on first touch, so construction costs nothing per slot
 //    and a sparsely used cache keeps most of its table unbacked.
 //  * Misses take the shard mutex. The first worker to miss a key CLAIMS
-//    it (acquire()/acquire_count() report a miss) and must publish() /
-//    publish_count() or abandon() it; workers that miss a claimed key
+//    it (acquire()/acquire_row() report a miss) and must publish() /
+//    publish_row() or abandon() it; workers that miss a claimed key
 //    block on the shard condition variable until the publisher finishes,
 //    then adopt the published entry — so nothing is computed twice for
 //    one (key, epoch), which the concurrency tests assert via engine
@@ -44,21 +42,22 @@
 //    one of them recomputes — the no-duplicate guarantee is best-effort
 //    only once the table is full.)
 //  * Epochs invalidate in O(1): advance_epoch() bumps the epoch counter,
-//    zeroes the whole slot table and frees the orbit sets. It is NOT safe
-//    concurrently with acquire/publish — quiesce workers between sweeps
-//    first (the enumeration harness does: epochs advance between phases,
-//    never inside one). Because every slot is empty again afterwards, no
-//    entry needs to record the epoch it was published in.
+//    zeroes the whole slot table and frees the orbit sets and rows. It
+//    is NOT safe concurrently with acquire/publish — quiesce workers
+//    between sweeps first (the enumeration harness does: epochs advance
+//    between phases, never inside one). Because every slot is empty
+//    again afterwards, no entry needs to record the epoch it was
+//    published in.
 //
 // The memory budget (max_bytes) caps the bytes of published ORBIT SETS;
 // past it, their publishes are rejected (counted) and workers simply keep
 // their private results — the cache degrades to a no-op rather than
-// evicting under readers. Counts allocate nothing beyond their slot, so
-// they are bounded by the slot capacity alone. A cache that serves one
-// known workload should be sized for it (capacity_for): the table is
+// evicting under readers. Rows are not charged against it: each takes a
+// slot, so slot capacity x grid count bounds them. A cache that serves
+// one known workload should be sized for it (capacity_for): the table is
 // 32 bytes per slot, and a hashed workload touches every page of it.
 // svc::run_worker and `rvt_cli shard run` pass dist::memo_cache_capacity,
-// room for every memo key of their workload.
+// room for one row per enumeration index of their workload.
 #pragma once
 
 #include <atomic>
@@ -67,7 +66,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -138,30 +136,30 @@ inline constexpr int kStreamedKeyMaxDegree = 16;
 /// Order-sensitive combination of two keys.
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton);
 
-/// Which count a memo entry answers: the meet API's count_unmet or the
+/// Which count a memo row answers: the meet API's count_unmet or the
 /// gathering API's count_ungathered (a k = 2 grid may be asked both).
 enum class CountKind : std::uint64_t { kUnmet = 1, kUngathered = 2 };
 
-/// Key of one memoized defeat count: a grid's content key (tree key,
-/// arity, starts, delays and horizon — see EnumerationContext) x the
-/// canonical automaton key x the count kind. Domain-separated from the
-/// orbit-set keys of combine_orbit_keys, so both share one table.
-OrbitKey count_memo_key(const OrbitKey& grid, const OrbitKey& automaton,
-                        CountKind kind);
-/// count_memo_key's hasher state before the automaton key is fed: a
-/// caller keying many automata against one grid computes it once, then
-/// copies it and feeds each automaton key (bit-identical keys).
-KeyHasher count_memo_prefix(const OrbitKey& grid, CountKind kind);
+/// Key of one memoized count row: the battery key of a grid list (its
+/// grids' content keys in order — see EnumerationContext) x the canonical
+/// automaton key x the count kind. Domain-separated from the orbit-set
+/// keys of combine_orbit_keys, so both share one table.
+OrbitKey row_memo_key(const OrbitKey& battery, const OrbitKey& automaton,
+                      CountKind kind);
 
 class OrbitCache {
  public:
   using OrbitSet = CompiledConfigEngine::OrbitSet;
 
   struct Stats {
-    std::uint64_t hits = 0;       ///< acquires served a published entry
-    std::uint64_t misses = 0;     ///< acquires granted a claim
-    std::uint64_t waits = 0;      ///< acquires blocked on another's claim
-    std::uint64_t publishes = 0;  ///< entries accepted into the cache
+    /// acquire()s served a published set, plus row counts served
+    /// (add_hits)
+    std::uint64_t hits = 0;
+    /// acquire()s granted a claim, plus grid counts computed into rows
+    /// (publish_row)
+    std::uint64_t misses = 0;
+    std::uint64_t waits = 0;      ///< lookups blocked on another's claim
+    std::uint64_t publishes = 0;  ///< entries (sets, rows) accepted
     std::uint64_t rejects = 0;    ///< publishes dropped (budget/capacity)
   };
 
@@ -169,10 +167,10 @@ class OrbitCache {
   /// `capacity` is the total slot count across shards (rounded so each
   /// shard's table is a power of two; at most 7/8 of the slots fill, so
   /// the default 2^19 slots — a 16 MiB table — hold ~458k entries; a
-  /// K = 3 campaign pass memoizes ~208k counts); `max_bytes` caps the
+  /// K = 3 campaign pass memoizes 5943 rows); `max_bytes` caps the
   /// approximate footprint of published orbit sets (default 2 GiB — far
   /// above the batteries' needs, so rejects only guard runaway
-  /// workloads). Counts are not charged against it.
+  /// workloads). Rows are not charged against it.
   explicit OrbitCache(unsigned shard_count = 16,
                       std::size_t capacity = std::size_t{1} << 19,
                       std::size_t max_bytes = std::size_t{1} << 31);
@@ -200,47 +198,39 @@ class OrbitCache {
   /// for acquire().
   const OrbitSet* peek(const OrbitKey& key) const;
 
-  /// Non-claiming lock-free count lookup over a batch: out[i] is the
-  /// count published under keys[i], or nullopt — with no claim, no
-  /// blocking and no stats. Every key's home slot is requested before
-  /// the first compare, so the batch's slot reads overlap even where a
-  /// probe walks past its home slot. A nullopt proves nothing about later
-  /// calls (another worker may be computing the key): acquire_count()
-  /// claims it. A caller serving an answer found here reports it through
-  /// add_hits(). `out` must be at least as long as `keys`.
-  void probe_counts(std::span<const OrbitKey> keys,
-                    std::span<std::optional<std::uint64_t>> out) const {
-    for (const OrbitKey& key : keys) {
-      const Shard& sh = shard_for(key);
-      __builtin_prefetch(&sh.slots[static_cast<std::size_t>(key.hi) & sh.mask]);
-    }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      std::uintptr_t tag = 0;
-      const Slot* slot = find(shard_for(keys[i]), keys[i], tag);
-      out[i] = slot == nullptr ? std::nullopt
-                               : std::optional<std::uint64_t>(slot->count);
-    }
-  }
-
-  /// Adds `n` hits served from probe_counts() answers to stats().hits.
-  void add_hits(std::uint64_t n) {
-    hits_.fetch_add(n, std::memory_order_relaxed);
-  }
-
   /// Publishes the claimed key's set and wakes its waiters. Over budget
   /// the set is dropped (waiters wake, re-contend, and one re-extracts).
   void publish(const OrbitKey& key, std::shared_ptr<const OrbitSet> set);
 
-  /// The memo half of acquire(): the count published under `key`, or
-  /// nullopt — and then the caller holds the claim and must call
-  /// publish_count() or abandon(). Same lock-free hit path, same
-  /// blocking of other claimants.
-  std::optional<std::uint64_t> acquire_count(const OrbitKey& key);
+  /// Non-claiming lock-free row lookup: the counts published under `key`
+  /// (as many as the publisher's row held), or nullptr — with no claim,
+  /// no blocking and no stats. The row stays valid until advance_epoch().
+  /// A nullptr proves nothing about later calls (another worker may be
+  /// computing the row): acquire_row() claims it. A caller serving counts
+  /// from a row reports them through add_hits().
+  const std::uint64_t* find_row(const OrbitKey& key) const {
+    std::uintptr_t tag = 0;
+    return find(shard_for(key), key, tag) == nullptr ? nullptr : row_of(tag);
+  }
 
-  /// Publishes the claimed key's count into its probe slot and wakes its
-  /// waiters. Allocates nothing and charges no bytes; a full shard
-  /// rejects it (counted), and the waiters then recompute.
-  void publish_count(const OrbitKey& key, std::uint64_t count);
+  /// The claiming row lookup: the published row, or nullptr — and then
+  /// the caller holds the claim and must call publish_row() or abandon().
+  /// Blocks while another worker holds the claim, then adopts its row.
+  /// Records waits only: the caller accounts hits (add_hits) and misses
+  /// (publish_row) per count.
+  const std::uint64_t* acquire_row(const OrbitKey& key);
+
+  /// Publishes a copy of the claimed key's row and wakes its waiters;
+  /// `computed` grid counts of it were computed by the caller, each one
+  /// miss (counted even when a full shard rejects the row, and the
+  /// waiters then recompute). Charges no bytes.
+  void publish_row(const OrbitKey& key, std::span<const std::uint64_t> row,
+                   std::uint64_t computed);
+
+  /// Adds `n` counts served from rows to stats().hits.
+  void add_hits(std::uint64_t n) {
+    hits_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   /// Releases a claim without publishing (the computation failed);
   /// waiters re-contend for the claim.
@@ -253,33 +243,39 @@ class OrbitCache {
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_relaxed);
   }
-  /// Approximate bytes of the published orbit sets (counts cost none).
+  /// Approximate bytes of the published orbit sets (rows cost none).
   std::size_t bytes() const {
     return bytes_.load(std::memory_order_relaxed);
   }
   Stats stats() const;
 
  private:
-  /// One probe slot, 32 bytes, so it never straddles a cache line (the
-  /// table is page-aligned). Trivially zero-initialized: the table is a
-  /// fresh anonymous mapping, and an all-zero slot is empty.
+  /// One probe slot, padded to 32 bytes so it never straddles a cache
+  /// line (the table is page-aligned). Trivially zero-initialized: the
+  /// table is a fresh anonymous mapping, and an all-zero slot is empty.
   ///
   /// `tag` is the publication marker, only ever accessed through
-  /// std::atomic_ref: 0 = empty, kCountTag = a memoized count held in
-  /// `count`, anything else = the address of the published orbit set's
-  /// shared_ptr in its shard's `sets`. The publisher (under the shard
-  /// mutex, into an empty slot) writes hi, lo and count first and then
-  /// release-stores tag; readers acquire-load tag and read the other
-  /// fields only once it is non-zero. A slot is written once per epoch,
-  /// so those plain reads never race with a write.
-  struct Slot {
+  /// std::atomic_ref: 0 = empty; with kRowBit set, the address of a row
+  /// in its shard's `rows` (plus the bit); otherwise the address of the
+  /// published orbit set's shared_ptr in its shard's `sets`. The
+  /// publisher (under the shard mutex, into an empty slot) writes hi and
+  /// lo first and then release-stores tag; readers acquire-load tag and
+  /// read the key (and the entry it points at) only once it is non-zero.
+  /// A slot is written once per epoch, so those plain reads never race
+  /// with a write.
+  struct alignas(32) Slot {
     std::uintptr_t tag;
     std::uint64_t hi;
     std::uint64_t lo;
-    std::uint64_t count;
   };
   static_assert(sizeof(Slot) == 32);
-  static constexpr std::uintptr_t kCountTag = 1;
+  static constexpr std::uintptr_t kRowBit = 1;  ///< entries are 8-aligned
+
+  static const std::uint64_t* row_of(std::uintptr_t tag) {
+    return (tag & kRowBit) == 0
+               ? nullptr
+               : reinterpret_cast<const std::uint64_t*>(tag & ~kRowBit);
+  }
 
   struct Shard {
     /// Open-addressed, linear-probed, power-of-two sized window of the
@@ -295,17 +291,20 @@ class OrbitCache {
     /// Orbit-set storage; the deque keeps the elements in place, so a
     /// slot's tag can point at one.
     std::deque<std::shared_ptr<const OrbitSet>> sets;
+    /// Row storage; each row is its own array, so a tag can point at it.
+    std::vector<std::unique_ptr<std::uint64_t[]>> rows;
   };
 
-  /// The claim protocol shared by acquire() and acquire_count(): the
+  /// The claim protocol shared by acquire() and acquire_row(): the
   /// published slot (its acquire-loaded tag in `tag`), or nullptr when
-  /// the caller now holds the claim.
+  /// the caller now holds the claim. Counts waits only.
   const Slot* acquire_slot(const OrbitKey& key, std::uintptr_t& tag);
-  /// Releases the claim and, unless `set` is null for an orbit-set entry
-  /// or the shard / byte budget is full, installs the entry: the orbit
-  /// set `set` or, when `is_count`, the count `count`. Wakes waiters.
-  void install(const OrbitKey& key, bool is_count,
-               std::shared_ptr<const OrbitSet> set, std::uint64_t count);
+  /// Releases the claim and, when `entry` and there is room (the shard
+  /// under 7/8 load, `bytes` within the byte budget), installs the tag
+  /// that make(shard) returns. Wakes waiters.
+  template <typename Make>
+  void install(const OrbitKey& key, bool entry, std::size_t bytes,
+               Make make);
 
   Shard& shard_for(const OrbitKey& key) {
     return shards_[static_cast<std::size_t>(key.lo >> 53) & shard_mask_];

@@ -223,13 +223,13 @@ TEST_F(DistTest, ShardedRunMergesBitIdenticalToSingleProcess) {
 
 TEST_F(DistTest, WorkloadSizedCacheHoldsEveryCountOfItsShards) {
   // svc::run_worker and `rvt_cli shard run` size their cache with
-  // memo_cache_capacity instead of the 2^19-slot default: grids x count
-  // entries at the 7/8 load, which for e10:14 rounds to 2^16 slots.
+  // memo_cache_capacity instead of the 2^19-slot default: one row per
+  // index at the 7/8 load, which for e10:14 rounds to 2048 slots.
   const auto w = dist::EnumWorkload::parse("e10:14");
   const std::size_t capacity = dist::memo_cache_capacity(*w);
-  EXPECT_GE(capacity * 7, w->grids().size() * w->count() * 8);
-  EXPECT_GT(capacity, std::size_t{1} << 15);
-  EXPECT_LE(capacity, std::size_t{1} << 16);
+  EXPECT_GE(capacity * 7, w->count() * 8);
+  EXPECT_GT(capacity, std::size_t{1} << 10);
+  EXPECT_LE(capacity, std::size_t{1} << 11);
 
   // Reference per-shard sums: no cache at all.
   const dist::ShardPlan plan = dist::make_shard_plan(*w, 6);

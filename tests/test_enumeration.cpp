@@ -118,6 +118,53 @@ TEST(Enumeration, LazyFirstUnmetMatchesPreparedScan) {
   }
 }
 
+TEST(Enumeration, DuplicateGridAnswersOncePerBinding) {
+  // Battery B holds a content-identical copy of grid 0 (on another tree
+  // object); battery A does not. The early-exit scans on B answer the
+  // copy exactly like grid 0, whichever is asked first, and the copy adds
+  // no binding, query or extracted orbit.
+  std::vector<tree::Tree> trees;
+  trees.push_back(tree::line(8));
+  trees.push_back(tree::line_edge_colored(7, 1));
+  const tree::Tree twin = tree::line(8);
+  const std::vector<EnumGrid> a_grids = small_grids(trees);
+  std::vector<EnumGrid> b_grids = a_grids;
+  b_grids.push_back(a_grids[0]);
+  b_grids.back().tree = &twin;
+  util::Rng rng(0xd0b1e);
+  EnumerationContext a_ctx(a_grids, 150000);
+  EnumerationContext b_ctx(b_grids, 150000);
+  for (int rep = 0; rep < 60; ++rep) {
+    const TabularAutomaton a =
+        random_line_automaton(1 + static_cast<int>(rng.index(4)), rng)
+            .tabular();
+    a_ctx.bind(a);
+    b_ctx.bind(a);
+    const std::ptrdiff_t a0 = a_ctx.first_unmet(0);
+    const std::ptrdiff_t a1 = a_ctx.first_unmet(1);
+    const std::ptrdiff_t g0 = a_ctx.first_ungathered(0);
+    if (rep % 2 == 0) {  // the copy first: computed on grid 0
+      EXPECT_EQ(b_ctx.first_unmet(2), a0) << rep;
+      EXPECT_EQ(b_ctx.first_unmet(1), a1) << rep;
+      EXPECT_EQ(b_ctx.first_unmet(0), a0) << rep;
+      EXPECT_EQ(b_ctx.first_ungathered(2), g0) << rep;
+      EXPECT_EQ(b_ctx.first_ungathered(0), g0) << rep;
+    } else {
+      EXPECT_EQ(b_ctx.first_unmet(0), a0) << rep;
+      EXPECT_EQ(b_ctx.first_unmet(1), a1) << rep;
+      EXPECT_EQ(b_ctx.first_unmet(2), a0) << rep;
+      EXPECT_EQ(b_ctx.first_ungathered(0), g0) << rep;
+      EXPECT_EQ(b_ctx.first_ungathered(2), g0) << rep;
+    }
+  }
+  const EnumTelemetry ta = a_ctx.telemetry();
+  const EnumTelemetry tb = b_ctx.telemetry();
+  EXPECT_EQ(tb.bindings, ta.bindings);
+  EXPECT_EQ(tb.queries, ta.queries);
+  EXPECT_EQ(tb.orbits_extracted, ta.orbits_extracted);
+  EXPECT_GT(ta.queries, 0u);
+}
+
 TEST(Enumeration, CacheHitsAreFlaggedOnVerdicts) {
   util::Rng rng(31);
   std::vector<tree::Tree> trees;
@@ -400,9 +447,18 @@ TEST(Enumeration, MemoCountsMatchCachelessCounts) {
   }
   const EnumTelemetry t = memo.telemetry();
   EXPECT_GT(t.cache_hits, 0u);
-  EXPECT_GT(t.cache_misses, 0u);
-  // Only counts were published — never an orbit set.
-  EXPECT_EQ(cache.stats().publishes, t.cache_misses);
+  // One row per (canonical automaton, kind), never an orbit set; an unmet
+  // row computes the meet grids, an ungathered row every grid.
+  std::vector<OrbitKey> classes;
+  for (const TabularAutomaton& a : automata) {
+    const OrbitKey k = canonical_automaton_key(a);
+    if (std::find(classes.begin(), classes.end(), k) == classes.end()) {
+      classes.push_back(k);
+    }
+  }
+  EXPECT_EQ(cache.stats().publishes, 2 * classes.size());
+  EXPECT_EQ(t.cache_misses, classes.size() * (meet_grids + grids.size()));
+  EXPECT_EQ(cache.stats().misses, t.cache_misses);
   EXPECT_EQ(cache.stats().rejects, 0u);
   // A hit skips the scan entirely: fewer verdicts than the plain context.
   EXPECT_LT(t.queries, plain.telemetry().queries);
@@ -423,19 +479,29 @@ TEST(Enumeration, MemoKeysSeparateDelaysHorizonsAndCountKinds) {
   ctx.bind(a);
   (void)ctx.count_unmet(0);
   (void)ctx.count_unmet(1);
-  EXPECT_EQ(ctx.telemetry().cache_misses, 2u);  // the delay split the key
+  // The delay split the grids: the row computes both.
+  EXPECT_EQ(ctx.telemetry().cache_misses, 2u);
   EXPECT_EQ(ctx.telemetry().cache_hits, 0u);
-  // The same grid under its other count is a different key too.
+  // The same grids under the other count are a different row too.
   (void)ctx.count_ungathered(0);
-  EXPECT_EQ(ctx.telemetry().cache_misses, 3u);
-  // And a content-identical copy of grid 0 DOES share: a hit.
-  std::vector<EnumGrid> copy{grids[0]};
-  EnumerationContext same(copy, 100000, &cache);
+  EXPECT_EQ(ctx.telemetry().cache_misses, 4u);
+  EXPECT_EQ(cache.stats().publishes, 2u);
+  // A context over the same grid list shares the rows: hits only.
+  EnumerationContext same(grids, 100000, &cache);
   same.bind(a);
   (void)same.count_unmet(0);
-  EXPECT_EQ(same.telemetry().cache_hits, 1u);
+  (void)same.count_ungathered(1);
+  EXPECT_EQ(same.telemetry().cache_hits, 2u);
+  EXPECT_EQ(same.telemetry().cache_misses, 0u);
+  // One over a different list does not, even holding grid 0 alone.
+  std::vector<EnumGrid> copy{grids[0]};
+  EnumerationContext other(copy, 100000, &cache);
+  other.bind(a);
+  (void)other.count_unmet(0);
+  EXPECT_EQ(other.telemetry().cache_hits, 0u);
+  EXPECT_EQ(other.telemetry().cache_misses, 1u);
 
-  // One grid under two horizons never shares a count.
+  // One grid list under two horizons never shares a count.
   EnumerationContext short_horizon(copy, 50, &cache);
   short_horizon.bind(a);
   EnumerationContext short_plain(copy, 50, nullptr);
@@ -504,6 +570,11 @@ TEST(Enumeration, ValidatesGridsAndBindingUpFront) {
     EnumerationContext ctx(grids, 10);
     EXPECT_THROW(ctx.verify(0), std::logic_error);  // bind() first
     EXPECT_THROW(ctx.verify_gather(0), std::logic_error);
+    EXPECT_THROW(ctx.first_unmet(0), std::logic_error);
+    OrbitCache cache;
+    EnumerationContext memo(grids, 10, &cache);
+    EXPECT_THROW(memo.count_unmet(0), std::logic_error);
+    EXPECT_THROW(memo.count_ungathered(0), std::logic_error);
   }
 }
 

@@ -3,8 +3,8 @@
 // bearing guarantee — that under many workers racing rebinds and lookups
 // no orbit is ever extracted twice for one (automaton hash, epoch) on a
 // single machine — and that the defeat-count memo computes each
-// (grid, canonical automaton) key once, degrading to recomputation when
-// the table is full. The races run under the ASan/UBSan CI job like
+// (grid list, canonical automaton, kind) row once, each distinct grid of
+// it once, degrading to recomputation when the table is full. The races run under the ASan/UBSan CI job like
 // every tier-1 test, and under the TSan job, which checks the lock-free
 // slot publication.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -220,6 +219,8 @@ TEST(OrbitCache, NoOrbitExtractedTwicePerBindingAcrossRacingWorkers) {
     // once.
     EXPECT_EQ(telemetry.orbits_extracted, distinct * starts_per_automaton)
         << "epoch " << epoch;
+    // One row per canonical form, each of its distinct grids computed
+    // once.
     EXPECT_EQ(telemetry.cache_misses, distinct * trees.size())
         << "epoch " << epoch;
     EXPECT_GT(telemetry.cache_hits, 0u) << "epoch " << epoch;
@@ -231,7 +232,8 @@ TEST(OrbitCache, NoOrbitExtractedTwicePerBindingAcrossRacingWorkers) {
     cache.advance_epoch();
   }
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.publishes,
+  EXPECT_EQ(stats.publishes, static_cast<std::uint64_t>(kEpochs) * distinct);
+  EXPECT_EQ(stats.misses,
             static_cast<std::uint64_t>(kEpochs) * distinct * trees.size());
   EXPECT_EQ(stats.rejects, 0u);
 
@@ -255,68 +257,77 @@ TEST(OrbitCache, NoOrbitExtractedTwicePerBindingAcrossRacingWorkers) {
   }
 }
 
-TEST(CountMemo, ClaimPublishAcquireCountRoundTrip) {
+TEST(CountMemo, ClaimPublishAcquireRowRoundTrip) {
   OrbitCache cache(4, 1024);
-  const OrbitKey grid{1, 2};
+  const OrbitKey battery{1, 2};
   const OrbitKey automaton{3, 4};
-  const OrbitKey key = count_memo_key(grid, automaton, CountKind::kUnmet);
+  const OrbitKey key = row_memo_key(battery, automaton, CountKind::kUnmet);
   // Domain-separated from the other kind and from orbit-set keys.
-  EXPECT_NE(key, count_memo_key(grid, automaton, CountKind::kUngathered));
-  EXPECT_NE(key, combine_orbit_keys(grid, automaton));
-  EXPECT_NE(key, count_memo_key(automaton, grid, CountKind::kUnmet));
+  EXPECT_NE(key, row_memo_key(battery, automaton, CountKind::kUngathered));
+  EXPECT_NE(key, combine_orbit_keys(battery, automaton));
+  EXPECT_NE(key, row_memo_key(automaton, battery, CountKind::kUnmet));
 
-  EXPECT_EQ(cache.acquire_count(key), std::nullopt);  // claims
-  cache.publish_count(key, 0);  // a zero count is a real answer
-  EXPECT_EQ(cache.acquire_count(key), std::optional<std::uint64_t>(0));
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(cache.acquire_row(key), nullptr);  // claims
+  const std::uint64_t row[] = {0, 5, 9};       // zero is a real answer
+  cache.publish_row(key, row, /*computed=*/2);
+  const std::uint64_t* got = cache.acquire_row(key);
+  ASSERT_NE(got, nullptr);
+  EXPECT_NE(got, row);  // the cache holds its own copy
+  EXPECT_EQ(std::vector<std::uint64_t>(got, got + 3),
+            std::vector<std::uint64_t>(std::begin(row), std::end(row)));
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);  // the counts computed ...
+  EXPECT_EQ(stats.hits, 0u);    // ... while row lookups record no hit
   EXPECT_EQ(stats.publishes, 1u);
-  EXPECT_EQ(cache.peek(key), nullptr);  // a count is not an orbit set
+  EXPECT_EQ(cache.peek(key), nullptr);  // a row is not an orbit set
 
   cache.advance_epoch();
-  EXPECT_EQ(cache.acquire_count(key), std::nullopt);
+  EXPECT_EQ(cache.find_row(key), nullptr);
+  EXPECT_EQ(cache.acquire_row(key), nullptr);
   cache.abandon(key);
-  EXPECT_EQ(cache.acquire_count(key), std::nullopt);  // claimable again
-  cache.publish_count(key, 41);
-  EXPECT_EQ(cache.acquire_count(key), std::optional<std::uint64_t>(41));
+  EXPECT_EQ(cache.acquire_row(key), nullptr);  // claimable again
+  const std::uint64_t row41[] = {41};
+  cache.publish_row(key, row41, 1);
+  ASSERT_NE(cache.find_row(key), nullptr);
+  EXPECT_EQ(*cache.find_row(key), 41u);
 
-  // Counts live inline in their probe slots and carry no epoch: the
-  // epoch advance alone must empty them. Fill most of the table, advance,
-  // and every key must be claimable again (no stale count served), then
-  // hold its new value — twice over, so the second advance clears slots
-  // the first one already recycled.
+  // Slots carry no epoch: the epoch advance alone must empty them. Fill
+  // most of the table, advance, and every key must be claimable again (no
+  // stale row served), then hold its new value — twice over, so the
+  // second advance clears slots the first one already recycled.
   std::vector<OrbitKey> keys;
   for (std::uint64_t i = 0; i < 600; ++i) {
-    keys.push_back(count_memo_key(grid, OrbitKey{i, ~i}, CountKind::kUnmet));
+    keys.push_back(row_memo_key(battery, OrbitKey{i, ~i}, CountKind::kUnmet));
   }
   for (std::uint64_t round = 1; round <= 2; ++round) {
     cache.advance_epoch();
-    EXPECT_EQ(cache.acquire_count(key), std::nullopt);  // 41 is gone too
+    EXPECT_EQ(cache.acquire_row(key), nullptr);  // 41 is gone too
     cache.abandon(key);
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(cache.acquire_count(keys[i]), std::nullopt)
+      ASSERT_EQ(cache.acquire_row(keys[i]), nullptr)
           << "round " << round << " key " << i;
-      cache.publish_count(keys[i], round * 1000 + i);
+      const std::uint64_t value[] = {round * 1000 + i, i};
+      cache.publish_row(keys[i], value, 2);
     }
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      EXPECT_EQ(cache.acquire_count(keys[i]),
-                std::optional<std::uint64_t>(round * 1000 + i))
-          << "round " << round << " key " << i;
+      const std::uint64_t* r = cache.acquire_row(keys[i]);
+      ASSERT_NE(r, nullptr) << "round " << round << " key " << i;
+      EXPECT_EQ(r[0], round * 1000 + i) << "round " << round << " key " << i;
+      EXPECT_EQ(r[1], i);
     }
   }
   EXPECT_EQ(cache.stats().rejects, 0u);
 }
 
-TEST(CountMemo, CountEntriesChargeNoBytes) {
-  // A count is held in its probe slot: no node, no bytes. Even a zero
-  // byte budget, which rejects every orbit set, accepts counts — they
-  // are bounded by slot capacity alone.
+TEST(CountMemo, RowsChargeNoBytes) {
+  // A row is not an orbit set: even a zero byte budget, which rejects
+  // every orbit set, accepts rows — they are bounded by slot capacity.
   OrbitCache cache(2, 64, /*max_bytes=*/0);
   for (std::uint64_t i = 0; i < 20; ++i) {
     const OrbitKey key{i, i * 7 + 1};
-    ASSERT_EQ(cache.acquire_count(key), std::nullopt);
-    cache.publish_count(key, i);
+    ASSERT_EQ(cache.acquire_row(key), nullptr);
+    const std::uint64_t row[] = {i, i + 1};
+    cache.publish_row(key, row, 2);
   }
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.stats().publishes, 20u);
@@ -334,12 +345,13 @@ TEST(CountMemo, CountEntriesChargeNoBytes) {
   roomy.publish(set_key, set);
   for (std::uint64_t i = 0; i < 20; ++i) {
     const OrbitKey key{i, i * 7 + 1};
-    ASSERT_EQ(roomy.acquire_count(key), std::nullopt);
-    roomy.publish_count(key, i);
+    ASSERT_EQ(roomy.acquire_row(key), nullptr);
+    const std::uint64_t row[] = {i, i + 1};
+    roomy.publish_row(key, row, 2);
   }
   EXPECT_EQ(roomy.bytes(), 100u);  // the orbit set's bytes only
-  EXPECT_EQ(roomy.acquire_count(OrbitKey{3, 22}),
-            std::optional<std::uint64_t>(3));
+  ASSERT_NE(roomy.find_row(OrbitKey{3, 22}), nullptr);
+  EXPECT_EQ(roomy.find_row(OrbitKey{3, 22})[1], 4u);
   EXPECT_EQ(roomy.peek(set_key), set.get());
 }
 
@@ -401,9 +413,9 @@ struct MemoBattery {
 
 TEST(CountMemo, EachKeyComputedOnceAcrossRacingWorkers) {
   // Grids 0 and 2 are content-identical copies (same tree content, same
-  // queries, same horizon): they share one grid key, so per canonical
-  // automaton there are TWO memo keys, not three — and under 8 racing
-  // workers each is computed exactly once.
+  // queries, same horizon): a row computes TWO distinct grids, not three,
+  // and under 8 racing workers each canonical automaton's row is
+  // computed exactly once.
   const MemoBattery b(24, 0x3e3011);
   ASSERT_GT(b.distinct, 12u);
   std::vector<EnumGrid> grids{b.grid(0), b.grid(1), b.grid(0)};
@@ -416,7 +428,8 @@ TEST(CountMemo, EachKeyComputedOnceAcrossRacingWorkers) {
   const auto counts = b.sweep(grids, /*dup=*/6, 8, &cache, &telemetry);
   EXPECT_EQ(telemetry.orbits_extracted, b.distinct * starts);
   EXPECT_EQ(telemetry.cache_misses, b.distinct * 2);
-  EXPECT_EQ(cache.stats().publishes, b.distinct * 2);
+  EXPECT_EQ(cache.stats().misses, b.distinct * 2);
+  EXPECT_EQ(cache.stats().publishes, b.distinct);
   EXPECT_EQ(telemetry.cache_hits + telemetry.cache_misses,
             b.automata.size() * 6 * grids.size());
 
@@ -426,7 +439,7 @@ TEST(CountMemo, EachKeyComputedOnceAcrossRacingWorkers) {
 
 TEST(CountMemo, FullTableDegradesToRecomputation) {
   // 8 slots, at most 7 filled: the sweep overflows the table at once.
-  // Rejected publishes are counted, their keys are recomputed on the
+  // Rejected publishes are counted, their rows are recomputed on the
   // next visit, and every total is unchanged.
   const MemoBattery b(24, 0xf0115);
   std::vector<EnumGrid> grids{b.grid(0), b.grid(1)};
@@ -436,31 +449,28 @@ TEST(CountMemo, FullTableDegradesToRecomputation) {
   const auto stats = tiny.stats();
   EXPECT_EQ(stats.publishes, 7u);
   EXPECT_GT(stats.rejects, 0u);
-  EXPECT_EQ(stats.publishes + stats.rejects, telemetry.cache_misses);
-  // More computed than distinct keys: rejected keys came back as misses.
+  // Every row computed (two grids each) was published or rejected.
+  EXPECT_EQ((stats.publishes + stats.rejects) * grids.size(),
+            telemetry.cache_misses);
+  // More computed than distinct rows: rejected rows came back as misses.
   EXPECT_GT(telemetry.cache_misses, b.distinct * grids.size());
 
   EnumTelemetry solo_telemetry;
   EXPECT_EQ(counts, b.sweep(grids, 3, 1, nullptr, &solo_telemetry));
 }
 
-TEST(CountMemo, PrefetchBatchIsNotALookup) {
-  // The first memoized count of a binding (per kind) keys and probes
-  // EVERY grid to fill the binding row. Those probes are not lookups:
-  // accounting is one hit or one miss per count actually asked, whatever
-  // subset of grids (and kinds) a binding asks for.
+TEST(CountMemo, RowAccountingIsOnePerCountAsked) {
+  // A binding asking every grid under both kinds, in alternating order,
+  // over a list holding a copy of each grid: one miss per distinct grid
+  // computed, one hit per other count asked, one publish per row.
   const MemoBattery b(24, 0xba7c4);
   std::vector<EnumGrid> grids{b.grid(0), b.grid(1), b.grid(0), b.grid(1)};
   const std::uint64_t n = b.automata.size() * 4;
-  const auto one_grid = [&](EnumerationContext& ctx, std::uint64_t i) {
-    ctx.bind(b.automata[i % b.automata.size()]);
-    return ctx.count_unmet((i / 3) % ctx.grid_count());
-  };
   const auto both_kinds = [&](EnumerationContext& ctx, std::uint64_t i) {
     ctx.bind(b.automata[i % b.automata.size()]);
     std::uint64_t sum = 0;
     for (std::size_t g = 0; g < ctx.grid_count(); ++g) {
-      // Alternate which kind opens the binding's batch.
+      // Alternate which kind opens the binding's rows.
       sum = sum * 31 + (((g + i) % 2 == 0) ? ctx.count_unmet(g)
                                            : ctx.count_ungathered(g));
       sum = sum * 31 + (((g + i) % 2 == 0) ? ctx.count_ungathered(g)
@@ -468,41 +478,41 @@ TEST(CountMemo, PrefetchBatchIsNotALookup) {
     }
     return sum;
   };
-  const auto check = [&](auto fn, std::uint64_t calls, const char* what) {
-    OrbitCache cache(4);
-    EnumTelemetry telemetry;
-    const auto counts =
-        sweep_enumeration(grids, n, 100000, fn, 4, &cache, &telemetry);
-    const OrbitCache::Stats st = cache.stats();
-    EXPECT_EQ(st.hits + st.misses, calls) << what;
-    EXPECT_EQ(telemetry.cache_hits + telemetry.cache_misses, calls) << what;
-    EXPECT_EQ(st.misses, telemetry.cache_misses) << what;
-    EXPECT_EQ(st.publishes, st.misses) << what;
-    EXPECT_EQ(st.rejects, 0u) << what;
-    EXPECT_EQ(counts, sweep_enumeration(grids, n, 100000, fn, 1)) << what;
-  };
-  check(one_grid, n, "one grid per binding");
-  check(both_kinds, n * grids.size() * 2, "alternating kinds");
+  OrbitCache cache(4);
+  EnumTelemetry telemetry;
+  const auto counts =
+      sweep_enumeration(grids, n, 100000, both_kinds, 4, &cache, &telemetry);
+  const OrbitCache::Stats st = cache.stats();
+  const std::uint64_t asked = n * grids.size() * 2;
+  EXPECT_EQ(st.hits + st.misses, asked);
+  EXPECT_EQ(telemetry.cache_hits + telemetry.cache_misses, asked);
+  EXPECT_EQ(st.misses, telemetry.cache_misses);
+  EXPECT_EQ(st.misses, b.distinct * 2 * 2);  // kinds x distinct grids
+  EXPECT_EQ(st.publishes, b.distinct * 2);   // one row per kind
+  EXPECT_EQ(st.rejects, 0u);
+  EXPECT_EQ(counts, sweep_enumeration(grids, n, 100000, both_kinds, 1));
 }
 
-TEST(CountMemo, ProbeCountsNeitherClaimsNorCounts) {
+TEST(CountMemo, FindRowNeitherClaimsNorCounts) {
   OrbitCache cache(4, 1024);
   const OrbitKey keys[] = {
-      count_memo_key(OrbitKey{1, 2}, OrbitKey{3, 4}, CountKind::kUnmet),
-      count_memo_key(OrbitKey{1, 2}, OrbitKey{5, 6}, CountKind::kUnmet)};
-  std::optional<std::uint64_t> row[2] = {7, 7};
-  cache.probe_counts(keys, row);
-  EXPECT_EQ(row[0], std::nullopt);
-  EXPECT_EQ(row[1], std::nullopt);
-  // The probe claimed nothing: the first acquire still gets the claim.
-  EXPECT_EQ(cache.acquire_count(keys[1]), std::nullopt);
-  cache.publish_count(keys[1], 0);
-  cache.probe_counts(keys, row);
-  EXPECT_EQ(row[0], std::nullopt);
-  EXPECT_EQ(row[1], std::optional<std::uint64_t>(0));
+      row_memo_key(OrbitKey{1, 2}, OrbitKey{3, 4}, CountKind::kUnmet),
+      row_memo_key(OrbitKey{1, 2}, OrbitKey{5, 6}, CountKind::kUnmet)};
+  EXPECT_EQ(cache.find_row(keys[0]), nullptr);
+  EXPECT_EQ(cache.find_row(keys[1]), nullptr);
+  // The find claimed nothing: the first acquire still gets the claim.
+  EXPECT_EQ(cache.acquire_row(keys[1]), nullptr);
+  const std::uint64_t row[] = {0, 3};
+  cache.publish_row(keys[1], row, 2);
+  EXPECT_EQ(cache.find_row(keys[0]), nullptr);
+  const std::uint64_t* found = cache.find_row(keys[1]);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found[0], 0u);
+  EXPECT_EQ(found[1], 3u);
   auto st = cache.stats();
-  EXPECT_EQ(st.hits, 0u);  // probes record nothing ...
-  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.hits, 0u);  // finds record nothing ...
+  EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(st.waits, 0u);
   cache.add_hits(3);  // ... the caller reports what it served
   EXPECT_EQ(cache.stats().hits, 3u);
 }
@@ -528,42 +538,57 @@ TEST(CountMemo, RowReprobesAfterEpochAdvance) {
   OrbitCache cache(4);
   EnumerationContext ctx(f.grids, 100000, &cache);
   ctx.bind(f.b.automata[0]);
-  EXPECT_EQ(ctx.count_unmet(0), f.plain[0]);  // miss: computed, published
+  EXPECT_EQ(ctx.count_unmet(0), f.plain[0]);  // miss: row computed
   ctx.bind(f.b.automata[0]);
   EXPECT_EQ(ctx.count_unmet(0), f.plain[0]);  // served from the row
   EXPECT_EQ(ctx.telemetry().cache_hits, 1u);
   const std::uint64_t queries = ctx.telemetry().queries;
-  // Same binding, new epoch: the row's count predates it, so the next
-  // count must probe again, miss and recompute.
+  // Same binding, new epoch: the row predates it, so the next count must
+  // look it up again, miss and recompute.
   cache.advance_epoch();
   EXPECT_EQ(ctx.count_unmet(0), f.plain[0]);
   const EnumTelemetry t = ctx.telemetry();
-  EXPECT_EQ(t.cache_misses, 2u);
+  EXPECT_EQ(t.cache_misses, 2 * f.grids.size());  // two rows computed
   EXPECT_EQ(t.cache_hits, 1u);
   EXPECT_GT(t.queries, queries);
   const OrbitCache::Stats st = cache.stats();
-  EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(st.misses, 2 * f.grids.size());
   EXPECT_EQ(st.publishes, 2u);
   EXPECT_EQ(st.hits, 1u);
 }
 
 TEST(CountMemo, RowMissSeesLaterPublish) {
-  const RowFixture f;
+  // A's non-claiming find misses; B then claims and publishes the row;
+  // A's claiming lookup adopts B's row as a hit instead of a claim.
   OrbitCache cache(4);
-  EnumerationContext a(f.grids, 100000, &cache);
-  EnumerationContext b(f.grids, 100000, &cache);
-  a.bind(f.b.automata[0]);
-  EXPECT_EQ(a.count_unmet(1), f.plain[1]);  // A's row: nothing published
-  b.bind(f.b.automata[0]);
-  EXPECT_EQ(b.count_unmet(0), f.plain[0]);  // B publishes grid 0
-  // Unknown to A's row, but published since: the claiming lookup hits.
-  EXPECT_EQ(a.count_unmet(0), f.plain[0]);
-  EXPECT_EQ(a.telemetry().cache_hits, 1u);
-  EXPECT_EQ(a.telemetry().cache_misses, 1u);
+  const OrbitKey key =
+      row_memo_key(OrbitKey{7, 7}, OrbitKey{8, 8}, CountKind::kUnmet);
+  EXPECT_EQ(cache.find_row(key), nullptr);  // A
+  EXPECT_EQ(cache.acquire_row(key), nullptr);  // B claims ...
+  const std::uint64_t row[] = {4, 2};
+  cache.publish_row(key, row, 2);  // ... and publishes
+  const std::uint64_t* adopted = cache.acquire_row(key);  // A
+  ASSERT_NE(adopted, nullptr);
+  EXPECT_EQ(adopted, cache.find_row(key));
+  EXPECT_EQ(adopted[0], 4u);
   const OrbitCache::Stats st = cache.stats();
-  EXPECT_EQ(st.hits + st.misses, 3u);  // one per count asked
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.publishes, st.misses);
+  EXPECT_EQ(st.publishes, 1u);
+  EXPECT_EQ(st.misses, 2u);
+
+  // Through contexts: B's published row answers A's whole binding.
+  const RowFixture f;
+  OrbitCache shared(4);
+  EnumerationContext a(f.grids, 100000, &shared);
+  EnumerationContext b(f.grids, 100000, &shared);
+  b.bind(f.b.automata[0]);
+  EXPECT_EQ(b.count_unmet(1), f.plain[1]);  // B computes and publishes
+  a.bind(f.b.automata[0]);
+  EXPECT_EQ(a.count_unmet(0), f.plain[0]);
+  EXPECT_EQ(a.count_unmet(1), f.plain[1]);
+  EXPECT_EQ(a.telemetry().cache_hits, 2u);
+  EXPECT_EQ(a.telemetry().cache_misses, 0u);
+  EXPECT_EQ(a.telemetry().queries, 0u);
+  EXPECT_EQ(shared.stats().publishes, 1u);
 }
 
 TEST(CountMemo, HitsReachStatsOncePerBinding) {
@@ -615,6 +640,147 @@ TEST(CountMemo, HitsReachStatsOncePerBinding) {
   }
   EXPECT_EQ(hits(), 10u);
   EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(CountMemo, RowComputesEachDistinctGridOnce) {
+  // Grid 2 is a copy of grid 0 on a DIFFERENT tree object with the same
+  // content: the row computes it once, and the copy costs no binding,
+  // query or orbit. Grid 3 has grid 0's queries on a relabeled line of
+  // the same size: not a copy.
+  const MemoBattery b(8, 0xd157);
+  const tree::Tree twin = tree::line(6);  // same content as b.trees[0]
+  const tree::Tree relabeled = tree::line_edge_colored(6, 1);
+  EnumGrid copy = b.grid(0);
+  copy.tree = &twin;
+  EnumGrid other = b.grid(0);
+  other.tree = &relabeled;
+  const std::vector<EnumGrid> three{b.grid(0), b.grid(1), other};
+  const std::vector<EnumGrid> four{b.grid(0), b.grid(1), copy, other};
+  OrbitCache cache_three(4), cache_four(4);
+  EnumerationContext ctx_three(three, 100000, &cache_three);
+  EnumerationContext ctx_four(four, 100000, &cache_four);
+  EnumerationContext plain(four, 100000);
+  bool labeling_matters = false;
+  for (const TabularAutomaton& a : b.automata) {
+    ctx_three.bind(a);
+    ctx_four.bind(a);
+    plain.bind(a);
+    for (std::size_t g = 0; g < four.size(); ++g) {
+      EXPECT_EQ(ctx_four.count_unmet(g), plain.count_unmet(g)) << g;
+      if (g < three.size()) (void)ctx_three.count_unmet(g);
+    }
+    labeling_matters =
+        labeling_matters || plain.count_unmet(0) != plain.count_unmet(3);
+  }
+  EXPECT_TRUE(labeling_matters);  // grid 3 really differs from grid 0
+  const EnumTelemetry t3 = ctx_three.telemetry();
+  const EnumTelemetry t4 = ctx_four.telemetry();
+  EXPECT_EQ(t4.queries, t3.queries);
+  EXPECT_EQ(t4.orbits_extracted, t3.orbits_extracted);
+  EXPECT_EQ(t4.cache_misses, t3.cache_misses);
+  EXPECT_EQ(t4.cache_misses, b.distinct * 3);
+  // The copy is a hit in every binding, the computing ones included.
+  EXPECT_EQ(t4.cache_hits, t3.cache_hits + b.automata.size());
+  EXPECT_EQ(t4.bindings, t3.bindings + b.automata.size());
+  EXPECT_EQ(cache_four.stats().publishes, b.distinct);
+  EXPECT_EQ(cache_four.stats().misses, b.distinct * 3);
+}
+
+TEST(CountMemo, ThrowMidRowAbandonsTheClaim) {
+  // Cache level: B waits on A's claim; A abandons; B wakes holding the
+  // claim and publishes.
+  {
+    OrbitCache cache(1);
+    const OrbitKey key =
+        row_memo_key(OrbitKey{5, 5}, OrbitKey{6, 6}, CountKind::kUnmet);
+    ASSERT_EQ(cache.acquire_row(key), nullptr);  // A claims
+    const std::uint64_t* b_got = &key.hi;        // sentinel: not yet run
+    std::thread waiter([&] {
+      b_got = cache.acquire_row(key);
+      if (b_got == nullptr) {
+        const std::uint64_t row[] = {11};
+        cache.publish_row(key, row, 1);
+      }
+    });
+    while (cache.stats().waits == 0) std::this_thread::yield();
+    cache.abandon(key);  // A's computation failed
+    waiter.join();
+    EXPECT_EQ(b_got, nullptr);  // B recomputed ...
+    ASSERT_NE(cache.find_row(key), nullptr);
+    EXPECT_EQ(*cache.find_row(key), 11u);  // ... and published
+    EXPECT_EQ(cache.stats().publishes, 1u);
+  }
+  // Context level: a line automaton computes the line grid, then throws
+  // binding the degree-3 grid — mid-row. The claim is abandoned, so the
+  // next context to ask recomputes (and throws again) instead of
+  // blocking, and the failed row is never published.
+  const tree::Tree line = tree::line(6);
+  const tree::Tree star = tree::star(3);
+  EnumGrid line_grid(&line, {{0, 5, 0, 0}, {1, 4, 2, 0}});
+  EnumGrid star_grid(&star, {{1, 2, 0, 0}, {0, 3, 1, 0}});
+  const std::vector<EnumGrid> grids{line_grid, star_grid};
+  util::Rng rng(0x7409);
+  const TabularAutomaton line_automaton =
+      random_line_automaton(2, rng).tabular();
+  OrbitCache cache(4);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EnumerationContext ctx(grids, 100000, &cache);
+    ctx.bind(line_automaton);
+    EXPECT_THROW((void)ctx.count_unmet(0), std::invalid_argument)
+        << "attempt " << attempt;
+    EXPECT_EQ(ctx.telemetry().cache_misses, 1u);  // the line grid ran
+    EXPECT_GT(ctx.telemetry().queries, 0u);
+    // The failed binding's row is looked up afresh, not served half-done.
+    EXPECT_THROW((void)ctx.count_unmet(0), std::invalid_argument);
+  }
+  EXPECT_EQ(cache.stats().publishes, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);  // misses reach the cache with a row
+  // The context stays usable: an automaton of the tree model fills the
+  // same battery's row.
+  const TabularAutomaton tree_automaton =
+      random_tree_automaton(2, rng).tabular();
+  EnumerationContext ctx(grids, 100000, &cache);
+  EnumerationContext plain(grids, 100000);
+  ctx.bind(tree_automaton);
+  plain.bind(tree_automaton);
+  EXPECT_EQ(ctx.count_unmet(1), plain.count_unmet(1));
+  EXPECT_EQ(ctx.count_unmet(0), plain.count_unmet(0));
+  EXPECT_EQ(cache.stats().publishes, 1u);
+}
+
+TEST(CountMemo, UnmetRowSkipsGatherOnlyGrids) {
+  // Grid 0 is a pair grid, grid 1 a 3-agent grid and grid 2 a pair grid
+  // with co-located starts: only grid 0 is meet-capable. The unmet row
+  // computes grid 0 alone; the gather-only grids still refuse the meet
+  // API and are served by the ungathered row.
+  const tree::Tree line = tree::line(6);
+  EnumGrid pair(&line, {{0, 5, 0, 0}, {1, 3, 2, 0}, {2, 4, 1, 0}});
+  EnumGrid triple(&line, 3);
+  const std::vector<tree::NodeId> s3{0, 2, 5};
+  triple.push(s3, {});
+  const std::vector<std::uint64_t> d3{0, 1, 3};
+  triple.push(s3, d3);
+  EnumGrid colocated(&line, {{1, 1, 0, 2}, {0, 4, 0, 0}});
+  const std::vector<EnumGrid> grids{pair, triple, colocated};
+  util::Rng rng(0x3a7e);
+  const TabularAutomaton a = random_line_automaton(3, rng).tabular();
+
+  OrbitCache cache(4);
+  EnumerationContext ctx(grids, 100000, &cache);
+  EnumerationContext plain(grids, 100000);
+  ctx.bind(a);
+  plain.bind(a);
+  EXPECT_EQ(ctx.count_unmet(0), plain.count_unmet(0));
+  EXPECT_EQ(ctx.telemetry().cache_misses, 1u);
+  EXPECT_EQ(ctx.telemetry().queries, pair.query_count());
+  EXPECT_THROW((void)ctx.count_unmet(1), std::invalid_argument);
+  EXPECT_THROW((void)ctx.count_unmet(2), std::invalid_argument);
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    EXPECT_EQ(ctx.count_ungathered(g), plain.count_ungathered(g)) << g;
+  }
+  EXPECT_EQ(ctx.telemetry().cache_misses, 1u + grids.size());
+  EXPECT_EQ(cache.stats().publishes, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u + grids.size());
 }
 
 /// Raw acquire/publish race on one key: exactly one claimer, everyone
