@@ -48,11 +48,6 @@ constexpr std::uint64_t kCommittedE10Defeats = 5426593;
 constexpr unsigned kShards = 4;
 constexpr unsigned kProcesses = 2;
 
-std::string cli_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  return (self.parent_path() / "rvt_cli").string();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -114,7 +109,7 @@ int main(int argc, char** argv) {
 
   // Two child processes, each running half the shards sequentially.
   // `wait` on the explicit pids propagates the children's exit codes.
-  const std::string cli = cli_path(argv[0]);
+  const std::string cli = bench::cli_path(argv[0]);
   auto run_cmd = [&](unsigned shard) {
     return cli + " shard run " + plan_path + " " + std::to_string(shard) +
            " --journal-dir " + journal_dir;

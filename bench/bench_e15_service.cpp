@@ -26,20 +26,15 @@
 // default. The BENCH_E15.json report carries the schema's "service"
 // block (runner count, lease churn, journal bytes streamed,
 // time-to-first-sealed-shard) summed over both phases.
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/workload.hpp"
 #include "net/socket.hpp"
@@ -47,67 +42,16 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "sim/enumeration.hpp"
-#include "sim/orbit_cache.hpp"
 #include "sim/simd.hpp"
 #include "svc/coordinator.hpp"
 
 namespace {
 
 using namespace rvt;
+using namespace rvt::bench;
 
 constexpr std::uint64_t kCommittedE10Defeats = 5426593;
 constexpr unsigned kShards = 6;
-
-std::string cli_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  return (self.parent_path() / "rvt_cli").string();
-}
-
-bool check(bool ok, const std::string& what) {
-  std::cout << "  [" << (ok ? "ok" : "FAIL") << "] " << what << "\n";
-  return ok;
-}
-
-/// Extracts the integer value of `"key": N` from a metrics snapshot;
-/// returns false when the key is absent.
-bool metrics_u64(const std::string& body, const std::string& key,
-                 std::uint64_t* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return false;
-  *out = std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
-  return true;
-}
-
-struct WorkerProc {
-  std::thread thread;
-  // Heap slot so the launcher thread's pointer survives the struct
-  // being moved into the fleet vector.
-  std::unique_ptr<int> status = std::make_unique<int>(-1);
-  int exit_code() const {
-    return WIFEXITED(*status) ? WEXITSTATUS(*status) : -1;
-  }
-};
-
-/// Launches `rvt_cli worker` as a subprocess (optionally with a
-/// RVT_FAILPOINTS value injected) and captures its exit status. A real
-/// child process, not an in-process thread: the chaos drill _exits the
-/// whole worker, and the bench must measure the daemon a remote host
-/// would actually run.
-WorkerProc launch_worker(const std::string& cli, std::uint16_t port,
-                         const std::string& name, const std::string& log,
-                         const std::string& failpoints = "") {
-  std::string cmd;
-  if (!failpoints.empty()) cmd += "RVT_FAILPOINTS='" + failpoints + "' ";
-  cmd += cli + " worker --connect 127.0.0.1:" + std::to_string(port) +
-         " --name " + name + " > " + log + " 2>&1";
-  WorkerProc p;
-  int* status = p.status.get();
-  p.thread = std::thread(
-      [cmd, status]() { *status = std::system(cmd.c_str()); });
-  return p;
-}
 
 }  // namespace
 
@@ -132,16 +76,7 @@ int main(int argc, char** argv) {
   const auto workload =
       dist::EnumWorkload::parse("e10:" + std::to_string(max_n));
   bench::WallTimer single_timer;
-  std::uint64_t single_total = 0;
-  {
-    // Sized like the workers' caches, so both sides key the same table.
-    sim::OrbitCache cache(16, dist::memo_cache_capacity(*workload));
-    sim::EnumerationContext ctx(workload->grids(), workload->max_rounds(),
-                                &cache);
-    for (std::uint64_t i = 0; i < workload->count(); ++i) {
-      single_total += workload->defeats(ctx, i);
-    }
-  }
+  const std::uint64_t single_total = single_process_defeats(*workload);
   const double single_seconds = single_timer.seconds();
   std::cout << "single process (e10:" << max_n << "): " << single_total
             << " defeats (" << single_seconds << " s)\n";
@@ -163,26 +98,18 @@ int main(int argc, char** argv) {
     cfg.journal_dir = scratch + "/clean-journals";
     svc::Coordinator coord(plan, cfg);
     bench::WallTimer fleet_timer;
-    std::vector<WorkerProc> fleet;
-    fleet.push_back(
-        launch_worker(cli, coord.port(), "w1", scratch + "/w1.log"));
-    fleet.push_back(
-        launch_worker(cli, coord.port(), "w2", scratch + "/w2.log"));
+    const pid_t w1 = spawn_worker(
+        cli, coord.port(), {.name = "w1", .log = scratch + "/w1.log"});
+    const pid_t w2 = spawn_worker(
+        cli, coord.port(), {.name = "w2", .log = scratch + "/w2.log"});
     const bool drained =
         coord.wait_complete(std::chrono::milliseconds(30 * 60 * 1000));
-    for (auto& w : fleet) w.thread.join();
+    const bool workers_clean = wait_exit(w1) == 0 && wait_exit(w2) == 0;
     clean_seconds = fleet_timer.seconds();
     clean_rep = coord.report();
     ttfs = clean_rep.time_to_first_sealed_shard_seconds;
 
-    std::uint64_t merged = 0;
-    try {
-      merged = dist::merge_journals(plan, cfg.journal_dir).total;
-    } catch (const std::exception& e) {
-      std::cerr << "clean merge failed: " << e.what() << "\n";
-    }
-    const bool workers_clean =
-        fleet[0].exit_code() == 0 && fleet[1].exit_code() == 0;
+    const std::uint64_t merged = merged_total(plan, cfg.journal_dir);
     all_ok &= check(drained && clean_rep.all_complete() &&
                         clean_rep.shards_completed == kShards,
                     "all " + std::to_string(kShards) + " shards sealed");
@@ -240,32 +167,26 @@ int main(int argc, char** argv) {
     cfg.journal_dir = scratch + "/chaos-journals";
     svc::Coordinator coord(plan, cfg);
     bench::WallTimer fleet_timer;
-    std::vector<WorkerProc> fleet;
-    fleet.push_back(launch_worker(cli, coord.port(), "doomed",
-                                  scratch + "/doomed.log",
-                                  "worker.index=crash@hit:25"));
-    fleet.push_back(
-        launch_worker(cli, coord.port(), "w3", scratch + "/w3.log"));
-    fleet.push_back(
-        launch_worker(cli, coord.port(), "w4", scratch + "/w4.log"));
+    const pid_t doomed =
+        spawn_worker(cli, coord.port(),
+                     {.name = "doomed",
+                      .log = scratch + "/doomed.log",
+                      .failpoints = "worker.index=crash@hit:25"});
+    const pid_t w3 = spawn_worker(
+        cli, coord.port(), {.name = "w3", .log = scratch + "/w3.log"});
+    const pid_t w4 = spawn_worker(
+        cli, coord.port(), {.name = "w4", .log = scratch + "/w4.log"});
     const bool drained =
         coord.wait_complete(std::chrono::milliseconds(30 * 60 * 1000));
-    for (auto& w : fleet) w.thread.join();
+    const int doomed_exit = wait_exit(doomed);
+    const bool survivors_clean = wait_exit(w3) == 0 && wait_exit(w4) == 0;
     chaos_seconds = fleet_timer.seconds();
     chaos_rep = coord.report();
 
-    std::uint64_t merged = 0;
-    try {
-      merged = dist::merge_journals(plan, cfg.journal_dir).total;
-    } catch (const std::exception& e) {
-      std::cerr << "chaos merge failed: " << e.what() << "\n";
-    }
-    const bool doomed_died = fleet[0].exit_code() != 0;
-    const bool survivors_clean =
-        fleet[1].exit_code() == 0 && fleet[2].exit_code() == 0;
-    all_ok &= check(doomed_died,
+    const std::uint64_t merged = merged_total(plan, cfg.journal_dir);
+    all_ok &= check(doomed_exit != 0,
                     "the doomed worker actually died (exit code " +
-                        std::to_string(fleet[0].exit_code()) + ")");
+                        std::to_string(doomed_exit) + ")");
     // Zero requeues would mean the crash never cost a lease — vacuous.
     all_ok &= check(chaos_rep.shards_requeued >= 1,
                     "the dropped lease was requeued (" +

@@ -27,198 +27,43 @@
 // BENCH_E16.json report carries the schema's "recovery" block summed
 // over the scenarios, validated non-vacuous (resumes >= 1). An optional
 // argv[1] (max_n, default 14) shrinks the battery for CI-reduced runs.
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "dist/ledger.hpp"
-#include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/workload.hpp"
-#include "net/socket.hpp"
-#include "sim/enumeration.hpp"
-#include "sim/orbit_cache.hpp"
 #include "sim/simd.hpp"
 
 namespace {
 
 using namespace rvt;
+using namespace rvt::bench;
 
 constexpr std::uint64_t kCommittedE10Defeats = 5426593;
 constexpr unsigned kShards = 6;
 
-std::string cli_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  return (self.parent_path() / "rvt_cli").string();
-}
-
-bool check(bool ok, const std::string& what) {
-  std::cout << "  [" << (ok ? "ok" : "FAIL") << "] " << what << "\n";
-  return ok;
-}
-
-/// fork+execv with stdout/stderr redirected into `log`. Returns the
-/// child pid; the child _exits 127 if exec fails.
-pid_t spawn(const std::vector<std::string>& args, const std::string& log) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) {
-    ::dup2(fd, 1);
-    ::dup2(fd, 2);
-    ::close(fd);
-  }
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  ::execv(argv[0], argv.data());
-  _exit(127);
-}
-
-/// Blocks until `pid` exits; returns its exit code, or -(signal) when
-/// it died to a signal (SIGKILL -> -9).
-int wait_exit(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid) return -1;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return -WTERMSIG(status);
-  return -1;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream is(path);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
-/// The integer immediately BEFORE `needle` in `text` ("9 ledger records
-/// replayed" with needle " ledger records replayed" -> 9); false when
-/// the phrase is absent.
-bool u64_before(const std::string& text, const std::string& needle,
-                std::uint64_t* out) {
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos || at == 0) return false;
-  std::size_t b = at;
-  while (b > 0 && std::isdigit(static_cast<unsigned char>(text[b - 1]))) --b;
-  if (b == at) return false;
-  *out = std::strtoull(text.c_str() + b, nullptr, 10);
-  return true;
-}
-
-bool metrics_u64(const std::string& body, const std::string& key,
-                 std::uint64_t* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return false;
-  *out = std::strtoull(body.c_str() + at + needle.size(), nullptr, 10);
-  return true;
-}
-
-/// Best-effort metrics scrape — empty string while the coordinator is
-/// down/restarting.
-std::string scrape(std::uint16_t mport) {
-  try {
-    return net::http_get("127.0.0.1", mport, "/");
-  } catch (const std::exception&) {
-    return {};
-  }
-}
-
-/// Polls the metrics endpoint until `pred(body)` holds; returns the
-/// last body (empty = deadline hit without a hit).
-template <typename Pred>
-std::string poll_metrics(std::uint16_t mport, Pred&& pred, int deadline_s) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(deadline_s);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const std::string body = scrape(mport);
-    if (!body.empty() && pred(body)) return body;
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  return {};
-}
-
-/// Waits for the serve-side port file and parses "PORT MPORT".
-bool read_ports(const std::string& port_file, std::uint16_t* port,
-                std::uint16_t* mport) {
-  for (int i = 0; i < 400; ++i) {
-    std::ifstream pf(port_file);
-    std::uint64_t p = 0, mp = 0;
-    if (pf >> p >> mp && p != 0 && mp != 0) {
-      *port = static_cast<std::uint16_t>(p);
-      *mport = static_cast<std::uint16_t>(mp);
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  return false;
-}
-
-struct ServeArgs {
-  std::string cli, spec, journal_dir, log;
-  std::uint16_t port = 0, mport = 0;  ///< 0 = ephemeral (needs port_file)
-  std::string port_file;
-  std::uint64_t lease_timeout_ms = 4000;
-  std::uint64_t max_attempts = 6;
-  bool resume = false;
-  std::uint64_t expect = 0;  ///< 0 = no --expect-defeats
-};
-
-pid_t spawn_serve(const ServeArgs& a) {
-  std::vector<std::string> args{
-      a.cli,           "serve",
-      "--workload",    a.spec,
-      "--shards",      std::to_string(kShards),
-      "--journal-dir", a.journal_dir,
-      "--port",        std::to_string(a.port),
-      "--metrics-port", std::to_string(a.mport),
-      "--lease-timeout-ms", std::to_string(a.lease_timeout_ms),
-      "--max-attempts", std::to_string(a.max_attempts)};
-  if (!a.port_file.empty()) {
-    args.push_back("--port-file");
-    args.push_back(a.port_file);
-  }
-  if (a.resume) args.push_back("--resume");
-  if (a.expect != 0) {
-    args.push_back("--expect-defeats");
-    args.push_back(std::to_string(a.expect));
-  }
-  return spawn(args, a.log);
-}
-
-pid_t spawn_worker(const std::string& cli, std::uint16_t port,
-                   const std::string& name, const std::string& log,
-                   std::uint64_t io_timeout_ms = 100) {
-  std::vector<std::string> args{cli,
-                                "worker",
-                                "--connect",
-                                "127.0.0.1:" + std::to_string(port),
-                                "--name",
-                                name,
-                                "--throttle-ms",
-                                "2",
-                                "--io-timeout-ms",
-                                std::to_string(io_timeout_ms),
-                                "--reconnect-attempts",
-                                "300",
-                                "--reconnect-base-ms",
-                                "20"};
-  return spawn(args, log);
+/// The throttled, reconnecting worker every scenario runs: slow enough
+/// that a kill lands mid-lease, patient enough to ride a restart.
+pid_t throttled_worker(const std::string& cli, std::uint16_t port,
+                       const std::string& name, const std::string& log,
+                       std::uint64_t io_timeout_ms = 100) {
+  return spawn_worker(cli, port,
+                      {.name = name,
+                       .log = log,
+                       .throttle_ms = 2,
+                       .io_timeout_ms = io_timeout_ms,
+                       .reconnect_attempts = 300,
+                       .reconnect_base_ms = 20});
 }
 
 /// What one scenario contributed to the summed recovery block.
@@ -244,16 +89,6 @@ bool parse_serve_recovery(const std::string& log, ScenarioStats* st) {
          u64_before(text, " worker reconnects", &st->reconnects);
 }
 
-std::uint64_t merged_total(const dist::ShardPlan& plan,
-                           const std::string& journal_dir) {
-  try {
-    return dist::merge_journals(plan, journal_dir).total;
-  } catch (const std::exception& e) {
-    std::cerr << "  merge failed: " << e.what() << "\n";
-    return 0;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,18 +107,17 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(scratch);
   const std::string cli = cli_path(argv[0]);
   const std::string spec = "e10:" + std::to_string(max_n);
+  const auto serve_args = [&](const std::string& jdir,
+                              const std::string& log) {
+    ServeArgs a{cli, spec, jdir, log, kShards};
+    a.lease_timeout_ms = 4000;
+    a.max_attempts = 6;
+    return a;
+  };
 
   // ---- single-process baseline -------------------------------------------
   const auto workload = dist::EnumWorkload::parse(spec);
-  std::uint64_t single_total = 0;
-  {
-    sim::OrbitCache cache;
-    sim::EnumerationContext ctx(workload->grids(), workload->max_rounds(),
-                                &cache);
-    for (std::uint64_t i = 0; i < workload->count(); ++i) {
-      single_total += workload->defeats(ctx, i);
-    }
-  }
+  const std::uint64_t single_total = single_process_defeats(*workload);
   std::cout << "single process (" << spec << "): " << single_total
             << " defeats over " << workload->count() << " indices\n";
   if (max_n == 14) {
@@ -302,14 +136,14 @@ int main(int argc, char** argv) {
               << "then `serve --resume` on the same ports:\n";
     bench::WallTimer timer;
     const std::string jdir = scratch + "/s1-journals";
-    ServeArgs sa{cli, spec, jdir, scratch + "/s1-serve1.log"};
+    ServeArgs sa = serve_args(jdir, scratch + "/s1-serve1.log");
     sa.port_file = scratch + "/s1-ports";
     const pid_t serve1 = spawn_serve(sa);
     std::uint16_t port = 0, mport = 0;
     all_ok &= check(read_ports(sa.port_file, &port, &mport),
                     "coordinator #1 published its ports");
-    const pid_t w1 = spawn_worker(cli, port, "w1", scratch + "/s1-w1.log");
-    const pid_t w2 = spawn_worker(cli, port, "w2", scratch + "/s1-w2.log");
+    const pid_t w1 = throttled_worker(cli, port, "w1", scratch + "/s1-w1.log");
+    const pid_t w2 = throttled_worker(cli, port, "w2", scratch + "/s1-w2.log");
 
     const std::string progressed = poll_metrics(
         mport,
@@ -379,14 +213,14 @@ int main(int argc, char** argv) {
               << "in the same window; a replacement joins after resume:\n";
     bench::WallTimer timer;
     const std::string jdir = scratch + "/s2-journals";
-    ServeArgs sa{cli, spec, jdir, scratch + "/s2-serve1.log"};
+    ServeArgs sa = serve_args(jdir, scratch + "/s2-serve1.log");
     sa.port_file = scratch + "/s2-ports";
     const pid_t serve1 = spawn_serve(sa);
     std::uint16_t port = 0, mport = 0;
     all_ok &= check(read_ports(sa.port_file, &port, &mport),
                     "coordinator #1 published its ports");
-    const pid_t w3 = spawn_worker(cli, port, "w3", scratch + "/s2-w3.log");
-    const pid_t w4 = spawn_worker(cli, port, "w4", scratch + "/s2-w4.log");
+    const pid_t w3 = throttled_worker(cli, port, "w3", scratch + "/s2-w3.log");
+    const pid_t w4 = throttled_worker(cli, port, "w4", scratch + "/s2-w4.log");
 
     const std::string progressed = poll_metrics(
         mport,
@@ -410,7 +244,7 @@ int main(int argc, char** argv) {
     ra.resume = true;
     ra.expect = single_total;
     const pid_t serve2 = spawn_serve(ra);
-    const pid_t w5 = spawn_worker(cli, port, "w5", scratch + "/s2-w5.log");
+    const pid_t w5 = throttled_worker(cli, port, "w5", scratch + "/s2-w5.log");
 
     const int serve2_exit = wait_exit(serve2);
     const int w4_exit = wait_exit(w4);
@@ -447,7 +281,7 @@ int main(int argc, char** argv) {
               << "workers' stall limit, SIGCONT, no restart:\n";
     bench::WallTimer timer;
     const std::string jdir = scratch + "/s3-journals";
-    ServeArgs sa{cli, spec, jdir, scratch + "/s3-serve.log"};
+    ServeArgs sa = serve_args(jdir, scratch + "/s3-serve.log");
     sa.port_file = scratch + "/s3-ports";
     sa.lease_timeout_ms = 1500;
     sa.expect = single_total;
@@ -459,9 +293,9 @@ int main(int argc, char** argv) {
     // well under the 5s stall, so the workers MUST notice and
     // reconnect.
     const pid_t w6 =
-        spawn_worker(cli, port, "w6", scratch + "/s3-w6.log", 50);
+        throttled_worker(cli, port, "w6", scratch + "/s3-w6.log", 50);
     const pid_t w7 =
-        spawn_worker(cli, port, "w7", scratch + "/s3-w7.log", 50);
+        throttled_worker(cli, port, "w7", scratch + "/s3-w7.log", 50);
 
     const std::string progressed = poll_metrics(
         mport,
@@ -504,14 +338,14 @@ int main(int argc, char** argv) {
               << "the run ledger before `--resume`:\n";
     bench::WallTimer timer;
     const std::string jdir = scratch + "/s4-journals";
-    ServeArgs sa{cli, spec, jdir, scratch + "/s4-serve1.log"};
+    ServeArgs sa = serve_args(jdir, scratch + "/s4-serve1.log");
     sa.port_file = scratch + "/s4-ports";
     const pid_t serve1 = spawn_serve(sa);
     std::uint16_t port = 0, mport = 0;
     all_ok &= check(read_ports(sa.port_file, &port, &mport),
                     "coordinator #1 published its ports");
-    const pid_t w8 = spawn_worker(cli, port, "w8", scratch + "/s4-w8.log");
-    const pid_t w9 = spawn_worker(cli, port, "w9", scratch + "/s4-w9.log");
+    const pid_t w8 = throttled_worker(cli, port, "w8", scratch + "/s4-w8.log");
+    const pid_t w9 = throttled_worker(cli, port, "w9", scratch + "/s4-w9.log");
 
     const std::string progressed = poll_metrics(
         mport,

@@ -13,50 +13,43 @@
 //   rvt_cli shard run <plan-file> <shard-index> --journal-dir DIR
 //   rvt_cli shard merge <plan-file> --journal-dir DIR [--expect-defeats N]
 //                       [--quarantine FILE]
-//   rvt_cli shard orchestrate <plan-file> --journal-dir DIR
-//                     [--runners N] [--max-attempts N]
-//                     [--lease-timeout-ms N] [--poll-interval-ms N]
-//                     [--child-failpoints SPEC] [--quarantine-out FILE]
-//   rvt_cli shard chaos <plan-file> --scenario NAME --journal-dir DIR
-//                     [--seed N] [--runners N]
-//                     [--expect-defeats N]
 //     The distributed-enumeration driver (src/dist/): `plan` partitions
 //     a workload into content-addressed shard specs; `run` executes one
 //     shard into a crash-safe journal, resuming a killed run at the
 //     first uncommitted index; `merge` validates and totals the sealed
 //     journals — bit-identical to a single-process sweep (with
 //     --quarantine, the manifest's shards
-//     may be missing and are reported as explicit uncovered ranges);
-//     `orchestrate` supervises child runners with lease/requeue/
-//     quarantine recovery (dist/orchestrator.hpp); `chaos` is one
-//     orchestrated run under a seeded fault scenario
-//     (none|child-kill|torn-journal).
-//     Exit codes: 0 ok, 1 usage/validation failure/count mismatch,
-//     3 partial coverage (orchestrate/chaos with quarantined shards).
+//     may be missing and are reported as explicit uncovered ranges).
+//     Exit codes: 0 ok, 1 usage/validation failure/count mismatch.
 //
 //   RVT_FAILPOINTS=site=action@trigger[;...] arms deterministic fault
-//   injection (util/failpoint.hpp) in THIS process; `orchestrate
-//   --child-failpoints` / `chaos` arm it in first-attempt children.
+//   injection (util/failpoint.hpp) in THIS process — `serve` and
+//   `worker` included, which is how the E14 chaos battery crashes them.
 //
 //   rvt_cli serve --workload e10[:<max_n>] --shards N --journal-dir DIR
 //                 [--plan FILE] [--port N]
 //                 [--metrics-port N] [--port-file FILE] [--max-attempts N]
 //                 [--lease-timeout-ms N] [--poll-interval-ms N]
-//                 [--expect-defeats N] [--quarantine-out FILE]
+//                 [--expect-defeats N] [--quarantine-out FILE] [--resume]
 //   rvt_cli worker --connect HOST:PORT [--name S]
-//                 [--throttle-ms N] [--progress-interval-ms N]
+//                 [--throttle-ms N] [--io-timeout-ms N]
+//                 [--reconnect-attempts N] [--reconnect-base-ms N]
+//                 [--progress-interval-ms N]
 //     The shard-dispatch service tier (src/svc/): `serve` runs the
 //     network coordinator — it leases shard ranges to remote workers
 //     over TCP, journals their streamed records locally (so requeues
-//     resume from the committed prefix), and blocks until every shard
-//     is sealed or quarantined.
+//     resume from the committed prefix), requeues a shard whose worker
+//     dies or stalls, quarantines one that fails --max-attempts times,
+//     and blocks until every shard is sealed or quarantined. A local
+//     multi-process run is one `serve` plus N `worker`s on 127.0.0.1.
 //     Live progress is scraped from the metrics listener with any HTTP
 //     client: `curl http://HOST:METRICS_PORT/` returns a bench-report-
 //     style JSON snapshot. --port-file writes "PORT METRICS_PORT" once
 //     both listeners are bound (for scripts racing against startup).
 //     `worker` is the runner daemon: it drains the coordinator and
-//     exits when told kDrained. Exit codes mirror orchestrate:
-//     0 complete, 3 partial coverage (quarantined shards), 1 error.
+//     exits when told kDrained. `serve` exits 0 complete, 3 partial
+//     coverage (quarantine manifest written, partial merge printed),
+//     1 error.
 //
 //   rvt_cli trace export --chrome <trace-file> [--out FILE]
 //     Decodes a binary trace written under RVT_TRACE_FILE (obs/trace.hpp
@@ -101,7 +94,6 @@
 #include "core/prime_protocol.hpp"
 #include "core/rendezvous_agent.hpp"
 #include "dist/merge.hpp"
-#include "dist/orchestrator.hpp"
 #include "dist/runner.hpp"
 #include "dist/serialize.hpp"
 #include "dist/shard_plan.hpp"
@@ -134,14 +126,6 @@ int usage() {
                "--journal-dir DIR [--progress-interval-ms N]\n"
                "       rvt_cli shard merge <plan-file> --journal-dir DIR "
                "[--expect-defeats N] [--quarantine FILE]\n"
-               "       rvt_cli shard orchestrate <plan-file> --journal-dir "
-               "DIR [--runners N] [--max-attempts N] "
-               "[--lease-timeout-ms N] [--child-failpoints SPEC] "
-               "[--quarantine-out FILE]\n"
-               "       rvt_cli shard chaos <plan-file> --scenario "
-               "none|child-kill|torn-journal "
-               "--journal-dir DIR [--seed N] "
-               "[--runners N] [--expect-defeats N]\n"
                "       rvt_cli serve --workload e10[:<max_n>] --shards N "
                "--journal-dir DIR [--plan FILE] "
                "[--port N] [--metrics-port N] [--port-file FILE] "
@@ -150,11 +134,14 @@ int usage() {
                "[--quarantine-out FILE] [--resume]\n"
                "         (metrics: curl http://HOST:METRICS_PORT/ for a "
                "live JSON snapshot; --resume replays the run ledger in "
-               "--journal-dir after a crash)\n"
+               "--journal-dir after a crash; exit 3 = quarantined "
+               "shards, manifest written)\n"
                "       rvt_cli worker --connect HOST:PORT [--name S] "
                "[--throttle-ms N] [--io-timeout-ms N] "
                "[--reconnect-attempts N] [--reconnect-base-ms N] "
                "[--progress-interval-ms N]\n"
+               "         (a local multi-process run is one serve plus N "
+               "workers on 127.0.0.1)\n"
                "       rvt_cli trace export --chrome <trace-file> "
                "[--out FILE]\n"
                "         (RVT_TRACE_FILE=<path> on any mode records a "
@@ -359,125 +346,6 @@ int run_shard_mode(int argc, char** argv) {
       }
     } catch (const std::exception& e) {
       std::cerr << "shard merge: " << e.what() << "\n";
-      return 1;
-    }
-    return 0;
-  }
-
-  if (verb == "orchestrate" || verb == "chaos") {
-    if (argc < 4) return usage();
-    const std::string plan_path = argv[3];
-    std::string journal_dir, child_failpoints, quarantine_out;
-    std::string scenario;
-    std::uint64_t runners = 2, max_attempts = 3, lease_ms = 10000, seed = 1;
-    std::uint64_t poll_ms = 20, expect = 0;
-    bool have_expect = false;
-    for (int i = 4; i < argc; ++i) {
-      const std::string a = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::cerr << a << " needs a value\n";
-          std::exit(1);
-        }
-        return argv[++i];
-      };
-      auto next_u64 = [&](std::uint64_t& out) {
-        if (!parse_u64_strict(next(), out)) {
-          std::cerr << "bad value for " << a << ": " << argv[i] << "\n";
-          std::exit(1);
-        }
-      };
-      if (a == "--journal-dir") {
-        journal_dir = next();
-      } else if (a == "--runners") {
-        next_u64(runners);
-      } else if (a == "--max-attempts") {
-        next_u64(max_attempts);
-      } else if (a == "--lease-timeout-ms") {
-        next_u64(lease_ms);
-      } else if (a == "--poll-interval-ms") {
-        next_u64(poll_ms);
-      } else if (a == "--child-failpoints" && verb == "orchestrate") {
-        child_failpoints = next();
-      } else if (a == "--quarantine-out" && verb == "orchestrate") {
-        quarantine_out = next();
-      } else if (a == "--scenario" && verb == "chaos") {
-        scenario = next();
-      } else if (a == "--seed" && verb == "chaos") {
-        next_u64(seed);
-      } else if (a == "--expect-defeats" && verb == "chaos") {
-        next_u64(expect);
-        have_expect = true;
-      } else {
-        return usage();
-      }
-    }
-    if (journal_dir.empty() || runners == 0 || max_attempts == 0 ||
-        poll_ms == 0) {
-      return usage();
-    }
-    if (verb == "chaos" && scenario.empty()) return usage();
-    try {
-      const dist::ShardPlan plan = dist::load_plan(plan_path);
-      if (verb == "chaos") {
-        const std::uint64_t width =
-            plan.shards.empty() ? 1
-                                : plan.shards[0].end - plan.shards[0].begin;
-        child_failpoints = dist::chaos_failpoint_config(scenario, seed, width);
-        std::cout << "chaos: scenario " << scenario << ", seed " << seed
-                  << ", failpoints \""
-                  << (child_failpoints.empty() ? "(none)" : child_failpoints)
-                  << "\"\n";
-      }
-      dist::OrchestratorConfig cfg;
-      cfg.journal_dir = journal_dir;
-      cfg.max_concurrent = static_cast<unsigned>(runners);
-      cfg.max_attempts = static_cast<unsigned>(max_attempts);
-      cfg.lease_timeout = std::chrono::milliseconds(lease_ms);
-      cfg.poll_interval = std::chrono::milliseconds(poll_ms);
-      if (!child_failpoints.empty()) {
-        cfg.first_attempt_env.emplace_back("RVT_FAILPOINTS",
-                                           child_failpoints);
-      }
-      const dist::ShardLauncher launch =
-          dist::cli_shard_launcher(argv[0], plan_path, journal_dir);
-      const dist::OrchestratorReport report =
-          dist::orchestrate(plan, cfg, launch);
-      for (const auto& o : report.shards) {
-        std::cout << "shard " << o.shard_index << ": "
-                  << (o.completed
-                          ? (o.already_complete ? "already complete"
-                                                : "complete")
-                          : "QUARANTINED")
-                  << (o.failures.empty() ? "" : " (" + o.diagnostics() + ")")
-                  << "\n";
-      }
-      std::cout << "orchestrate: " << report.launches << " launches, "
-                << report.requeues << " requeues, " << report.lease_expiries
-                << " lease expiries, " << report.quarantined
-                << " quarantined\n";
-      if (!report.all_complete()) {
-        const dist::QuarantineManifest m =
-            dist::quarantine_manifest(plan, report);
-        const std::string out_path = quarantine_out.empty()
-                                         ? journal_dir + "/quarantine.bin"
-                                         : quarantine_out;
-        dist::write_quarantine_manifest(out_path, m);
-        std::cout << "quarantine manifest: " << out_path << " ("
-                  << m.entries.size() << " shards)\n";
-        return 3;
-      }
-      const dist::MergeResult merged =
-          dist::merge_journals(plan, journal_dir);
-      std::cout << "merged: " << merged.total << " defeats over "
-                << merged.indices << " indices\n";
-      if (have_expect && merged.total != expect) {
-        std::cerr << verb << ": expected " << expect << " defeats, got "
-                  << merged.total << "\n";
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "shard " << verb << ": " << e.what() << "\n";
       return 1;
     }
     return 0;

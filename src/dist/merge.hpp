@@ -12,7 +12,7 @@
 // that against the committed single-process E10 count.
 //
 // Partial coverage is an EXPLICIT state, never a silent one. When the
-// orchestrator (dist/orchestrator.hpp) gives up on a shard it writes the
+// coordinator (svc/coordinator.hpp) gives up on a shard it writes the
 // shard into a QUARANTINE MANIFEST — a framed artifact binding the
 // plan's fingerprint to the quarantined index ranges plus per-attempt
 // diagnostics. merge_journals() accepts the manifest and then tolerates
@@ -40,8 +40,8 @@ struct ShardSummary {
   std::string path;           ///< journal file merged from
 };
 
-/// One shard the orchestrator gave up on: its index range plus the
-/// human-readable diagnostics of every failed attempt.
+/// One shard a run gave up on: its index range plus the human-readable
+/// diagnostics of every failed attempt.
 struct QuarantineEntry {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "util/failpoint.hpp"
 
 namespace rvt::dist {
 
@@ -92,18 +91,6 @@ ShardRunStats run_shard(const EnumWorkload& w, const ShardPlan& plan,
       progress_interval_ns == 0 ? UINT64_MAX
                                 : delay.start_ns() + progress_interval_ns;
   for (std::uint64_t i = writer.next_index(); i < spec.end; ++i) {
-    // Chaos hook: die (or fail) at a chosen index with every earlier
-    // index durably committed — the canonical mid-shard crash the
-    // orchestrator's requeue path recovers from.
-    switch (util::failpoint("run_shard.index")) {
-      case util::FaultAction::kCrash:
-        util::failpoint_crash("run_shard.index");
-      case util::FaultAction::kError:
-        throw SerializeError("run_shard: injected fault at index " +
-                             std::to_string(i));
-      case util::FaultAction::kNone:
-        break;
-    }
     const std::uint64_t v = w.defeats(ctx, i);
     writer.record(i, v);
     delay.note_result(v);

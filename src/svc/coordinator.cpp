@@ -824,8 +824,7 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
           HeartbeatReply hr;
           // NOTE: a heartbeat proves the runner is alive, not that it is
           // making progress — it never renews the lease. Journal growth
-          // (chunks) is the only renewal, same as the fork/exec
-          // orchestrator's journal-size poll.
+          // (chunks) is the only renewal.
           hr.lease_valid =
               hb.token == 0 ||
               (hb.shard_index < shards_.size() &&

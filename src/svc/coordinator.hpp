@@ -1,17 +1,20 @@
 // The shard-dispatch coordinator: leases a shard plan's index ranges to
 // remote runner daemons over TCP and owns every journal.
 //
-// Lease semantics are PR 6's fork/exec orchestrator carried onto the
-// network, with one inversion that makes incremental merge fall out for
-// free: runners STREAM their committed records back (kJournalChunk) and
-// the coordinator appends them to the shard's journal locally. Journal
-// growth is therefore still the one heartbeat that counts — a runner
-// that chats but commits nothing is indistinguishable from a dead one
-// and its lease expires — and the durable resume point always lives
-// with the coordinator: a requeued shard is re-granted from the
-// committed prefix (LeaseGrant::next_index), never from scratch.
+// A lease is one runner's exclusive claim on one shard's index range.
+// Runners STREAM their committed records back (kJournalChunk) and the
+// coordinator appends them to the shard's journal locally, which makes
+// incremental merge fall out for free. Journal growth is the one
+// heartbeat that counts — durable progress is the only liveness signal
+// worth trusting, so a runner that chats but commits nothing is
+// indistinguishable from a dead one and its lease expires — and the
+// durable resume point always lives with the coordinator: a requeued
+// shard is re-granted from the committed prefix
+// (LeaseGrant::next_index), never from scratch. Requeue is safe because
+// shard results are index-deterministic: however often a shard dies,
+// its sealed aggregate is bit-identical.
 //
-// Failure handling mirrors the orchestrator exactly:
+// Failure handling:
 //  * lease expiry (no journal growth for lease_timeout) or an unsealed
 //    disconnect requeues the range, attempts capped at max_attempts;
 //  * exhausted attempts quarantine the shard with per-attempt

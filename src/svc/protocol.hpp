@@ -126,8 +126,8 @@ struct JournalRecord {
 };
 
 /// A batch of contiguous committed records. Chunk arrival IS the lease
-/// heartbeat — journal growth, the same liveness signal the fork/exec
-/// orchestrator polls for, just pushed over the session.
+/// heartbeat: journal growth is the only liveness signal the
+/// coordinator trusts.
 struct JournalChunk {
   std::uint64_t shard_index = 0;
   std::uint64_t token = 0;

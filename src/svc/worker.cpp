@@ -274,9 +274,9 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
       RVT_OBS_SPAN("svc.worker.compute", lease->g.shard_index,
                    lease->g.end - lease->next);
       while (lease->next < lease->g.end && !lost) {
-        // Chaos hook: the network-runner twin of run_shard.index — die
-        // (or error out of the session) at a chosen index with every
-        // flushed chunk durably committed coordinator-side.
+        // Chaos hook: die (or error out of the session) at a chosen
+        // index with every flushed chunk durably committed
+        // coordinator-side — the mid-lease crash a requeue recovers.
         switch (util::failpoint("worker.index")) {
           case util::FaultAction::kCrash:
             util::failpoint_crash("worker.index");

@@ -38,8 +38,9 @@
 // Registered sites:
 //   journal.append         JournalWriter::record    crash tears a record
 //   journal.seal           JournalWriter::finish    crash loses the seal
+//   ledger.append          LedgerWriter::append     crash tears a record
 //   wire.unframe           unframe_payload          err = frame decode
-//   run_shard.index        run_shard main loop      crash-at-index hook
+//   worker.index           run_worker compute loop  crash-at-index hook
 #pragma once
 
 #include <atomic>
@@ -53,7 +54,7 @@ namespace rvt::util {
 enum class FaultAction : std::uint8_t { kNone = 0, kError = 1, kCrash = 2 };
 
 /// Exit code of a crash action — distinguishable from a real SIGKILL or
-/// an ordinary failure in orchestrator diagnostics.
+/// an ordinary failure when a harness reaps the crashed process.
 inline constexpr int kFailpointCrashExitCode = 41;
 
 class FailPointRegistry {

@@ -325,6 +325,62 @@ TEST_F(DistTest, MergeRefusesPartialForeignOrMissingJournals) {
                dist::SerializeError);
 }
 
+// ---- quarantine manifests --------------------------------------------------
+
+/// The manifest entry a coordinator writes for a shard it gave up on.
+dist::QuarantineEntry quarantine_entry(const dist::ShardSpec& spec,
+                                       const std::string& diagnostics) {
+  return {spec.begin, spec.end, spec.id, diagnostics};
+}
+
+TEST_F(DistTest, PartialQuarantineMergesTheHealthyShards) {
+  const auto w = dist::EnumWorkload::parse("e10:4");
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 4);
+  const std::uint64_t total = single_process_total(*w);
+  // Every shard but shard 2 seals; shard 2 never wrote a journal.
+  for (std::size_t i : {0u, 1u, 3u}) {
+    dist::run_shard(*w, plan, i, path("journals"));
+  }
+  dist::QuarantineManifest manifest;
+  manifest.fingerprint = plan.fingerprint;
+  manifest.entries.push_back(
+      quarantine_entry(plan.shards[2], "attempt 1: exited 40"));
+
+  const auto partial =
+      dist::merge_journals(plan, path("journals"), &manifest);
+  EXPECT_FALSE(partial.complete());
+  EXPECT_EQ(partial.covered,
+            plan.count - (plan.shards[2].end - plan.shards[2].begin));
+  ASSERT_EQ(partial.missing.size(), 1u);
+  EXPECT_EQ(partial.missing[0].first, plan.shards[2].begin);
+  EXPECT_EQ(partial.missing[0].second, plan.shards[2].end);
+  // The partial total is exactly the healthy shards' sum: completing
+  // shard 2 out-of-band and re-merging plain must land the full total.
+  dist::run_shard(*w, plan, 2, path("journals"));
+  const auto full = dist::merge_journals(plan, path("journals"));
+  EXPECT_EQ(full.total, total);
+  EXPECT_EQ(partial.total + full.shards[2].sum, total);
+  // A sealed journal beats its quarantine entry on a re-merge WITH the
+  // manifest too — completion out-of-band is not forgotten.
+  const auto healed = dist::merge_journals(plan, path("journals"), &manifest);
+  EXPECT_TRUE(healed.complete());
+  EXPECT_EQ(healed.total, total);
+}
+
+TEST_F(DistTest, ManifestValidationRejectsForeignEntries) {
+  const auto w = dist::EnumWorkload::parse("e10:4");
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 4);
+  dist::QuarantineManifest m;
+  m.fingerprint = plan.fingerprint;
+  m.entries.push_back({1, 2, dist::ShardId{9, 9}, "bogus"});
+  EXPECT_THROW(dist::merge_journals(plan, path("journals"), &m),
+               dist::SerializeError);
+  dist::QuarantineManifest wrong_plan;
+  wrong_plan.fingerprint = dist::ShardId{1, 2};
+  EXPECT_THROW(dist::merge_journals(plan, path("journals"), &wrong_plan),
+               dist::SerializeError);
+}
+
 TEST_F(DistTest, RunShardRefusesForeignPlan) {
   const auto w = dist::EnumWorkload::parse("e10:4");
   const auto w2 = dist::EnumWorkload::parse("e10:5");

@@ -222,6 +222,73 @@ TEST_F(ServiceTest, WorkerFaultRequeuesAndACleanWorkerFinishes) {
   EXPECT_EQ(merged.total, expected);
 }
 
+TEST_F(ServiceTest, ExhaustedAttemptsQuarantineIntoExplicitGaps) {
+  const auto w = dist::EnumWorkload::parse("e10:4");
+  const dist::ShardPlan plan = dist::make_shard_plan(*w, 4);
+  const std::size_t shards = plan.shards.size();
+
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  cfg.max_attempts = 2;
+  svc::Coordinator coord(plan, cfg);
+
+  // Every worker errors out at the first index of its first lease: an
+  // unsealed disconnect, so each run costs one shard one attempt. Once
+  // the last attempt is spent the next worker is told kDrained.
+  util::FailPointRegistry::instance().configure("worker.index=err@always");
+  for (std::size_t run = 0;
+       run < 2 * shards + 1 && coord.report().shards_quarantined < shards;
+       ++run) {
+    svc::WorkerOptions o;
+    o.name = "doomed-" + std::to_string(run);
+    try {
+      svc::run_worker("127.0.0.1", coord.port(), o);
+    } catch (const dist::SerializeError&) {
+    }
+  }
+  util::FailPointRegistry::instance().reset();
+  ASSERT_TRUE(coord.wait_complete(std::chrono::milliseconds(10000)));
+
+  const svc::ServiceReport rep = coord.report();
+  EXPECT_FALSE(rep.all_complete());
+  EXPECT_EQ(rep.shards_quarantined, shards);
+  EXPECT_EQ(rep.shards_completed, 0u);
+
+  // The manifest names every shard with its attempt history and
+  // round-trips through the framed codec.
+  const dist::QuarantineManifest manifest = coord.quarantine_manifest();
+  EXPECT_EQ(manifest.fingerprint, plan.fingerprint);
+  ASSERT_EQ(manifest.entries.size(), shards);
+  for (const dist::QuarantineEntry& e : manifest.entries) {
+    EXPECT_FALSE(e.diagnostics.empty()) << e.begin;
+  }
+  const std::string mpath = path("quarantine.bin");
+  dist::write_quarantine_manifest(mpath, manifest);
+  const dist::QuarantineManifest loaded =
+      dist::load_quarantine_manifest(mpath);
+  EXPECT_EQ(loaded.fingerprint, plan.fingerprint);
+  ASSERT_EQ(loaded.entries.size(), shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    EXPECT_EQ(loaded.entries[i].begin, manifest.entries[i].begin);
+    EXPECT_EQ(loaded.entries[i].end, manifest.entries[i].end);
+    EXPECT_EQ(loaded.entries[i].shard_id, manifest.entries[i].shard_id);
+    EXPECT_EQ(loaded.entries[i].diagnostics, manifest.entries[i].diagnostics);
+  }
+
+  // The plain merge refuses; the manifest turns the refusal into an
+  // explicit partial result with every index missing.
+  EXPECT_THROW(dist::merge_journals(plan, cfg.journal_dir),
+               dist::SerializeError);
+  const auto partial = dist::merge_journals(plan, cfg.journal_dir, &loaded);
+  EXPECT_FALSE(partial.complete());
+  EXPECT_EQ(partial.covered, 0u);
+  EXPECT_EQ(partial.total, 0u);
+  ASSERT_EQ(partial.missing.size(), shards);
+  std::uint64_t missing = 0;
+  for (const auto& [b, e] : partial.missing) missing += e - b;
+  EXPECT_EQ(missing, plan.count);
+}
+
 TEST_F(ServiceTest, ExpiredLeaseholderIsFencedAndTheShardRecovers) {
   const std::string spec = "e10:6";
   const auto w = dist::EnumWorkload::parse(spec);
