@@ -5,9 +5,10 @@
 // against every feasible pair on lines n = 3..14, crossed with the
 // profile delay grid — the committed single-process count is 5426593
 // defeats) is partitioned into 4 content-addressed shards
-// (dist/shard_plan.hpp) and executed by TWO child processes — separate
-// address spaces driving `rvt_cli shard run`, each memoizing its defeat
-// counts in a private in-memory cache. Each shard streams its per-index
+// (dist/shard_plan.hpp) and executed by `rvt_cli shard run` child
+// processes, two at a time — separate address spaces, each memoizing
+// its defeat counts in a private in-memory cache (each child's output
+// goes to a log in the scratch directory). Each shard streams its per-index
 // verdict summaries into a crash-safe journal (dist/journal.hpp);
 // merging the sealed journals (dist/merge.hpp) must reproduce the
 // defeat total of a plain single-process EnumerationContext sweep run
@@ -16,7 +17,7 @@
 // An optional argv[1] (max_n, default 14) shrinks the battery for quick
 // local runs; the 5426593 constant is only asserted on the default.
 //
-// The bench FAILS unless: both child processes exit 0, the merged total
+// The bench FAILS unless: every child process exits 0, the merged total
 // equals the single-process total, the default battery's total equals
 // the committed constant, every shard sealed its journal, and a re-run
 // of shard 0 detects the double completion and recomputes nothing.
@@ -26,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -107,21 +109,28 @@ int main(int argc, char** argv) {
   const dist::ShardPlan plan = dist::make_shard_plan(*workload, kShards);
   dist::write_plan(plan_path, plan);
 
-  // Two child processes, each running half the shards sequentially.
-  // `wait` on the explicit pids propagates the children's exit codes.
+  // Two child processes at a time, each chain running half the shards
+  // sequentially; a chain stops at its first failing shard.
   const std::string cli = bench::cli_path(argv[0]);
-  auto run_cmd = [&](unsigned shard) {
-    return cli + " shard run " + plan_path + " " + std::to_string(shard) +
-           " --journal-dir " + journal_dir;
+  const auto run_chain = [&](unsigned first, int* rc) {
+    for (unsigned shard = first; shard < first + kShards / kProcesses;
+         ++shard) {
+      *rc = bench::wait_exit(bench::spawn(
+          {cli, "shard", "run", plan_path, std::to_string(shard),
+           "--journal-dir", journal_dir},
+          scratch + "/shard-" + std::to_string(shard) + ".log"));
+      if (*rc != 0) return;
+    }
   };
-  const std::string spawn = "(" + run_cmd(0) + " && " + run_cmd(1) +
-                            ") & p0=$!; (" + run_cmd(2) + " && " +
-                            run_cmd(3) +
-                            ") & p1=$!; wait $p0 || exit 1; wait $p1";
   bench::WallTimer dist_timer;
-  std::cout.flush();  // children share the fd: keep the log ordered
-  const int spawn_rc = std::system(spawn.c_str());
+  int rc0 = 0, rc1 = 0;
+  {
+    std::thread chain1([&] { run_chain(kShards / kProcesses, &rc1); });
+    run_chain(0, &rc0);
+    chain1.join();
+  }
   const double dist_seconds = dist_timer.seconds();
+  const int spawn_rc = rc0 != 0 ? rc0 : rc1;
   std::cout << "distributed run: " << kShards << " shards / "
             << kProcesses << " processes, exit " << spawn_rc << " ("
             << dist_seconds << " s wall)\n";

@@ -29,7 +29,7 @@
 //   rvt_cli serve --workload e10[:<max_n>] --shards N --journal-dir DIR
 //                 [--plan FILE] [--port N]
 //                 [--metrics-port N] [--port-file FILE] [--max-attempts N]
-//                 [--lease-timeout-ms N] [--poll-interval-ms N]
+//                 [--lease-timeout-ms N]
 //                 [--expect-defeats N] [--quarantine-out FILE] [--resume]
 //   rvt_cli worker --connect HOST:PORT [--name S]
 //                 [--throttle-ms N] [--io-timeout-ms N]
@@ -130,8 +130,7 @@ int usage() {
                "--journal-dir DIR [--plan FILE] "
                "[--port N] [--metrics-port N] [--port-file FILE] "
                "[--max-attempts N] [--lease-timeout-ms N] "
-               "[--poll-interval-ms N] [--expect-defeats N] "
-               "[--quarantine-out FILE] [--resume]\n"
+               "[--expect-defeats N] [--quarantine-out FILE] [--resume]\n"
                "         (metrics: curl http://HOST:METRICS_PORT/ for a "
                "live JSON snapshot; --resume replays the run ledger in "
                "--journal-dir after a crash; exit 3 = quarantined "
@@ -359,7 +358,7 @@ int run_serve_mode(int argc, char** argv) {
   std::string workload_spec = "e10", plan_path, journal_dir;
   std::string port_file, quarantine_out;
   std::uint64_t shards = 4, port = 0, metrics_port = 0;
-  std::uint64_t max_attempts = 3, lease_ms = 10000, poll_ms = 20;
+  std::uint64_t max_attempts = 3, lease_ms = 10000;
   std::uint64_t expect = 0;
   bool have_expect = false;
   bool resume = false;
@@ -396,8 +395,6 @@ int run_serve_mode(int argc, char** argv) {
       next_u64(max_attempts);
     } else if (a == "--lease-timeout-ms") {
       next_u64(lease_ms);
-    } else if (a == "--poll-interval-ms") {
-      next_u64(poll_ms);
     } else if (a == "--expect-defeats") {
       next_u64(expect);
       have_expect = true;
@@ -410,7 +407,7 @@ int run_serve_mode(int argc, char** argv) {
     }
   }
   if (journal_dir.empty() || shards == 0 || max_attempts == 0 ||
-      poll_ms == 0 || port > 65535 || metrics_port > 65535) {
+      port > 65535 || metrics_port > 65535) {
     return usage();
   }
   try {
@@ -427,7 +424,6 @@ int run_serve_mode(int argc, char** argv) {
     cfg.metrics_port = static_cast<std::uint16_t>(metrics_port);
     cfg.max_attempts = static_cast<unsigned>(max_attempts);
     cfg.lease_timeout = std::chrono::milliseconds(lease_ms);
-    cfg.poll_interval = std::chrono::milliseconds(poll_ms);
     cfg.resume = resume;
     svc::Coordinator coord(plan, cfg);
     std::cout << "serve: workload " << plan.workload_spec << ", "

@@ -52,8 +52,8 @@ enum class WireKind : std::uint16_t {
   kHello = 5,         ///< version negotiation + plan binding
   kLeaseRequest = 6,  ///< runner asks for a shard range
   kLeaseGrant = 7,    ///< lease / wait / drained reply
-  kHeartbeat = 8,     ///< liveness probe + lease validity check
-  kJournalChunk = 9,  ///< streamed journal records (growth = heartbeat)
+  kHeartbeat = 8,     ///< retired liveness probe; the value stays taken
+  kJournalChunk = 9,  ///< streamed journal records (growth = renewal)
   kSeal = 10,         ///< runner declares its leased shard complete
   kError = 11,        ///< refusal with a machine-readable code
   kOrbitGet = 12,     ///< remote orbit store: load (always answered absent)

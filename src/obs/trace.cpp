@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dist/serialize.hpp"
+#include "util/bench_report.hpp"
 
 namespace rvt::obs {
 
@@ -243,32 +244,6 @@ TraceFile read_trace_file(const std::string& path) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string format_us(std::uint64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1000.0);
@@ -288,8 +263,8 @@ std::string export_chrome_trace(const TraceFile& trace) {
                                    : "name#" + std::to_string(ev.name_id);
       os << (first ? "\n" : ",\n");
       first = false;
-      os << "  {\"name\": \"" << json_escape(name)
-         << "\", \"cat\": \"rvt\", \"ph\": \""
+      os << "  {\"name\": " << util::json_quote(name)
+         << ", \"cat\": \"rvt\", \"ph\": \""
          << (ev.kind == EventKind::kSpan ? "X" : "i") << "\", \"ts\": "
          << format_us(ev.ts_ns);
       if (ev.kind == EventKind::kSpan) {

@@ -7,42 +7,15 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "svc/protocol.hpp"
+#include "util/bench_report.hpp"
 
 namespace rvt::svc {
 
 namespace {
 
-constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-
 double seconds_since(std::chrono::steady_clock::time_point t,
                      std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double>(now - t).count();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -60,7 +33,7 @@ std::string service_json(const ServiceReport& r,
     j += std::string("  \"") + key + "\": " + buf + ",\n";
   };
   j += "  \"kind\": \"service_metrics\",\n";
-  j += "  \"workload\": \"" + json_escape(workload_spec) + "\",\n";
+  j += "  \"workload\": " + util::json_quote(workload_spec) + ",\n";
   u64("shards_total", r.shards_total);
   u64("shards_completed", r.shards_completed);
   u64("shards_leased", r.shards_leased);
@@ -110,9 +83,9 @@ std::string service_json(const ServiceReport& r,
     const RunnerHealth& h = r.runners[i];
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3f", h.last_heartbeat_age_seconds);
-    j += std::string(i == 0 ? "\n" : ",\n") + "    {\"name\": \"" +
-         json_escape(h.name) + "\", \"role\": \"" + json_escape(h.role) +
-         "\", \"connected\": " + (h.connected ? "true" : "false") +
+    j += std::string(i == 0 ? "\n" : ",\n") + "    {\"name\": " +
+         util::json_quote(h.name) + ", \"role\": " + util::json_quote(h.role) +
+         ", \"connected\": " + (h.connected ? "true" : "false") +
          ", \"last_heartbeat_age_seconds\": " + buf +
          ", \"shards_sealed\": " + std::to_string(h.shards_sealed) +
          ", \"records_streamed\": " + std::to_string(h.records_streamed) +
@@ -171,30 +144,15 @@ std::string service_prometheus(const ServiceReport& r) {
 }
 
 Coordinator::Coordinator(dist::ShardPlan plan, CoordinatorConfig cfg)
-    : plan_(std::move(plan)), cfg_(std::move(cfg)) {
+    : plan_(std::move(plan)),
+      cfg_(std::move(cfg)),
+      table_(plan_.shards, cfg_.max_attempts, cfg_.lease_timeout),
+      io_(plan_.shards.size()) {
   std::error_code ec;
   std::filesystem::create_directories(cfg_.journal_dir, ec);
   if (ec) {
     throw dist::SerializeError("coordinator: cannot create journal dir " +
                                cfg_.journal_dir);
-  }
-  shards_.resize(plan_.shards.size());
-  // Scan every journal once: the DATA authority both the plain adoption
-  // path and the ledger replay cross-check read from.
-  std::vector<std::optional<dist::JournalState>> journals(plan_.shards.size());
-  for (std::size_t i = 0; i < plan_.shards.size(); ++i) {
-    const dist::ShardSpec& spec = plan_.shards[i];
-    std::optional<dist::JournalState> js;
-    try {
-      js = dist::read_journal(dist::journal_path(cfg_.journal_dir, spec));
-    } catch (const dist::SerializeError&) {
-      js.reset();  // unusable preamble — recreated on first grant
-    }
-    const bool bound = js && js->header.shard_id == spec.id &&
-                       js->header.fingerprint == plan_.fingerprint &&
-                       js->header.begin == spec.begin &&
-                       js->header.end == spec.end;
-    if (bound) journals[i] = std::move(js);
   }
   // The CONTROL authority: with --resume the run ledger is required and
   // replayed; a fresh campaign truncates whatever ledger a previous
@@ -215,39 +173,55 @@ Coordinator::Coordinator(dist::ShardPlan plan, CoordinatorConfig cfg)
           "(fingerprint/shard-count mismatch)");
     }
     ledger_torn_bytes_ = ls->file_bytes - ls->valid_bytes;
-  }
-  // Adopt journal data: sealed shards need no lease, partial ones count
-  // their committed prefix and resume from it.
-  for (std::size_t i = 0; i < plan_.shards.size(); ++i) {
-    const dist::ShardSpec& spec = plan_.shards[i];
-    const auto& js = journals[i];
-    if (js && js->complete) {
-      shards_[i].phase = ShardPhase::kSealed;
-      shards_[i].sealed_sum = js->sum;
-      ++sealed_total_;
-      committed_indices_ += spec.end - spec.begin;
-      committed_defeats_ += js->sum;
-    } else if (js) {
-      committed_indices_ += js->next_index - spec.begin;
-      committed_defeats_ += js->sum;
+    // Replay is the live transition function folded over the ledger.
+    for (const dist::LedgerRecord& rec : ls->records) {
+      table_.apply(rec);
+      ++ledger_records_replayed_;
     }
   }
-  if (cfg_.resume) {
-    replay_ledger(*ls, journals);
-    resumed_ = true;
-    ledger_ = dist::LedgerWriter::resume(lpath, lhdr, *ls);
-  } else {
-    ledger_ = dist::LedgerWriter::create(lpath, lhdr);
+  // Cross-check control against the DATA authority, the journals,
+  // refusing disagreement instead of guessing; then adopt each journal's
+  // committed prefix. The one tolerated asymmetry — a journal sealed
+  // without a ledger seal — is adopt()'s to resolve.
+  for (std::size_t i = 0; i < plan_.shards.size(); ++i) {
+    const std::optional<dist::JournalState> js = bound_journal(i);
+    const LeaseTable::Shard& s = table_.shard(i);
+    if (s.phase == ShardPhase::kSealed) {
+      if (!js || !js->complete) {
+        throw dist::SerializeError(
+            "coordinator: ledger records a seal for shard " +
+            std::to_string(i) + " but its journal is not sealed on disk");
+      }
+      if (js->sum != s.sum) {
+        throw dist::SerializeError(
+            "coordinator: shard " + std::to_string(i) + " sealed sum " +
+            std::to_string(js->sum) + " on disk, " + std::to_string(s.sum) +
+            " in the ledger");
+      }
+    }
+    if (js) table_.adopt(i, js->next_index, js->sum, js->complete);
   }
+  // The running-merge checkpoint can never be ahead of what the
+  // journals actually hold — if it is, the data half lost fsynced
+  // history (journals are fflushed, not fsynced: a host reboot can do
+  // this) and resuming would silently recompute under a lie.
+  const dist::LedgerRecord held = table_.next_checkpoint();
+  if (const auto& ck = table_.checkpoint();
+      ck && (held.a < ck->a || (held.a == ck->a && held.b != ck->b))) {
+    throw dist::SerializeError(
+        "coordinator: run ledger checkpoint (" + std::to_string(ck->a) +
+        " indices, " + std::to_string(ck->b) +
+        " defeats) is ahead of the journals (" + std::to_string(held.a) +
+        ", " + std::to_string(held.b) +
+        ") — journal history was lost; refusing to resume");
+  }
+  ledger_ = cfg_.resume ? dist::LedgerWriter::resume(lpath, lhdr, *ls)
+                        : dist::LedgerWriter::create(lpath, lhdr);
   // Every start opens a new token epoch, durably: tokens granted by ANY
-  // earlier incarnation are below next_token_ and resumed shards carry
-  // token 0, so a pre-crash leaseholder's chunks and seals fence.
-  ledger_->append({dist::LedgerEvent::kEpoch, ledger_epoch_, next_token_});
-  ++ledger_records_appended_;
-  // Work queue last, in plan order, from the reconstructed phases.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].phase == ShardPhase::kPending) pending_.push_back(i);
-  }
+  // earlier incarnation are below its first token, and the leases they
+  // held turn interrupted with token 0, so a pre-crash leaseholder's
+  // chunks and seals fence.
+  commit_locked({table_.next_epoch(), {}}, /*write_ahead=*/true);
   // Campaign/trace id: a deterministic mix of the plan fingerprint, so
   // a resumed coordinator mints the SAME id and spans recorded before
   // and after a crash stitch under one timeline. Never 0 (0 means "no
@@ -264,134 +238,51 @@ Coordinator::Coordinator(dist::ShardPlan plan, CoordinatorConfig cfg)
   reaper_thread_ = std::thread([this] { reaper_loop(); });
 }
 
-void Coordinator::replay_ledger(
-    const dist::LedgerState& ls,
-    const std::vector<std::optional<dist::JournalState>>& journals) {
-  struct Replayed {
-    bool open = false;         ///< granted and neither failed nor closed
-    unsigned attempts = 0;
-    bool quarantined = false;
-    bool sealed = false;
-    std::uint64_t sealed_sum = 0;
-  };
-  std::vector<Replayed> rs(shards_.size());
-  std::uint64_t max_epoch = 0;
-  std::uint64_t max_token = 0;
-  std::uint64_t epoch_token_floor = 1;
-  std::uint64_t ck_indices = 0, ck_defeats = 0;
-  bool has_checkpoint = false;
-  for (const dist::LedgerRecord& rec : ls.records) {
-    ++ledger_records_replayed_;
-    const std::size_t i = static_cast<std::size_t>(rec.a);
-    const bool shard_event = rec.event == dist::LedgerEvent::kGrant ||
-                             rec.event == dist::LedgerEvent::kFail ||
-                             rec.event == dist::LedgerEvent::kSeal ||
-                             rec.event == dist::LedgerEvent::kQuarantine;
-    if (shard_event && i >= shards_.size()) {
-      throw dist::SerializeError(
-          "coordinator: ledger names shard " + std::to_string(rec.a) +
-          " of a " + std::to_string(shards_.size()) + "-shard plan");
+std::optional<dist::JournalState> Coordinator::bound_journal(
+    std::size_t shard) const {
+  const dist::ShardSpec& spec = plan_.shards[shard];
+  try {
+    auto js = dist::read_journal(dist::journal_path(cfg_.journal_dir, spec));
+    if (js && js->header.shard_id == spec.id &&
+        js->header.fingerprint == plan_.fingerprint &&
+        js->header.begin == spec.begin && js->header.end == spec.end) {
+      return js;
     }
-    switch (rec.event) {
-      case dist::LedgerEvent::kEpoch:
-        max_epoch = std::max(max_epoch, rec.a);
-        epoch_token_floor = std::max(epoch_token_floor, rec.b);
-        break;
-      case dist::LedgerEvent::kGrant:
-        rs[i].open = true;
-        ++rs[i].attempts;
-        max_token = std::max(max_token, rec.b);
-        break;
-      case dist::LedgerEvent::kFail:
-        rs[i].open = false;
-        rs[i].attempts = std::max(rs[i].attempts,
-                                  static_cast<unsigned>(rec.b));
-        break;
-      case dist::LedgerEvent::kSeal:
-        rs[i].open = false;
-        rs[i].sealed = true;
-        rs[i].sealed_sum = rec.b;
-        break;
-      case dist::LedgerEvent::kQuarantine:
-        rs[i].open = false;
-        rs[i].quarantined = true;
-        rs[i].attempts = std::max(rs[i].attempts,
-                                  static_cast<unsigned>(rec.b));
-        break;
-      case dist::LedgerEvent::kCheckpoint:
-        ck_indices = rec.a;
-        ck_defeats = rec.b;
-        has_checkpoint = true;
-        break;
-    }
+  } catch (const dist::SerializeError&) {
+    // unusable preamble — recreated on first grant
   }
-  ledger_epoch_ = max_epoch + 1;
-  next_token_ = std::max(max_token + 1, epoch_token_floor);
-  // Cross-check control against data, refusing disagreement instead of
-  // guessing. The one tolerated asymmetry: a journal sealed without a
-  // ledger kSeal is the crash window between the journal's DONE record
-  // and the ledger append — the journal is the data authority, adopt it.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    ShardState& s = shards_[i];
-    const auto& js = journals[i];
-    if (rs[i].sealed) {
-      if (!js || !js->complete) {
-        throw dist::SerializeError(
-            "coordinator: ledger records a seal for shard " +
-            std::to_string(i) + " but its journal is not sealed on disk");
-      }
-      if (js->sum != rs[i].sealed_sum) {
-        throw dist::SerializeError(
-            "coordinator: shard " + std::to_string(i) + " sealed sum " +
-            std::to_string(js->sum) + " on disk, " +
-            std::to_string(rs[i].sealed_sum) + " in the ledger");
-      }
-    }
-    s.attempts = rs[i].attempts;
-    if (s.phase == ShardPhase::kSealed) continue;
-    if (rs[i].quarantined) {
-      s.phase = ShardPhase::kQuarantined;
-      s.diagnostics.push_back("quarantined before restart (run ledger, " +
-                              std::to_string(s.attempts) + " attempts)");
-    } else if (rs[i].open) {
-      // Out on lease when the previous incarnation died: pending again,
-      // the re-grant resumes from the journal's committed prefix.
-      s.interrupted = true;
-    }
-  }
-  // The running-merge checkpoint can never be ahead of what the
-  // journals actually hold — if it is, the data half lost fsynced
-  // history (journals are fflushed, not fsynced: a host reboot can do
-  // this) and resuming would silently recompute under a lie.
-  if (has_checkpoint &&
-      (committed_indices_ < ck_indices ||
-       (committed_indices_ == ck_indices && committed_defeats_ != ck_defeats))) {
-    throw dist::SerializeError(
-        "coordinator: run ledger checkpoint (" + std::to_string(ck_indices) +
-        " indices, " + std::to_string(ck_defeats) +
-        " defeats) is ahead of the journals (" +
-        std::to_string(committed_indices_) + ", " +
-        std::to_string(committed_defeats_) +
-        ") — journal history was lost; refusing to resume");
-  }
+  return std::nullopt;
 }
 
-void Coordinator::ledger_append_nothrow_locked(const dist::LedgerRecord& rec) {
-  if (!ledger_) return;
+void Coordinator::commit_locked(const LeaseTable::Step& step,
+                                bool write_ahead) {
   try {
-    ledger_->append(rec);
+    ledger_->append(step.record);
     ++ledger_records_appended_;
   } catch (const dist::SerializeError&) {
-    // The durable fact lives in a journal (seal) or is safe to lose
-    // (requeue: replay re-grants an open lease as pending anyway).
+    if (write_ahead) throw;  // nothing applied: the decision never happened
   }
+  table_.apply(step.record, step.context);
+  if (step.record.event == dist::LedgerEvent::kSeal ||
+      step.record.event == dist::LedgerEvent::kQuarantine) {
+    io_[step.record.a].writer.reset();
+  }
+  // A grant moves the reaper's next deadline; a requeued shard is
+  // grantable and a seal or quarantine may have drained the campaign, so
+  // held lease requests can now be answered.
+  cv_.notify_all();
 }
 
 Coordinator::~Coordinator() { stop(); }
 
 void Coordinator::stop() {
-  const bool was_stopped = stop_.exchange(true);
-  if (!was_stopped) {
+  {
+    // Under mu_, so no held request or reaper can test the table between
+    // this and its wait and then miss the notify.
+    std::lock_guard<std::mutex> lk(mu_);
+    table_.stop();
+  }
+  if (!stop_.exchange(true)) {
     listener_->close();
     metrics_listener_->close();
     cv_.notify_all();
@@ -412,139 +303,117 @@ void Coordinator::stop() {
   if (reaper_thread_.joinable()) reaper_thread_.join();
 }
 
-bool Coordinator::done_locked() const {
-  for (const ShardState& s : shards_) {
-    if (s.phase != ShardPhase::kSealed && s.phase != ShardPhase::kQuarantined) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool Coordinator::wait_complete(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lk(mu_);
-  const auto pred = [this] { return done_locked() || stop_.load(); };
+  const auto pred = [this] { return table_.done() || table_.stopped(); };
   if (timeout == std::chrono::milliseconds::max()) {
     cv_.wait(lk, pred);
   } else {
     cv_.wait_for(lk, timeout, pred);
   }
-  return done_locked();
+  return table_.done();
 }
 
-void Coordinator::fail_attempt_locked(std::size_t shard,
-                                      const std::string& reason) {
-  ShardState& s = shards_[shard];
-  s.diagnostics.push_back(
-      "attempt " + std::to_string(s.attempts) + " (" +
-      (s.holder.empty() ? std::string("?") : s.holder) + "): " + reason);
-  s.token = 0;  // fence: the stale holder's chunks/seals now refuse
-  s.holder.clear();
-  s.session = 0;
-  if (s.attempts >= cfg_.max_attempts) {
-    s.phase = ShardPhase::kQuarantined;
-    s.writer.reset();
-    ledger_append_nothrow_locked(
-        {dist::LedgerEvent::kQuarantine, shard, s.attempts});
-  } else {
-    s.phase = ShardPhase::kPending;
-    pending_.push_back(shard);
-    ++requeues_;
-    ledger_append_nothrow_locked({dist::LedgerEvent::kFail, shard, s.attempts});
-  }
-  // Either way a held lease request can now be answered: a requeued
-  // shard is grantable, a quarantine may have drained the campaign.
-  cv_.notify_all();
-}
-
-void Coordinator::release_if_held_locked(std::uint64_t session_id,
-                                         std::size_t shard,
-                                         const std::string& reason) {
-  if (shard == kNoShard || shard >= shards_.size()) return;
-  ShardState& s = shards_[shard];
-  if (s.phase == ShardPhase::kLeased && s.session == session_id) {
-    fail_attempt_locked(shard, reason);
-  }
-}
-
-std::vector<std::uint8_t> Coordinator::grant_lease_locked(
-    std::uint64_t session_id, const std::string& name, std::size_t* leased) {
-  *leased = kNoShard;
-  LeaseGrant g;
-  if (done_locked()) {
-    g.status = LeaseStatus::kDrained;
-    return encode(g);
-  }
-  if (pending_.empty()) {
-    // The session already held the request for session_read_timeout:
-    // ask again at once (retry_ms stays 0).
-    g.status = LeaseStatus::kWait;
-    return encode(g);
-  }
-  const std::size_t i = pending_.front();
-  pending_.pop_front();
-  ShardState& s = shards_[i];
+std::vector<std::uint8_t> Coordinator::grant_locked(
+    const LeaseTable::Step& step) {
+  const std::size_t i = static_cast<std::size_t>(step.record.a);
   const dist::ShardSpec& spec = plan_.shards[i];
-  if (!s.writer) {
+  std::optional<dist::JournalWriter>& writer = io_[i].writer;
+  if (!writer) {
     const std::string path = dist::journal_path(cfg_.journal_dir, spec);
     const dist::JournalHeader hdr{spec.id, plan_.fingerprint, spec.begin,
                                   spec.end};
-    std::optional<dist::JournalState> js;
-    try {
-      js = dist::read_journal(path);
-    } catch (const dist::SerializeError&) {
-      js.reset();
-    }
-    const bool bound = js && !js->complete &&
-                       js->header.shard_id == hdr.shard_id &&
-                       js->header.fingerprint == hdr.fingerprint &&
-                       js->header.begin == hdr.begin &&
-                       js->header.end == hdr.end;
-    try {
-      s.writer = bound ? dist::JournalWriter::resume(path, hdr, *js)
-                       : dist::JournalWriter::create(path, hdr);
-    } catch (const dist::SerializeError&) {
-      // Unusable journal dir: the session loop answers kError, but the
-      // shard must not silently fall out of the rotation.
-      pending_.push_back(i);
-      throw;
-    }
+    const std::optional<dist::JournalState> js = bound_journal(i);
+    writer = js && !js->complete ? dist::JournalWriter::resume(path, hdr, *js)
+                                 : dist::JournalWriter::create(path, hdr);
   }
   // Write-ahead: the grant (and its fencing token) must be durable
   // BEFORE the reply leaves — a coordinator killed right after sending
   // the grant must replay it, or a resumed incarnation could mint the
   // same token for someone else.
-  if (ledger_) {
-    try {
-      ledger_->append({dist::LedgerEvent::kGrant, i, next_token_});
-      ++ledger_records_appended_;
-    } catch (const dist::SerializeError&) {
-      pending_.push_back(i);
-      throw;
-    }
-  }
-  ++s.attempts;
-  s.phase = ShardPhase::kLeased;
-  s.token = next_token_++;
-  s.holder = name;
-  s.session = session_id;
-  s.last_progress = std::chrono::steady_clock::now();
-  ++leases_granted_;
-  if (s.interrupted) {
-    s.interrupted = false;
-    ++leases_regranted_;
-  }
+  commit_locked(step, /*write_ahead=*/true);
+  LeaseGrant g;
   g.status = LeaseStatus::kGranted;
   g.shard_index = i;
   g.shard_id = spec.id;
   g.begin = spec.begin;
   g.end = spec.end;
-  g.next_index = s.writer->next_index();
-  g.resume_sum = s.writer->sum();
-  g.token = s.token;
+  g.next_index = writer->next_index();
+  g.resume_sum = writer->sum();
+  g.token = step.record.b;
   g.campaign_id = campaign_id_;
-  *leased = i;
   return encode(g);
+}
+
+ChunkReply Coordinator::append_chunk_locked(const JournalChunk& chunk,
+                                            std::size_t payload_bytes,
+                                            std::uint64_t session_id) {
+  const std::size_t i = static_cast<std::size_t>(chunk.shard_index);
+  ShardIo& io = io_[i];
+  const auto now = std::chrono::steady_clock::now();
+  std::uint64_t chunk_survivors = 0;
+  try {
+    for (const JournalRecord& rec : chunk.records) {
+      io.writer->record(rec.index, rec.value);
+      if (rec.value == 0) ++chunk_survivors;
+    }
+  } catch (const dist::SerializeError& e) {
+    // Out-of-order or unappendable records: this attempt is bad; what
+    // the journal took stays committed, the shard requeues.
+    table_.progress(i, io.writer->next_index(), io.writer->sum(), now);
+    commit_locked(table_.fail(i, std::string("bad chunk: ") + e.what()));
+    return ChunkReply{};
+  }
+  // Journal growth, and nothing else, renews the lease.
+  table_.progress(i, io.writer->next_index(), io.writer->sum(), now);
+  journal_bytes_streamed_ += payload_bytes;
+  runners_[session_id].records_streamed += chunk.records.size();
+  // Enumeration-delay observation: the chunk gap, spread evenly over
+  // the chunk's records (the coordinator sees batches, not individual
+  // results — see ServiceReport).
+  if (!chunk.records.empty()) {
+    if (!first_record_at_) first_record_at_ = now;
+    const std::uint64_t now_off = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - start_)
+            .count());
+    const std::uint64_t per =
+        (now_off - io.last_chunk_off_ns) / chunk.records.size();
+    for (std::size_t n = 0; n < chunk.records.size(); ++n) {
+      io.delay.inter_result_delay_ns.record(per);
+    }
+    io.delay.results += chunk.records.size();
+    if (io.delay.time_to_first_result_ns < 0) {
+      io.delay.time_to_first_result_ns = static_cast<std::int64_t>(now_off);
+    }
+    io.delay.survivors += chunk_survivors;
+    if (chunk_survivors > 0 && io.delay.time_to_first_survivor_ns < 0) {
+      io.delay.time_to_first_survivor_ns = static_cast<std::int64_t>(now_off);
+    }
+    io.last_chunk_off_ns = now_off;
+  }
+  return ChunkReply{true, io.writer->next_index()};
+}
+
+SealReply Coordinator::seal_locked(const Seal& seal,
+                                   std::uint64_t session_id) {
+  const std::size_t i = static_cast<std::size_t>(seal.shard_index);
+  std::vector<LeaseTable::Step> steps = table_.seal(i, seal.total);
+  if (steps.front().record.event == dist::LedgerEvent::kSeal) {
+    try {
+      io_[i].writer->finish(seal.total);
+    } catch (const dist::SerializeError& e) {
+      steps = {table_.fail(i, std::string("seal refused: ") + e.what())};
+    }
+  }
+  // Journal DONE record first (data), then the durable control-state
+  // commit + merge checkpoint, then the reply. A crash in between leaves
+  // a sealed journal without a ledger seal — the one tolerated
+  // asymmetry the resume path adopts from the journal.
+  for (const LeaseTable::Step& step : steps) commit_locked(step);
+  if (steps.front().record.event != dist::LedgerEvent::kSeal) return {};
+  ++runners_[session_id].shards_sealed;
+  if (!first_seal_at_) first_seal_at_ = std::chrono::steady_clock::now();
+  return SealReply{true};
 }
 
 void Coordinator::accept_loop() {
@@ -575,7 +444,6 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
                                  std::uint64_t session_id) {
   stream->set_read_timeout_ms(
       static_cast<unsigned>(cfg_.session_read_timeout.count()));
-  std::size_t my_shard = kNoShard;
   std::string name;
   const auto send = [&](dist::WireKind kind,
                         const std::vector<std::uint8_t>& payload) {
@@ -587,18 +455,22 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
     } catch (const net::NetError&) {
     }
   };
-  try {
-    // ---- handshake ----
-    net::Frame f;
+  // The next frame, or false at EOF. A stopping coordinator stops
+  // SERVING, not just accepting: a frame that arrives goes unanswered,
+  // exactly as a crash would leave it — so runners experience the
+  // restart instead of quietly draining the campaign through a dying
+  // process.
+  net::Frame f;
+  const auto next_frame = [&] {
     for (;;) {
       const net::RecvStatus st = net::recv_frame(*stream, f, true);
-      if (st == net::RecvStatus::kIdle) {
-        if (stop_.load()) return;
-        continue;
-      }
-      if (st == net::RecvStatus::kEof) return;
-      break;
+      if (stop_.load() || st == net::RecvStatus::kEof) return false;
+      if (st == net::RecvStatus::kFrame) return true;
     }
+  };
+  try {
+    // ---- handshake ----
+    if (!next_frame()) return;
     if (f.kind != dist::WireKind::kHello) {
       send_error(ErrorCode::kBadRequest, "expected hello");
       return;
@@ -643,221 +515,78 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
     send(dist::WireKind::kHello, encode(ack));
 
     // ---- message loop ----
-    for (;;) {
-      const net::RecvStatus st = net::recv_frame(*stream, f, true);
-      if (st == net::RecvStatus::kIdle) {
-        if (stop_.load()) break;
-        continue;
-      }
-      if (st == net::RecvStatus::kEof) break;
-      // A stopping coordinator stops SERVING, not just accepting: the
-      // frame goes unanswered, exactly as a crash would leave it — so
-      // runners experience the restart instead of quietly draining the
-      // campaign through a dying process.
-      if (stop_.load()) break;
+    while (next_frame()) {
       dist::WireKind reply_kind = f.kind;
       std::vector<std::uint8_t> reply;
-      bool answered = true;
-      switch (f.kind) {
-        case dist::WireKind::kLeaseRequest: {
-          std::unique_lock<std::mutex> lk(mu_);
-          runners_[session_id].last_seen = std::chrono::steady_clock::now();
-          // Hold the request while nothing is grantable: a seal, requeue
-          // or quarantine notifies cv_, so an idle worker hears its grant
-          // or kDrained at once instead of polling. The hold is bounded by
-          // session_read_timeout, well inside the worker's read deadline;
-          // stop() notifies without mu_, and a wake-up it races past costs
-          // no more than the read timeout every session already waits out.
-          cv_.wait_for(lk, cfg_.session_read_timeout, [this] {
-            return !pending_.empty() || done_locked() || stop_.load();
-          });
-          if (stop_.load()) {
-            answered = false;  // stopping: no reply, as after a crash
+      {
+        std::unique_lock<std::mutex> lk(mu_);
+        runners_[session_id].last_seen = std::chrono::steady_clock::now();
+        switch (f.kind) {
+          case dist::WireKind::kLeaseRequest: {
+            // Hold the request while nothing is grantable: a seal,
+            // requeue or quarantine notifies cv_, so an idle worker hears
+            // its grant or kDrained at once instead of polling. The hold
+            // is bounded by session_read_timeout, well inside the
+            // worker's read deadline.
+            cv_.wait_for(lk, cfg_.session_read_timeout,
+                         [this] { return !table_.holds_requests(); });
+            const LeaseTable::Request r = table_.request(
+                name, session_id, std::chrono::steady_clock::now());
+            reply_kind = dist::WireKind::kLeaseGrant;
+            if (r.answer == LeaseTable::Answer::kGrant) {
+              try {
+                reply = grant_locked(r.step);
+              } catch (const dist::SerializeError& e) {
+                reply_kind = dist::WireKind::kError;
+                reply = encode(ErrorReply{
+                    ErrorCode::kRefused, std::string("journal: ") + e.what()});
+              }
+            } else if (r.answer != LeaseTable::Answer::kSilent) {
+              // kHold here means the hold ran out: the worker asks again
+              // at once (retry_ms stays 0).
+              LeaseGrant g;
+              g.status = r.answer == LeaseTable::Answer::kDrained
+                             ? LeaseStatus::kDrained
+                             : LeaseStatus::kWait;
+              reply = encode(g);
+            }
             break;
           }
-          std::size_t leased = kNoShard;
-          try {
-            reply = grant_lease_locked(session_id, name, &leased);
-          } catch (const dist::SerializeError& e) {
-            // The shard went back on pending_: wake other held requests.
-            cv_.notify_all();
-            reply_kind = dist::WireKind::kError;
-            reply = encode(ErrorReply{ErrorCode::kRefused,
-                                      std::string("journal: ") + e.what()});
+          case dist::WireKind::kJournalChunk: {
+            const JournalChunk chunk = decode_journal_chunk(f.payload);
+            // Refused = stale token: the lease was revoked.
+            reply = encode(table_.admit(chunk.shard_index, chunk.token,
+                                        session_id, name)
+                               ? append_chunk_locked(chunk, f.payload.size(),
+                                                     session_id)
+                               : ChunkReply{});
+            break;
           }
-          if (leased != kNoShard) my_shard = leased;
-          reply_kind = reply_kind == dist::WireKind::kError
-                           ? reply_kind
-                           : dist::WireKind::kLeaseGrant;
-          break;
-        }
-        case dist::WireKind::kJournalChunk: {
-          const JournalChunk chunk = decode_journal_chunk(f.payload);
-          std::lock_guard<std::mutex> lk(mu_);
-          runners_[session_id].last_seen = std::chrono::steady_clock::now();
-          ChunkReply cr;
-          if (chunk.shard_index < shards_.size() && chunk.token != 0 &&
-              shards_[chunk.shard_index].token == chunk.token &&
-              shards_[chunk.shard_index].phase == ShardPhase::kLeased) {
-            ShardState& s = shards_[chunk.shard_index];
-            // A valid token identifies the lease, not the TCP session:
-            // a worker that reconnected mid-lease (coordinator restart
-            // healed, partition cleared) adopts the lease into its new
-            // session, so the OLD session's teardown no longer requeues
-            // the shard out from under it.
-            s.session = session_id;
-            s.holder = name;
-            my_shard = chunk.shard_index;
-            try {
-              std::uint64_t chunk_survivors = 0;
-              for (const JournalRecord& rec : chunk.records) {
-                s.writer->record(rec.index, rec.value);
-                ++committed_indices_;
-                committed_defeats_ += rec.value;
-                if (rec.value == 0) ++chunk_survivors;
-              }
-              s.last_progress = std::chrono::steady_clock::now();
-              journal_bytes_streamed_ += f.payload.size();
-              runners_[session_id].records_streamed += chunk.records.size();
-              if (!first_record_at_ && !chunk.records.empty()) {
-                first_record_at_ = s.last_progress;
-              }
-              // Enumeration-delay observation: the chunk gap, spread
-              // evenly over the chunk's records (the coordinator sees
-              // batches, not individual results — see ServiceReport).
-              if (!chunk.records.empty()) {
-                const std::uint64_t now_off = static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        s.last_progress - start_)
-                        .count());
-                const std::uint64_t per =
-                    (now_off - s.last_chunk_off_ns) / chunk.records.size();
-                for (std::size_t n = 0; n < chunk.records.size(); ++n) {
-                  s.delay.inter_result_delay_ns.record(per);
-                }
-                s.delay.results += chunk.records.size();
-                if (s.delay.time_to_first_result_ns < 0) {
-                  s.delay.time_to_first_result_ns =
-                      static_cast<std::int64_t>(now_off);
-                }
-                s.delay.survivors += chunk_survivors;
-                if (chunk_survivors > 0 &&
-                    s.delay.time_to_first_survivor_ns < 0) {
-                  s.delay.time_to_first_survivor_ns =
-                      static_cast<std::int64_t>(now_off);
-                }
-                s.last_chunk_off_ns = now_off;
-              }
-              cr.accepted = true;
-              cr.next_index = s.writer->next_index();
-            } catch (const dist::SerializeError& e) {
-              // Out-of-order or unappendable records: this attempt is
-              // bad; the committed prefix stays, the shard requeues.
-              fail_attempt_locked(chunk.shard_index,
-                                  std::string("bad chunk: ") + e.what());
-              cr.accepted = false;
-            }
-          } else {
-            cr.accepted = false;  // stale token: lease was revoked
-            if (chunk.token != 0) ++stale_tokens_fenced_;
+          case dist::WireKind::kSeal: {
+            const Seal seal = decode_seal(f.payload);
+            reply = encode(
+                table_.admit(seal.shard_index, seal.token, session_id, name)
+                    ? seal_locked(seal, session_id)
+                    : SealReply{});
+            break;
           }
-          reply = encode(cr);
-          break;
-        }
-        case dist::WireKind::kSeal: {
-          const Seal seal = decode_seal(f.payload);
-          std::lock_guard<std::mutex> lk(mu_);
-          runners_[session_id].last_seen = std::chrono::steady_clock::now();
-          SealReply sr;
-          if (seal.shard_index < shards_.size() && seal.token != 0 &&
-              shards_[seal.shard_index].token == seal.token &&
-              shards_[seal.shard_index].phase == ShardPhase::kLeased) {
-            ShardState& s = shards_[seal.shard_index];
-            if (seal.total != s.writer->sum()) {
-              fail_attempt_locked(
-                  seal.shard_index,
-                  "seal total " + std::to_string(seal.total) +
-                      " != journaled sum " + std::to_string(s.writer->sum()));
-            } else {
-              try {
-                s.writer->finish(seal.total);
-                s.writer.reset();
-                s.phase = ShardPhase::kSealed;
-                s.sealed_sum = seal.total;
-                s.token = 0;
-                s.holder.clear();
-                s.session = 0;
-                ++sealed_total_;
-                ++sealed_this_run_;
-                ++runners_[session_id].shards_sealed;
-                if (!first_seal_at_) {
-                  first_seal_at_ = std::chrono::steady_clock::now();
-                }
-                // Journal DONE record first (data), then the durable
-                // control-state commit + merge checkpoint, then the
-                // reply. A crash in between leaves a sealed journal
-                // without a ledger seal — the one tolerated asymmetry
-                // the resume path adopts from the journal.
-                ledger_append_nothrow_locked(
-                    {dist::LedgerEvent::kSeal, seal.shard_index, seal.total});
-                ledger_append_nothrow_locked({dist::LedgerEvent::kCheckpoint,
-                                              committed_indices_,
-                                              committed_defeats_});
-                sr.accepted = true;
-                my_shard = kNoShard;
-              } catch (const dist::SerializeError& e) {
-                fail_attempt_locked(seal.shard_index,
-                                    std::string("seal refused: ") + e.what());
-              }
-            }
-            cv_.notify_all();
-          } else if (seal.token != 0) {
-            ++stale_tokens_fenced_;
-          }
-          reply = encode(sr);
-          break;
-        }
-        case dist::WireKind::kHeartbeat: {
-          const Heartbeat hb = decode_heartbeat(f.payload);
-          std::lock_guard<std::mutex> lk(mu_);
-          runners_[session_id].last_seen = std::chrono::steady_clock::now();
-          HeartbeatReply hr;
-          // NOTE: a heartbeat proves the runner is alive, not that it is
-          // making progress — it never renews the lease. Journal growth
-          // (chunks) is the only renewal.
-          hr.lease_valid =
-              hb.token == 0 ||
-              (hb.shard_index < shards_.size() &&
-               shards_[hb.shard_index].token == hb.token &&
-               shards_[hb.shard_index].phase == ShardPhase::kLeased);
-          reply = encode(hr);
-          break;
-        }
-        case dist::WireKind::kOrbitGet: {
-          decode_orbit_get(f.payload);
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            runners_[session_id].last_seen = std::chrono::steady_clock::now();
+          case dist::WireKind::kOrbitGet:
+            decode_orbit_get(f.payload);
             ++tier_gets_;
-          }
-          reply = encode(OrbitGetReply{});  // absent: nothing is stored
-          break;
+            reply = encode(OrbitGetReply{});  // absent: nothing is stored
+            break;
+          case dist::WireKind::kOrbitPut:
+            decode_orbit_put(f.payload);
+            reply = encode(OrbitPutReply{});  // accepted = false: not stored
+            break;
+          default:
+            reply_kind = dist::WireKind::kError;
+            reply = encode(
+                ErrorReply{ErrorCode::kBadRequest, "unexpected message kind"});
         }
-        case dist::WireKind::kOrbitPut: {
-          decode_orbit_put(f.payload);
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            runners_[session_id].last_seen = std::chrono::steady_clock::now();
-          }
-          reply = encode(OrbitPutReply{});  // accepted = false: not stored
-          break;
-        }
-        default:
-          reply_kind = dist::WireKind::kError;
-          reply = encode(
-              ErrorReply{ErrorCode::kBadRequest, "unexpected message kind"});
       }
-      if (!answered) break;
+      // An empty reply is a stopping table's silence: as after a crash.
+      if (reply.empty()) break;
       send(reply_kind, reply);
     }
   } catch (const dist::WireVersionError& e) {
@@ -869,33 +598,30 @@ void Coordinator::handle_session(std::unique_ptr<net::TcpStream> stream,
   }
   std::lock_guard<std::mutex> lk(mu_);
   runners_[session_id].connected = false;
-  // A session ending because the COORDINATOR is stopping is not a
-  // runner failure: the lease stays open, so the run ledger records it
-  // the way a crash would and a --resume re-grants it as interrupted
-  // (requeueing into a dying process would burn an attempt for nothing).
-  if (!stop_.load()) {
-    release_if_held_locked(session_id, my_shard,
-                           "runner disconnected unsealed");
+  for (const LeaseTable::Step& step : table_.disconnect(session_id)) {
+    commit_locked(step);
   }
-  cv_.notify_all();
 }
 
 void Coordinator::reaper_loop() {
-  while (!stop_.load()) {
-    std::this_thread::sleep_for(cfg_.poll_interval);
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto now = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      ShardState& s = shards_[i];
-      if (s.phase == ShardPhase::kLeased &&
-          now - s.last_progress > cfg_.lease_timeout) {
-        ++lease_expiries_;
-        fail_attempt_locked(
-            i, "lease expired (no journal growth for " +
-                   std::to_string(cfg_.lease_timeout.count()) + "ms)");
-      }
+  // No polling: sleep until the earliest lease deadline. A grant that
+  // moves it and stop() wake the wait early; a lease renewed since is
+  // simply found unexpired and the wait recomputed.
+  std::unique_lock<std::mutex> lk(mu_);
+  while (!table_.stopped()) {
+    const auto deadline = table_.next_deadline();
+    const auto moved = [&] {
+      return table_.stopped() || table_.next_deadline() != deadline;
+    };
+    if (deadline) {
+      cv_.wait_until(lk, *deadline, moved);
+    } else {
+      cv_.wait(lk, moved);
     }
-    if (done_locked()) cv_.notify_all();
+    for (const LeaseTable::Step& step :
+         table_.expire(std::chrono::steady_clock::now())) {
+      commit_locked(step);
+    }
   }
 }
 
@@ -932,10 +658,14 @@ void Coordinator::metrics_loop() {
             path_end == std::string::npos ? "/" : req.substr(4, path_end - 4);
         std::string body, content_type;
         if (path == "/metrics") {
-          body = metrics_prometheus();
+          // The process's own registry rides along: empty unless this
+          // process enabled obs (then the enumeration bind histograms
+          // appear here too).
+          body = service_prometheus(report()) +
+                 obs::Registry::instance().prometheus();
           content_type = "text/plain; version=0.0.4";
         } else {
-          body = metrics_json();
+          body = service_json(report(), plan_.workload_spec);
           content_type = "application/json";
         }
         resp = "HTTP/1.0 200 OK\r\nContent-Type: " + content_type +
@@ -954,8 +684,10 @@ void Coordinator::metrics_loop() {
 ServiceReport Coordinator::report_locked() const {
   ServiceReport r;
   const auto now = std::chrono::steady_clock::now();
-  r.shards_total = shards_.size();
-  for (const ShardState& s : shards_) {
+  r.shards_total = table_.shards().size();
+  r.last_journal_growth_ms.reserve(table_.shards().size());
+  for (std::size_t i = 0; i < table_.shards().size(); ++i) {
+    const LeaseTable::Shard& s = table_.shard(i);
     switch (s.phase) {
       case ShardPhase::kSealed:
         ++r.shards_completed;
@@ -970,20 +702,28 @@ ServiceReport Coordinator::report_locked() const {
         ++r.shards_quarantined;
         break;
     }
+    r.last_journal_growth_ms.push_back(
+        s.phase == ShardPhase::kLeased
+            ? std::chrono::duration_cast<std::chrono::milliseconds>(
+                  now - s.last_progress)
+                  .count()
+            : -1);
+    r.delay.merge(io_[i].delay);
   }
-  r.shards_requeued = requeues_;
-  r.leases_granted = leases_granted_;
-  r.lease_expiries = lease_expiries_;
+  const LeaseTable::Counters& c = table_.counters();
+  r.shards_requeued = c.requeued;
+  r.leases_granted = c.granted;
+  r.lease_expiries = c.expired;
   r.total_indices = plan_.count;
-  r.committed_indices = committed_indices_;
-  r.committed_defeats = committed_defeats_;
+  const dist::LedgerRecord committed = table_.next_checkpoint();
+  r.committed_indices = committed.a;
+  r.committed_defeats = committed.b;
   r.journal_bytes_streamed = journal_bytes_streamed_;
   r.tier_gets = tier_gets_;
   r.uptime_seconds = seconds_since(start_, now);
-  r.shards_per_second = r.uptime_seconds > 0
-                            ? static_cast<double>(sealed_this_run_) /
-                                  r.uptime_seconds
-                            : 0;
+  r.shards_per_second =
+      r.uptime_seconds > 0 ? static_cast<double>(c.sealed) / r.uptime_seconds
+                           : 0;
   if (first_record_at_) {
     r.time_to_first_record_seconds = seconds_since(start_, *first_record_at_);
   }
@@ -995,29 +735,19 @@ ServiceReport Coordinator::report_locked() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(now - start_)
           .count());
   r.campaign_id = campaign_id_;
-  r.last_journal_growth_ms.reserve(shards_.size());
-  for (const ShardState& s : shards_) {
-    r.last_journal_growth_ms.push_back(
-        s.phase == ShardPhase::kLeased
-            ? std::chrono::duration_cast<std::chrono::milliseconds>(
-                  now - s.last_progress)
-                  .count()
-            : -1);
-    r.delay.merge(s.delay);
-  }
   // Merge stamps elapsed as the max of the inputs' (all zero — shard
   // stats are live accumulators); the campaign's clock is the
   // coordinator's own uptime.
   r.delay.elapsed_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(now - start_)
           .count());
-  r.resumed = resumed_ ? 1 : 0;
-  r.ledger_epoch = ledger_epoch_;
+  r.resumed = cfg_.resume ? 1 : 0;
+  r.ledger_epoch = table_.epoch();
   r.ledger_records_replayed = ledger_records_replayed_;
   r.ledger_records_appended = ledger_records_appended_;
   r.ledger_torn_bytes_truncated = ledger_torn_bytes_;
-  r.leases_regranted = leases_regranted_;
-  r.stale_tokens_fenced = stale_tokens_fenced_;
+  r.leases_regranted = c.regranted;
+  r.stale_tokens_fenced = c.fenced;
   // Fleet reconnects: each worker self-reports a monotonically growing
   // count per hello; a worker reconnecting opens a NEW session, so take
   // the per-name maximum and sum across names.
@@ -1048,60 +778,17 @@ ServiceReport Coordinator::report() const {
   return report_locked();
 }
 
-std::string Coordinator::metrics_json() const {
-  return service_json(report(), plan_.workload_spec);
-}
-
-std::string Coordinator::metrics_prometheus() const {
-  // The process's own registry rides along: empty unless this process
-  // enabled obs (then the enumeration bind histograms appear here too).
-  return service_prometheus(report()) + obs::Registry::instance().prometheus();
-}
-
 std::vector<Coordinator::ShardSnapshot> Coordinator::shard_snapshots() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::vector<ShardSnapshot> out;
-  out.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const ShardState& s = shards_[i];
-    const dist::ShardSpec& spec = plan_.shards[i];
-    ShardSnapshot snap;
-    snap.phase = s.phase;
-    snap.attempts = s.attempts;
-    snap.token = s.token;
-    snap.interrupted = s.interrupted;
-    if (s.writer) {
-      snap.next_index = s.writer->next_index();
-      snap.sum = s.writer->sum();
-    } else if (s.phase == ShardPhase::kSealed) {
-      snap.next_index = spec.end;
-      snap.sum = s.sealed_sum;
-    } else {
-      // No live writer: the committed prefix is whatever the journal
-      // holds (a resumed-but-not-yet-regranted shard, or none at all).
-      snap.next_index = spec.begin;
-      try {
-        const auto js =
-            dist::read_journal(dist::journal_path(cfg_.journal_dir, spec));
-        if (js && js->header.shard_id == spec.id &&
-            js->header.fingerprint == plan_.fingerprint) {
-          snap.next_index = js->next_index;
-          snap.sum = js->sum;
-        }
-      } catch (const dist::SerializeError&) {
-      }
-    }
-    out.push_back(snap);
-  }
-  return out;
+  return table_.shards();
 }
 
 dist::QuarantineManifest Coordinator::quarantine_manifest() const {
   std::lock_guard<std::mutex> lk(mu_);
   dist::QuarantineManifest m;
   m.fingerprint = plan_.fingerprint;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const ShardState& s = shards_[i];
+  for (std::size_t i = 0; i < table_.shards().size(); ++i) {
+    const LeaseTable::Shard& s = table_.shard(i);
     if (s.phase != ShardPhase::kQuarantined) continue;
     dist::QuarantineEntry e;
     e.begin = plan_.shards[i].begin;

@@ -25,9 +25,16 @@
 //    abandon the shard. Their records are NOT lost wholesale — the
 //    prefix the coordinator already journaled stays committed.
 //
+// Every one of those decisions is made by svc::LeaseTable, the pure
+// lease state machine (svc/lease_table.hpp). The coordinator is its IO
+// shell: sessions decode a frame, ask the table under mu_, write what
+// it decided to the journals and the run ledger, and send the reply;
+// `--resume` folds the ledger through the same table.
+//
 // A lease request that finds nothing pending while shards are still out
 // is HELD (long-polled) on the coordinator's condition variable: every
-// seal, requeue and quarantine wakes it, so an idle worker learns of a
+// grant, seal, requeue and quarantine wakes it (the reaper waits on it
+// too, until the earliest lease deadline), so an idle worker learns of a
 // requeued shard or of the drained campaign at once. The hold is bounded
 // by session_read_timeout, after which the reply is kWait and the worker
 // asks again. A coordinator stopping during a hold sends no reply.
@@ -51,7 +58,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,6 +74,8 @@
 #include "net/socket.hpp"
 #include "obs/enum_stats.hpp"
 #include "sim/orbit_cache.hpp"
+#include "svc/lease_table.hpp"
+#include "svc/protocol.hpp"
 
 namespace rvt::svc {
 
@@ -78,8 +86,6 @@ struct CoordinatorConfig {
   unsigned max_attempts = 3;
   /// Lease expires after this long without journal growth.
   std::chrono::milliseconds lease_timeout{10000};
-  /// Reaper wake-up cadence: how often leases are checked for expiry.
-  std::chrono::milliseconds poll_interval{20};
   /// Session read timeout: the granularity at which session threads
   /// notice stop() and stalled peers. It also bounds how long a lease
   /// request with nothing grantable is held before it answers kWait;
@@ -176,26 +182,13 @@ std::string service_prometheus(const ServiceReport& r);
 
 class Coordinator {
  public:
-  enum class ShardPhase : std::uint8_t {
-    kPending,
-    kLeased,
-    kSealed,
-    kQuarantined,
-  };
-
+  using ShardPhase = svc::ShardPhase;
   /// One shard's control state, exposed for the replay-vs-live
-  /// equivalence tests: a resumed coordinator must reconstruct these
-  /// field-for-field (a pre-crash lease maps to kPending with token 0
-  /// and interrupted=true — the lease itself died with the process;
-  /// everything else is exact).
-  struct ShardSnapshot {
-    ShardPhase phase = ShardPhase::kPending;
-    unsigned attempts = 0;
-    std::uint64_t token = 0;
-    std::uint64_t next_index = 0;  ///< first uncommitted index
-    std::uint64_t sum = 0;         ///< committed defeats so far
-    bool interrupted = false;      ///< was out on lease when a crash hit
-  };
+  /// equivalence tests: a resumed coordinator must reconstruct it field
+  /// for field (a pre-crash lease maps to kPending with token 0 and
+  /// interrupted=true — the lease itself died with the process; the
+  /// diagnostics' reasons are not durable).
+  using ShardSnapshot = LeaseTable::Shard;
 
   /// Binds both listeners and starts serving immediately. Existing
   /// journals under journal_dir are adopted: sealed shards need no
@@ -211,7 +204,6 @@ class Coordinator {
 
   std::uint16_t port() const { return listener_->port(); }
   std::uint16_t metrics_port() const { return metrics_listener_->port(); }
-  const dist::ShardPlan& plan() const { return plan_; }
 
   /// Blocks until every shard is sealed or quarantined (true), or the
   /// timeout elapses (false). stop() also wakes it (returns current
@@ -219,11 +211,10 @@ class Coordinator {
   bool wait_complete(
       std::chrono::milliseconds timeout = std::chrono::milliseconds::max());
 
-  ServiceReport report() const;
-  std::string metrics_json() const;
-  /// The /metrics Prometheus exposition: the report's counters plus the
+  /// Also served by the metrics listener: the service_json document at
+  /// any path, and at /metrics its Prometheus exposition plus the
   /// process's own obs registry (enumeration histograms, if any).
-  std::string metrics_prometheus() const;
+  ServiceReport report() const;
 
   /// Campaign/trace id propagated in every lease grant. Minted
   /// deterministically from the plan fingerprint, so a resumed
@@ -242,19 +233,11 @@ class Coordinator {
   void stop();
 
  private:
-  struct ShardState {
-    ShardPhase phase = ShardPhase::kPending;
-    unsigned attempts = 0;
-    std::uint64_t token = 0;  ///< current lease's fence; 0 = none
-    std::string holder;       ///< runner name of the current lease
-    std::uint64_t session = 0;  ///< session id of the current lease
-    std::chrono::steady_clock::time_point last_progress{};
+  /// What the coordinator keeps per shard beside the lease table: the
+  /// journal it appends to and the enumeration-delay observations (see
+  /// ServiceReport::delay for the measurement semantics).
+  struct ShardIo {
     std::optional<dist::JournalWriter> writer;
-    std::uint64_t sealed_sum = 0;
-    bool interrupted = false;  ///< leased when the previous run crashed
-    std::vector<std::string> diagnostics;  ///< one line per failed attempt
-    /// Enumeration-delay observations for this shard (see
-    /// ServiceReport::delay for the measurement semantics).
     obs::EnumDelayStats delay;
     /// Steady-clock offset (ns since start_) of the last accepted
     /// chunk; 0 = none yet. Basis of the chunk-gap delay spread.
@@ -276,26 +259,27 @@ class Coordinator {
   void reaper_loop();
   void handle_session(std::unique_ptr<net::TcpStream> stream,
                       std::uint64_t session_id);
+  /// The shard's journal on disk, if it parses and is bound to this
+  /// plan's shard (id, fingerprint and range); nullopt otherwise.
+  std::optional<dist::JournalState> bound_journal(std::size_t shard) const;
   // All lock-held helpers assume mu_ is held.
-  std::vector<std::uint8_t> grant_lease_locked(std::uint64_t session_id,
-                                               const std::string& name,
-                                               std::size_t* leased);
-  void fail_attempt_locked(std::size_t shard, const std::string& reason);
-  void release_if_held_locked(std::uint64_t session_id, std::size_t shard,
-                              const std::string& reason);
-  bool done_locked() const;
+  /// Opens the granted shard's journal, makes the grant durable, applies
+  /// it and encodes the reply. Throws SerializeError (journal or ledger
+  /// IO) with nothing applied: the shard stays pending.
+  std::vector<std::uint8_t> grant_locked(const LeaseTable::Step& step);
+  /// Appends an admitted chunk to its journal and records the progress.
+  ChunkReply append_chunk_locked(const JournalChunk& chunk,
+                                 std::size_t payload_bytes,
+                                 std::uint64_t session_id);
+  /// Finishes an admitted seal's journal and commits the seal.
+  SealReply seal_locked(const Seal& seal, std::uint64_t session_id);
+  /// Ledger append, then apply. Best-effort by default, for paths where
+  /// the durable fact already lives in a journal (seal) or where failing
+  /// the append must not wedge the shard (requeue/quarantine).
+  /// write_ahead (grants, epochs) rethrows instead: a grant that cannot
+  /// be made durable must not be sent.
+  void commit_locked(const LeaseTable::Step& step, bool write_ahead = false);
   ServiceReport report_locked() const;
-  /// Replays the ledger into shards_/counters against the scanned
-  /// journal states; throws SerializeError on any ledger/journal
-  /// disagreement. Called under no lock (ctor only).
-  void replay_ledger(
-      const dist::LedgerState& ls,
-      const std::vector<std::optional<dist::JournalState>>& journals);
-  /// Best-effort ledger append for paths where the durable fact already
-  /// lives in a journal (seal) or where failing the append must not
-  /// wedge the shard (requeue/quarantine). Grants use a throwing append
-  /// instead — a grant that cannot be made durable must not be sent.
-  void ledger_append_nothrow_locked(const dist::LedgerRecord& rec);
 
   dist::ShardPlan plan_;
   CoordinatorConfig cfg_;
@@ -304,26 +288,14 @@ class Coordinator {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<ShardState> shards_;
-  std::deque<std::size_t> pending_;
+  LeaseTable table_;
+  std::vector<ShardIo> io_;          // plan order
   std::vector<RunnerInfo> runners_;  // indexed by session id
   std::optional<dist::LedgerWriter> ledger_;
-  std::uint64_t next_token_ = 1;
-  std::uint64_t leases_granted_ = 0;
-  std::uint64_t lease_expiries_ = 0;
-  bool resumed_ = false;
-  std::uint64_t ledger_epoch_ = 1;
   std::uint64_t ledger_records_replayed_ = 0;
   std::uint64_t ledger_records_appended_ = 0;
   std::uint64_t ledger_torn_bytes_ = 0;
-  std::uint64_t leases_regranted_ = 0;
-  std::uint64_t stale_tokens_fenced_ = 0;
-  std::uint64_t requeues_ = 0;
-  std::uint64_t committed_indices_ = 0;
-  std::uint64_t committed_defeats_ = 0;
   std::uint64_t journal_bytes_streamed_ = 0;
-  std::uint64_t sealed_total_ = 0;      ///< incl. adopted pre-sealed
-  std::uint64_t sealed_this_run_ = 0;
   std::uint64_t tier_gets_ = 0;
   std::uint64_t campaign_id_ = 0;
   std::chrono::steady_clock::time_point start_;

@@ -124,36 +124,6 @@ LeaseGrant decode_lease_grant(std::span<const std::uint8_t> p) {
   return m;
 }
 
-std::vector<std::uint8_t> encode(const Heartbeat& m) {
-  WireWriter w;
-  w.u64(m.shard_index);
-  w.u64(m.token);
-  return w.take();
-}
-
-Heartbeat decode_heartbeat(std::span<const std::uint8_t> p) {
-  WireReader r(p);
-  Heartbeat m;
-  m.shard_index = r.u64();
-  m.token = r.u64();
-  r.expect_end();
-  return m;
-}
-
-std::vector<std::uint8_t> encode(const HeartbeatReply& m) {
-  WireWriter w;
-  w.u8(m.lease_valid ? 1 : 0);
-  return w.take();
-}
-
-HeartbeatReply decode_heartbeat_reply(std::span<const std::uint8_t> p) {
-  WireReader r(p);
-  HeartbeatReply m;
-  m.lease_valid = read_bool(r, "heartbeat lease_valid") != 0;
-  r.expect_end();
-  return m;
-}
-
 // ---- journal streaming ----------------------------------------------------
 
 std::vector<std::uint8_t> encode(const JournalChunk& m) {

@@ -7,7 +7,6 @@
 //   connect -> kHello (negotiate) -> { kLeaseRequest -> kLeaseGrant
 //                                    | kJournalChunk -> ChunkReply
 //                                    | kSeal         -> SealReply
-//                                    | kHeartbeat    -> HeartbeatReply
 //                                    | kOrbitGet/Put -> replies }*
 //
 // Every message is encoded with the bounds-checked WireWriter/WireReader
@@ -106,18 +105,6 @@ struct LeaseGrant {
   std::uint64_t campaign_id = 0;
 };
 
-/// Liveness probe and lease-validity check. run_worker no longer sends
-/// it (an idle worker's held lease request keeps its session fresh);
-/// the coordinator still answers it, and it never renews a lease.
-struct Heartbeat {
-  std::uint64_t shard_index = 0;
-  std::uint64_t token = 0;  ///< 0 = pure liveness, no lease to check
-};
-
-struct HeartbeatReply {
-  bool lease_valid = false;  ///< token still holds the lease (true if 0)
-};
-
 // ---- journal streaming ----------------------------------------------------
 
 struct JournalRecord {
@@ -125,9 +112,10 @@ struct JournalRecord {
   std::uint64_t value = 0;
 };
 
-/// A batch of contiguous committed records. Chunk arrival IS the lease
-/// heartbeat: journal growth is the only liveness signal the
-/// coordinator trusts.
+/// A batch of contiguous committed records. The records, not the
+/// chunk, renew the lease: journal growth is the only liveness signal
+/// the coordinator trusts. An empty chunk is the worker's reconnect
+/// probe — answered with the durable next_index, renewing nothing.
 struct JournalChunk {
   std::uint64_t shard_index = 0;
   std::uint64_t token = 0;
@@ -188,8 +176,6 @@ std::vector<std::uint8_t> encode(const HelloRequest& m);
 std::vector<std::uint8_t> encode(const HelloReply& m);
 std::vector<std::uint8_t> encode_lease_request();
 std::vector<std::uint8_t> encode(const LeaseGrant& m);
-std::vector<std::uint8_t> encode(const Heartbeat& m);
-std::vector<std::uint8_t> encode(const HeartbeatReply& m);
 std::vector<std::uint8_t> encode(const JournalChunk& m);
 std::vector<std::uint8_t> encode(const ChunkReply& m);
 std::vector<std::uint8_t> encode(const Seal& m);
@@ -203,8 +189,6 @@ std::vector<std::uint8_t> encode(const OrbitPutReply& m);
 HelloRequest decode_hello_request(std::span<const std::uint8_t> p);
 HelloReply decode_hello_reply(std::span<const std::uint8_t> p);
 LeaseGrant decode_lease_grant(std::span<const std::uint8_t> p);
-Heartbeat decode_heartbeat(std::span<const std::uint8_t> p);
-HeartbeatReply decode_heartbeat_reply(std::span<const std::uint8_t> p);
 JournalChunk decode_journal_chunk(std::span<const std::uint8_t> p);
 ChunkReply decode_chunk_reply(std::span<const std::uint8_t> p);
 Seal decode_seal(std::span<const std::uint8_t> p);

@@ -8,9 +8,7 @@
 
 namespace rvt::util {
 
-namespace {
-
-std::string quote(const std::string& s) {
+std::string json_quote(const std::string& s) {
   std::string out = "\"";
   for (const char c : s) {
     switch (c) {
@@ -37,6 +35,8 @@ std::string quote(const std::string& s) {
   return out;
 }
 
+namespace {
+
 std::string format_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -47,7 +47,7 @@ void write_string_array(std::ostream& os,
                         const std::vector<std::string>& cells) {
   os << "[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    os << (i ? ", " : "") << quote(cells[i]);
+    os << (i ? ", " : "") << json_quote(cells[i]);
   }
   os << "]";
 }
@@ -188,13 +188,14 @@ std::string BenchReport::write() const {
   validate();
   const std::string path = "BENCH_" + id_ + ".json";
   std::ofstream os(path);
-  os << "{\n  \"id\": " << quote(id_) << ",\n  \"seed\": " << seed_;
+  os << "{\n  \"id\": " << json_quote(id_) << ",\n  \"seed\": " << seed_;
   os << ",\n  \"schema_version\": " << kBenchReportSchemaVersion;
-  os << ",\n  \"workload\": " << quote(workload_)
+  os << ",\n  \"workload\": " << json_quote(workload_)
      << ",\n  \"agents\": " << agents_;
   if (has_shards_) os << ",\n  \"shards\": " << shards_;
   if (has_faults_) {
-    os << ",\n  \"faults\": {\n    \"scenario\": " << quote(faults_.scenario)
+    os << ",\n  \"faults\": {\n    \"scenario\": "
+       << json_quote(faults_.scenario)
        << ",\n    \"seed\": " << faults_.seed
        << ",\n    \"injected\": " << faults_.injected
        << ",\n    \"retried\": " << faults_.retried
@@ -239,10 +240,10 @@ std::string BenchReport::write() const {
        << "\n  }";
   }
   for (const auto& [k, v] : strings_) {
-    os << ",\n  " << quote(k) << ": " << quote(v);
+    os << ",\n  " << json_quote(k) << ": " << json_quote(v);
   }
   for (const auto& [k, v] : numbers_) {
-    os << ",\n  " << quote(k) << ": " << format_number(v);
+    os << ",\n  " << json_quote(k) << ": " << format_number(v);
   }
   if (table_ != nullptr) {
     os << ",\n  \"columns\": ";

@@ -36,6 +36,10 @@
 
 namespace rvt::util {
 
+/// `s` as a quoted JSON string literal — the one JSON string escaper
+/// (bench reports, the coordinator's metrics document, trace export).
+std::string json_quote(const std::string& s);
+
 /// Version of the report schema this library writes, emitted as every
 /// report's "schema_version" field. History: 1 = the PR 3/4 schema
 /// (workload/agents required, engine-comparison keys); 2 = adds the

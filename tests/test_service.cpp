@@ -91,6 +91,28 @@ svc::LeaseGrant request_lease(net::TcpStream& s) {
   return read_lease_grant(s);
 }
 
+svc::ChunkReply send_chunk(net::TcpStream& s, std::uint64_t shard,
+                           std::uint64_t token,
+                           std::vector<svc::JournalRecord> records) {
+  svc::JournalChunk chunk;
+  chunk.shard_index = shard;
+  chunk.token = token;
+  chunk.records = std::move(records);
+  net::send_frame(s, dist::WireKind::kJournalChunk, svc::encode(chunk));
+  net::Frame f;
+  EXPECT_EQ(net::recv_frame(s, f), net::RecvStatus::kFrame);
+  return svc::decode_chunk_reply(f.payload);
+}
+
+svc::SealReply send_seal(net::TcpStream& s, std::uint64_t shard,
+                         std::uint64_t token, std::uint64_t total) {
+  net::send_frame(s, dist::WireKind::kSeal,
+                  svc::encode(svc::Seal{shard, token, total}));
+  net::Frame f;
+  EXPECT_EQ(net::recv_frame(s, f), net::RecvStatus::kFrame);
+  return svc::decode_seal_reply(f.payload);
+}
+
 // ---- the happy fleet ------------------------------------------------------
 
 TEST_F(ServiceTest, LoopbackFleetMatchesSingleProcessBitForBit) {
@@ -297,12 +319,12 @@ TEST_F(ServiceTest, ExpiredLeaseholderIsFencedAndTheShardRecovers) {
   svc::CoordinatorConfig cfg;
   cfg.journal_dir = path("journals");
   cfg.lease_timeout = std::chrono::milliseconds(200);
-  cfg.poll_interval = std::chrono::milliseconds(10);
   svc::Coordinator coord(plan, cfg);
 
-  // A leaseholder that takes the shard and then commits NOTHING.
-  // Heartbeats alone must not keep the lease alive — journal growth is
-  // the only renewal.
+  // A leaseholder that takes the shard and then commits NOTHING. Its
+  // empty chunks are answered (they are the worker's reconnect probe)
+  // but must not keep the lease alive — appended records are the only
+  // renewal.
   auto silent = dial(coord, "worker", "silent");
   const svc::LeaseGrant g = request_lease(*silent);
   ASSERT_EQ(g.status, svc::LeaseStatus::kGranted);
@@ -311,29 +333,17 @@ TEST_F(ServiceTest, ExpiredLeaseholderIsFencedAndTheShardRecovers) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   bool expired = false;
   while (!expired && std::chrono::steady_clock::now() < deadline) {
-    net::send_frame(*silent, dist::WireKind::kHeartbeat,
-                    svc::encode(svc::Heartbeat{g.shard_index, g.token}));
-    net::Frame f;
-    ASSERT_EQ(net::recv_frame(*silent, f), net::RecvStatus::kFrame);
-    expired = !svc::decode_heartbeat_reply(f.payload).lease_valid;
+    const svc::ChunkReply cr = send_chunk(*silent, g.shard_index, g.token, {});
+    expired = !cr.accepted;
+    if (!expired) EXPECT_EQ(cr.next_index, g.next_index);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   ASSERT_TRUE(expired) << "chatty but workless lease never expired";
 
   // The stale token is fenced on every mutation path.
-  svc::JournalChunk chunk;
-  chunk.shard_index = g.shard_index;
-  chunk.token = g.token;
-  chunk.records.push_back({g.begin, 0});
-  net::send_frame(*silent, dist::WireKind::kJournalChunk,
-                  svc::encode(chunk));
-  net::Frame f;
-  ASSERT_EQ(net::recv_frame(*silent, f), net::RecvStatus::kFrame);
-  EXPECT_FALSE(svc::decode_chunk_reply(f.payload).accepted);
-  net::send_frame(*silent, dist::WireKind::kSeal,
-                  svc::encode(svc::Seal{g.shard_index, g.token, 0}));
-  ASSERT_EQ(net::recv_frame(*silent, f), net::RecvStatus::kFrame);
-  EXPECT_FALSE(svc::decode_seal_reply(f.payload).accepted);
+  EXPECT_FALSE(
+      send_chunk(*silent, g.shard_index, g.token, {{g.begin, 0}}).accepted);
+  EXPECT_FALSE(send_seal(*silent, g.shard_index, g.token, 0).accepted);
   silent.reset();
 
   const svc::ServiceReport rep = coord.report();
@@ -412,6 +422,24 @@ TEST_F(ServiceTest, UnknownRoleIsRefused) {
             svc::ErrorCode::kRefused);
 }
 
+TEST_F(ServiceTest, RetiredHeartbeatKindIsABadRequest) {
+  // The heartbeat message is retired: its wire kind is just another
+  // kind the coordinator does not serve.
+  const auto w = dist::EnumWorkload::parse("e10:6");
+  svc::CoordinatorConfig cfg;
+  cfg.journal_dir = path("journals");
+  svc::Coordinator coord(dist::make_shard_plan(*w, 2), cfg);
+
+  auto s = dial(coord, "worker", "old");
+  net::send_frame(*s, dist::WireKind::kHeartbeat,
+                  std::vector<std::uint8_t>(16));
+  net::Frame f;
+  ASSERT_EQ(net::recv_frame(*s, f), net::RecvStatus::kFrame);
+  ASSERT_EQ(f.kind, dist::WireKind::kError);
+  EXPECT_EQ(svc::decode_error_reply(f.payload).code,
+            svc::ErrorCode::kBadRequest);
+}
+
 // ---- the remote orbit store -----------------------------------------------
 
 TEST_F(ServiceTest, NetOrbitStoreRoundTripsThroughTheCoordinator) {
@@ -463,28 +491,6 @@ TEST_F(ServiceTest, NetOrbitStoreRoundTripsThroughTheCoordinator) {
 }
 
 // ---- campaign durability --------------------------------------------------
-
-svc::ChunkReply send_chunk(net::TcpStream& s, std::uint64_t shard,
-                           std::uint64_t token,
-                           std::vector<svc::JournalRecord> records) {
-  svc::JournalChunk chunk;
-  chunk.shard_index = shard;
-  chunk.token = token;
-  chunk.records = std::move(records);
-  net::send_frame(s, dist::WireKind::kJournalChunk, svc::encode(chunk));
-  net::Frame f;
-  EXPECT_EQ(net::recv_frame(s, f), net::RecvStatus::kFrame);
-  return svc::decode_chunk_reply(f.payload);
-}
-
-svc::SealReply send_seal(net::TcpStream& s, std::uint64_t shard,
-                         std::uint64_t token, std::uint64_t total) {
-  net::send_frame(s, dist::WireKind::kSeal,
-                  svc::encode(svc::Seal{shard, token, total}));
-  net::Frame f;
-  EXPECT_EQ(net::recv_frame(s, f), net::RecvStatus::kFrame);
-  return svc::decode_seal_reply(f.payload);
-}
 
 /// Requests leases until one is granted (or the queue drains). Each
 /// request is held until a shard is grantable, so this only loops when
@@ -591,7 +597,6 @@ TEST_F(ServiceTest, HeldLeaseRequestWakesOnExpiryRequeue) {
   cfg.journal_dir = path("journals");
   cfg.session_read_timeout = kLongHold;
   cfg.lease_timeout = std::chrono::milliseconds(100);
-  cfg.poll_interval = std::chrono::milliseconds(10);
   svc::Coordinator coord(plan, cfg);
 
   // A takes the shard and stays connected but commits nothing.
