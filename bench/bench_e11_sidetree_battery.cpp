@@ -14,13 +14,11 @@
 //
 // The battery runs on the fused enumeration pipeline: one
 // EnumerationContext holds a per-instance engine whose orbits are warmed
-// by the batched (SIMD-dispatched) stepper, queries are answered from the
-// pair-state core, and a cross-worker OrbitCache carries each instance's
-// orbits across the steady-state min-of-N timing repeats (the warm-up
-// pass extracts and publishes; the timed passes hit — the hit rate lands
-// in the JSON). Delays only shift orbit alignment, so compiled queries
-// are O(1) in the delay while the reference stepper re-simulates every
-// (pair, delay) schedule to its Brent certificate.
+// by the batched (SIMD-dispatched) stepper and queries are answered from
+// the pair-state core. Every timed pass is cold: each instance rebinds
+// and re-extracts its orbits. Delays only shift orbit alignment, so
+// compiled queries are O(1) in the delay while the reference stepper
+// re-simulates every (pair, delay) schedule to its Brent certificate.
 //
 // Usage: bench_e11_sidetree_battery [horizon] — the optional horizon
 // (default 4000000) caps the construction's never-meet search; CI smoke
@@ -35,7 +33,6 @@
 #include "lowerbound/verify.hpp"
 #include "sim/automaton.hpp"
 #include "sim/enumeration.hpp"
-#include "sim/orbit_cache.hpp"
 #include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "util/math.hpp"
@@ -145,9 +142,8 @@ int main(int argc, char** argv) {
   // Engine shoot-out over the (start-pair x delay) battery of every built
   // instance, single-threaded on both sides so the ratio isolates the
   // engine change; verdicts are compared field for field. The compiled
-  // side is one fused context (instance i answers only grid i) over a
-  // shared orbit cache: the min-of-N warm-up extracts and publishes each
-  // instance's orbits, the timed passes serve them from the cache.
+  // side is one fused context (instance i answers only grid i); each
+  // pass rebinds and re-extracts every instance's orbits.
   std::vector<sim::EnumGrid> grids;
   std::vector<sim::TabularAutomaton> tabs;
   grids.reserve(usable.size());
@@ -159,8 +155,7 @@ int main(int argc, char** argv) {
   std::uint64_t queries = 0;
   for (const auto& g : grids) queries += g.query_count();
 
-  sim::OrbitCache cache;
-  sim::EnumerationContext ctx(grids, kBatteryHorizon, &cache);
+  sim::EnumerationContext ctx(grids, kBatteryHorizon);
   std::vector<std::vector<sim::Verdict>> compiled(grids.size());
   constexpr int kCompiledRepeats = 3;
   const double compiled_s =
@@ -204,23 +199,17 @@ int main(int argc, char** argv) {
       certified += c.certified_forever;
     }
   }
-  const auto cache_stats = cache.stats();
-  const auto telemetry = ctx.telemetry();
   all_ok = all_ok && mismatches == 0 && !usable.empty();
-  // The timed passes must have served from the populated cache.
-  all_ok = all_ok && cache_stats.hits > 0 && telemetry.hit_rate() > 0.5;
   const double speedup = compiled_s > 0 ? reference_s / compiled_s : 0.0;
   std::cout << "\nsidetree battery (" << usable.size() << " instances, "
             << queries << " (pair, delay) verifications, min of "
             << kCompiledRepeats << " / " << kReferenceRepeats
             << " repeats, single-threaded):\n"
-            << "  compiled engine:  " << compiled_s << " s (warm orbit "
-            << "cache, simd=" << sim::simd_path_name() << ")\n"
+            << "  compiled engine:  " << compiled_s << " s (cold orbits, "
+            << "simd=" << sim::simd_path_name() << ")\n"
             << "  legacy stepper:   " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x\n"
-            << "  mismatches:       " << mismatches << "\n"
-            << "  orbit cache:      " << cache_stats.hits << " hits / "
-            << cache_stats.misses << " misses\n";
+            << "  mismatches:       " << mismatches << "\n";
 
   bench::JsonReport report("E11");
   report.workload("rendezvous", 2);
@@ -236,8 +225,6 @@ int main(int argc, char** argv) {
   comparison.engine = "compiled";
   comparison.threads = 1;
   comparison.simd = sim::simd_path_name();
-  comparison.orbit_cache_hits = cache_stats.hits;
-  comparison.orbit_cache_misses = cache_stats.misses;
   util::add_engine_comparison(report, comparison);
   report.table(table);
   std::cout << "report: " << report.write() << "\n";

@@ -13,10 +13,10 @@
 // (sim/compiled.hpp). After the table, the SAME set of certified instances
 // is re-verified with both engines: the compiled side runs the fused
 // enumeration pipeline (sim/enumeration.hpp — per-case engines kept
-// alive, orbits batched through the SIMD-dispatched stepper and carried
-// across the steady-state min-of-N repeats by a cross-worker OrbitCache)
-// against the legacy interpretive stepper; the two wall-clocks, the
-// speedup and the pipeline telemetry land in BENCH_E1.json.
+// alive, orbits batched through the SIMD-dispatched stepper) against the
+// legacy interpretive stepper. Every timed pass is cold: each case
+// rebinds and re-extracts its orbits. The two wall-clocks and the
+// speedup land in BENCH_E1.json.
 //
 // Usage: bench_e1_arbdelay_lb [horizon] — the optional horizon (default
 // 300000000) caps the never-meet search; CI smoke runs pass a reduced one.
@@ -31,7 +31,6 @@
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
 #include "sim/enumeration.hpp"
-#include "sim/orbit_cache.hpp"
 #include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "util/math.hpp"
@@ -67,8 +66,8 @@ struct TimedCase {
 ///
 /// NOTE: E1 horizons differ per case while a context carries ONE
 /// max_rounds, so each case gets its own context over a single-grid span;
-/// engines, buffers and cached orbits still persist across the min-of-N
-/// repeats because the contexts live outside the timed lambda.
+/// engines and buffers persist across the min-of-N repeats because the
+/// contexts live outside the timed lambda, but every bind() re-extracts.
 constexpr std::uint64_t kDelayGrid = 16;
 
 struct CompiledBattery {
@@ -76,7 +75,7 @@ struct CompiledBattery {
   std::vector<sim::TabularAutomaton> tabs;   // per-case automata
   std::vector<sim::EnumerationContext> ctxs;
 
-  CompiledBattery(const std::vector<TimedCase>& cases, sim::OrbitCache* cache) {
+  explicit CompiledBattery(const std::vector<TimedCase>& cases) {
     grids.reserve(cases.size());
     tabs.reserve(cases.size());
     for (const auto& c : cases) {
@@ -92,7 +91,7 @@ struct CompiledBattery {
     ctxs.reserve(cases.size());
     for (std::size_t i = 0; i < cases.size(); ++i) {
       ctxs.emplace_back(std::span<const sim::EnumGrid>(&grids[i], 1),
-                        cases[i].cfg.max_rounds, cache);
+                        cases[i].cfg.max_rounds);
     }
   }
 
@@ -220,8 +219,7 @@ int main(int argc, char** argv) {
   // fused compiled pipeline vs legacy per-round stepper, both timed as
   // steady-state min-of-N.
   constexpr int kRepeats = 5;
-  sim::OrbitCache cache;
-  CompiledBattery battery(timed, &cache);
+  CompiledBattery battery(timed);
   std::uint64_t compiled_sum = 0, reference_sum = 0;
   const double compiled_s =
       bench::steady_min_seconds(/*warmup=*/1, kRepeats, [&] {
@@ -232,14 +230,12 @@ int main(int argc, char** argv) {
         reference_sum = run_reference(timed);
       });
   all_ok = all_ok && compiled_sum == reference_sum;  // engines must agree
-  const auto cache_stats = cache.stats();
-  all_ok = all_ok && cache_stats.hits > 0;  // timed passes hit the cache
   const double speedup = compiled_s > 0 ? reference_s / compiled_s : 0.0;
   std::cout << "\ncertification workload (" << timed.size()
             << " instances x " << kDelayGrid << " delays, min of "
             << kRepeats << " repeats):\n"
-            << "  compiled engine:  " << compiled_s << " s (warm orbit "
-            << "cache, simd=" << sim::simd_path_name() << ")\n"
+            << "  compiled engine:  " << compiled_s << " s (cold orbits, "
+            << "simd=" << sim::simd_path_name() << ")\n"
             << "  legacy stepper:   " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x\n";
 
@@ -256,8 +252,6 @@ int main(int argc, char** argv) {
   comparison.engine = "compiled";
   comparison.threads = 1;
   comparison.simd = sim::simd_path_name();
-  comparison.orbit_cache_hits = cache_stats.hits;
-  comparison.orbit_cache_misses = cache_stats.misses;
   util::add_engine_comparison(report, comparison);
   report.table(table);
   std::cout << "report: " << report.write() << "\n";

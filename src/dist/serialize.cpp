@@ -177,10 +177,8 @@ std::vector<std::uint8_t> serialize_orbit_set(
   const std::size_t n = set.orbits.size();
   w.u32(static_cast<std::uint32_t>(n));
   w.raw(set.has_orbit.data(), set.has_orbit.size());
-  // Per-orbit headers, then the three payload streams back to back.
-  // Snapshot and deserialized sets keep each stream in ONE arena, so the
-  // stream writes below are (per present orbit) straight memcpys of
-  // adjacent windows — near-memcpy serialization is the arena's point.
+  // Per-orbit headers, then the three payload streams back to back, each
+  // the present orbits' vectors in start order.
   std::uint64_t nodes = 0, ports = 0, visits = 0;
   for (std::size_t s = 0; s < n; ++s) {
     if (!set.has_orbit[s]) continue;
@@ -286,39 +284,38 @@ deserialize_orbit_set(std::span<const std::uint8_t> payload) {
     visits += sizes[s].visit;
   }
   if (nodes != r.u64() || ports != r.u64() || visits != r.u64()) {
-    throw SerializeError("orbit set: arena totals disagree with headers");
+    throw SerializeError("orbit set: stream totals disagree with headers");
   }
   if (nodes * sizeof(tree::NodeId) > r.remaining() ||
       ports * sizeof(std::int16_t) > r.remaining() ||
       visits * sizeof(std::uint32_t) > r.remaining()) {
-    throw SerializeError("orbit set: arena sizes exceed payload");
+    throw SerializeError("orbit set: stream sizes exceed payload");
   }
-  set->node_arena.resize(nodes);
-  set->port_arena.resize(ports);
-  set->visit_arena.resize(visits);
-  r.raw(set->node_arena.data(), nodes * sizeof(tree::NodeId));
-  r.raw(set->port_arena.data(), ports * sizeof(std::int16_t));
-  r.raw(set->visit_arena.data(), visits * sizeof(std::uint32_t));
-  std::size_t no = 0, po = 0, vo = 0;
   for (std::uint32_t s = 0; s < n; ++s) {
     if (!set->has_orbit[s]) continue;
-    Orbit& o = set->orbits[s];
-    o.node.bind_external(set->node_arena.data() + no, sizes[s].node);
-    no += sizes[s].node;
-    o.in_port.bind_external(set->port_arena.data() + po, sizes[s].port);
-    po += sizes[s].port;
-    o.first_visit.bind_external(set->visit_arena.data() + vo,
-                                sizes[s].visit);
-    vo += sizes[s].visit;
-    for (const tree::NodeId v : o.node) {
+    auto& node = set->orbits[s].node;
+    node.resize(sizes[s].node);
+    r.raw(node.data(), node.size() * sizeof(tree::NodeId));
+    for (const tree::NodeId v : node) {
       if (v < 0 || static_cast<std::uint32_t>(v) >= n) {
         throw SerializeError("orbit set: node id out of range");
       }
     }
-    bytes += sizes[s].node * sizeof(tree::NodeId) +
-             sizes[s].port * sizeof(std::int16_t) +
-             sizes[s].visit * sizeof(std::uint32_t);
   }
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (!set->has_orbit[s]) continue;
+    auto& port = set->orbits[s].in_port;
+    port.resize(sizes[s].port);
+    r.raw(port.data(), port.size() * sizeof(std::int16_t));
+  }
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (!set->has_orbit[s]) continue;
+    auto& visit = set->orbits[s].first_visit;
+    visit.resize(sizes[s].visit);
+    r.raw(visit.data(), visit.size() * sizeof(std::uint32_t));
+  }
+  bytes += nodes * sizeof(tree::NodeId) + ports * sizeof(std::int16_t) +
+           visits * sizeof(std::uint32_t);
   const std::uint32_t pairs = r.u32();
   if (static_cast<std::uint64_t>(pairs) * 12 > r.remaining()) {
     throw SerializeError("orbit set: collision count exceeds payload");

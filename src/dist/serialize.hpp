@@ -14,12 +14,10 @@
 // verdict data. Integers are fixed-width little-endian; the codec
 // asserts a little-endian host (every deployment target is).
 //
-// OrbitSet payloads round-trip EXACTLY: the deserialized set binds its
-// orbits into contiguous arenas (sim/orbit_buf.hpp) just like
-// snapshot_orbits() builds them, so adopting a deserialized set via
-// rebind_adopted() is indistinguishable from adopting a locally published
-// one. The codec is the payload of the service protocol's kOrbitGet
-// reply (svc/net_store.hpp).
+// OrbitSet payloads round-trip EXACTLY: a deserialized set equals the
+// snapshot_orbits() set it was written from, field for field, and
+// re-serializes to the same bytes. The codec is the payload of the
+// service protocol's kOrbitGet reply (svc/net_store.hpp).
 #pragma once
 
 #include <cstdint>
@@ -160,8 +158,7 @@ std::span<const std::uint8_t> unframe_payload(
 std::vector<std::uint8_t> serialize_orbit_set(
     const sim::CompiledConfigEngine::OrbitSet& set);
 
-/// Inverse of serialize_orbit_set over a frame-validated payload; the
-/// returned set's orbits are bound into freshly built contiguous arenas.
+/// Inverse of serialize_orbit_set over a frame-validated payload.
 /// Throws SerializeError on any structural violation (lengths that do
 /// not add up, truncation, index out of range).
 std::shared_ptr<const sim::CompiledConfigEngine::OrbitSet>

@@ -1,7 +1,6 @@
 #include "sim/compiled.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -56,16 +55,7 @@ CompiledConfigEngine::CompiledConfigEngine(const tree::Tree& t,
 
 void CompiledConfigEngine::rebind(const TabularAutomaton& a) {
   ++epoch_;  // cached orbits belong to the previous automaton
-  shared_.reset();
   bind_automaton(a);
-  tables_valid_ = true;
-}
-
-void CompiledConfigEngine::rebind_adopted(
-    std::shared_ptr<const OrbitSet> set) {
-  ++epoch_;  // cached orbits belong to the previous automaton
-  shared_ = std::move(set);
-  tables_valid_ = false;
 }
 
 void CompiledConfigEngine::bind_automaton(const TabularAutomaton& a) {
@@ -209,11 +199,6 @@ void CompiledConfigEngine::extract_orbit(tree::NodeId start,
                 static_cast<tree::Port>(packed & 255)};
   };
 
-  if (!tables_valid_) {
-    throw std::logic_error(
-        "CompiledConfigEngine: extraction after rebind_adopted — the "
-        "compiled tables belong to an older binding (full rebind needed)");
-  }
   ++extracted_count_;
   out.node.clear();
   out.in_port.clear();
@@ -267,18 +252,6 @@ std::span<const std::uint8_t> CompiledConfigEngine::cycle_pair_collisions(
     std::uint32_t root_a, std::uint32_t root_b) const {
   const std::size_t ckey =
       static_cast<std::size_t>(root_a) * n_ + root_b;
-  if (shared_ != nullptr) {
-    if (!shared_->collision_index.empty()) {
-      const std::int32_t idx = shared_->collision_index[ckey];
-      if (idx >= 0) return shared_->collisions[idx].table;
-    } else {
-      for (const CyclePair& p : shared_->collisions) {
-        if (p.root_a == root_a && p.root_b == root_b) return p.table;
-      }
-    }
-    // Not published for this pair: build locally below (the root orbits
-    // may live in the shared set — orbit() serves them transparently).
-  }
   const bool dense = !cindex_epoch_.empty();
   if (dense && cindex_epoch_[ckey] == epoch_) {
     return collision_[cindex_slot_[ckey]].table;
@@ -367,10 +340,6 @@ const CompiledConfigEngine::Orbit& CompiledConfigEngine::orbit(
     throw std::invalid_argument("CompiledConfigEngine::orbit: bad start");
   }
   const std::size_t slot = static_cast<std::size_t>(start);
-  if (shared_ != nullptr && slot < shared_->has_orbit.size() &&
-      shared_->has_orbit[slot]) {
-    return shared_->orbits[slot];
-  }
   if (orbit_epoch_[slot] != epoch_) {
     extract_orbit(start, orbits_[slot]);
     orbit_epoch_[slot] = epoch_;
@@ -392,10 +361,6 @@ void CompiledConfigEngine::warm_orbits(
     const std::size_t slot = static_cast<std::size_t>(start);
     if (seen[slot]) continue;
     seen[slot] = 1;
-    if (shared_ != nullptr && slot < shared_->has_orbit.size() &&
-        shared_->has_orbit[slot]) {
-      continue;
-    }
     if (orbit_epoch_[slot] == epoch_) continue;
     pending[filled++] = start;
     if (filled == kBatchWalks) {
@@ -406,11 +371,6 @@ void CompiledConfigEngine::warm_orbits(
   if (filled > 0) extract_orbits_batch({pending, filled});
 }
 
-void CompiledConfigEngine::adopt_shared_orbits(
-    std::shared_ptr<const OrbitSet> set) {
-  shared_ = std::move(set);
-}
-
 std::shared_ptr<const CompiledConfigEngine::OrbitSet>
 CompiledConfigEngine::snapshot_orbits() const {
   auto set = std::make_shared<OrbitSet>();
@@ -418,46 +378,10 @@ CompiledConfigEngine::snapshot_orbits() const {
   set->orbits.resize(n);
   set->has_orbit.assign(n, 0);
   std::size_t bytes = sizeof(OrbitSet) + n * (sizeof(Orbit) + 1);
-  // Pass 1: size the arenas, so each field type is ONE allocation for the
-  // whole set (published sets are read in start-node order, and the
-  // serializer copies each arena wholesale).
-  std::size_t nodes = 0, ports = 0, visits = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (orbit_epoch_[s] == epoch_) {
-      nodes += orbits_[s].node.size();
-      ports += orbits_[s].in_port.size();
-      visits += orbits_[s].first_visit.size();
-    }
-  }
-  set->node_arena.resize(nodes);
-  set->port_arena.resize(ports);
-  set->visit_arena.resize(visits);
-  // Pass 2: copy payloads into the arenas and bind the published orbits'
-  // buffers as windows into them.
-  std::size_t no = 0, po = 0, vo = 0;
   for (std::size_t s = 0; s < n; ++s) {
     if (orbit_epoch_[s] != epoch_) continue;
     const Orbit& src = orbits_[s];
-    Orbit& dst = set->orbits[s];
-    dst.mu = src.mu;
-    dst.lambda = src.lambda;
-    dst.sn_mu = src.sn_mu;
-    dst.cycle_root = src.cycle_root;
-    dst.cycle_phase = src.cycle_phase;
-    std::memcpy(set->node_arena.data() + no, src.node.data(),
-                src.node.size() * sizeof(tree::NodeId));
-    dst.node.bind_external(set->node_arena.data() + no, src.node.size());
-    no += src.node.size();
-    std::memcpy(set->port_arena.data() + po, src.in_port.data(),
-                src.in_port.size() * sizeof(std::int16_t));
-    dst.in_port.bind_external(set->port_arena.data() + po,
-                              src.in_port.size());
-    po += src.in_port.size();
-    std::memcpy(set->visit_arena.data() + vo, src.first_visit.data(),
-                src.first_visit.size() * sizeof(std::uint32_t));
-    dst.first_visit.bind_external(set->visit_arena.data() + vo,
-                                  src.first_visit.size());
-    vo += src.first_visit.size();
+    set->orbits[s] = src;
     set->has_orbit[s] = 1;
     bytes += src.node.size() * sizeof(tree::NodeId) +
              src.in_port.size() * sizeof(std::int16_t) +

@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "sim/automaton.hpp"
-#include "sim/orbit_buf.hpp"
 #include "sim/simulator.hpp"
 #include "sim/verdict.hpp"
 #include "tree/tree.hpp"
@@ -70,8 +69,7 @@ namespace rvt::sim {
 /// rebind() it to sweep automata over a fixed tree without reallocating.
 /// Lazy caches make the engine non-thread-safe in general: use one engine
 /// per sweep worker, or pre-warm via verify_grid/warm_orbits and share
-/// read-only. adopt_shared_orbits() lets workers serve orbits published by
-/// another engine (sim/orbit_cache.hpp) instead of re-extracting them.
+/// read-only.
 class CompiledConfigEngine {
  public:
   /// Throws std::invalid_argument if the automaton is malformed, the tree
@@ -81,9 +79,8 @@ class CompiledConfigEngine {
   CompiledConfigEngine(const tree::Tree& t, const TabularAutomaton& a);
 
   /// Swaps in a new automaton over the same tree, invalidating cached
-  /// orbits (references returned by orbit() become stale, adopted shared
-  /// sets are dropped) but keeping all buffer capacity — the
-  /// zero-allocation path for exhaustive sweeps.
+  /// orbits (references returned by orbit() become stale) but keeping all
+  /// buffer capacity — the zero-allocation path for exhaustive sweeps.
   void rebind(const TabularAutomaton& a);
 
   /// rho decomposition of the single-agent orbit from a start node:
@@ -113,16 +110,13 @@ class CompiledConfigEngine {
     /// phases and collision answers are consistent within an epoch.)
     std::uint32_t cycle_root = 0;
     std::uint64_t cycle_phase = 0;
-    /// Payload buffers: engine-local orbits own growable storage exactly
-    /// like the std::vectors they replaced; orbits of a published (or
-    /// deserialized) OrbitSet are windows into the set's contiguous
-    /// arenas (see OrbitSet), one allocation per field type per set.
-    OrbitBuf<tree::NodeId> node;
-    OrbitBuf<std::int16_t> in_port;  ///< entry port after k steps
+    /// Payload: cleared (capacity kept) when the slot is re-extracted.
+    std::vector<tree::NodeId> node;
+    std::vector<std::int16_t> in_port;  ///< entry port after k steps
     /// first_visit[w]: first step at which the orbit occupies node w
     /// (kNever if it never does). Answers "can the walker hit a parked
     /// agent?" in O(1), making delayed-start queries O(1) in the delay.
-    OrbitBuf<std::uint32_t> first_visit;
+    std::vector<std::uint32_t> first_visit;
     static constexpr std::uint32_t kNever = ~0u;
 
     tree::NodeId node_at(std::uint64_t k) const {
@@ -154,48 +148,30 @@ class CompiledConfigEngine {
     std::vector<std::uint8_t> table;  ///< g entries; empty = gave up
   };
 
-  /// An immutable bundle of extracted orbits + collision tables for one
-  /// (tree, automaton) binding — the unit the cross-worker orbit cache
-  /// (sim/orbit_cache.hpp) shares. Produced by snapshot_orbits() on the
-  /// engine that extracted them; consumed read-only via
-  /// adopt_shared_orbits() by every other worker of the same binding.
+  /// An immutable copy of one (tree, automaton) binding's extracted
+  /// orbits + collision tables, produced by snapshot_orbits(). The
+  /// OrbitCache set API and the OrbitSet wire codec (dist/serialize.hpp)
+  /// still carry it; no engine consumes one.
   struct OrbitSet {
     std::vector<Orbit> orbits;            ///< indexed by start node
     std::vector<std::uint8_t> has_orbit;  ///< 1 iff orbits[start] populated
-    /// Contiguous arenas backing every orbit's payload (the orbits'
-    /// OrbitBufs are bound into these): the cached steady state streams
-    /// one allocation per field type instead of chasing per-orbit heap
-    /// blocks, and serialization copies each arena wholesale. Orbits are
-    /// laid out in start-node order. Never resize these after binding —
-    /// the orbit windows alias their storage.
-    std::vector<tree::NodeId> node_arena;
-    std::vector<std::int16_t> port_arena;
-    std::vector<std::uint32_t> visit_arena;
-    /// Published cycle-pair collision tables (epoch field unused). A pair
-    /// present with an empty table means the build gave up — consumers
-    /// fall back to scanning, never re-running the build.
+    /// Cycle-pair collision tables (epoch field unused). A pair present
+    /// with an empty table means the build gave up.
     std::vector<CyclePair> collisions;
     /// Dense (root_a * n + root_b) -> collisions index (-1 = absent),
-    /// present when the tree is small enough (kCollisionIndexMaxN);
-    /// otherwise consumers scan `collisions` linearly.
+    /// present when the tree is small enough (kCollisionIndexMaxN).
     std::vector<std::int32_t> collision_index;
     std::size_t bytes = 0;  ///< approximate footprint, for cache budgeting
   };
 
   /// Orbit from `start`, built on first use and cached until rebind().
-  /// Serves from an adopted shared set when one covers `start`.
   const Orbit& orbit(tree::NodeId start) const;
 
-  /// True iff orbit(start) would be served without extraction (local
-  /// cache or adopted shared set) — the cheap guard batch warm-up loops
-  /// use to skip the batching machinery on fully warmed engines.
+  /// True iff orbit(start) would be served without extraction — the
+  /// cheap guard batch warm-up loops use to skip the batching machinery
+  /// on fully warmed engines.
   bool orbit_cached(tree::NodeId start) const {
-    const std::size_t slot = static_cast<std::size_t>(start);
-    if (shared_ != nullptr && slot < shared_->has_orbit.size() &&
-        shared_->has_orbit[slot]) {
-      return true;
-    }
-    return orbit_epoch_[slot] == epoch_;
+    return orbit_epoch_[static_cast<std::size_t>(start)] == epoch_;
   }
 
   /// Extracts every not-yet-cached orbit among `starts` (duplicates fine)
@@ -203,39 +179,16 @@ class CompiledConfigEngine {
   /// one interleaved loop (AVX2 gathers when available, scalar lanes
   /// otherwise). Equivalent to calling orbit() per start, but fills the
   /// memory-level parallelism a single walk's serial load chain leaves
-  /// unused. Starts already covered by an adopted shared set or the local
-  /// cache are skipped.
+  /// unused. Starts already cached are skipped.
   void warm_orbits(std::span<const tree::NodeId> starts) const;
 
-  /// Serve orbit()/cycle_pair_collisions() hits from `set` (published by
-  /// another engine of the same (tree, automaton) binding) instead of
-  /// extracting locally; starts the set does not cover still extract
-  /// locally. Dropped by the next rebind(). Passing nullptr detaches.
-  void adopt_shared_orbits(std::shared_ptr<const OrbitSet> set);
-
-  /// Rebind served ENTIRELY by a published set: invalidates the local
-  /// orbit cache and adopts `set` WITHOUT recompiling the transition
-  /// tables — the cross-worker cache-hit fast path (the per-rebind table
-  /// compilation is pure waste when every queried orbit is already in
-  /// the set). The engine's compiled tables then belong to a previous
-  /// binding, so extraction is refused (std::logic_error) until the next
-  /// full rebind(): callers must ensure the set covers every start (and
-  /// cycle root) their queries touch — sim/enumeration.hpp checks
-  /// coverage before taking this path. automaton() keeps reporting the
-  /// last COMPILED automaton.
-  void rebind_adopted(std::shared_ptr<const OrbitSet> set);
-  /// True iff an adopted shared set is currently attached.
-  bool serving_shared_orbits() const { return shared_ != nullptr; }
-
-  /// Copies every locally extracted orbit and collision table of the
-  /// current binding into a publishable OrbitSet (adopted shared data is
-  /// not re-published). The engine keeps its buffers — snapshotting does
-  /// not disturb the zero-allocation rebind loop.
+  /// Copies every extracted orbit and collision table of the current
+  /// binding into an OrbitSet. The engine keeps its buffers —
+  /// snapshotting does not disturb the zero-allocation rebind loop.
   std::shared_ptr<const OrbitSet> snapshot_orbits() const;
 
-  /// Number of orbits this engine extracted by walking (cache hits —
-  /// local or shared — do not count). The cross-worker cache tests assert
-  /// on this to prove no orbit is ever extracted twice per binding.
+  /// Number of orbits this engine extracted by walking (cached orbits do
+  /// not count).
   std::uint64_t orbits_extracted() const { return extracted_count_; }
 
   const tree::Tree& tree() const { return *tree_; }
@@ -285,12 +238,6 @@ class CompiledConfigEngine {
   mutable std::vector<std::uint32_t> orbit_epoch_;
   mutable std::uint32_t epoch_ = 1;
   mutable std::uint64_t extracted_count_ = 0;
-  /// False after rebind_adopted(): the compiled tables belong to an older
-  /// binding, so extraction must be refused until a full rebind().
-  bool tables_valid_ = true;
-  /// Read-only orbit set published by another engine of this binding;
-  /// consulted before the local cache, dropped on rebind().
-  std::shared_ptr<const OrbitSet> shared_;
   // Visit stamps over the walked projection — (state-signature, node) when
   // the automaton is port-oblivious, (state-signature, node, entry port)
   // otherwise — shared by every orbit of the current epoch: a walk stops
@@ -331,17 +278,12 @@ class CompiledConfigEngine {
       std::uint32_t root_a, std::uint32_t root_b) const;
 
   /// Inline fast path of cycle_pair_collisions: answers dense-index hits
-  /// (shared or local) without the out-of-line call — the per-pair lookup
-  /// the battery loops make millions of times per sweep.
+  /// without the out-of-line call — the per-pair lookup the battery loops
+  /// make millions of times per sweep.
   std::span<const std::uint8_t> cycle_pair_lookup(std::uint32_t root_a,
                                                   std::uint32_t root_b) const {
     const std::size_t ckey = static_cast<std::size_t>(root_a) * n_ + root_b;
-    if (shared_ != nullptr) {
-      if (!shared_->collision_index.empty()) {
-        const std::int32_t idx = shared_->collision_index[ckey];
-        if (idx >= 0) return shared_->collisions[idx].table;
-      }
-    } else if (!cindex_epoch_.empty() && cindex_epoch_[ckey] == epoch_) {
+    if (!cindex_epoch_.empty() && cindex_epoch_[ckey] == epoch_) {
       return collision_[cindex_slot_[ckey]].table;
     }
     return cycle_pair_collisions(root_a, root_b);
@@ -389,10 +331,9 @@ Verdict verify_never_meet_compiled(const CompiledConfigEngine& engine_a,
 /// and rounds_checked == its rounds_executed — in O(sum mu_i + lcm lambda_i)
 /// table work instead of up to max_rounds interpreted rounds, plus the
 /// never-gather certificate the reference cannot give (see GatherVerdict).
-/// Orbits are warmed through the same batched stepper and (when the engine
-/// adopted a published set) the same cross-worker cache as the pair
-/// pipeline — orbits are per-agent, so nothing about extraction, cache
-/// keys or the claim/publish protocol is gathering-specific. Throws
+/// Orbits are warmed through the same batched stepper as the pair pipeline
+/// — orbits are per-agent, so nothing about extraction is
+/// gathering-specific. Throws
 /// std::invalid_argument on bad config (k < 2, k > kMaxGatherAgents,
 /// delay arity mismatch, out-of-range start, max_rounds == 0).
 GatherVerdict verify_never_gather_compiled(

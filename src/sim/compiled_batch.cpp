@@ -43,7 +43,6 @@
 // verdict-relevant fields remain consistent — the differential tests
 // assert orbits match field for field.
 #include <cstdint>
-#include <stdexcept>
 
 #include "sim/compiled.hpp"
 #include "sim/simd.hpp"
@@ -159,11 +158,6 @@ __attribute__((target("avx2"))) void step_lanes_avx2(const StepTables& tb,
 
 void CompiledConfigEngine::extract_orbits_batch(
     std::span<const tree::NodeId> starts) const {
-  if (!tables_valid_) {
-    throw std::logic_error(
-        "CompiledConfigEngine: extraction after rebind_adopted — the "
-        "compiled tables belong to an older binding (full rebind needed)");
-  }
   const std::size_t W = starts.size();
   // Lane state, unpacked SoA so the SIMD kernel can load it whole.
   alignas(32) std::int32_t sig[kBatchWalks];

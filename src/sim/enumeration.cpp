@@ -12,26 +12,16 @@ namespace rvt::sim {
 
 namespace {
 
-/// Observability for the binding path, split by orbit-cache outcome so
-/// the scrape shows the tier's latency shape (a hot tier keeps the hit
-/// histogram orders of magnitude below the miss one). Gated: a
-/// disabled process pays exactly the obs::enabled() relaxed load —
-/// prepare() passes t0 == 0 and this returns on the first branch. The
-/// registry references are static locals, so the lookup mutex is paid
+/// Latency of one full binding preparation (rebind + orbit warm-up), in
+/// ns. Gated: a disabled process pays exactly the obs::enabled() relaxed
+/// load — prepare() passes t0 == 0 and this returns on the first branch.
+/// The registry reference is a static local, so the lookup mutex is paid
 /// once per process, not per binding.
-inline void note_binding_prepared(std::uint64_t t0_ns, bool cache_hit) {
+inline void note_binding_prepared(std::uint64_t t0_ns) {
   if (t0_ns == 0) return;
-  static obs::Histogram& hit_ns =
-      obs::Registry::instance().histogram("rvt_enum_bind_hit_ns");
-  static obs::Histogram& miss_ns =
-      obs::Registry::instance().histogram("rvt_enum_bind_miss_ns");
-  static obs::Counter& hits =
-      obs::Registry::instance().counter("rvt_orbit_cache_hits_total");
-  static obs::Counter& misses =
-      obs::Registry::instance().counter("rvt_orbit_cache_misses_total");
-  const std::uint64_t dt = obs::now_ns() - t0_ns;
-  (cache_hit ? hit_ns : miss_ns).record(dt);
-  (cache_hit ? hits : misses).add(1);
+  static obs::Histogram& bind_ns =
+      obs::Registry::instance().histogram("rvt_enum_bind_ns");
+  bind_ns.record(obs::now_ns() - t0_ns);
 }
 
 /// Exact content equality of two grids: tree structure (degrees,
@@ -115,9 +105,8 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
     }
     slot.orbit_ptr.assign(static_cast<std::size_t>(n), nullptr);
     if (cache_ != nullptr) {
-      slot.tree_key = tree_orbit_key(*grid.tree);
       KeyHasher h;
-      h.feed(slot.tree_key);
+      h.feed(tree_orbit_key(*grid.tree));
       h.feed(k);
       h.feed(grid.query_count());
       for (std::size_t i = 0; i < grid.starts.size(); ++i) {
@@ -212,7 +201,7 @@ EnumerationContext::MemoRow& EnumerationContext::lookup_row(CountKind kind,
   return row;
 }
 
-EnumerationContext::Slot& EnumerationContext::prepare_local(std::size_t g) {
+EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
   if (automaton_ == nullptr) {
     throw std::logic_error("EnumerationContext: bind() an automaton first");
   }
@@ -226,7 +215,6 @@ EnumerationContext::Slot& EnumerationContext::prepare_local(std::size_t g) {
     slot.engine->rebind(*automaton_);
     ++stats_.bindings;
   }
-  slot.cache_hit = false;
   slot.engine->warm_orbits(slot.warm_starts);
   // Orbit references are stable for the rest of the binding (every start
   // a query can touch is warmed); snapshot them for the verdict loops.
@@ -235,104 +223,7 @@ EnumerationContext::Slot& EnumerationContext::prepare_local(std::size_t g) {
   }
   slot.bound_serial = serial_;
   slot.warmed_serial = serial_;
-  note_binding_prepared(obs_t0, false);
-  return slot;
-}
-
-EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
-  if (cache_ == nullptr) return prepare_local(g);
-  if (automaton_ == nullptr) {
-    throw std::logic_error("EnumerationContext: bind() an automaton first");
-  }
-  Slot& slot = slots_[g];
-  if (slot.warmed_serial == serial_) return slot;
-  const std::uint64_t obs_t0 = obs::enabled() ? obs::now_ns() : 0;
-  const bool constructed = !slot.engine.has_value();
-  if (constructed) {
-    slot.engine.emplace(*grids_[g].tree, *automaton_);
-  }
-  const bool bound = slot.bound_serial == serial_;  // via prepare_scan
-  if (!bound) ++stats_.bindings;
-  const OrbitKey key = combine_orbit_keys(slot.tree_key, automaton_key());
-  auto set = cache_->acquire(key);
-  if (set != nullptr) {
-    // Adopt only if the published set covers every start this grid
-    // queries (it does when the key was published by a same-grid
-    // worker; a different grid's publication may not) — then the
-    // engine skips recompiling its tables entirely, and prefetching
-    // the set's buffers hides their DRAM latency behind the rest of
-    // the preparation.
-    bool covered = true;
-    for (const tree::NodeId s : slot.warm_starts) {
-      if (!set->has_orbit[static_cast<std::size_t>(s)]) {
-        covered = false;
-        break;
-      }
-      const auto& o = set->orbits[static_cast<std::size_t>(s)];
-      // The orbit pointers come straight from the set (stable: the
-      // engine holds the shared_ptr until its next rebind), and the
-      // prefetches pull the buffers the verdict loop will touch.
-      slot.orbit_ptr[static_cast<std::size_t>(s)] = &o;
-      __builtin_prefetch(o.node.data());
-      __builtin_prefetch(o.first_visit.data());
-    }
-    ++stats_.cache_hits;
-    slot.cache_hit = true;
-    if (covered) {
-      slot.engine->rebind_adopted(std::move(set));
-      slot.bound_serial = serial_;
-      slot.warmed_serial = serial_;
-      note_binding_prepared(obs_t0, true);
-      return slot;
-    }
-    // Partial coverage: bind fully and extract the gaps locally (we
-    // hold no claim, so nothing is published).
-    if (!constructed && !bound) slot.engine->rebind(*automaton_);
-    slot.engine->adopt_shared_orbits(std::move(set));
-    slot.engine->warm_orbits(slot.warm_starts);
-  } else {
-    // We hold the claim: extract the whole grid's needs (orbits via the
-    // batched stepper, collision tables of the cycles any query pair
-    // can touch) and publish.
-    ++stats_.cache_misses;
-    slot.cache_hit = false;
-    try {
-      if (!constructed && !bound) slot.engine->rebind(*automaton_);
-      const CompiledConfigEngine& e = *slot.engine;
-      e.warm_orbits(slot.warm_starts);
-      const EnumGrid& grid = grids_[g];
-      const std::size_t k = grid.agents;
-      const tree::NodeId* prev = nullptr;
-      for (std::size_t q = 0; q < grid.query_count(); ++q) {
-        const tree::NodeId* s = grid.starts.data() + q * k;
-        if (prev != nullptr &&
-            std::memcmp(prev, s, k * sizeof(tree::NodeId)) == 0) {
-          continue;  // delay run: same tuple, same tables
-        }
-        prev = s;
-        for (std::size_t i = 0; i < k; ++i) {
-          const auto& A = e.orbit(s[i]);
-          for (std::size_t j = i + 1; j < k; ++j) {
-            const auto& B = e.orbit(s[j]);
-            if (A.lambda <= CompiledConfigEngine::kCollisionLimit &&
-                B.lambda <= CompiledConfigEngine::kCollisionLimit) {
-              e.cycle_pair_collisions(A.cycle_root, B.cycle_root);
-            }
-          }
-        }
-      }
-      cache_->publish(key, e.snapshot_orbits());
-    } catch (...) {
-      cache_->abandon(key);
-      throw;
-    }
-  }
-  for (const tree::NodeId s : slot.warm_starts) {
-    slot.orbit_ptr[static_cast<std::size_t>(s)] = &slot.engine->orbit(s);
-  }
-  slot.bound_serial = serial_;
-  slot.warmed_serial = serial_;
-  note_binding_prepared(obs_t0, slot.cache_hit);
+  note_binding_prepared(obs_t0);
   return slot;
 }
 
@@ -357,7 +248,6 @@ EnumerationContext::Slot& EnumerationContext::prepare_scan(std::size_t g) {
   if (automaton_ == nullptr) {
     throw std::logic_error("EnumerationContext: bind() an automaton first");
   }
-  if (cache_ != nullptr) return prepare(g);  // cached sweeps warm fully
   Slot& slot = slots_[g];
   if (slot.bound_serial == serial_) return slot;
   if (!slot.engine.has_value()) {
@@ -365,48 +255,9 @@ EnumerationContext::Slot& EnumerationContext::prepare_scan(std::size_t g) {
   } else {
     slot.engine->rebind(*automaton_);
   }
-  slot.cache_hit = false;
   ++stats_.bindings;
   slot.bound_serial = serial_;
   return slot;
-}
-
-void EnumerationContext::prefetch_next(std::size_t g) {
-  if (cache_ == nullptr || !automaton_key_valid_) return;
-  const std::size_t h = g + 1;
-  if (h >= grids_.size()) return;
-  Slot& next = slots_[h];
-  if (next.bound_serial == serial_) return;  // already prepared
-  const CompiledConfigEngine::OrbitSet* set =
-      cache_->peek(combine_orbit_keys(next.tree_key, automaton_key_));
-  if (set == nullptr) return;
-  // Pull everything the next binding's verdict loop will touch: the
-  // published sets live in DRAM between passes (the working set of a
-  // battery far exceeds the caches), and the current grid's ~microseconds
-  // of query work are exactly the lead time needed to hide that latency.
-  const char* headers =
-      reinterpret_cast<const char*>(set->orbits.data());
-  const std::size_t header_bytes =
-      set->orbits.size() * sizeof(CompiledConfigEngine::Orbit);
-  for (std::size_t off = 0; off < header_bytes; off += 64) {
-    __builtin_prefetch(headers + off);
-  }
-  const char* cindex =
-      reinterpret_cast<const char*>(set->collision_index.data());
-  const std::size_t cindex_bytes =
-      set->collision_index.size() * sizeof(std::int32_t);
-  for (std::size_t off = 0; off < cindex_bytes; off += 64) {
-    __builtin_prefetch(cindex + off);
-  }
-  for (const auto& pair : set->collisions) {
-    __builtin_prefetch(pair.table.data());
-  }
-  for (const tree::NodeId s : next.warm_starts) {
-    if (!set->has_orbit[static_cast<std::size_t>(s)]) return;
-    const auto& o = set->orbits[static_cast<std::size_t>(s)];
-    __builtin_prefetch(o.node.data());
-    __builtin_prefetch(o.first_visit.data());
-  }
 }
 
 namespace {
@@ -443,12 +294,10 @@ inline void refresh_tuple(detail::TupleState& st,
 std::span<const Verdict> EnumerationContext::verify(std::size_t g) {
   require_meet(g);
   Slot& slot = prepare(g);
-  prefetch_next(g);
   const CompiledConfigEngine& e = *slot.engine;
   const auto* optr = slot.orbit_ptr.data();
   const EnumGrid& grid = grids_[g];
   const std::size_t nq = grid.query_count();
-  const bool cache_hit = slot.cache_hit;
   verdicts_.resize(nq);
   detail::PairState st;
   for (std::size_t i = 0; i < nq; ++i) {
@@ -456,7 +305,6 @@ std::span<const Verdict> EnumerationContext::verify(std::size_t g) {
     const std::uint64_t* d = grid.delays.data() + 2 * i;
     refresh_pair(st, e, optr, s);
     verdicts_[i] = detail::verify_with_state(st, d[0], d[1], max_rounds_);
-    verdicts_[i].cache_hit = cache_hit;
   }
   stats_.queries += nq;
   return {verdicts_.data(), nq};
@@ -507,7 +355,7 @@ std::uint64_t EnumerationContext::count_unmet(std::size_t g) {
 }
 
 std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
-  const Slot& slot = prepare_local(g);
+  const Slot& slot = prepare(g);
   const CompiledConfigEngine& e = *slot.engine;
   const auto* optr = slot.orbit_ptr.data();
   const EnumGrid& grid = grids_[g];
@@ -534,13 +382,11 @@ std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
 std::span<const GatherVerdict> EnumerationContext::verify_gather(
     std::size_t g) {
   Slot& slot = prepare(g);
-  prefetch_next(g);
   const CompiledConfigEngine& e = *slot.engine;
   const auto* optr = slot.orbit_ptr.data();
   const EnumGrid& grid = grids_[g];
   const std::size_t k = grid.agents;
   const std::size_t nq = grid.query_count();
-  const bool cache_hit = slot.cache_hit;
   gather_verdicts_.resize(nq);
   detail::TupleState st;
   for (std::size_t i = 0; i < nq; ++i) {
@@ -548,7 +394,6 @@ std::span<const GatherVerdict> EnumerationContext::verify_gather(
     const std::uint64_t* d = grid.delays.data() + k * i;
     refresh_tuple(st, e, optr, s, k);
     gather_verdicts_[i] = detail::gather_with_state(st, d, max_rounds_);
-    gather_verdicts_[i].cache_hit = cache_hit;
   }
   stats_.queries += nq;
   return {gather_verdicts_.data(), nq};
@@ -589,7 +434,7 @@ std::uint64_t EnumerationContext::count_ungathered(std::size_t g) {
 }
 
 std::uint64_t EnumerationContext::scan_ungathered(std::size_t g) {
-  const Slot& slot = prepare_local(g);
+  const Slot& slot = prepare(g);
   const CompiledConfigEngine& e = *slot.engine;
   const auto* optr = slot.orbit_ptr.data();
   const EnumGrid& grid = grids_[g];

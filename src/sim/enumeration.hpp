@@ -22,8 +22,8 @@
 // storage): the meet API above is the k = 2 specialization, and the
 // gathering API — verify_gather / count_ungathered / first_ungathered —
 // serves any arity through the k-tuple verdict core
-// (sim/verify_core.hpp), over the very same engines, warmed orbits and
-// cache protocol (orbits are per-agent; nothing below this layer knows k).
+// (sim/verify_core.hpp), over the very same engines and warmed orbits
+// (orbits are per-agent; nothing below this layer knows k).
 //
 // Grids are validated once at construction; the steady state allocates
 // nothing. The constructor also maps each grid to its first content-
@@ -43,10 +43,10 @@
 // every distinct grid once, copies copied — then publishes it. Every
 // shipped count caller asks every grid of a binding; a caller asking one
 // grid per binding should not attach a cache, since each miss pays for
-// the whole row. The verdict and early-exit calls instead acquire /
-// publish the binding's orbit set, so a battery shared by several
-// workers extracts each orbit once per machine — every verdict carries
-// the cache_hit flag for telemetry.
+// the whole row. The verdict and early-exit calls (verify, verify_gather,
+// first_unmet, first_ungathered) never touch the cache: they extract the
+// binding's orbits in the context's own engines, whether or not a cache
+// is attached.
 //
 // sweep_enumeration() fans an automaton range across workers, one context
 // per worker (sweep_indexed), with deterministic result ordering and
@@ -139,10 +139,10 @@ struct EnumGrid {
 struct EnumTelemetry {
   std::uint64_t queries = 0;           ///< verdicts computed (memo hits: 0)
   std::uint64_t bindings = 0;          ///< (automaton, grid) preparations
-  /// (automaton, grid) bindings served by the cache: a memoized count,
-  /// or an adopted orbit set.
+  /// (automaton, grid) counts served from a memoized row.
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;      ///< bindings computed locally
+  /// (automaton, grid) counts computed into a memo row.
+  std::uint64_t cache_misses = 0;
   std::uint64_t orbits_extracted = 0;  ///< orbit walks actually run
   /// Automata whose canonical reachable form differs from their raw
   /// table — i.e. bindings the canonical dedup key can merge with an
@@ -182,17 +182,16 @@ class EnumerationContext {
 
   /// Meet verdicts of pair grid g under the bound automaton, in query
   /// order. The span aliases an internal buffer reused by the next
-  /// verify() call on this context. Every verdict's cache_hit flag
-  /// reports whether the binding's orbits came from the attached cache.
+  /// verify() call on this context.
   std::span<const Verdict> verify(std::size_t g);
 
   /// Index of the first query of pair grid g whose verdict has
   /// met == false (the automaton is DEFEATED: non-meeting certified or
   /// horizon exhausted), or -1 if every query meets. Early-exits: queries
-  /// past the first defeat are not answered — and without an attached
-  /// cache the binding is prepared LAZILY (orbits extract as the scan
-  /// touches them), so an adaptive sweep that defeats most automata on
-  /// their first pairs never pays for the whole grid's warm-up.
+  /// past the first defeat are not answered — and the binding is
+  /// prepared LAZILY (orbits extract as the scan touches them), so an
+  /// adaptive sweep that defeats most automata on their first pairs never
+  /// pays for the whole grid's warm-up.
   std::ptrdiff_t first_unmet(std::size_t g);
 
   /// Number of pair-grid-g queries with met == false, without
@@ -211,12 +210,12 @@ class EnumerationContext {
   /// sim::run_gathering would report for that query, answered by the
   /// k-tuple verdict core over the same warmed orbits the meet API uses.
   /// The span aliases an internal buffer reused by the next
-  /// verify_gather() call; cache_hit telemetry as for verify().
+  /// verify_gather() call.
   std::span<const GatherVerdict> verify_gather(std::size_t g);
 
   /// Index of the first query of grid g whose gathering verdict has
   /// gathered == false, or -1 if every query gathers. Early-exits and
-  /// (without a cache) prepares lazily, like first_unmet.
+  /// prepares lazily, like first_unmet.
   std::ptrdiff_t first_ungathered(std::size_t g);
 
   /// Number of grid-g queries with gathered == false, without
@@ -262,7 +261,6 @@ class EnumerationContext {
 
   struct Slot {
     std::optional<CompiledConfigEngine> engine;
-    OrbitKey tree_key;
     std::vector<tree::NodeId> warm_starts;  ///< unique starts of the grid
     /// Orbit pointer per start node, refreshed by prepare(): the verdict
     /// loop then reads k pointers per query instead of going through the
@@ -270,7 +268,6 @@ class EnumerationContext {
     std::vector<const CompiledConfigEngine::Orbit*> orbit_ptr;
     std::uint64_t bound_serial = 0;   ///< engine bound to this binding
     std::uint64_t warmed_serial = 0;  ///< orbits warmed + orbit_ptr valid
-    bool cache_hit = false;
     /// Grid qualifies for the meet API: agents == 2 with pairwise
     /// distinct starts per query (precomputed by the constructor).
     bool meet_ok = false;
@@ -300,12 +297,10 @@ class EnumerationContext {
   void require_meet(std::size_t g) const;
 
   /// Ensures slot g's engine is bound to the current automaton with its
-  /// orbits warmed (or adopted from the cache); returns the slot.
+  /// orbits warmed and orbit_ptr refreshed; returns the slot.
   Slot& prepare(std::size_t g);
-  /// prepare() without the cache: bind and warm the orbits locally.
-  Slot& prepare_local(std::size_t g);
-  /// Binding only (no warm-up, no cache, orbit_ptr not refreshed) — the
-  /// lazy path of first_unmet().
+  /// Binding only (no warm-up, orbit_ptr not refreshed) — the lazy path
+  /// of first_unmet() and first_ungathered().
   Slot& prepare_scan(std::size_t g);
   /// The bound automaton's canonical key (canonical_automaton_key, which
   /// allocates nothing), computed once per binding; counts a canonical
@@ -333,10 +328,6 @@ class EnumerationContext {
   /// The early-exit scans themselves.
   std::ptrdiff_t scan_first_unmet(std::size_t g);
   std::ptrdiff_t scan_first_ungathered(std::size_t g);
-  /// Prefetch hint: while grid g's queries run, pull grid g + 1's
-  /// published set (if any) toward the caches so the next prepare() does
-  /// not stall on DRAM. Wrong guesses are harmless.
-  void prefetch_next(std::size_t g);
 
   std::span<const EnumGrid> grids_;
   std::uint64_t max_rounds_;

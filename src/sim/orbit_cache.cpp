@@ -152,15 +152,6 @@ OrbitCache::OrbitCache(unsigned shard_count, std::size_t capacity,
 
 OrbitCache::~OrbitCache() { ::munmap(table_, table_bytes_); }
 
-const OrbitCache::OrbitSet* OrbitCache::peek(const OrbitKey& key) const {
-  std::uintptr_t tag = 0;
-  if (find(shard_for(key), key, tag) == nullptr || row_of(tag) != nullptr) {
-    return nullptr;
-  }
-  return reinterpret_cast<const std::shared_ptr<const OrbitSet>*>(tag)
-      ->get();
-}
-
 const OrbitCache::Slot* OrbitCache::acquire_slot(const OrbitKey& key,
                                                  std::uintptr_t& tag) {
   Shard& sh = shard_for(key);

@@ -1,23 +1,20 @@
-// Sharded cross-worker orbit cache and defeat-count memo.
+// Sharded cross-worker defeat-count memo (and orbit-set table).
 //
 // Exhaustive enumeration fans (automaton x instance) grids across sweep
-// workers, and each worker owns a private CompiledConfigEngine — so
-// without coordination the same (tree, automaton) binding's orbits are
-// extracted once per WORKER whenever a binding is visited by more than
-// one of them (grids spanning chunks, repeated profile passes, warm-up +
-// timed runs). OrbitCache makes extraction once-per-MACHINE: workers
-// publish the immutable OrbitSet they extracted (orbits + collision
-// tables) under a 128-bit content key of the binding, and every other
-// worker adopts the published set read-only.
-//
-// The same table also memoizes ANSWERS, one ROW per (grid list,
-// canonical automaton, count kind): the defeat count of every grid of an
-// EnumerationContext's battery for one automaton class, published under
-// row_memo_key. A binding's first count of a kind looks its row up with
-// one lock-free probe (find_row: no claim, no blocking, no stats), and
-// every later count of that binding is read from the row — the count
-// path stores only rows, never orbit sets. A row lives in its shard's
+// workers, and each worker owns a private CompiledConfigEngine. The
+// cache memoizes ANSWERS, one ROW per (grid list, canonical automaton,
+// count kind): the defeat count of every grid of an EnumerationContext's
+// battery for one automaton class, published under row_memo_key. A
+// binding's first count of a kind looks its row up with one lock-free
+// probe (find_row: no claim, no blocking, no stats), and every later
+// count of that binding is read from the row. A row lives in its shard's
 // row storage; its probe slot holds the address.
+//
+// The same table can also hold immutable OrbitSets (snapshot_orbits())
+// under a 128-bit content key of the (tree, automaton) binding, through
+// acquire() / publish(). No engine adopts a published set, and no
+// shipped enumeration path publishes one; the set half stays only for
+// the benchmark harness's acquire/publish probes.
 //
 // Concurrency design:
 //  * N shards, selected by key hash. Each shard keeps its published
@@ -36,8 +33,7 @@
 //    publish_row() or abandon() it; workers that miss a claimed key
 //    block on the shard condition variable until the publisher finishes,
 //    then adopt the published entry — so nothing is computed twice for
-//    one (key, epoch), which the concurrency tests assert via engine
-//    extraction counters. (If a publish is rejected over budget or
+//    one (key, epoch), which the concurrency tests assert. (If a publish is rejected over budget or
 //    capacity, or a claim abandoned, the blocked workers re-contend and
 //    one of them recomputes — the no-duplicate guarantee is best-effort
 //    only once the table is full.)
@@ -114,8 +110,8 @@ OrbitKey automaton_orbit_key(const TabularAutomaton& a);
 /// Content hash of the automaton's canonical reachable form
 /// (sim::canonical_reachable_form): enumerated bindings that differ only
 /// in unreachable states, state numbering, impossible-input entries or
-/// degree-equivalent actions hash to ONE key, so the cache extracts and
-/// publishes their (identical) orbits once. The enumeration pipeline
+/// degree-equivalent actions hash to ONE key, so the count memo computes
+/// and publishes their (identical) counts once. The enumeration pipeline
 /// keys bindings with this; verdicts are unchanged because key-equal
 /// automata produce identical trajectories on every tree the binding
 /// can query.
@@ -190,13 +186,6 @@ class OrbitCache {
   /// must call publish() or abandon() for the same key — other workers
   /// asking for it block until then.
   std::shared_ptr<const OrbitSet> acquire(const OrbitKey& key);
-
-  /// Non-claiming lock-free probe: the published set or nullptr, with no
-  /// claim, no blocking and no stats. The raw pointer stays valid until
-  /// advance_epoch() (entries are never freed within an epoch) — the
-  /// prefetch hint path of the enumeration pipeline, not a substitute
-  /// for acquire().
-  const OrbitSet* peek(const OrbitKey& key) const;
 
   /// Publishes the claimed key's set and wakes its waiters. Over budget
   /// the set is dropped (waiters wake, re-contend, and one re-extracts).

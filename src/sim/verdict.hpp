@@ -41,12 +41,6 @@ struct Verdict {
   std::uint64_t cycle_length = 0;   ///< period of the certified cycle
   std::uint64_t rounds_checked = 0;
   VerifyEngine engine = VerifyEngine::kNone;
-  /// True iff the orbits this verdict was answered from came out of the
-  /// cross-worker orbit cache (sim/orbit_cache.hpp) instead of being
-  /// extracted by the answering engine — throughput telemetry the benches
-  /// aggregate into their JSON reports and assert on. Never affects the
-  /// verdict fields above.
-  bool cache_hit = false;
 };
 
 /// Historical name from when the compiled engine kept its own mirror of
@@ -80,9 +74,6 @@ struct GatherVerdict {
                                      ///< table certificate needs no period)
   std::uint64_t rounds_checked = 0;  ///< == reference rounds_executed
   VerifyEngine engine = VerifyEngine::kNone;
-  /// Same telemetry as Verdict::cache_hit: orbits served by the
-  /// cross-worker cache rather than extracted by the answering engine.
-  bool cache_hit = false;
 };
 
 }  // namespace rvt::sim

@@ -1,9 +1,11 @@
 // Client of the coordinator's remote orbit-store messages.
 //
 // Fleets no longer share orbit sets: each worker memoizes defeat counts
-// in its own in-memory OrbitCache, and the coordinator answers every
-// kOrbitGet absent. This client remains as a cheap, well-defined round
-// trip against a live coordinator (external latency probes link it):
+// in its own in-memory OrbitCache, the coordinator answers every
+// kOrbitGet absent, and no engine can adopt a loaded set. This client
+// remains only as a cheap, well-defined round trip against a live
+// coordinator for the benchmark harness's latency probe, and goes with
+// kOrbitGet/kOrbitPut once that probe is dropped:
 //  * a failed request is retried once on a fresh connection (transient
 //    blips — coordinator restart, dropped TCP — heal);
 //  * both attempts failing counts as exhausted and is a miss;

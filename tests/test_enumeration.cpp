@@ -78,7 +78,6 @@ TEST(Enumeration, MatchesVerifyGridFieldForFieldAcrossRebinds) {
         ASSERT_EQ(fused[i].rounds_checked, unfused[i].rounds_checked)
             << rep << " " << g << " " << i;
         ASSERT_EQ(fused[i].engine, VerifyEngine::kCompiled);
-        EXPECT_FALSE(fused[i].cache_hit);  // no cache attached
         if (!fused[i].met) {
           ++unmet;
           if (first < 0) first = static_cast<std::ptrdiff_t>(i);
@@ -165,39 +164,71 @@ TEST(Enumeration, DuplicateGridAnswersOncePerBinding) {
   EXPECT_GT(ta.queries, 0u);
 }
 
-TEST(Enumeration, CacheHitsAreFlaggedOnVerdicts) {
-  util::Rng rng(31);
+TEST(Enumeration, AttachedCacheLeavesVerdictsAndExtractionUnchanged) {
+  // The verdict and early-exit calls never go through the cache: a
+  // context with one attached (even one another context already ran the
+  // same bindings against) answers every query exactly like a cache-less
+  // context and extracts exactly the same orbits — the early-exit scans
+  // stay lazy.
   std::vector<tree::Tree> trees;
-  trees.push_back(tree::line_edge_colored(6, 1));
+  trees.push_back(tree::line(8));
+  trees.push_back(tree::line_edge_colored(7, 1));
   const auto grids = small_grids(trees);
-  const TabularAutomaton a = random_line_automaton(3, rng).tabular();
-
+  util::Rng rng(0xca5e);
+  std::vector<TabularAutomaton> automata;
+  for (int i = 0; i < 30; ++i) {
+    automata.push_back(
+        random_line_automaton(1 + static_cast<int>(rng.index(4)), rng)
+            .tabular());
+  }
   OrbitCache cache;
-  EnumerationContext publisher(grids, 100000, &cache);
-  publisher.bind(a);
-  for (const auto& v : publisher.verify(0)) {
-    EXPECT_FALSE(v.cache_hit);  // first visit extracts and publishes
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass re-asks
+    EnumerationContext cached(grids, 100000, &cache);
+    EnumerationContext plain(grids, 100000);
+    for (std::size_t a = 0; a < automata.size(); ++a) {
+      cached.bind(automata[a]);
+      plain.bind(automata[a]);
+      for (std::size_t g = 0; g < grids.size(); ++g) {
+        // Early exits first: a fully warmed binding would hide laziness.
+        ASSERT_EQ(cached.first_unmet(g), plain.first_unmet(g)) << a;
+        ASSERT_EQ(cached.first_ungathered(g), plain.first_ungathered(g))
+            << a;
+      }
+      if (a % 3 != 0) continue;  // leave most bindings scan-only
+      for (std::size_t g = 0; g < grids.size(); ++g) {
+        const auto want_span = plain.verify(g);
+        const std::vector<Verdict> want(want_span.begin(), want_span.end());
+        const auto got = cached.verify(g);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i].met, want[i].met) << a << " " << g << " " << i;
+          ASSERT_EQ(got[i].meeting_round, want[i].meeting_round);
+          ASSERT_EQ(got[i].certified_forever, want[i].certified_forever);
+          ASSERT_EQ(got[i].cycle_length, want[i].cycle_length);
+          ASSERT_EQ(got[i].rounds_checked, want[i].rounds_checked);
+        }
+        const auto gwant_span = plain.verify_gather(g);
+        const std::vector<GatherVerdict> gwant(gwant_span.begin(),
+                                               gwant_span.end());
+        const auto ggot = cached.verify_gather(g);
+        ASSERT_EQ(ggot.size(), gwant.size());
+        for (std::size_t i = 0; i < gwant.size(); ++i) {
+          ASSERT_EQ(ggot[i].gathered, gwant[i].gathered) << a << " " << i;
+          ASSERT_EQ(ggot[i].gather_round, gwant[i].gather_round);
+          ASSERT_EQ(ggot[i].gather_node, gwant[i].gather_node);
+          ASSERT_EQ(ggot[i].certified_forever, gwant[i].certified_forever);
+          ASSERT_EQ(ggot[i].rounds_checked, gwant[i].rounds_checked);
+        }
+      }
+    }
+    const EnumTelemetry tc = cached.telemetry();
+    const EnumTelemetry tp = plain.telemetry();
+    EXPECT_EQ(tc.orbits_extracted, tp.orbits_extracted) << "pass " << pass;
+    EXPECT_EQ(tc.bindings, tp.bindings) << "pass " << pass;
+    EXPECT_EQ(tc.queries, tp.queries) << "pass " << pass;
+    EXPECT_EQ(tc.cache_hits + tc.cache_misses, 0u);
   }
-  EnumerationContext consumer(grids, 100000, &cache);
-  consumer.bind(a);
-  for (const auto& v : consumer.verify(0)) {
-    EXPECT_TRUE(v.cache_hit);  // served from the published set
-  }
-  // The consumer never extracted a thing.
-  EXPECT_EQ(consumer.telemetry().orbits_extracted, 0u);
-  EXPECT_EQ(cache.stats().publishes, 1u);
-
-  // Verdicts agree regardless of who served them.
-  publisher.bind(a);
-  consumer.bind(a);
-  const auto from_publisher = publisher.verify(0);
-  std::vector<Verdict> copied(from_publisher.begin(), from_publisher.end());
-  const auto from_consumer = consumer.verify(0);
-  for (std::size_t i = 0; i < copied.size(); ++i) {
-    ASSERT_EQ(copied[i].met, from_consumer[i].met) << i;
-    ASSERT_EQ(copied[i].cycle_length, from_consumer[i].cycle_length) << i;
-    ASSERT_EQ(copied[i].rounds_checked, from_consumer[i].rounds_checked) << i;
-  }
+  EXPECT_EQ(cache.stats().publishes, 0u);
 }
 
 /// The idx-th K-state line automaton in the E10 enumeration order
@@ -296,8 +327,8 @@ TEST(Enumeration, CanonicalDedupMeasurablyCollapsesK3) {
 
 TEST(Enumeration, CanonicalDedupSharesEntriesWithoutChangingVerdicts) {
   // Two automata differing ONLY in an unreachable state must share one
-  // cache entry (one publish), and the adopter's verdicts must equal
-  // its own cache-less verdicts query for query.
+  // memo row (one publish), with verdicts and counts equal to the
+  // cache-less ones query for query.
   std::vector<tree::Tree> trees;
   trees.push_back(tree::line(6));
   trees.push_back(tree::line_edge_colored(7, 1));
@@ -341,15 +372,20 @@ TEST(Enumeration, CanonicalDedupSharesEntriesWithoutChangingVerdicts) {
       }
     }
   }
-  // One publish per TREE, not per (tree, automaton): a2 adopted a1's
-  // sets wholesale.
-  EXPECT_EQ(cache.stats().publishes, trees.size());
+  for (const TabularAutomaton* a : {&a1, &a2}) {
+    cached.bind(*a);
+    plain.bind(*a);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      ASSERT_EQ(cached.count_unmet(g), plain.count_unmet(g)) << g;
+    }
+  }
+  // One row publish for the pair: a2's counts were read from a1's row.
+  EXPECT_EQ(cache.stats().publishes, 1u);
   // Both automata differ from their (shared) canonical form — the
   // counter reports each; the SHARING is what publishes just proved.
   EXPECT_EQ(cached.telemetry().canonical_collapses, 2u);
-  // And a2's bindings were pure cache hits.
-  EXPECT_EQ(cached.telemetry().cache_misses, trees.size());
-  EXPECT_EQ(cached.telemetry().cache_hits, trees.size());
+  EXPECT_EQ(cached.telemetry().cache_misses, grids.size());
+  EXPECT_EQ(cached.telemetry().cache_hits, grids.size());
 }
 
 TEST(Enumeration, SweepIsDeterministicAcrossThreadCounts) {

@@ -11,8 +11,7 @@
 //    brute-force stepping over the full lcm window, with both coprime and
 //    shared-gcd cycle-length tuples exercised;
 //  * the fused enumeration entries (verify_gather / count_ungathered /
-//    first_ungathered) against the one-off call, plus cache_hit telemetry
-//    through the cross-worker orbit cache.
+//    first_ungathered) against the one-off call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -365,7 +364,6 @@ TEST(GatherEnum, ContextMatchesOneOffCallsAndCounts) {
         ASSERT_EQ(fused[q].cycle_length, one.cycle_length) << rep << " " << q;
         ASSERT_EQ(fused[q].rounds_checked, one.rounds_checked)
             << rep << " " << q;
-        EXPECT_FALSE(fused[q].cache_hit);  // no cache attached
         if (!fused[q].gathered) {
           ++ungathered;
           if (first < 0) first = static_cast<std::ptrdiff_t>(q);
@@ -378,48 +376,6 @@ TEST(GatherEnum, ContextMatchesOneOffCallsAndCounts) {
     }
   }
   EXPECT_GT(ctx.telemetry().queries, 0u);
-}
-
-TEST(GatherEnum, CacheHitTelemetryStillFires) {
-  // Orbits are per-agent, so the gathering pipeline shares the orbit
-  // cache unchanged: a second context over the same binding must serve
-  // every query from the published set and flag it on the verdicts.
-  util::Rng rng(0xcac4eull);
-  std::vector<tree::Tree> trees;
-  trees.push_back(tree::line_edge_colored(8, 1));
-  std::vector<EnumGrid> grids;
-  EnumGrid grid(&trees[0], std::size_t{3});
-  for (int q = 0; q < 25; ++q) {
-    grid.push(random_starts(trees[0], 3, rng), random_delays(3, rng));
-  }
-  grids.push_back(std::move(grid));
-  const TabularAutomaton a = random_line_automaton(3, rng).tabular();
-
-  OrbitCache cache;
-  EnumerationContext publisher(grids, 50000, &cache);
-  publisher.bind(a);
-  for (const auto& v : publisher.verify_gather(0)) {
-    EXPECT_FALSE(v.cache_hit);  // first visit extracts and publishes
-  }
-  EnumerationContext consumer(grids, 50000, &cache);
-  consumer.bind(a);
-  std::vector<GatherVerdict> served;
-  for (const auto& v : consumer.verify_gather(0)) {
-    EXPECT_TRUE(v.cache_hit);  // served from the published set
-    served.push_back(v);
-  }
-  EXPECT_EQ(consumer.telemetry().orbits_extracted, 0u);
-  EXPECT_EQ(cache.stats().publishes, 1u);
-  EXPECT_GT(consumer.telemetry().hit_rate(), 0.5);
-
-  // Verdicts agree regardless of who served them.
-  publisher.bind(a);
-  const auto again = publisher.verify_gather(0);
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    ASSERT_EQ(served[i].gathered, again[i].gathered) << i;
-    ASSERT_EQ(served[i].gather_round, again[i].gather_round) << i;
-    ASSERT_EQ(served[i].rounds_checked, again[i].rounds_checked) << i;
-  }
 }
 
 TEST(GatherEnum, SweepIsDeterministicAcrossThreadCounts) {
