@@ -16,13 +16,13 @@
 // Perf: both phases run on the fused enumeration pipeline
 // (sim/enumeration.hpp). The defeat sweep fans automaton ranges across
 // sweep_enumeration workers, each holding one EnumerationContext whose
-// per-tree engines rebind in place (orbits batched through the SIMD
-// stepper) and whose first_unmet() early-exits at the first defeat. The
+// per-tree engines rebind in place (orbits extracted one walk at a time)
+// and whose first_unmet() early-exits at the first defeat. The
 // timed defeat-density profile (sampled automata x full battery x delay
 // grid, no early exit) runs single-threaded on a context attached to an
 // OrbitCache and is measured with steady-state min-of-N timing. Every
 // pass starts from an empty cache, like one campaign pass: the
-// defeat-count memo computes each canonical automaton's row (every
+// defeat-count memo computes each trajectory class's row (every
 // distinct grid once) and answers its repeats (the repeat share lands in
 // BENCH_E10.json).
 // The same workload re-runs on the legacy per-round stepper; the
@@ -177,8 +177,8 @@ int main() {
   // the engine change. The compiled side runs the fused pipeline with
   // the defeat-count memo and steady-state min-of-N timing; each pass
   // advances the cache epoch first, so no pass reuses an earlier pass's
-  // answers — within a pass, a repeated canonical automaton is answered
-  // from its memo row.
+  // answers — within a pass, an automaton whose trajectory class was
+  // already counted is answered from its memo row.
   //
   // The same loop is the observability overhead probe: every round runs
   // one idle pass and one pass with every instrumentation site armed
@@ -189,7 +189,11 @@ int main() {
   // bench FAILS if the median over rounds of the paired ratio (armed pass
   // / idle pass of the same round) exceeds 1.05x. Pairing cancels drift
   // slower than a round; the median discards the rounds a co-tenant
-  // burst hit on one side only.
+  // burst hit on one side only. Its deterministic companion counts the
+  // armed sites' work instead of timing it: every armed pass adds exactly
+  // one delay-tracker result per automaton and one rvt_enum_bind_ns
+  // sample per binding the pass prepared (one per count computed into a
+  // row), and an idle pass adds neither.
   const auto sample = profile_sample();
   // Sized like a worker's cache for this workload (dist::
   // memo_cache_capacity: one row per automaton): every pass refills it,
@@ -203,10 +207,17 @@ int main() {
   double compiled_s = -1.0, obs_on_s = -1.0;
   std::vector<double> obs_ratios;  // armed / idle, one per timed round
   std::optional<obs::EnumDelayTracker> probe_delay;
+  obs::Histogram& bind_ns =
+      obs::Registry::instance().histogram("rvt_enum_bind_ns");
+  bool obs_work_ok = true;
   for (int round = 0; round < kCompiledWarmup + kCompiledRepeats; ++round) {
     double round_s[2] = {0.0, 0.0};  // idle, armed
     for (const bool armed : {round % 2 == 1, round % 2 == 0}) {
       if (armed && !probe_delay) probe_delay.emplace();
+      const std::uint64_t results0 =
+          probe_delay ? probe_delay->stats().results : 0;
+      const std::uint64_t binds0 = bind_ns.snapshot().count;
+      const std::uint64_t misses0 = profile_ctx.telemetry().cache_misses;
       obs::set_enabled(armed);
       cache.advance_epoch();
       bench::CpuTimer timer;
@@ -215,6 +226,14 @@ int main() {
                                armed ? &*probe_delay : nullptr);
       const double sec = timer.seconds();
       obs::set_enabled(false);
+      const std::uint64_t results =
+          (probe_delay ? probe_delay->stats().results : 0) - results0;
+      const std::uint64_t binds = bind_ns.snapshot().count - binds0;
+      const std::uint64_t prepared =
+          profile_ctx.telemetry().cache_misses - misses0;
+      obs_work_ok = obs_work_ok &&
+                    results == (armed ? sample.size() : 0) &&
+                    binds == (armed ? prepared : 0);
       (armed ? probe_sum : compiled_sum) = sum;
       round_s[armed ? 1 : 0] = sec;
       if (round < kCompiledWarmup) continue;
@@ -238,23 +257,23 @@ int main() {
   // cache, so the stats read after it are exact.
   const auto telemetry = profile_ctx.telemetry();
   const auto cache_stats = cache.stats();
-  // Every pass must compute each canonical automaton's row once, each
+  // Every pass must compute each trajectory class's row once, each
   // distinct grid of it once, and serve every other count from the memo:
   // one hit or one miss per count asked, and misses == keys per pass.
-  // Keys per pass = distinct canonical forms x distinct grid contents
+  // Keys per pass = distinct trajectory keys x distinct grid contents
   // (some battery trees are port-labeled copies of one another, and a
   // row computes their grids once).
   const auto key_less = [](const sim::OrbitKey& x, const sim::OrbitKey& y) {
     return x.hi != y.hi ? x.hi < y.hi : x.lo < y.lo;
   };
-  std::vector<sim::OrbitKey> canonical;
+  std::vector<sim::OrbitKey> classes;
   for (const auto& [K, idx] : sample) {
-    canonical.push_back(
-        sim::canonical_automaton_key(automaton_at(K, idx).tabular()));
+    classes.push_back(
+        sim::trajectory_automaton_key(automaton_at(K, idx).tabular()));
   }
-  std::sort(canonical.begin(), canonical.end(), key_less);
-  const auto distinct_canonical = static_cast<std::uint64_t>(
-      std::unique(canonical.begin(), canonical.end()) - canonical.begin());
+  std::sort(classes.begin(), classes.end(), key_less);
+  const auto distinct_classes = static_cast<std::uint64_t>(
+      std::unique(classes.begin(), classes.end()) - classes.begin());
   std::uint64_t distinct_grids = 0;
   for (std::size_t g = 0; g < profile_grids.size(); ++g) {
     const auto same = [&](const sim::EnumGrid& h) {
@@ -268,7 +287,7 @@ int main() {
                           ? 1
                           : 0;
   }
-  const std::uint64_t keys_per_pass = distinct_canonical * distinct_grids;
+  const std::uint64_t keys_per_pass = distinct_classes * distinct_grids;
   constexpr std::uint64_t kPasses = 2 * (kCompiledWarmup + kCompiledRepeats);
   const std::uint64_t counts_asked =
       kPasses * sample.size() * profile_grids.size();
@@ -299,11 +318,16 @@ int main() {
   };
   const double obs_ratio = ratio_quantile(0.5);
   const double obs_q1 = ratio_quantile(0.25), obs_q3 = ratio_quantile(0.75);
-  const bool obs_ok = obs_ratio <= 1.05;
+  const bool obs_ok = obs_ratio <= 1.05 && obs_work_ok;
   std::cout << "  obs armed:        " << obs_on_s << " s (paired armed/idle "
             << "ratio over " << obs_ratios.size() << " rounds: median "
             << obs_ratio << "x, quartiles " << obs_q1 << "x-" << obs_q3
-            << "x, budget 1.05x)\n";
+            << "x, budget 1.05x)\n"
+            << "  obs work:         "
+            << (obs_work_ok ? "exact" : "MISMATCH")
+            << " (armed pass: " << sample.size()
+            << " results + one bind sample per prepared binding; idle: "
+               "none)\n";
 
   bench::JsonReport report("E10");
   report.workload("rendezvous", 2);
@@ -337,8 +361,8 @@ int main() {
   comparison.engine = "compiled";
   comparison.threads = 1;
   comparison.simd = sim::simd_path_name();
-  comparison.orbit_cache_hits = cache_stats.hits;
-  comparison.orbit_cache_misses = cache_stats.misses;
+  comparison.orbit_cache =
+      util::EngineComparison::MemoCounts{cache_stats.hits, cache_stats.misses};
   util::add_engine_comparison(report, comparison);
   report.table(table);
   std::cout << "report: " << report.write() << "\n";
@@ -351,6 +375,7 @@ int main() {
                  "battery (Thm 4.2 at the bottom of the hierarchy)");
   bench::verdict(obs_ok,
                  "armed observability stays within 1.05x of the idle "
-                 "profile pass (median paired ratio; obs overhead gate)");
+                 "profile pass (median paired ratio) and records exactly "
+                 "its sites' work (obs overhead gate)");
   return all_ok && obs_ok ? 0 : 1;
 }

@@ -13,9 +13,9 @@
 // recording the two wall-clocks in BENCH_E11.json.
 //
 // The battery runs on the fused enumeration pipeline: one
-// EnumerationContext holds a per-instance engine whose orbits are warmed
-// by the batched (SIMD-dispatched) stepper and queries are answered from
-// the pair-state core. Every timed pass is cold: each instance rebinds
+// EnumerationContext holds a per-instance engine whose orbits are
+// extracted one walk per start and queries are answered from the
+// pair-state core. Every timed pass is cold: each instance rebinds
 // and re-extracts its orbits. Delays only shift orbit alignment, so
 // compiled queries are O(1) in the delay while the reference stepper
 // re-simulates every (pair, delay) schedule to its Brent certificate.

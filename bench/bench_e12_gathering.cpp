@@ -7,8 +7,8 @@
 // round at a time; the k-tuple verdict core (sim/verify_core.hpp) answers
 // the same question from the k rho orbits — per-pair collision tables
 // indexed mod pairwise gcds, combined over the lcm of the k cycle lengths
-// — on the very same fused enumeration pipeline (batched SIMD orbit
-// warm-up, tuple-major verdict loops) the pair batteries ride. Every
+// — on the very same fused enumeration pipeline (one-walk orbit
+// extraction, tuple-major verdict loops) the pair batteries ride. Every
 // timed compiled pass is cold: each battery rebinds and re-extracts its
 // orbits.
 //

@@ -13,7 +13,7 @@
 // (sim/compiled.hpp). After the table, the SAME set of certified instances
 // is re-verified with both engines: the compiled side runs the fused
 // enumeration pipeline (sim/enumeration.hpp — per-case engines kept
-// alive, orbits batched through the SIMD-dispatched stepper) against the
+// alive, orbits extracted one walk per start) against the
 // legacy interpretive stepper. Every timed pass is cold: each case
 // rebinds and re-extracts its orbits. The two wall-clocks and the
 // speedup land in BENCH_E1.json.

@@ -2,7 +2,7 @@
 //
 // run_shard() drives the workload's indices [begin, end) through a fused
 // EnumerationContext (optionally over an in-memory OrbitCache, which
-// memoizes each (grid, canonical automaton) defeat count once) and
+// memoizes each (grid, trajectory class) defeat count once) and
 // appends one verdict-summary record per index to the shard's journal:
 //
 //  * fresh shard  -> journal created, every index computed;

@@ -1,5 +1,6 @@
 #include "dist/workload.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "tree/builders.hpp"
@@ -76,6 +77,12 @@ std::vector<sim::EnumGrid> make_battery_grids(
   for (const auto& bt : battery) {
     sim::EnumGrid grid;
     grid.tree = &bt.t;
+    // Exact capacity: every worker, coordinator and shard runner holds a
+    // battery, and growth by doubling left ~30% of it unused.
+    const std::size_t entries =
+        2 * bt.pairs.size() * (with_delays ? std::size(kE10ProfileDelays) : 1);
+    grid.starts.reserve(entries);
+    grid.delays.reserve(entries);
     for (const auto& [u, v] : bt.pairs) {
       if (with_delays) {
         for (const std::uint64_t d : kE10ProfileDelays) {

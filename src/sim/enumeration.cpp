@@ -145,12 +145,12 @@ void EnumerationContext::bind(const TabularAutomaton& a) {
 
 const OrbitKey& EnumerationContext::automaton_key() {
   if (!automaton_key_valid_) {
-    // Canonical dedup key: equivalent enumerated automata (unreachable
-    // states, renumbering, impossible-input entries) share one cache
-    // entry — one extraction, one count — per tree or grid. Streamed,
-    // so keying a binding allocates nothing.
+    // Trajectory key: automata with the same position sequences from
+    // every start share one row — one computation of its counts. Exact
+    // for counts only, which is all a row holds. Streamed, so keying a
+    // binding allocates nothing.
     bool collapsed = false;
-    automaton_key_ = canonical_automaton_key(*automaton_, &collapsed);
+    automaton_key_ = trajectory_automaton_key(*automaton_, &collapsed);
     if (collapsed) ++stats_.canonical_collapses;
     automaton_key_valid_ = true;
   }
@@ -215,9 +215,10 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
     slot.engine->rebind(*automaton_);
     ++stats_.bindings;
   }
-  slot.engine->warm_orbits(slot.warm_starts);
-  // Orbit references are stable for the rest of the binding (every start
-  // a query can touch is warmed); snapshot them for the verdict loops.
+  // One walk per start: battery orbits are a few configurations long,
+  // too short for the batched stepper to pay for its lane bookkeeping.
+  // Orbit references are stable for the rest of the binding; snapshot
+  // them for the verdict loops.
   for (const tree::NodeId s : slot.warm_starts) {
     slot.orbit_ptr[static_cast<std::size_t>(s)] = &slot.engine->orbit(s);
   }

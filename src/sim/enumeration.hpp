@@ -12,8 +12,8 @@
 //   bind(a)          swap the automaton in (engines rebind lazily,
 //                    keeping every buffer),
 //   verify(g)        answer grid g into a reused verdict buffer —
-//                    orbits warmed by the batched stepper, queries
-//                    answered by the inlined verdict core,
+//                    every start's orbit extracted (one walk each),
+//                    queries answered by the inlined verdict core,
 //   first_unmet(g)   the adaptive variant: scan grid g until the first
 //                    defeat (verdict with met == false), early-exiting —
 //                    the shape of a "smallest defeating instance" search.
@@ -33,8 +33,12 @@
 // original's answer for the binding — asked there if it was not yet.
 //
 // When an OrbitCache is attached, the COUNT calls (count_unmet /
-// count_ungathered) are memoized in it, one ROW per (grid list, canonical
-// automaton, count kind): the counts of every grid. The grid list's
+// count_ungathered) are memoized in it, one ROW per (grid list,
+// trajectory class, count kind): the counts of every grid. The class is
+// trajectory_automaton_key's: automata whose agents walk the same
+// position sequences from every start share it, and a count depends on
+// nothing else — so the row is exact for counts, though not for the full
+// verdicts (rounds_checked, cycle_length) no row holds. The grid list's
 // battery key is hashed once at construction. A binding's first count of
 // a kind keys its row and probes it once, without claiming; a hit
 // answers that count and every later one of the binding from the row,
@@ -144,10 +148,10 @@ struct EnumTelemetry {
   /// (automaton, grid) counts computed into a memo row.
   std::uint64_t cache_misses = 0;
   std::uint64_t orbits_extracted = 0;  ///< orbit walks actually run
-  /// Automata whose canonical reachable form differs from their raw
-  /// table — i.e. bindings the canonical dedup key can merge with an
-  /// equivalent automaton's cache entry. The K = 3 exhaustive battery
-  /// measurably collapses (asserted in tests/test_enumeration.cpp).
+  /// Counted bindings whose trajectory class has fewer states than their
+  /// table (unreachable states, or states no trajectory tells apart) —
+  /// tables the row key merges with smaller ones. Counted when a count
+  /// keys its row, so only with a cache attached.
   std::uint64_t canonical_collapses = 0;
   double hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -199,7 +203,7 @@ class EnumerationContext {
   /// profiles, where the verdict buffer writes would be the largest
   /// remaining per-query cost. Equals counting met == false over
   /// verify(g). With a cache attached the count comes from the binding's
-  /// unmet row (battery key, canonical automaton key): a hit returns it
+  /// unmet row (battery key, trajectory key): a hit returns it
   /// without touching the engine; a miss claims the row, computes every
   /// distinct meet-capable grid locally and publishes the row (the claim
   /// is abandoned on an exception).
@@ -302,10 +306,10 @@ class EnumerationContext {
   /// Binding only (no warm-up, orbit_ptr not refreshed) — the lazy path
   /// of first_unmet() and first_ungathered().
   Slot& prepare_scan(std::size_t g);
-  /// The bound automaton's canonical key (canonical_automaton_key, which
-  /// allocates nothing), computed once per binding; counts a canonical
-  /// collapse in the telemetry when the canonical form differs from the
-  /// bound table.
+  /// The bound automaton's trajectory key (trajectory_automaton_key,
+  /// which allocates nothing), computed once per binding; counts a
+  /// canonical collapse in the telemetry when the class has fewer states
+  /// than the bound table.
   const OrbitKey& automaton_key();
   /// The binding's row of `kind`, looked up (or computed and published)
   /// at the binding's first count of the kind, or after the cache's epoch

@@ -16,6 +16,205 @@ namespace {
 /// Domain word of row-memo keys: no orbit-set key is ever hashed from a
 /// stream starting with it.
 constexpr std::uint64_t kRowMemoDomain = 0x726f772d6d656d6full;  // "row-memo"
+/// Marks a trajectory-key word that stands for every entry port of one
+/// degree (they all agree).
+constexpr std::uint64_t kAllPorts = std::uint64_t{1} << 63;
+
+/// act_code's table for actions below kActTable - 1 and degrees within
+/// the streamed bound: v[d][act + 1].
+constexpr int kActTable = 64;
+struct ActCodes {
+  std::int8_t v[kStreamedKeyMaxDegree + 1][kActTable];
+};
+constexpr ActCodes make_act_codes() {
+  ActCodes t{};
+  for (int d = 1; d <= kStreamedKeyMaxDegree; ++d) {
+    t.v[d][0] = static_cast<std::int8_t>(kStay);
+    for (int act = 0; act + 1 < kActTable; ++act) {
+      t.v[d][act + 1] = static_cast<std::int8_t>(act % d);
+    }
+  }
+  return t;
+}
+constexpr ActCodes kActCodes = make_act_codes();
+
+/// What acting with `act` (kStay or a port candidate) at a node of degree
+/// d does: kStay, or the exit port. A table lookup for the small values
+/// enumerated tables hold: the data-dependent branches and division of
+/// the direct form would cost more than the rest of a K = 3 key.
+inline int act_code(int act, int d) {
+  const auto u = static_cast<unsigned>(act + 1);
+  if (u < kActTable && d <= kStreamedKeyMaxDegree) return kActCodes.v[d][u];
+  return act < 0 ? kStay : act % d;
+}
+/// Initial-action codes packed per word of the trajectory key.
+constexpr int kCodesPerWord = 12;
+
+/// Working arrays of trajectory_automaton_key, indexed by reach index
+/// (BFS discovery order from the initial state), class, or reach index x
+/// input. T holds reach indices, classes and action codes: std::int8_t
+/// within the streamed bounds, std::int32_t above them. (The key code
+/// copies these pointers into locals: int8 stores may alias anything, and
+/// would otherwise reload every pointer after each store.)
+template <typename T>
+struct TrajectoryScratch {
+  T* order;   ///< reach index -> state (one spare slot at the end)
+  T* index;   ///< state -> reach index, -1 = not reached yet
+  T* succ;    ///< (reach index, input) -> successor's reach index
+  T* out;     ///< (reach index, input) -> act_code of the successor
+  T* cls;     ///< reach index -> class (two buffers: current, next)
+  T* fresh;
+  T* rep;     ///< class -> its first reach index
+};
+
+/// Inputs per state: every (entry port i, degree d) with -1 <= i < d <= D,
+/// or one per degree when no successor depends on the entry port.
+constexpr int trajectory_inputs(int D, bool oblivious) {
+  return oblivious ? D : D * (D + 3) / 2;
+}
+
+/// Reachable states in BFS order from the initial state, with each one's
+/// successor and output on every input: the Mealy machine the refinement
+/// minimizes. With `oblivious` only entry port -1 is read per degree, and
+/// the walk returns -1 as soon as a reached state's successor depends on
+/// the entry port; otherwise it returns the reached count.
+template <typename T>
+int reach_trajectory_machine(const TabularAutomaton& a, bool oblivious,
+                             const TrajectoryScratch<T>& w) {
+  const int D = a.max_degree;
+  const std::size_t row = static_cast<std::size_t>(D + 1) * D;
+  const int* const delta = a.delta.data();
+  const int* const lambda = a.lambda.data();
+  T* const order = w.order;
+  T* const index = w.index;
+  T* succ = w.succ;
+  T* out = w.out;
+  for (int s = 0; s < a.num_states(); ++s) index[s] = -1;
+  index[a.initial] = 0;
+  order[0] = static_cast<T>(a.initial);
+  int reached = 1;
+  for (int r = 0; r < reached; ++r) {
+    const int* const next = delta + static_cast<std::size_t>(order[r]) * row;
+    for (int d = 1; d <= D; ++d) {
+      // next[(i + 1) * D + d - 1] is the successor on input (i, d).
+      const int* const col = next + (d - 1);
+      for (int i = -1; i < (oblivious ? 0 : d); ++i, ++succ, ++out) {
+        const int t = col[(i + 1) * D];
+        if (oblivious) {
+          for (int p = 0; p < d; ++p) {
+            if (col[(p + 1) * D] != t) return -1;
+          }
+        }
+        // Branch-free discovery: order has a spare slot past the last
+        // state, so the speculative write is harmless.
+        const bool found = index[t] < 0;
+        if (found) index[t] = static_cast<T>(reached);
+        order[reached] = static_cast<T>(t);
+        reached += found ? 1 : 0;
+        *succ = index[t];
+        *out = static_cast<T>(act_code(lambda[t], d));
+      }
+    }
+  }
+  return reached;
+}
+
+template <typename T>
+OrbitKey trajectory_key(const TabularAutomaton& a, bool* collapsed,
+                        const TrajectoryScratch<T>& w) {
+  const int D = a.max_degree;
+  // When no reached state's successor depends on the entry port, every
+  // entry port of degree d is one input: the partition and the words
+  // below come out the same from one input per degree.
+  bool oblivious = true;
+  int reached = reach_trajectory_machine(a, oblivious, w);
+  if (reached < 0) {
+    oblivious = false;
+    reached = reach_trajectory_machine(a, oblivious, w);
+  }
+  const int inputs = trajectory_inputs(D, oblivious);
+  const T* const succ = w.succ;
+  const T* const out = w.out;
+  T* cls = w.cls;
+  T* fresh = w.fresh;
+  T* const rep = w.rep;
+  // Moore-style refinement from one class: two states stay together iff
+  // they share a class and, on every input, the output and the
+  // successor's class. Refinement only splits, so a round that makes no
+  // new class is the fixpoint; a discrete partition is one too.
+  for (int r = 0; r < reached; ++r) cls[r] = 0;
+  int classes = 1;
+  for (;;) {
+    int next_classes = 0;
+    for (int r = 0; r < reached; ++r) {
+      const T* const sr = succ + static_cast<std::size_t>(r) * inputs;
+      const T* const orow = out + static_cast<std::size_t>(r) * inputs;
+      // Compare against every class formed so far without early exits:
+      // the trip counts are then all the branches there are.
+      int match = next_classes;
+      for (int c = 0; c < next_classes; ++c) {
+        const int q = rep[c];
+        const T* const sq = succ + static_cast<std::size_t>(q) * inputs;
+        const T* const oq = out + static_cast<std::size_t>(q) * inputs;
+        bool same = cls[q] == cls[r];
+        for (int in = 0; in < inputs; ++in) {
+          same &= (orow[in] == oq[in]) & (cls[sr[in]] == cls[sq[in]]);
+        }
+        match = same ? c : match;
+      }
+      rep[next_classes] = static_cast<T>(r);  // kept only if r is new
+      next_classes += match == next_classes ? 1 : 0;
+      fresh[r] = static_cast<T>(match);
+    }
+    std::swap(cls, fresh);
+    const bool stable = next_classes == classes || next_classes == reached;
+    classes = next_classes;
+    if (stable) break;
+  }
+  if (collapsed != nullptr) *collapsed = classes < a.num_states();
+  // Stream the minimized machine in BFS order from the initial class.
+  // The rounds number classes by their first reach index, and that is
+  // already BFS order: a class first appears among the successors of the
+  // first-reached state of an earlier class, in input order, exactly as
+  // a BFS over classes would meet it. Per class and degree: one
+  // kAllPorts word when every entry port gives the same (output,
+  // successor), else one word per entry port.
+  KeyHasher h;
+  h.feed(static_cast<std::uint64_t>(classes) << 32 |
+         static_cast<std::uint64_t>(D));
+  const int act0 = a.lambda[static_cast<std::size_t>(a.initial)];
+  for (int d0 = 1; d0 <= D; d0 += kCodesPerWord) {
+    std::uint64_t codes = 0;
+    for (int d = d0; d < d0 + kCodesPerWord && d <= D; ++d) {
+      codes |= static_cast<std::uint64_t>(act_code(act0, d) + 1)
+               << (5 * (d - d0));
+    }
+    h.feed(codes);
+  }
+  const auto word = [&](T o, T t) {
+    return (static_cast<std::uint64_t>(o + 1) << 32) |
+           static_cast<std::uint64_t>(cls[t]);
+  };
+  for (int c = 0; c < classes; ++c) {
+    const T* sr = succ + static_cast<std::size_t>(rep[c]) * inputs;
+    const T* orow = out + static_cast<std::size_t>(rep[c]) * inputs;
+    for (int d = 1; d <= D; ++d) {
+      const int width = oblivious ? 1 : d + 1;
+      bool uniform = true;
+      for (int j = 1; j < width; ++j) {
+        uniform &= (orow[j] == orow[0]) & (cls[sr[j]] == cls[sr[0]]);
+      }
+      if (uniform) {
+        h.feed(kAllPorts | word(orow[0], sr[0]));
+      } else {
+        for (int j = 0; j < width; ++j) h.feed(word(orow[j], sr[j]));
+      }
+      sr += width;
+      orow += width;
+    }
+  }
+  return h.key();
+}
 
 }  // namespace
 
@@ -111,6 +310,29 @@ OrbitKey canonical_automaton_key(const TabularAutomaton& a,
   }
   if (collapsed != nullptr) *collapsed = !same;
   return h.key();
+}
+
+OrbitKey trajectory_automaton_key(const TabularAutomaton& a,
+                                  bool* collapsed) {
+  const int D = a.max_degree;
+  const int K = a.num_states();
+  if (K <= kStreamedKeyMaxStates && D <= kStreamedKeyMaxDegree) {
+    constexpr int kK = kStreamedKeyMaxStates;
+    constexpr int kCells = kK * trajectory_inputs(kStreamedKeyMaxDegree, false);
+    std::int8_t order[kK + 1], index[kK], succ[kCells], out[kCells], cls[kK],
+        fresh[kK], rep[kK];
+    return trajectory_key<std::int8_t>(
+        a, collapsed, {order, index, succ, out, cls, fresh, rep});
+  }
+  const auto k = static_cast<std::size_t>(K);
+  const std::size_t cells =
+      k * static_cast<std::size_t>(trajectory_inputs(D, false));
+  std::vector<std::int32_t> order(k + 1), index(k), succ(cells), out(cells),
+      cls(k), fresh(k), rep(k);
+  return trajectory_key<std::int32_t>(
+      a, collapsed,
+      {order.data(), index.data(), succ.data(), out.data(), cls.data(),
+       fresh.data(), rep.data()});
 }
 
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton) {

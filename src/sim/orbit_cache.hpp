@@ -2,9 +2,10 @@
 //
 // Exhaustive enumeration fans (automaton x instance) grids across sweep
 // workers, and each worker owns a private CompiledConfigEngine. The
-// cache memoizes ANSWERS, one ROW per (grid list, canonical automaton,
-// count kind): the defeat count of every grid of an EnumerationContext's
-// battery for one automaton class, published under row_memo_key. A
+// cache memoizes ANSWERS, one ROW per (grid list, trajectory class, count
+// kind): the defeat count of every grid of an EnumerationContext's
+// battery for one class of automata with the same trajectories
+// (trajectory_automaton_key), published under row_memo_key. A
 // binding's first count of a kind looks its row up with one lock-free
 // probe (find_row: no claim, no blocking, no stats), and every later
 // count of that binding is read from the row. A row lives in its shard's
@@ -110,11 +111,10 @@ OrbitKey automaton_orbit_key(const TabularAutomaton& a);
 /// Content hash of the automaton's canonical reachable form
 /// (sim::canonical_reachable_form): enumerated bindings that differ only
 /// in unreachable states, state numbering, impossible-input entries or
-/// degree-equivalent actions hash to ONE key, so the count memo computes
-/// and publishes their (identical) counts once. The enumeration pipeline
-/// keys bindings with this; verdicts are unchanged because key-equal
-/// automata produce identical trajectories on every tree the binding
-/// can query.
+/// degree-equivalent actions hash to ONE key. Key-equal automata walk
+/// the same (state, node) configurations, so they share full verdicts,
+/// rounds_checked and cycle_length included — the key for orbit sets.
+/// Count rows use the coarser trajectory_automaton_key.
 ///
 /// Always equal to automaton_orbit_key(canonical_reachable_form(a)), but
 /// computed without building the canonical table: the BFS renumbering
@@ -126,9 +126,45 @@ OrbitKey automaton_orbit_key(const TabularAutomaton& a);
 /// !(canonical_reachable_form(a) == a).
 OrbitKey canonical_automaton_key(const TabularAutomaton& a,
                                  bool* collapsed = nullptr);
-/// Bounds of canonical_automaton_key's allocation-free path.
+/// Bounds of the allocation-free paths of canonical_automaton_key and
+/// trajectory_automaton_key.
 inline constexpr int kStreamedKeyMaxStates = 64;
 inline constexpr int kStreamedKeyMaxDegree = 16;
+/// Key of the automaton's TRAJECTORY CLASS, the count memo's row key:
+/// automata sharing it give the same position sequence from every start
+/// on every tree of max degree <= D. The table is read as a Mealy
+/// machine over every input (entry port i, degree d), -1 <= i < d <= D:
+/// on input (i, d) state s moves to s' = next(s, i, d) and outputs what
+/// acting with lambda(s') at a degree-d node does (kStay, or the exit
+/// port lambda(s') mod d). Two states are equivalent iff on every input
+/// their outputs agree and their successors are equivalent; the key
+/// hashes the minimized reachable machine. Unlike the canonical key it
+/// merges states that differ only in ways no trajectory shows (actions
+/// that agree on the degrees the state is entered at, successors that
+/// are themselves equivalent).
+///
+/// Exact for defeat COUNTS, not for full verdicts: met / gathered depend
+/// only on the agents' positions (a first meeting, if any, comes before
+/// the Brent detection round), while rounds_checked and cycle_length
+/// follow the cycle of (state, node) configurations, which merging
+/// states can shorten. Key only what a trajectory determines with it.
+///
+/// The hashed words, in order: (classes << 32 | D); the initial state's
+/// act_code(lambda(initial), d) + 1 for d = 1..D, 5 bits each, packed
+/// 12 per word from the low bits (act_code: kStay, or the action mod d);
+/// then per class in BFS order from the initial state's class
+/// (successors met in input order: d ascending, then i ascending) and per
+/// degree d = 1..D: when all d + 1 entry ports give one (output,
+/// successor), the single word 2^63 | (output + 1) << 32 | successor's
+/// BFS number; otherwise one such word without the top bit per entry port
+/// i = -1..d-1. When no reachable state's successor depends on the entry
+/// port, the refinement reads one input per degree and gives the same
+/// words. Allocation-free within kStreamedKeyMaxStates /
+/// kStreamedKeyMaxDegree (stack arrays), allocating above. `collapsed`,
+/// when non-null, receives whether the class has fewer states than `a`
+/// (unreachable or merged states).
+OrbitKey trajectory_automaton_key(const TabularAutomaton& a,
+                                  bool* collapsed = nullptr);
 /// Order-sensitive combination of two keys.
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton);
 
@@ -137,8 +173,8 @@ OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton);
 enum class CountKind : std::uint64_t { kUnmet = 1, kUngathered = 2 };
 
 /// Key of one memoized count row: the battery key of a grid list (its
-/// grids' content keys in order — see EnumerationContext) x the canonical
-/// automaton key x the count kind. Domain-separated from the orbit-set
+/// grids' content keys in order — see EnumerationContext) x the
+/// automaton's trajectory key x the count kind. Domain-separated from the orbit-set
 /// keys of combine_orbit_keys, so both share one table.
 OrbitKey row_memo_key(const OrbitKey& battery, const OrbitKey& automaton,
                       CountKind kind);
@@ -163,7 +199,7 @@ class OrbitCache {
   /// `capacity` is the total slot count across shards (rounded so each
   /// shard's table is a power of two; at most 7/8 of the slots fill, so
   /// the default 2^19 slots — a 16 MiB table — hold ~458k entries; a
-  /// K = 3 campaign pass memoizes 5943 rows); `max_bytes` caps the
+  /// K = 3 campaign pass memoizes 3476 rows); `max_bytes` caps the
   /// approximate footprint of published orbit sets (default 2 GiB — far
   /// above the batteries' needs, so rejects only guard runaway
   /// workloads). Rows are not charged against it.

@@ -275,13 +275,14 @@ void add_engine_comparison(BenchReport& report, const EngineComparison& c) {
   report.note("engine", c.engine);
   report.metric("threads", c.threads);
   report.note("simd", c.simd);
-  report.metric("orbit_cache_hits", static_cast<double>(c.orbit_cache_hits));
-  report.metric("orbit_cache_misses",
-                static_cast<double>(c.orbit_cache_misses));
-  const std::uint64_t total = c.orbit_cache_hits + c.orbit_cache_misses;
+  if (!c.orbit_cache) return;
+  const EngineComparison::MemoCounts& m = *c.orbit_cache;
+  report.metric("orbit_cache_hits", static_cast<double>(m.hits));
+  report.metric("orbit_cache_misses", static_cast<double>(m.misses));
+  const std::uint64_t total = m.hits + m.misses;
   report.metric("orbit_cache_hit_rate",
                 total == 0 ? 0.0
-                           : static_cast<double>(c.orbit_cache_hits) /
+                           : static_cast<double>(m.hits) /
                                  static_cast<double>(total));
 }
 

@@ -21,13 +21,15 @@
 //   engine                                         engine asserted on
 //   threads                                        sweep worker count
 //   simd                                           batched-stepper path
-//   orbit_cache_hits / _misses / _hit_rate         cache telemetry
+//   orbit_cache_hits / _misses / _hit_rate         count-memo telemetry
+//                                                  (only with a memo)
 //
 // Lives in util (not bench/) so the validation rules are unit-testable
 // like any library code.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,12 +56,14 @@ std::string json_quote(const std::string& s);
 /// leases, fenced stale tokens, worker reconnects);
 /// 6 = adds the optional validated "observability" block (time to first
 /// survivor, inter-result delay quantiles, trace bytes flushed, events
-/// dropped by the trace rings).
+/// dropped by the trace rings);
+/// 7 = the engine comparison's orbit_cache_* keys are present only when
+/// the bench attached a count memo.
 /// Reports WITHOUT a given field remain valid documents of the version
 /// that lacked it — consumers treat missing optional fields as "not a
 /// run of that kind", so no committed BENCH_E*.json artifact needs
 /// regeneration.
-inline constexpr std::uint64_t kBenchReportSchemaVersion = 6;
+inline constexpr std::uint64_t kBenchReportSchemaVersion = 7;
 
 /// The optional "faults" block of a chaos run (bench E14): which seeded
 /// fault scenario was injected and what the recovery machinery did
@@ -207,8 +211,14 @@ struct EngineComparison {
   std::string engine;         ///< engine the bench asserted on
   unsigned threads = 1;       ///< sweep worker count of the timed phase
   std::string simd;           ///< sim::simd_path_name() at run time
-  std::uint64_t orbit_cache_hits = 0;
-  std::uint64_t orbit_cache_misses = 0;
+  /// Count-memo telemetry of the timed phase. Only a bench that attaches
+  /// a count memo sets it; the orbit_cache_* keys are emitted only then
+  /// (zeros from a memo-less bench would read as a memo that never hit).
+  struct MemoCounts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  std::optional<MemoCounts> orbit_cache;
 };
 
 /// Emits the standardized keys (speedup and hit rate are derived here so

@@ -87,8 +87,7 @@ TEST(BenchReport, EngineComparisonEmitsStandardizedKeys) {
   c.engine = "compiled";
   c.threads = 2;
   c.simd = "avx2";
-  c.orbit_cache_hits = 30;
-  c.orbit_cache_misses = 10;
+  c.orbit_cache = EngineComparison::MemoCounts{30, 10};
   add_engine_comparison(report, c);
   EXPECT_NO_THROW(report.validate());
 
@@ -390,6 +389,28 @@ TEST(BenchReport, RecoveryBlockIsOptionalValidatedAndReserved) {
   dup.workload("rendezvous", 2);
   dup.metric("recovery", 1.0);
   EXPECT_THROW(dup.validate(), std::runtime_error);
+}
+
+TEST(BenchReport, EngineComparisonWithoutMemoOmitsCacheKeys) {
+  // A bench that attaches no count memo reports no memo telemetry: the
+  // orbit_cache_* keys are absent, not zero.
+  BenchReport report("TST", 9);
+  report.workload("rendezvous", 2);
+  EngineComparison c;
+  c.compiled_seconds = 0.5;
+  c.reference_seconds = 1.0;
+  c.engine = "compiled";
+  add_engine_comparison(report, c);
+  EXPECT_NO_THROW(report.validate());
+
+  const std::string path = report.write();
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  const std::string json = ss.str();
+  EXPECT_NE(json.find("\"speedup\": 2"), std::string::npos) << json;
+  EXPECT_EQ(json.find("orbit_cache"), std::string::npos) << json;
+  std::remove(path.c_str());
 }
 
 TEST(BenchReport, AddingComparisonTwiceIsCaughtAsDuplicate) {

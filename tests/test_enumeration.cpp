@@ -292,6 +292,22 @@ TEST(Enumeration, CanonicalFormPreservesBehaviorAndIsIdempotent) {
   }
 }
 
+/// A 3-agent gathering grid on `t`: a few start triples, each under a
+/// short run of delay vectors.
+EnumGrid gather_grid(const tree::Tree& t) {
+  EnumGrid grid(&t, 3);
+  const tree::NodeId n = t.node_count();
+  for (tree::NodeId u = 0; u + 2 < n; ++u) {
+    const std::vector<tree::NodeId> s{u, static_cast<tree::NodeId>(u + 1),
+                                      static_cast<tree::NodeId>(n - 1)};
+    for (const std::uint64_t d : {0ull, 2ull, 5ull}) {
+      const std::vector<std::uint64_t> delays{0, d, 2 * d};
+      grid.push(s, delays);
+    }
+  }
+  return grid;
+}
+
 TEST(Enumeration, CanonicalDedupMeasurablyCollapsesK3) {
   // THE counter: over the full K = 3 enumeration, distinct canonical
   // keys must be measurably fewer than distinct raw keys — that gap is
@@ -300,13 +316,15 @@ TEST(Enumeration, CanonicalDedupMeasurablyCollapsesK3) {
   std::uint64_t count = K;  // initial states
   for (int i = 0; i < 2 * K; ++i) count *= K;
   for (int i = 0; i < K; ++i) count *= 3;
-  std::vector<OrbitKey> raw, canon;
+  std::vector<OrbitKey> raw, canon, traj;
   raw.reserve(count);
   canon.reserve(count);
+  traj.reserve(count);
   for (std::uint64_t idx = 0; idx < count; ++idx) {
     const TabularAutomaton a = enum_line_automaton(K, idx).tabular();
     raw.push_back(automaton_orbit_key(a));
     canon.push_back(canonical_automaton_key(a));
+    traj.push_back(trajectory_automaton_key(a));
   }
   const auto distinct = [](std::vector<OrbitKey> keys) {
     std::sort(keys.begin(), keys.end(), [](const auto& x, const auto& y) {
@@ -323,6 +341,108 @@ TEST(Enumeration, CanonicalDedupMeasurablyCollapsesK3) {
   // tables waste states unreachable from their initial state.
   EXPECT_LT(canon_distinct * 10, raw_distinct * 9)
       << "canonical keys collapse less than 10% at K = 3";
+  // Pinned class counts: a K = 3 campaign pass publishes one row per
+  // trajectory class, 3476 of them, where canonical keys made 5943.
+  EXPECT_EQ(canon_distinct, 5943u);
+  EXPECT_EQ(distinct(traj), 3476u);
+}
+
+/// The defeat counts of `a` on every grid: unmet on the pair grids (the
+/// first `meet_grids`), ungathered on all.
+std::vector<std::uint64_t> plain_counts(EnumerationContext& ctx,
+                                        const TabularAutomaton& a,
+                                        std::size_t meet_grids) {
+  ctx.bind(a);
+  std::vector<std::uint64_t> counts;
+  for (std::size_t g = 0; g < ctx.grid_count(); ++g) {
+    if (g < meet_grids) counts.push_back(ctx.count_unmet(g));
+    counts.push_back(ctx.count_ungathered(g));
+  }
+  return counts;
+}
+
+TEST(Enumeration, TrajectoryClassesShareCounts) {
+  // Automata with one trajectory key but different canonical keys — the
+  // pairs the row key newly merges — must count alike on every grid of
+  // a delay battery, pair and gathering grids alike, asked of a context
+  // with no cache.
+  std::vector<tree::Tree> trees;
+  trees.push_back(tree::line(6));
+  trees.push_back(tree::line_edge_colored(7, 1));
+  trees.push_back(tree::line_symmetric_colored(9));
+  auto grids = small_grids(trees);
+  grids.push_back(gather_grid(trees[0]));
+  grids.push_back(gather_grid(trees[1]));
+  const std::size_t meet_grids = trees.size();
+  EnumerationContext ctx(grids, 100000);
+
+  util::Rng rng(0x7c1a55);
+  std::vector<TabularAutomaton> automata;
+  for (std::uint64_t idx = 0; idx < 288; ++idx) {
+    automata.push_back(enum_line_automaton(2, idx).tabular());
+  }
+  for (int rep = 0; rep < 1500; ++rep) {
+    automata.push_back(enum_line_automaton(3, rng.index(59049)).tabular());
+  }
+  struct Seen {
+    OrbitKey traj, canon;
+    std::vector<std::uint64_t> counts;
+  };
+  std::vector<Seen> seen;
+  std::size_t merged_pairs = 0;
+  for (const TabularAutomaton& a : automata) {
+    const OrbitKey traj = trajectory_automaton_key(a);
+    const OrbitKey canon = canonical_automaton_key(a);
+    const auto it = std::find_if(seen.begin(), seen.end(), [&](const Seen& x) {
+      return x.traj == traj && !(x.canon == canon);
+    });
+    if (it != seen.end()) {
+      ASSERT_EQ(plain_counts(ctx, a, meet_grids), it->counts);
+      ++merged_pairs;
+    }
+    if (std::none_of(seen.begin(), seen.end(),
+                     [&](const Seen& x) { return x.canon == canon; })) {
+      seen.push_back({traj, canon, plain_counts(ctx, a, meet_grids)});
+    }
+  }
+  EXPECT_GT(merged_pairs, 300u);
+}
+
+TEST(Enumeration, TrajectoryKeyIsForCountsOnly) {
+  // Staying forever in one state or alternating between two: the same
+  // trajectories, so one trajectory key and equal counts — but the
+  // configuration cycles differ (length 1 vs 2), so the certified
+  // verdicts report different cycle lengths and rounds. No row may hold
+  // full verdicts under this key.
+  LineAutomaton still;
+  still.initial = 0;
+  still.delta = {{0, 0}};
+  still.lambda = {kStay};
+  LineAutomaton blink;
+  blink.initial = 0;
+  blink.delta = {{1, 1}, {0, 0}};
+  blink.lambda = {kStay, kStay};
+  const TabularAutomaton a = still.tabular();
+  const TabularAutomaton b = blink.tabular();
+  ASSERT_EQ(trajectory_automaton_key(a), trajectory_automaton_key(b));
+  ASSERT_NE(canonical_automaton_key(a), canonical_automaton_key(b));
+
+  std::vector<tree::Tree> trees;
+  trees.push_back(tree::line(6));
+  const auto grids = small_grids(trees);
+  EnumerationContext ca(grids, 100000);
+  EnumerationContext cb(grids, 100000);
+  ca.bind(a);
+  cb.bind(b);
+  EXPECT_EQ(ca.count_unmet(0), cb.count_unmet(0));
+  const Verdict va = ca.verify(0)[0];
+  const Verdict vb = cb.verify(0)[0];
+  EXPECT_EQ(va.met, vb.met);
+  EXPECT_FALSE(va.met);
+  EXPECT_TRUE(va.certified_forever && vb.certified_forever);
+  EXPECT_EQ(va.cycle_length, 1u);
+  EXPECT_EQ(vb.cycle_length, 2u);
+  EXPECT_NE(va.rounds_checked, vb.rounds_checked);
 }
 
 TEST(Enumeration, CanonicalDedupSharesEntriesWithoutChangingVerdicts) {
@@ -349,6 +469,7 @@ TEST(Enumeration, CanonicalDedupSharesEntriesWithoutChangingVerdicts) {
   }
   ASSERT_FALSE(a1 == a2);
   ASSERT_EQ(canonical_automaton_key(a1), canonical_automaton_key(a2));
+  ASSERT_EQ(trajectory_automaton_key(a1), trajectory_automaton_key(a2));
   ASSERT_FALSE(automaton_orbit_key(a1) == automaton_orbit_key(a2));
 
   OrbitCache cache;
@@ -414,22 +535,6 @@ TEST(Enumeration, SweepIsDeterministicAcrossThreadCounts) {
   }
 }
 
-/// A 3-agent gathering grid on `t`: a few start triples, each under a
-/// short run of delay vectors.
-EnumGrid gather_grid(const tree::Tree& t) {
-  EnumGrid grid(&t, 3);
-  const tree::NodeId n = t.node_count();
-  for (tree::NodeId u = 0; u + 2 < n; ++u) {
-    const std::vector<tree::NodeId> s{u, static_cast<tree::NodeId>(u + 1),
-                                      static_cast<tree::NodeId>(n - 1)};
-    for (const std::uint64_t d : {0ull, 2ull, 5ull}) {
-      const std::vector<std::uint64_t> delays{0, d, 2 * d};
-      grid.push(s, delays);
-    }
-  }
-  return grid;
-}
-
 TEST(Enumeration, MemoCountsMatchCachelessCounts) {
   // Differential: seeded K <= 3 automata (with canonical-equivalent
   // pairs among them), counted through a memoizing context and a plain
@@ -453,13 +558,13 @@ TEST(Enumeration, MemoCountsMatchCachelessCounts) {
     }
   }
   // The sample must exercise sharing: two raw-distinct automata with one
-  // canonical key.
+  // trajectory key.
   bool equivalent_pair = false;
   for (std::size_t i = 0; i < automata.size() && !equivalent_pair; ++i) {
     for (std::size_t j = 0; j < i; ++j) {
       if (!(automata[i] == automata[j]) &&
-          canonical_automaton_key(automata[i]) ==
-              canonical_automaton_key(automata[j])) {
+          trajectory_automaton_key(automata[i]) ==
+              trajectory_automaton_key(automata[j])) {
         equivalent_pair = true;
         break;
       }
@@ -483,11 +588,11 @@ TEST(Enumeration, MemoCountsMatchCachelessCounts) {
   }
   const EnumTelemetry t = memo.telemetry();
   EXPECT_GT(t.cache_hits, 0u);
-  // One row per (canonical automaton, kind), never an orbit set; an unmet
+  // One row per (trajectory class, kind), never an orbit set; an unmet
   // row computes the meet grids, an ungathered row every grid.
   std::vector<OrbitKey> classes;
   for (const TabularAutomaton& a : automata) {
-    const OrbitKey k = canonical_automaton_key(a);
+    const OrbitKey k = trajectory_automaton_key(a);
     if (std::find(classes.begin(), classes.end(), k) == classes.end()) {
       classes.push_back(k);
     }

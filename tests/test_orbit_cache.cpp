@@ -1,18 +1,21 @@
 // Sharded cross-worker cache (sim/orbit_cache.hpp): keying, the
 // claim/publish/abandon protocol, epoch invalidation, and — the load-
 // bearing guarantee — that under many workers racing lookups the
-// defeat-count memo computes each (grid list, canonical automaton, kind)
+// defeat-count memo computes each (grid list, trajectory class, kind)
 // row once, each distinct grid of it once, degrading to recomputation
 // when the table is full. The races run under the ASan/UBSan CI job like
 // every tier-1 test, and under the TSan job, which checks the lock-free
 // slot publication.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/automaton.hpp"
@@ -94,6 +97,216 @@ TEST(CanonicalKey, StreamedKeyMatchesCanonicalForm) {
   EXPECT_GT(collapsed_count, 0u);
   EXPECT_LT(collapsed_count, cases.size());
   EXPECT_GT(cases[drawn - 1].num_states(), kStreamedKeyMaxStates);
+}
+
+/// Allocating textbook oracle of trajectory_automaton_key: reachable
+/// states by BFS, Moore partition refinement keyed by std::map
+/// signatures (class ids in no particular order), then an explicit BFS
+/// over the classes that numbers them and streams the documented words.
+OrbitKey oracle_trajectory_key(const TabularAutomaton& a, bool* collapsed) {
+  const int D = a.max_degree;
+  const auto code = [](int act, int d) { return act < 0 ? kStay : act % d; };
+  std::vector<std::pair<int, int>> inputs;  // (i, d), d then i ascending
+  for (int d = 1; d <= D; ++d) {
+    for (int i = -1; i < d; ++i) inputs.emplace_back(i, d);
+  }
+  std::vector<int> reach{a.initial};
+  std::vector<bool> seen(static_cast<std::size_t>(a.num_states()), false);
+  seen[static_cast<std::size_t>(a.initial)] = true;
+  for (std::size_t h = 0; h < reach.size(); ++h) {
+    for (const auto& [i, d] : inputs) {
+      const int t = a.next(reach[h], i, d);
+      if (!seen[static_cast<std::size_t>(t)]) {
+        seen[static_cast<std::size_t>(t)] = true;
+        reach.push_back(t);
+      }
+    }
+  }
+  std::map<int, int> cls;  // state -> class
+  for (const int s : reach) cls[s] = 0;
+  for (std::size_t classes = 1;;) {
+    std::map<std::vector<int>, int> ids;
+    std::map<int, int> next;
+    for (const int s : reach) {
+      std::vector<int> sig{cls[s]};
+      for (const auto& [i, d] : inputs) {
+        const int t = a.next(s, i, d);
+        sig.push_back(code(a.lambda[static_cast<std::size_t>(t)], d));
+        sig.push_back(cls[t]);
+      }
+      next[s] = ids.emplace(sig, static_cast<int>(ids.size())).first->second;
+    }
+    cls = next;
+    if (ids.size() == classes) break;
+    classes = ids.size();
+  }
+  std::map<int, int> rep;  // class -> some state of it
+  for (const int s : reach) rep.emplace(cls[s], s);
+  *collapsed = rep.size() < static_cast<std::size_t>(a.num_states());
+  std::map<int, std::uint64_t> number;  // class -> BFS number
+  std::vector<int> queue{cls[a.initial]};
+  number[cls[a.initial]] = 0;
+  std::vector<std::uint64_t> words;
+  for (std::size_t h = 0; h < queue.size(); ++h) {
+    const int s = rep[queue[h]];
+    for (int d = 1; d <= D; ++d) {
+      std::vector<std::uint64_t> ports;
+      for (int i = -1; i < d; ++i) {
+        const int t = a.next(s, i, d);
+        if (number.emplace(cls[t], queue.size()).second) {
+          queue.push_back(cls[t]);
+        }
+        const int out = code(a.lambda[static_cast<std::size_t>(t)], d);
+        ports.push_back(static_cast<std::uint64_t>(out + 1) << 32 |
+                        number[cls[t]]);
+      }
+      if (std::all_of(ports.begin(), ports.end(),
+                      [&](std::uint64_t w) { return w == ports[0]; })) {
+        words.push_back(std::uint64_t{1} << 63 | ports[0]);
+      } else {
+        words.insert(words.end(), ports.begin(), ports.end());
+      }
+    }
+  }
+  KeyHasher h;
+  h.feed(static_cast<std::uint64_t>(rep.size()) << 32 |
+         static_cast<std::uint64_t>(D));
+  for (int d0 = 1; d0 <= D; d0 += 12) {
+    std::uint64_t codes = 0;
+    for (int d = d0; d < d0 + 12 && d <= D; ++d) {
+      const int act = a.lambda[static_cast<std::size_t>(a.initial)];
+      codes |= static_cast<std::uint64_t>(code(act, d) + 1) << (5 * (d - d0));
+    }
+    h.feed(codes);
+  }
+  for (const std::uint64_t w : words) h.feed(w);
+  return h.key();
+}
+
+/// `a` with every state copied `copies` times: copy c of state s moves
+/// to copy (c + 1) % copies of its successor. Same trajectories, `copies`
+/// times the states.
+TabularAutomaton blow_up(const TabularAutomaton& a, int copies) {
+  const int K = a.num_states();
+  const int D = a.max_degree;
+  TabularAutomaton b;
+  b.initial = a.initial;
+  b.max_degree = D;
+  for (int c = 0; c < copies; ++c) {
+    for (int s = 0; s < K; ++s) {
+      for (int i = -1; i < D; ++i) {
+        for (int d = 1; d <= D; ++d) {
+          b.delta.push_back(i < d ? ((c + 1) % copies) * K + a.next(s, i, d)
+                                  : 0);
+        }
+      }
+      b.lambda.push_back(a.lambda[static_cast<std::size_t>(s)]);
+    }
+  }
+  return b;
+}
+
+TEST(TrajectoryKey, StreamedKeyMatchesRefinementOracle) {
+  // The streamed key must equal the textbook oracle bit for bit on
+  // seeded tables — D = 2 line tables (port-oblivious), D = 3 tree
+  // tables (port-sensitive), tables whose entry-port rows differ only on
+  // impossible inputs, and tables past the stack bounds — and report a
+  // collapse exactly when the oracle's class is smaller than the table.
+  util::Rng rng(0x7a1ec7);
+  std::vector<TabularAutomaton> cases;
+  for (int k = 1; k <= 6; ++k) {
+    for (int r = 0; r < 300; ++r) {
+      cases.push_back(random_line_automaton(k, rng).tabular());
+    }
+  }
+  for (int r = 0; r < 600; ++r) {
+    cases.push_back(
+        random_tree_automaton(1 + static_cast<int>(rng.index(6)), rng)
+            .tabular());
+  }
+  for (int r = 0; r < 100; ++r) {
+    // Port-oblivious on every possible input, not on the impossible ones
+    // (entry port >= degree), which no trajectory reads.
+    const TabularAutomaton lifted =
+        lift_to_tree_automaton(random_line_automaton(3, rng)).tabular();
+    TabularAutomaton a = lifted;
+    int& impossible = a.delta[static_cast<std::size_t>(2 * 3 + 0)];
+    impossible = (impossible + 1) % 3;  // state 0, input (1, 1)
+    ASSERT_FALSE(a.port_oblivious());
+    EXPECT_EQ(trajectory_automaton_key(a), trajectory_automaton_key(lifted));
+    cases.push_back(a);
+  }
+  // Past kStreamedKeyMaxStates: the allocating fallback.
+  cases.push_back(
+      random_line_automaton(kStreamedKeyMaxStates + 9, rng).tabular());
+  cases.push_back(
+      random_tree_automaton(kStreamedKeyMaxStates + 3, rng).tabular());
+  std::size_t collapsed_count = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    bool want_collapsed = false;
+    const OrbitKey want = oracle_trajectory_key(cases[i], &want_collapsed);
+    bool collapsed = !want_collapsed;
+    EXPECT_EQ(trajectory_automaton_key(cases[i], &collapsed), want)
+        << "case " << i;
+    EXPECT_EQ(collapsed, want_collapsed) << "case " << i;
+    collapsed_count += collapsed ? 1 : 0;
+  }
+  EXPECT_GT(collapsed_count, 0u);
+  EXPECT_LT(collapsed_count, cases.size());
+}
+
+TEST(TrajectoryKey, FallbackAgreesWithStreamedPath) {
+  // A table blown up past kStreamedKeyMaxStates by copying its states
+  // keys through the allocating fallback, and lands on the same class as
+  // the original, which the stack path keys.
+  util::Rng rng(0xb10a);
+  for (int r = 0; r < 40; ++r) {
+    const TabularAutomaton line = random_line_automaton(5, rng).tabular();
+    const TabularAutomaton tree =
+        random_tree_automaton(4, rng).tabular();
+    for (const TabularAutomaton* a : {&line, &tree}) {
+      const TabularAutomaton big = blow_up(*a, 20);
+      ASSERT_GT(big.num_states(), kStreamedKeyMaxStates);
+      bool collapsed = false;
+      EXPECT_EQ(trajectory_automaton_key(big, &collapsed),
+                trajectory_automaton_key(*a))
+          << r;
+      EXPECT_TRUE(collapsed);
+    }
+  }
+}
+
+TEST(TrajectoryKey, MergesWhatCanonicalKeysSeparate) {
+  // A two-state cycle of equal actions is one class: its canonical form
+  // has two states, its trajectory class one.
+  LineAutomaton one;
+  one.initial = 0;
+  one.delta = {{0, 0}};
+  one.lambda = {1};
+  LineAutomaton two;
+  two.initial = 0;
+  two.delta = {{1, 1}, {0, 0}};
+  two.lambda = {1, 1};
+  EXPECT_NE(canonical_automaton_key(one.tabular()),
+            canonical_automaton_key(two.tabular()));
+  EXPECT_EQ(trajectory_automaton_key(one.tabular()),
+            trajectory_automaton_key(two.tabular()));
+  // Actions matter only mod the degrees a state is entered at: state 1
+  // is entered at degree-1 nodes only, where 0 and 1 both leave by port
+  // 0. A stay is never equivalent to a move.
+  LineAutomaton entered;
+  entered.initial = 0;
+  entered.delta = {{1, 0}, {1, 0}};
+  entered.lambda = {1, 0};
+  LineAutomaton entered2 = entered;
+  entered2.lambda = {1, 1};
+  EXPECT_EQ(trajectory_automaton_key(entered.tabular()),
+            trajectory_automaton_key(entered2.tabular()));
+  EXPECT_NE(canonical_automaton_key(entered.tabular()),
+            canonical_automaton_key(entered2.tabular()));
+  entered2.lambda = {1, kStay};
+  EXPECT_NE(trajectory_automaton_key(entered.tabular()),
+            trajectory_automaton_key(entered2.tabular()));
 }
 
 TEST(OrbitCache, ClaimPublishAcquireRoundTrip) {
@@ -238,7 +451,7 @@ TEST(CountMemo, RowsChargeNoBytes) {
 /// the memo sweeps below.
 struct MemoBattery {
   std::vector<TabularAutomaton> automata;
-  std::uint64_t distinct = 0;  ///< distinct canonical forms
+  std::uint64_t distinct = 0;  ///< distinct trajectory classes
   std::vector<tree::Tree> trees;
 
   MemoBattery(std::uint64_t n, std::uint64_t seed) {
@@ -251,8 +464,8 @@ struct MemoBattery {
     for (std::uint64_t i = 0; i < n; ++i) {
       bool fresh = true;
       for (std::uint64_t j = 0; j < i && fresh; ++j) {
-        fresh = canonical_automaton_key(automata[i]) !=
-                canonical_automaton_key(automata[j]);
+        fresh = trajectory_automaton_key(automata[i]) !=
+                trajectory_automaton_key(automata[j]);
       }
       distinct += fresh ? 1 : 0;
     }
@@ -293,10 +506,10 @@ struct MemoBattery {
 TEST(CountMemo, EachKeyComputedOnceAcrossRacingWorkers) {
   // Grids 0 and 2 are content-identical copies (same tree content, same
   // queries, same horizon): a row computes TWO distinct grids, not three,
-  // and under 8 racing workers each canonical automaton's row is
+  // and under 8 racing workers each trajectory class's row is
   // computed exactly once.
   const MemoBattery b(24, 0x3e3011);
-  ASSERT_GT(b.distinct, 12u);
+  ASSERT_GT(b.distinct, 8u);
   std::vector<EnumGrid> grids{b.grid(0), b.grid(1), b.grid(0)};
   const std::uint64_t starts =
       static_cast<std::uint64_t>(b.trees[0].node_count() +
