@@ -44,7 +44,6 @@
 #include "sim/automaton.hpp"
 #include "sim/enumeration.hpp"
 #include "sim/orbit_cache.hpp"
-#include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "tree/builders.hpp"
 #include "tree/canonical.hpp"
@@ -300,8 +299,7 @@ int main() {
             << " instances x " << std::size(dist::kE10ProfileDelays)
             << " delays, single-threaded):\n"
             << "  compiled engine:  " << compiled_s << " s (min of "
-            << kCompiledRepeats << ", fresh count memo per pass, simd="
-            << sim::simd_path_name() << ")\n"
+            << kCompiledRepeats << ", fresh count memo per pass)\n"
             << "  legacy stepper:   " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x\n"
             << "  count memo:       " << cache_stats.hits << " hits / "
@@ -360,7 +358,6 @@ int main() {
   comparison.reference_repeats = 1;  // the stepper pays ~14x per pass
   comparison.engine = "compiled";
   comparison.threads = 1;
-  comparison.simd = sim::simd_path_name();
   comparison.orbit_cache =
       util::EngineComparison::MemoCounts{cache_stats.hits, cache_stats.misses};
   util::add_engine_comparison(report, comparison);

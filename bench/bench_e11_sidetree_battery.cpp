@@ -33,7 +33,6 @@
 #include "lowerbound/verify.hpp"
 #include "sim/automaton.hpp"
 #include "sim/enumeration.hpp"
-#include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "util/math.hpp"
 
@@ -205,8 +204,7 @@ int main(int argc, char** argv) {
             << queries << " (pair, delay) verifications, min of "
             << kCompiledRepeats << " / " << kReferenceRepeats
             << " repeats, single-threaded):\n"
-            << "  compiled engine:  " << compiled_s << " s (cold orbits, "
-            << "simd=" << sim::simd_path_name() << ")\n"
+            << "  compiled engine:  " << compiled_s << " s (cold orbits)\n"
             << "  legacy stepper:   " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x\n"
             << "  mismatches:       " << mismatches << "\n";
@@ -224,7 +222,6 @@ int main(int argc, char** argv) {
   comparison.reference_repeats = kReferenceRepeats;
   comparison.engine = "compiled";
   comparison.threads = 1;
-  comparison.simd = sim::simd_path_name();
   util::add_engine_comparison(report, comparison);
   report.table(table);
   std::cout << "report: " << report.write() << "\n";

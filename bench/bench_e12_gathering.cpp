@@ -37,7 +37,6 @@
 #include "lowerbound/sidetrees.hpp"
 #include "sim/automaton.hpp"
 #include "sim/enumeration.hpp"
-#include "sim/simd.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -272,8 +271,7 @@ int main(int argc, char** argv) {
             << queries << " (tuple, delay) verdicts, horizon " << horizon
             << ", min of " << kCompiledRepeats
             << " / 1 repeats, single-threaded):\n"
-            << "  compiled core:    " << compiled_s << " s (cold orbits, "
-            << "simd=" << sim::simd_path_name() << ")\n"
+            << "  compiled core:    " << compiled_s << " s (cold orbits)\n"
             << "  run_gathering:    " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x (floor 10x)\n"
             << "  mismatches:       " << mismatches << "\n";
@@ -295,7 +293,6 @@ int main(int argc, char** argv) {
   comparison.reference_repeats = 1;  // one interpreted pass is the budget
   comparison.engine = "compiled";
   comparison.threads = 1;
-  comparison.simd = sim::simd_path_name();
   util::add_engine_comparison(report, comparison);
   report.table(table);
   std::cout << "report: " << report.write() << "\n";

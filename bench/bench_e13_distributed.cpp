@@ -40,7 +40,6 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "sim/orbit_cache.hpp"
-#include "sim/simd.hpp"
 
 namespace {
 
@@ -184,7 +183,6 @@ int main(int argc, char** argv) {
   report.metric("single_defeats", static_cast<double>(single_total));
   report.metric("single_seconds", single_seconds);
   report.metric("distributed_seconds", dist_seconds);
-  report.note("simd", sim::simd_path_name());
   util::ObservabilitySummary obs_summary;
   obs_summary.time_to_first_survivor_ms =
       delay_stats.time_to_first_survivor_ns < 0

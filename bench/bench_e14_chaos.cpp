@@ -50,7 +50,6 @@
 #include "dist/serialize.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/workload.hpp"
-#include "sim/simd.hpp"
 #include "util/failpoint.hpp"
 
 namespace {
@@ -419,7 +418,6 @@ int main(int argc, char** argv) {
   report.metric("single_defeats", static_cast<double>(single_total));
   report.metric("chaos_seconds", chaos_seconds);
   report.metric("failpoint_overhead_ratio", overhead_ratio);
-  report.note("simd", sim::simd_path_name());
   report.table(table);
   std::cout << "report: " << report.write() << "\n";
 

@@ -42,7 +42,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "sim/simd.hpp"
 #include "svc/coordinator.hpp"
 
 namespace {
@@ -226,7 +225,6 @@ int main(int argc, char** argv) {
   report.metric("single_seconds", single_seconds);
   report.metric("clean_fleet_seconds", clean_seconds);
   report.metric("chaos_fleet_seconds", chaos_seconds);
-  report.note("simd", sim::simd_path_name());
   // Enumeration-delay observability over both fleet phases, merged the
   // same deterministic bucket-wise way the coordinator merges shards.
   obs::EnumDelayStats fleet_delay = clean_rep.delay;

@@ -42,7 +42,6 @@
 #include "dist/ledger.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/workload.hpp"
-#include "sim/simd.hpp"
 
 namespace {
 
@@ -420,7 +419,6 @@ int main(int argc, char** argv) {
   report.metric("s2_overlapping_kills_seconds", s2.seconds);
   report.metric("s3_partition_stall_seconds", s3.seconds);
   report.metric("s4_torn_ledger_tail_seconds", s4.seconds);
-  report.note("simd", sim::simd_path_name());
   report.table(table);
   std::cout << "report: " << report.write() << "\n";
 

@@ -31,7 +31,6 @@
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
 #include "sim/enumeration.hpp"
-#include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "util/math.hpp"
 
@@ -234,8 +233,7 @@ int main(int argc, char** argv) {
   std::cout << "\ncertification workload (" << timed.size()
             << " instances x " << kDelayGrid << " delays, min of "
             << kRepeats << " repeats):\n"
-            << "  compiled engine:  " << compiled_s << " s (cold orbits, "
-            << "simd=" << sim::simd_path_name() << ")\n"
+            << "  compiled engine:  " << compiled_s << " s (cold orbits)\n"
             << "  legacy stepper:   " << reference_s << " s\n"
             << "  speedup:          " << speedup << "x\n";
 
@@ -251,7 +249,6 @@ int main(int argc, char** argv) {
   comparison.reference_repeats = kRepeats;
   comparison.engine = "compiled";
   comparison.threads = 1;
-  comparison.simd = sim::simd_path_name();
   util::add_engine_comparison(report, comparison);
   report.table(table);
   std::cout << "report: " << report.write() << "\n";

@@ -19,18 +19,10 @@
 // the full space. (A dense per-configuration successor table was
 // benchmarked here and rejected: it costs O(space) per automaton rebind
 // while a whole battery of queries only ever touches the reachable orbits,
-// which are far smaller.)
-//
-// Orbits can be extracted one start at a time (orbit()) or in batches
-// (warm_orbits()): the batched stepper advances up to 8 independent walks
-// through one interleaved loop over the flattened tables — AVX2 gathers
-// when the build and CPU support them (sim/simd.hpp), a structurally
-// identical scalar lane loop otherwise — so the memory-level parallelism
-// a single serial load chain leaves on the table is filled by the other
-// walks. Batches share the stamp table, so walks merge into each other
-// mid-batch; the resolution pass reconstructs every lane's rho form
-// exactly (including mutual-merge dependency cycles), and the resulting
-// orbits are field-identical to one-at-a-time extraction.
+// which are far smaller. So was an 8-lane batched stepper with AVX2
+// gathers: one walk per start beat it on every shape measured, since the
+// walks are short and each stops at the first configuration an earlier
+// orbit stamped.)
 //
 // Joint two-agent verification needs no joint stepping at all: the two
 // agents evolve independently, so the joint configuration sequence observed
@@ -46,8 +38,7 @@
 // a drop-in replacement validated field-for-field by differential tests.
 // Start delays only shift the alignment of the two orbits, so sweeping a
 // whole (start-pair x delay) grid against one engine re-uses every orbit;
-// verify_grid() answers such grids batched, optionally fanning the
-// (read-only, post-warmup) queries across sweep_instances workers, and
+// verify_grid() answers such grids in query order, and
 // sim/enumeration.hpp fuses rebind + grid for exhaustive batteries.
 #pragma once
 
@@ -67,9 +58,8 @@ namespace rvt::sim {
 /// pair. Reuse the same engine across many start pairs and delays (e.g.
 /// the E10/E11 batteries) — orbits are computed once per start node — and
 /// rebind() it to sweep automata over a fixed tree without reallocating.
-/// Lazy caches make the engine non-thread-safe in general: use one engine
-/// per sweep worker, or pre-warm via verify_grid/warm_orbits and share
-/// read-only.
+/// Lazy caches make the engine non-thread-safe: use one engine per sweep
+/// worker.
 class CompiledConfigEngine {
  public:
   /// Throws std::invalid_argument if the automaton is malformed, the tree
@@ -105,8 +95,7 @@ class CompiledConfigEngine {
     /// coordinates. Two orbits of one engine share a cycle iff their
     /// cycle_root matches; their relative phase then decides meeting
     /// existence via the per-cycle collision table. (Which start owns a
-    /// shared cycle depends on extraction order — one-at-a-time and
-    /// batched extraction may pick different roots — but root equality,
+    /// shared cycle depends on extraction order, but root equality,
     /// phases and collision answers are consistent within an epoch.)
     std::uint32_t cycle_root = 0;
     std::uint64_t cycle_phase = 0;
@@ -167,19 +156,10 @@ class CompiledConfigEngine {
   /// Orbit from `start`, built on first use and cached until rebind().
   const Orbit& orbit(tree::NodeId start) const;
 
-  /// True iff orbit(start) would be served without extraction — the
-  /// cheap guard batch warm-up loops use to skip the batching machinery
-  /// on fully warmed engines.
-  bool orbit_cached(tree::NodeId start) const {
-    return orbit_epoch_[static_cast<std::size_t>(start)] == epoch_;
-  }
-
-  /// Extracts every not-yet-cached orbit among `starts` (duplicates fine)
-  /// with the batched multi-walk stepper — up to 8 walks advance through
-  /// one interleaved loop (AVX2 gathers when available, scalar lanes
-  /// otherwise). Equivalent to calling orbit() per start, but fills the
-  /// memory-level parallelism a single walk's serial load chain leaves
-  /// unused. Starts already cached are skipped.
+  /// orbit(start) for every start in order (duplicates and cached starts
+  /// cost nothing); throws std::invalid_argument on an out-of-range start.
+  /// Kept only for the benchmark harness's traced probe; the next change
+  /// to the benchmark calls orbit() directly and deletes this.
   void warm_orbits(std::span<const tree::NodeId> starts) const;
 
   /// Copies every extracted orbit and collision table of the current
@@ -205,14 +185,9 @@ class CompiledConfigEngine {
  private:
   void bind_automaton(const TabularAutomaton& a);
   void extract_orbit(tree::NodeId start, Orbit& out) const;
-  /// Batched multi-walk extraction of the given (deduplicated, uncached)
-  /// starts; implemented in compiled_batch.cpp with scalar and AVX2 lane
-  /// steppers behind sim/simd.hpp dispatch.
-  void extract_orbits_batch(std::span<const tree::NodeId> starts) const;
   /// Splices `out` (whose own prefix of `hit_index` steps is already
   /// recorded) into completed orbit `host`, which it hit at host step
-  /// `hit_j` with entry port `seam_port` — shared by the one-walk and
-  /// batched extraction paths.
+  /// `hit_j` with entry port `seam_port`.
   void finalize_merged(Orbit& out, const Orbit& host, std::uint64_t hit_index,
                        std::uint32_t hit_j, std::int16_t seam_port) const;
   static void build_first_visit(Orbit& out, std::int32_t n);
@@ -225,12 +200,10 @@ class CompiledConfigEngine {
   // Flattened successor tables: substrate per (node, port), transitions
   // per (state, entry port, degree).
   std::vector<std::uint8_t> deg_;     ///< deg_[v]
-  std::vector<std::int32_t> deg32_;   ///< deg_[v] widened for SIMD gathers
   std::vector<std::uint32_t> nbrev_;  ///< (neighbor << 8 | rev_port) per port
   std::vector<std::int32_t> delta_;   ///< delta_[(s*(D+1) + i+1)*D + d-1]
   /// Resolved action per (state, degree): lambda[s] reduced mod d, or -1
-  /// for kStay — removes the per-step modulo from both steppers and gives
-  /// the SIMD path a division-free gather.
+  /// for kStay — removes the per-step modulo from the walk.
   std::vector<std::int32_t> actd_;
   // Orbit cache, epoch-invalidated by rebind() so slots and their node
   // vectors keep their capacity across automata.
@@ -266,7 +239,6 @@ class CompiledConfigEngine {
   mutable std::vector<std::uint32_t> cindex_epoch_;  ///< n*n, 0 = stale
   mutable std::vector<std::uint32_t> cindex_slot_;   ///< index into collision_
   mutable std::vector<std::vector<std::uint32_t>> node_positions_;  // scratch
-  mutable std::vector<std::uint8_t> warm_seen_;  // warm_orbits dedupe scratch
 
  public:
   /// Collision table of the ordered cycle pair (root_a, root_b) — both
@@ -292,8 +264,6 @@ class CompiledConfigEngine {
   /// Largest node count for which the dense cycle-pair index (n*n
   /// entries) is kept; larger substrates use a linear table scan.
   static constexpr std::int32_t kCollisionIndexMaxN = 256;
-  /// Lanes the batched stepper advances per batch.
-  static constexpr std::size_t kBatchWalks = 8;
 };
 
 /// Line-automaton convenience over CompiledConfigEngine: constructs from
@@ -331,16 +301,15 @@ Verdict verify_never_meet_compiled(const CompiledConfigEngine& engine_a,
 /// and rounds_checked == its rounds_executed — in O(sum mu_i + lcm lambda_i)
 /// table work instead of up to max_rounds interpreted rounds, plus the
 /// never-gather certificate the reference cannot give (see GatherVerdict).
-/// Orbits are warmed through the same batched stepper as the pair pipeline
-/// — orbits are per-agent, so nothing about extraction is
-/// gathering-specific. Throws
+/// Orbits are per-agent, so extraction is the pair pipeline's orbit().
+/// Throws
 /// std::invalid_argument on bad config (k < 2, k > kMaxGatherAgents,
 /// delay arity mismatch, out-of-range start, max_rounds == 0).
 GatherVerdict verify_never_gather_compiled(
     const CompiledConfigEngine& engine, std::span<const tree::NodeId> starts,
     std::span<const std::uint64_t> delays, std::uint64_t max_rounds);
 
-/// One point of a batched verdict grid: a start pair plus per-agent start
+/// One point of a verdict grid: a start pair plus per-agent start
 /// delays. max_rounds is shared by the whole grid (verify_grid argument).
 struct PairQuery {
   tree::NodeId start_a = -1;
@@ -349,19 +318,14 @@ struct PairQuery {
   std::uint64_t delay_b = 0;
 };
 
-/// Batched verify_never_meet_compiled over a (start-pair x delay) grid:
-/// answers[i] corresponds to queries[i]. All orbits (and the collision
-/// tables the queries can touch) are warmed up serially first (via the
-/// batched stepper), so with num_threads != 1 the per-query work is
-/// read-only and fans across sweep_instances workers with deterministic
-/// result ordering; num_threads == 0 uses one worker per hardware thread
-/// (RVT_SWEEP_THREADS overrides). Every query must be valid (distinct
-/// in-range starts) — the first failure is rethrown after the workers
-/// join, like any sweep.
+/// verify_never_meet_compiled over a (start-pair x delay) grid:
+/// answers[i] corresponds to queries[i]. Every query is validated first
+/// (distinct in-range starts; std::invalid_argument otherwise, before any
+/// query is answered), then the queries are answered in order, each
+/// orbit and collision table extracted on first use.
 std::vector<Verdict> verify_grid(const CompiledConfigEngine& engine_a,
                                  const CompiledConfigEngine& engine_b,
                                  std::span<const PairQuery> queries,
-                                 std::uint64_t max_rounds,
-                                 unsigned num_threads = 1);
+                                 std::uint64_t max_rounds);
 
 }  // namespace rvt::sim

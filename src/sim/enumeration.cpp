@@ -215,8 +215,6 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
     slot.engine->rebind(*automaton_);
     ++stats_.bindings;
   }
-  // One walk per start: battery orbits are a few configurations long,
-  // too short for the batched stepper to pay for its lane bookkeeping.
   // Orbit references are stable for the rest of the binding; snapshot
   // them for the verdict loops.
   for (const tree::NodeId s : slot.warm_starts) {

@@ -1,43 +1,11 @@
-// Runtime SIMD dispatch for the batched orbit stepper.
-//
-// The batched stepper (sim/compiled_batch.cpp) has two structurally
-// identical implementations: a scalar lane loop, and an AVX2 kernel that
-// advances all lanes through one gather-based step. Which one runs is
-// decided once per process:
-//
-//  * compile-time: the AVX2 kernel exists only when the build enables it
-//    (CMake option RVT_SIMD, on by default; -DRVT_SIMD=OFF builds the
-//    scalar-only library for hardware without AVX2 — CI exercises that
-//    configuration explicitly);
-//  * run-time: the CPU must actually report AVX2 (checked via
-//    __builtin_cpu_supports at first use), and the RVT_SIMD environment
-//    variable can force the scalar path ("0", "off", "scalar" — useful to
-//    time or differential-test both paths with one binary);
-//  * programmatic: set_simd_enabled(false) forces the scalar path from
-//    tests regardless of hardware (it can only narrow the choice —
-//    enabling has no effect when the binary or CPU lacks AVX2).
-//
-// Both paths produce bit-identical orbits, so dispatch is purely a
-// performance decision; the differential tests assert exactly that.
+// Name of the orbit-extraction path, for the benchmark harness's header
+// line. Orbits are always extracted one walk at a time, so this is a
+// constant; the next change to the benchmark harness drops its use and
+// deletes this header.
 #pragma once
 
 namespace rvt::sim {
 
-/// True iff the AVX2 batched stepper is compiled in AND the CPU supports
-/// it AND the environment does not force scalar. Decided once, cached.
-bool simd_available();
-
-/// Whether the batched stepper currently takes the SIMD path:
-/// simd_available() and not programmatically disabled.
-bool simd_enabled();
-
-/// Narrow (or restore) the runtime choice; enabling is a no-op when
-/// simd_available() is false. Not thread-safe against concurrent batched
-/// extraction — flip it between sweeps (tests, benches).
-void set_simd_enabled(bool enabled);
-
-/// "avx2" or "scalar" — the path the batched stepper takes right now;
-/// recorded by the bench JSON reports for trajectory comparability.
-const char* simd_path_name();
+inline const char* simd_path_name() { return "scalar"; }
 
 }  // namespace rvt::sim

@@ -274,7 +274,6 @@ void add_engine_comparison(BenchReport& report, const EngineComparison& c) {
   report.metric("reference_repeats", c.reference_repeats);
   report.note("engine", c.engine);
   report.metric("threads", c.threads);
-  report.note("simd", c.simd);
   if (!c.orbit_cache) return;
   const EngineComparison::MemoCounts& m = *c.orbit_cache;
   report.metric("orbit_cache_hits", static_cast<double>(m.hits));

@@ -20,7 +20,6 @@
 //   compiled_repeats, reference_repeats            min-of-N settings
 //   engine                                         engine asserted on
 //   threads                                        sweep worker count
-//   simd                                           batched-stepper path
 //   orbit_cache_hits / _misses / _hit_rate         count-memo telemetry
 //                                                  (only with a memo)
 //
@@ -58,12 +57,13 @@ std::string json_quote(const std::string& s);
 /// survivor, inter-result delay quantiles, trace bytes flushed, events
 /// dropped by the trace rings);
 /// 7 = the engine comparison's orbit_cache_* keys are present only when
-/// the bench attached a count memo.
+/// the bench attached a count memo;
+/// 8 = drops the "simd" key (orbits have one extraction path).
 /// Reports WITHOUT a given field remain valid documents of the version
 /// that lacked it — consumers treat missing optional fields as "not a
 /// run of that kind", so no committed BENCH_E*.json artifact needs
 /// regeneration.
-inline constexpr std::uint64_t kBenchReportSchemaVersion = 7;
+inline constexpr std::uint64_t kBenchReportSchemaVersion = 8;
 
 /// The optional "faults" block of a chaos run (bench E14): which seeded
 /// fault scenario was injected and what the recovery machinery did
@@ -210,7 +210,6 @@ struct EngineComparison {
   int reference_repeats = 1;  ///< min-of-N repeats of the reference side
   std::string engine;         ///< engine the bench asserted on
   unsigned threads = 1;       ///< sweep worker count of the timed phase
-  std::string simd;           ///< sim::simd_path_name() at run time
   /// Count-memo telemetry of the timed phase. Only a bench that attaches
   /// a count memo sets it; the orbit_cache_* keys are emitted only then
   /// (zeros from a memo-less bench would read as a memo that never hit).

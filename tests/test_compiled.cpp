@@ -10,7 +10,6 @@
 #include "lowerbound/verify.hpp"
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
-#include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 #include "tree/builders.hpp"
 #include "util/rng.hpp"
@@ -441,13 +440,12 @@ TEST(CompiledConfig, RejectsSubstratesOutsideTheDegreeModel) {
   EXPECT_THROW(engine.rebind(line2), std::invalid_argument);
 }
 
-// --- Batched multi-walk extraction ------------------------------------------
+// --- Extraction order -------------------------------------------------------
 
-/// Intrinsic orbit fields must be identical however the orbit was
-/// extracted (one walk at a time, or any batch interleave). cycle_root /
-/// cycle_phase are extraction-order-dependent bookkeeping and are instead
-/// checked for consistency (root equality <=> shared cycle) plus verdict
-/// agreement below.
+/// Intrinsic orbit fields must be identical whatever order the starts
+/// were extracted in. cycle_root / cycle_phase are extraction-order-
+/// dependent bookkeeping and are instead checked for consistency (root
+/// equality <=> shared cycle) plus verdict agreement below.
 void expect_orbit_fields_equal(const CompiledConfigEngine::Orbit& got,
                                const CompiledConfigEngine::Orbit& want,
                                const std::string& context) {
@@ -459,167 +457,126 @@ void expect_orbit_fields_equal(const CompiledConfigEngine::Orbit& got,
   ASSERT_EQ(got.first_visit, want.first_visit) << context;
 }
 
-/// The batched-stepper differential battery, run on whichever SIMD path
-/// is currently enabled: random port-sensitive and port-oblivious
-/// automata on degree-3 trees and lines, all starts warmed through
-/// ragged batches (walks of different cycle lengths retiring at
-/// different times), compared field-for-field against one-walk
-/// extraction — and the verdict grids of both engines must agree on
-/// every field.
-void run_batched_extraction_differential(std::uint64_t seed) {
-  util::Rng rng(seed);
-  for (int rep = 0; rep < 25; ++rep) {
-    const bool line_case = rep % 2 == 0;
-    const tree::Tree t =
-        line_case ? random_line(3 + static_cast<int>(rng.index(10)), rng)
-                  : random_degree3_tree(rng);
-    TabularAutomaton a;
-    switch (rng.index(3)) {
-      case 0:  // port-sensitive
-        a = random_tree_automaton(1 + static_cast<int>(rng.index(6)), rng)
-                .tabular();
-        break;
-      case 1:  // port-oblivious, lifted
-        a = lift_to_tree_automaton(
-                random_line_automaton(1 + static_cast<int>(rng.index(6)),
-                                      rng))
-                .tabular();
-        break;
-      default:  // port-oblivious line table
-        a = random_line_automaton(1 + static_cast<int>(rng.index(6)), rng)
-            .tabular();
-        break;
-    }
-    if (t.max_degree() > a.max_degree) continue;  // substrate out of model
-    const int n = t.node_count();
-
-    // Batched: warm every start in one call (the engine slices it into
-    // ragged kBatchWalks-lane batches; duplicates exercise the dedupe).
-    const CompiledConfigEngine batched(t, a);
-    std::vector<tree::NodeId> starts;
-    for (tree::NodeId s = 0; s < n; ++s) starts.push_back(s);
-    starts.push_back(0);  // duplicate on purpose
-    batched.warm_orbits(starts);
-    ASSERT_EQ(batched.orbits_extracted(), static_cast<std::uint64_t>(n));
-
-    // Reference: a separate engine, one orbit at a time.
-    const CompiledConfigEngine serial(t, a);
-    for (tree::NodeId s = 0; s < n; ++s) {
-      expect_orbit_fields_equal(
-          batched.orbit(s), serial.orbit(s),
-          "rep " + std::to_string(rep) + " start " + std::to_string(s));
-    }
-    // Shared-cycle structure must agree: roots may differ, root equality
-    // must not.
-    for (tree::NodeId u = 0; u < n; ++u) {
-      for (tree::NodeId v = 0; v < n; ++v) {
-        ASSERT_EQ(
-            batched.orbit(u).cycle_root == batched.orbit(v).cycle_root,
-            serial.orbit(u).cycle_root == serial.orbit(v).cycle_root)
-            << "rep " << rep << " " << u << " " << v;
-      }
-    }
-
-    // Verdicts across a (pair x delay) grid must match field for field.
-    std::vector<PairQuery> queries;
-    for (tree::NodeId u = 0; u < n; ++u) {
-      for (tree::NodeId v = u + 1; v < n; ++v) {
-        for (const std::uint64_t d : {0ull, 1ull, 9ull}) {
-          queries.push_back({u, v, d, 0});
-        }
-      }
-    }
-    const auto from_batched =
-        verify_grid(batched, batched, queries, 200000, 1);
-    const auto from_serial = verify_grid(serial, serial, queries, 200000, 1);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(from_batched[i].met, from_serial[i].met) << rep << " " << i;
-      ASSERT_EQ(from_batched[i].meeting_round, from_serial[i].meeting_round)
-          << rep << " " << i;
-      ASSERT_EQ(from_batched[i].certified_forever,
-                from_serial[i].certified_forever)
-          << rep << " " << i;
-      ASSERT_EQ(from_batched[i].cycle_length, from_serial[i].cycle_length)
-          << rep << " " << i;
-      ASSERT_EQ(from_batched[i].rounds_checked, from_serial[i].rounds_checked)
-          << rep << " " << i;
-    }
-  }
-}
-
-TEST(BatchedExtraction, MatchesOneWalkExtractionScalar) {
-  const bool had_simd = simd_enabled();
-  set_simd_enabled(false);
-  ASSERT_STREQ(simd_path_name(), "scalar");
-  run_batched_extraction_differential(0xba7c4ull);
-  set_simd_enabled(had_simd);
-}
-
-TEST(BatchedExtraction, MatchesOneWalkExtractionSimdWhenAvailable) {
-  // On hardware (or builds) without AVX2 this re-runs the scalar path —
-  // the differential stays meaningful either way, and the CI job with
-  // -DRVT_SIMD=OFF exercises exactly that configuration.
-  set_simd_enabled(true);
-  run_batched_extraction_differential(0x51u);
-  if (simd_available()) {
-    ASSERT_STREQ(simd_path_name(), "avx2");
-  } else {
-    ASSERT_STREQ(simd_path_name(), "scalar");
-  }
-}
-
-TEST(BatchedExtraction, SimdAndScalarPathsProduceBitIdenticalOrbits) {
-  if (!simd_available()) {
-    GTEST_SKIP() << "AVX2 unavailable (build or CPU): scalar-only";
-  }
-  util::Rng rng(77001);
-  for (int rep = 0; rep < 10; ++rep) {
-    const tree::Tree t = random_degree3_tree(rng);
-    const auto a =
-        random_tree_automaton(1 + static_cast<int>(rng.index(5)), rng)
-            .tabular();
-    std::vector<tree::NodeId> starts;
-    for (tree::NodeId s = 0; s < t.node_count(); ++s) starts.push_back(s);
-
-    set_simd_enabled(false);
-    const CompiledConfigEngine scalar(t, a);
-    scalar.warm_orbits(starts);
-    set_simd_enabled(true);
-    const CompiledConfigEngine simd(t, a);
-    simd.warm_orbits(starts);
-
-    for (tree::NodeId s = 0; s < t.node_count(); ++s) {
-      const auto& lhs = simd.orbit(s);
-      const auto& rhs = scalar.orbit(s);
-      expect_orbit_fields_equal(lhs, rhs, "rep " + std::to_string(rep));
-      // The two paths stamp in the same lane order, so even the
-      // extraction-order-dependent fields must agree bit for bit.
-      ASSERT_EQ(lhs.cycle_root, rhs.cycle_root) << rep << " " << s;
-      ASSERT_EQ(lhs.cycle_phase, rhs.cycle_phase) << rep << " " << s;
-    }
-  }
-}
-
-TEST(BatchedExtraction, RaggedBatchesRetireIndependently) {
-  // A line under a ping-pong walker: orbits from the two halves have
-  // different tails/cycle entries, so an 8-lane batch retires lanes at
-  // different steps; extraction must still match one-walk exactly.
-  const tree::Tree t = tree::line_symmetric_colored(15);
-  const auto a = ping_pong_walker(2).tabular();
-  const CompiledConfigEngine batched(t, a);
+/// Engine A warms every start ascending (plus a duplicate) through
+/// warm_orbits(); engine B extracts them descending through orbit(), so
+/// the two engines merge walks into different earlier orbits and pick
+/// different cycle roots. Orbit fields, shared-cycle structure and the
+/// verdicts of a (pair x delay) grid must still agree field for field.
+void run_extraction_order_differential(const tree::Tree& t,
+                                       const TabularAutomaton& a,
+                                       const std::string& context) {
+  const int n = t.node_count();
+  const CompiledConfigEngine ascending(t, a);
   std::vector<tree::NodeId> starts;
-  for (tree::NodeId s = 0; s < t.node_count(); ++s) starts.push_back(s);
-  batched.warm_orbits(starts);
-  const CompiledConfigEngine serial(t, a);
-  for (tree::NodeId s = 0; s < t.node_count(); ++s) {
-    expect_orbit_fields_equal(batched.orbit(s), serial.orbit(s),
-                              "start " + std::to_string(s));
+  for (tree::NodeId s = 0; s < n; ++s) starts.push_back(s);
+  starts.push_back(0);  // duplicate on purpose
+  ascending.warm_orbits(starts);
+  ASSERT_EQ(ascending.orbits_extracted(), static_cast<std::uint64_t>(n))
+      << context;
+  ascending.warm_orbits(starts);  // every start cached: extracts nothing
+  ASSERT_EQ(ascending.orbits_extracted(), static_cast<std::uint64_t>(n))
+      << context;
+
+  const CompiledConfigEngine descending(t, a);
+  for (tree::NodeId s = n - 1; s >= 0; --s) descending.orbit(s);
+  ASSERT_EQ(descending.orbits_extracted(), static_cast<std::uint64_t>(n))
+      << context;
+
+  for (tree::NodeId s = 0; s < n; ++s) {
+    expect_orbit_fields_equal(ascending.orbit(s), descending.orbit(s),
+                              context + " start " + std::to_string(s));
+  }
+  // Shared-cycle structure must agree: roots may differ, root equality
+  // must not.
+  for (tree::NodeId u = 0; u < n; ++u) {
+    for (tree::NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(
+          ascending.orbit(u).cycle_root == ascending.orbit(v).cycle_root,
+          descending.orbit(u).cycle_root == descending.orbit(v).cycle_root)
+          << context << " " << u << " " << v;
+    }
+  }
+
+  std::vector<PairQuery> queries;
+  for (tree::NodeId u = 0; u < n; ++u) {
+    for (tree::NodeId v = u + 1; v < n; ++v) {
+      for (const std::uint64_t d : {0ull, 1ull, 9ull}) {
+        queries.push_back({u, v, d, 0});
+      }
+    }
+  }
+  const auto lhs = verify_grid(ascending, ascending, queries, 200000);
+  const auto rhs = verify_grid(descending, descending, queries, 200000);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(lhs[i].met, rhs[i].met) << context << " " << i;
+    ASSERT_EQ(lhs[i].meeting_round, rhs[i].meeting_round)
+        << context << " " << i;
+    ASSERT_EQ(lhs[i].certified_forever, rhs[i].certified_forever)
+        << context << " " << i;
+    ASSERT_EQ(lhs[i].cycle_length, rhs[i].cycle_length)
+        << context << " " << i;
+    ASSERT_EQ(lhs[i].rounds_checked, rhs[i].rounds_checked)
+        << context << " " << i;
+    ASSERT_EQ(lhs[i].engine, rhs[i].engine) << context << " " << i;
   }
 }
 
-// --- Batched verdict grids --------------------------------------------------
+TEST(ExtractionOrder, RandomAutomataAgreeAscendingAndDescending) {
+  // Random port-sensitive and port-oblivious automata on degree-3 trees
+  // and lines.
+  for (const std::uint64_t seed : {0xba7c4ull, 0x51ull}) {
+    util::Rng rng(seed);
+    for (int rep = 0; rep < 25; ++rep) {
+      const bool line_case = rep % 2 == 0;
+      const tree::Tree t =
+          line_case ? random_line(3 + static_cast<int>(rng.index(10)), rng)
+                    : random_degree3_tree(rng);
+      TabularAutomaton a;
+      switch (rng.index(3)) {
+        case 0:  // port-sensitive
+          a = random_tree_automaton(1 + static_cast<int>(rng.index(6)), rng)
+                  .tabular();
+          break;
+        case 1:  // port-oblivious, lifted
+          a = lift_to_tree_automaton(
+                  random_line_automaton(1 + static_cast<int>(rng.index(6)),
+                                        rng))
+                  .tabular();
+          break;
+        default:  // port-oblivious line table
+          a = random_line_automaton(1 + static_cast<int>(rng.index(6)), rng)
+                  .tabular();
+          break;
+      }
+      if (t.max_degree() > a.max_degree) continue;  // substrate out of model
+      run_extraction_order_differential(
+          t, a, "seed " + std::to_string(seed) + " rep " +
+                    std::to_string(rep));
+    }
+  }
+}
 
-TEST(VerifyGrid, MatchesPerQueryVerdictsAndIsDeterministic) {
+TEST(ExtractionOrder, PingPongOnSymmetricLineAgrees) {
+  // Orbits from the two halves of the line have different tails and
+  // cycle entries, so the two orders merge into different hosts.
+  run_extraction_order_differential(tree::line_symmetric_colored(15),
+                                    ping_pong_walker(2).tabular(),
+                                    "ping-pong(2)");
+}
+
+TEST(ExtractionOrder, WarmOrbitsRejectsOutOfRangeStart) {
+  util::Rng rng(12);
+  const tree::Tree t = tree::line(5);
+  const CompiledLineEngine engine(t, random_line_automaton(3, rng));
+  const std::vector<tree::NodeId> bad{0, 5};
+  EXPECT_THROW(engine.warm_orbits(bad), std::invalid_argument);
+  const std::vector<tree::NodeId> negative{-1};
+  EXPECT_THROW(engine.warm_orbits(negative), std::invalid_argument);
+}
+
+// --- Verdict grids ----------------------------------------------------------
+
+TEST(VerifyGrid, MatchesPerQueryVerdicts) {
   util::Rng rng(314);
   const tree::Tree t = random_degree3_tree(rng);
   const auto a = random_tree_automaton(4, rng).tabular();
@@ -634,7 +591,7 @@ TEST(VerifyGrid, MatchesPerQueryVerdictsAndIsDeterministic) {
     }
   }
   constexpr std::uint64_t kHorizon = 100000;
-  const auto serial = verify_grid(engine, engine, queries, kHorizon, 1);
+  const auto serial = verify_grid(engine, engine, queries, kHorizon);
   ASSERT_EQ(serial.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto& q = queries[i];
@@ -647,17 +604,6 @@ TEST(VerifyGrid, MatchesPerQueryVerdictsAndIsDeterministic) {
     ASSERT_EQ(serial[i].cycle_length, one.cycle_length) << i;
     ASSERT_EQ(serial[i].rounds_checked, one.rounds_checked) << i;
     ASSERT_EQ(serial[i].engine, VerifyEngine::kCompiled) << i;
-  }
-  for (const unsigned threads : {2u, 4u}) {
-    const auto parallel = verify_grid(engine, engine, queries, kHorizon,
-                                      threads);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(parallel[i].met, serial[i].met) << threads << " " << i;
-      ASSERT_EQ(parallel[i].rounds_checked, serial[i].rounds_checked)
-          << threads << " " << i;
-      ASSERT_EQ(parallel[i].cycle_length, serial[i].cycle_length)
-          << threads << " " << i;
-    }
   }
 }
 
@@ -675,6 +621,12 @@ TEST(VerifyGrid, ValidatesQueriesUpFront) {
                std::invalid_argument);
   const std::vector<PairQuery> ok{{0, 1, 0, 0}};
   EXPECT_THROW(verify_grid(engine, engine, ok, 0), std::invalid_argument);
+  // A bad query late in the grid is rejected before any query is
+  // answered: no orbit gets extracted.
+  const std::vector<PairQuery> bad_last{{0, 1, 0, 0}, {3, 3, 0, 0}};
+  EXPECT_THROW(verify_grid(engine, engine, bad_last, 10),
+               std::invalid_argument);
+  EXPECT_EQ(engine.orbits_extracted(), 0u);
 }
 
 // --- Dispatch boundaries ----------------------------------------------------

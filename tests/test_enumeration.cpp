@@ -62,8 +62,7 @@ TEST(Enumeration, MatchesVerifyGridFieldForFieldAcrossRebinds) {
             {gq.starts[0], gq.starts[1], gq.delays[0], gq.delays[1]});
       }
       const CompiledConfigEngine engine(*grids[g].tree, a);
-      const auto unfused =
-          verify_grid(engine, engine, pair_queries, kHorizon, 1);
+      const auto unfused = verify_grid(engine, engine, pair_queries, kHorizon);
       ASSERT_EQ(fused.size(), unfused.size());
       std::uint64_t unmet = 0;
       std::ptrdiff_t first = -1;

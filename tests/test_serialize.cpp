@@ -63,7 +63,7 @@ std::shared_ptr<const CompiledConfigEngine::OrbitSet> random_published_set(
   const CompiledConfigEngine engine(t, a);
   std::vector<tree::NodeId> starts;
   for (tree::NodeId s = 0; s < t.node_count(); ++s) starts.push_back(s);
-  engine.warm_orbits(starts);
+  for (const tree::NodeId s : starts) engine.orbit(s);
   for (const tree::NodeId u : starts) {
     for (const tree::NodeId v : starts) {
       const auto& A = engine.orbit(u);

@@ -455,9 +455,7 @@ TEST_F(ServiceTest, NetOrbitStoreRoundTripsThroughTheCoordinator) {
   const sim::TabularAutomaton a =
       sim::random_line_automaton(3, rng).tabular();
   const sim::CompiledConfigEngine engine(t, a);
-  std::vector<tree::NodeId> starts;
-  for (tree::NodeId n = 0; n < t.node_count(); ++n) starts.push_back(n);
-  engine.warm_orbits(starts);
+  for (tree::NodeId n = 0; n < t.node_count(); ++n) engine.orbit(n);
   const sim::OrbitKey key = sim::combine_orbit_keys(
       sim::tree_orbit_key(t), sim::canonical_automaton_key(a));
 
