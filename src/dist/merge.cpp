@@ -4,6 +4,31 @@
 
 namespace rvt::dist {
 
+namespace {
+
+/// The shard's journal, or nullopt when it is missing. An unusable
+/// preamble is terminal for a healthy shard (rethrown); for a quarantined
+/// one it is just another face of "missing".
+std::optional<JournalState> read_shard_journal(const std::string& path,
+                                               bool quarantined) {
+  try {
+    return read_journal(path);
+  } catch (const SerializeError&) {
+    if (!quarantined) throw;
+    return std::nullopt;
+  }
+}
+
+/// True iff the journal's header names this shard of this plan.
+bool bound_to(const JournalState& state, const ShardSpec& spec,
+              const ShardPlan& plan) {
+  return state.header.shard_id == spec.id &&
+         state.header.fingerprint == plan.fingerprint &&
+         state.header.begin == spec.begin && state.header.end == spec.end;
+}
+
+}  // namespace
+
 void write_quarantine_manifest(const std::string& path,
                                const QuarantineManifest& m) {
   WireWriter w;
@@ -87,31 +112,19 @@ MergeResult merge_journals(const ShardPlan& plan,
   out.indices = plan.count;
   for (const ShardSpec& spec : plan.shards) {
     const std::string path = journal_path(journal_dir, spec);
-    std::optional<JournalState> state;
-    try {
-      state = read_journal(path);
-    } catch (const SerializeError&) {
-      // An unusable preamble is terminal for a healthy shard; for a
-      // quarantined one it is just another face of "missing".
-      if (!quarantined(spec)) throw;
-      state.reset();
-    }
-    const bool sealed = state.has_value() && state->complete &&
-                        state->header.shard_id == spec.id &&
-                        state->header.fingerprint == plan.fingerprint &&
-                        state->header.begin == spec.begin &&
-                        state->header.end == spec.end;
-    if (!sealed && quarantined(spec)) {
+    const bool is_quarantined = quarantined(spec);
+    const std::optional<JournalState> state =
+        read_shard_journal(path, is_quarantined);
+    const bool sealed =
+        state.has_value() && state->complete && bound_to(*state, spec, plan);
+    if (!sealed && is_quarantined) {
       out.missing.emplace_back(spec.begin, spec.end);
       continue;
     }
     if (!state.has_value()) {
       throw SerializeError("merge: missing journal " + path);
     }
-    if (!(state->header.shard_id == spec.id) ||
-        !(state->header.fingerprint == plan.fingerprint) ||
-        state->header.begin != spec.begin ||
-        state->header.end != spec.end) {
+    if (!bound_to(*state, spec, plan)) {
       throw SerializeError("merge: journal " + path +
                            " is bound to a different shard or plan");
     }

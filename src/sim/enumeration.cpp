@@ -1,8 +1,10 @@
 #include "sim/enumeration.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -47,6 +49,10 @@ bool same_content(const EnumGrid& x, const EnumGrid& y) {
     }
   }
   return x.starts == y.starts && x.delays == y.delays;
+}
+
+inline std::uint64_t saturating_add(std::uint64_t x, std::uint64_t y) {
+  return x > UINT64_MAX - y ? UINT64_MAX : x + y;
 }
 
 }  // namespace
@@ -126,6 +132,61 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
     row.computed.resize(grids_.size());
     row.owed.resize(grids_.size());
   }
+}
+
+EnumerationContext::CountPlan EnumerationContext::plan_counts(
+    const EnumGrid& grid, std::span<const tree::NodeId> starts,
+    std::uint64_t max_rounds) {
+  CountPlan plan;
+  if (starts.size() > 64) return plan;
+  std::vector<std::uint8_t> bit(
+      static_cast<std::size_t>(grid.tree->node_count()), 0);
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    bit[static_cast<std::size_t>(starts[i])] = static_cast<std::uint8_t>(i);
+  }
+  // Canonical form of a query: b starts no later than a, time runs from
+  // the round before b's first move (both agents sit on their distinct
+  // starts until then), and a is delayed by the gap.
+  struct Item {
+    tree::NodeId a;
+    std::uint64_t gap;
+    std::uint64_t horizon;
+    std::uint8_t b;
+  };
+  std::vector<Item> items;
+  items.reserve(grid.query_count());
+  for (std::size_t q = 0; q < grid.query_count(); ++q) {
+    const tree::NodeId* s = grid.starts.data() + 2 * q;
+    const std::uint64_t* d = grid.delays.data() + 2 * q;
+    const bool swap = d[0] < d[1];
+    const std::uint64_t lo = swap ? d[0] : d[1];
+    const std::uint64_t hi = swap ? d[1] : d[0];
+    if (lo >= max_rounds) {  // nobody moves within the horizon
+      ++plan.never;
+      continue;
+    }
+    items.push_back({swap ? s[1] : s[0], hi - lo, max_rounds - lo,
+                     bit[static_cast<std::size_t>(swap ? s[0] : s[1])]});
+  }
+  std::sort(items.begin(), items.end(), [](const Item& x, const Item& y) {
+    return std::tie(x.a, x.gap, x.horizon) < std::tie(y.a, y.gap, y.horizon);
+  });
+  for (const Item& it : items) {
+    if (plan.masks.empty() || plan.masks.back().a != it.a ||
+        plan.masks.back().gap != it.gap ||
+        plan.masks.back().horizon != it.horizon) {
+      plan.masks.push_back({it.a, it.gap, it.horizon, 0});
+      if (it.gap < it.horizon) plan.max_gap = std::max(plan.max_gap, it.gap);
+      plan.max_horizon = std::max(plan.max_horizon, it.horizon);
+    }
+    const std::uint64_t b = std::uint64_t{1} << it.b;
+    if ((plan.masks.back().want & b) != 0) {
+      plan.repeats.push_back((plan.masks.size() - 1) << 6 | it.b);
+    }
+    plan.masks.back().want |= b;
+  }
+  plan.table_ok = true;
+  return plan;
 }
 
 void EnumerationContext::require_meet(std::size_t g) const {
@@ -353,15 +414,120 @@ std::uint64_t EnumerationContext::count_unmet(std::size_t g) {
                            : memoized_count(g, CountKind::kUnmet);
 }
 
+const EnumerationContext::CountPlan& EnumerationContext::count_plan(
+    std::size_t g) {
+  Slot& owner = slots_[distinct_[g]];
+  if (!owner.plan.has_value()) {
+    owner.plan = plan_counts(grids_[distinct_[g]], owner.warm_starts,
+                             max_rounds_);
+  }
+  return *owner.plan;
+}
+
+std::optional<std::uint64_t> EnumerationContext::table_unmet(
+    const Slot& slot, const CountPlan& plan, std::size_t n) {
+  if (!plan.table_ok) return std::nullopt;
+  const auto* optr = slot.orbit_ptr.data();
+  // reach = H + L - 1, H the longest tail and L the largest lcm of two
+  // cycle lengths. b's first visit to a parked a, if any, falls at or
+  // before round reach; once a walks (from round gap + 1), both agents
+  // are in-cycle from Tc <= gap + H, so their first meeting, if any,
+  // falls at or before Tc + lcm(lambda_a, lambda_b) - 1 <= gap + reach.
+  std::uint64_t tail = 0;
+  std::uint64_t period = 1;
+  std::uint64_t lens[64];
+  std::size_t nlens = 0;
+  for (const tree::NodeId s : slot.warm_starts) {
+    const CompiledConfigEngine::Orbit& o = *optr[s];
+    tail = std::max(tail, o.mu);
+    if (std::find(lens, lens + nlens, o.lambda) == lens + nlens) {
+      lens[nlens++] = o.lambda;
+    }
+  }
+  for (std::size_t i = 0; i < nlens; ++i) {
+    for (std::size_t j = i; j < nlens; ++j) {
+      period = std::max(period, detail::saturating_lcm(lens[i], lens[j]));
+    }
+  }
+  const std::uint64_t reach = saturating_add(tail, period) - 1;
+  const std::uint64_t rows =
+      std::min(plan.max_horizon, saturating_add(plan.max_gap, reach));
+  if (rows > kOccupancyWords / n) return std::nullopt;
+
+  // occ_[t * n + w]: starts whose undelayed agent is on w at round t + 1.
+  occ_.assign(static_cast<std::size_t>(rows) * n, 0);
+  for (std::size_t i = 0; i < slot.warm_starts.size(); ++i) {
+    const CompiledConfigEngine::Orbit& o = *optr[slot.warm_starts[i]];
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    const tree::NodeId* node = o.node.data();
+    const std::size_t size = o.node.size();
+    std::size_t j = 0;
+    std::uint64_t* row = occ_.data();
+    for (std::uint64_t t = 0; t < rows; ++t, row += n) {
+      if (++j == size) j = o.mu;
+      row[node[j]] |= bit;
+    }
+  }
+
+  // One OR per mask, shared by the masks of one (a, gap): horizons run
+  // ascending, so each extends the rounds of the one before.
+  masks_.resize(plan.masks.size());
+  std::uint64_t unmet = plan.never;
+  const std::uint64_t* occ = occ_.data();
+  for (std::size_t k = 0; k < plan.masks.size();) {
+    const tree::NodeId a = plan.masks[k].a;
+    const std::uint64_t gap = plan.masks[k].gap;
+    const std::uint64_t* parked_col = occ + a;
+    const CompiledConfigEngine::Orbit& o = *optr[a];
+    const tree::NodeId* node = o.node.data();
+    const std::size_t size = o.node.size();
+    const std::uint64_t parked_cap = std::min(gap, reach);
+    const std::uint64_t walk_cap = saturating_add(gap, reach);
+    std::uint64_t acc = 0;
+    std::uint64_t parked = 0;  // parked rounds ORed so far
+    std::uint64_t t = gap;     // last walking round ORed so far
+    std::size_t j = 0;
+    for (; k < plan.masks.size() && plan.masks[k].a == a &&
+           plan.masks[k].gap == gap;
+         ++k) {
+      const std::uint64_t horizon = plan.masks[k].horizon;
+      for (const std::uint64_t end = std::min(parked_cap, horizon);
+           parked < end; ++parked) {
+        acc |= parked_col[parked * n];
+      }
+      for (const std::uint64_t end = std::min(walk_cap, horizon); t < end;
+           ++t) {
+        if (++j == size) j = o.mu;
+        acc |= occ[t * n + static_cast<std::size_t>(node[j])];
+      }
+      masks_[k] = acc;
+      unmet += static_cast<std::uint64_t>(
+          std::popcount(plan.masks[k].want & ~acc));
+    }
+  }
+  for (const std::uint64_t r : plan.repeats) {
+    unmet += ((masks_[r >> 6] >> (r & 63)) & 1) ^ 1;
+  }
+  return unmet;
+}
+
 std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
   const Slot& slot = prepare(g);
+  const EnumGrid& grid = grids_[g];
+  const std::size_t nq = grid.query_count();
+  stats_.queries += nq;
+  if (const auto unmet =
+          table_unmet(slot, count_plan(g),
+                      static_cast<std::size_t>(grid.tree->node_count()))) {
+    return *unmet;
+  }
+  // Past the table budget: one pair state per start pair.
+  ++stats_.fallback_counts;
   const CompiledConfigEngine& e = *slot.engine;
   const auto* optr = slot.orbit_ptr.data();
-  const EnumGrid& grid = grids_[g];
   std::uint64_t unmet = 0;
   const tree::NodeId* sdata = grid.starts.data();
   const std::uint64_t* ddata = grid.delays.data();
-  const std::size_t nq = grid.query_count();
   std::size_t i = 0;
   while (i < nq) {
     const tree::NodeId* s = sdata + 2 * i;
@@ -374,7 +540,6 @@ std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
     unmet += detail::count_unmet_run(st, ddata + 2 * i, j - i, max_rounds_);
     i = j;
   }
-  stats_.queries += nq;
   return unmet;
 }
 

@@ -14,6 +14,9 @@
 //   verify(g)        answer grid g into a reused verdict buffer —
 //                    every start's orbit extracted (one walk each),
 //                    queries answered by the inlined verdict core,
+//   count_unmet(g)   the number of defeats of grid g, from one round x
+//                    node occupancy table of the grid's starts (see
+//                    below) — no verdict, no per-pair state,
 //   first_unmet(g)   the adaptive variant: scan grid g until the first
 //                    defeat (verdict with met == false), early-exiting —
 //                    the shape of a "smallest defeating instance" search.
@@ -24,6 +27,27 @@
 // serves any arity through the k-tuple verdict core
 // (sim/verify_core.hpp), over the very same engines and warmed orbits
 // (orbits are per-agent; nothing below this layer knows k).
+//
+// A count needs met/unmet alone, and a query meets iff its two agents
+// stand on one node at some round <= the horizon: its first meeting, if
+// any, falls before Tc + lcm(lambda_a, lambda_b), where the joint run
+// turns periodic — which is before the Brent detection round the verdict
+// certifies at. count_unmet therefore answers a grid from one table per
+// binding: occ[t][w] = the bitmask of starts whose undelayed agent
+// stands on node w at round t. Let reach = H + L - 1, H the longest tail
+// and L the largest lcm of two cycle lengths among the grid's starts. A
+// query with a delayed by gap over b meets iff bit b is set in the OR of
+// occ[t][a] over the parked rounds t <= min(gap, reach) and of
+// occ[t][pos_a(t)] over the walking rounds gap < t <= gap + reach (both
+// capped at the horizon), so the table needs the largest moving gap +
+// reach rows. Each OR is computed once per distinct (delayed start,
+// gap, horizon). A grid's queries are canonicalized into that form once
+// per context, at its first count (roles swapped so b starts no later,
+// time shifted by the smaller delay): contexts that only ever serve
+// memo hits, or never count, pay nothing for it. Grids with more than
+// 64 distinct starts, or whose table would pass kOccupancyWords, are
+// counted by the per-pair core instead (make_pair_state +
+// count_unmet_run).
 //
 // Grids are validated once at construction; the steady state allocates
 // nothing. The constructor also maps each grid to its first content-
@@ -153,6 +177,10 @@ struct EnumTelemetry {
   /// tables the row key merges with smaller ones. Counted when a count
   /// keys its row, so only with a cache attached.
   std::uint64_t canonical_collapses = 0;
+  /// Grid counts computed by the per-pair fallback: grids with more than
+  /// 64 distinct starts, or whose occupancy table would pass
+  /// EnumerationContext::kOccupancyWords under the binding.
+  std::uint64_t fallback_counts = 0;
   double hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
     return total == 0 ? 0.0
@@ -200,13 +228,14 @@ class EnumerationContext {
 
   /// Number of pair-grid-g queries with met == false, without
   /// materializing verdicts — the accumulation shape of defeat-density
-  /// profiles, where the verdict buffer writes would be the largest
-  /// remaining per-query cost. Equals counting met == false over
-  /// verify(g). With a cache attached the count comes from the binding's
-  /// unmet row (battery key, trajectory key): a hit returns it
-  /// without touching the engine; a miss claims the row, computes every
-  /// distinct meet-capable grid locally and publishes the row (the claim
-  /// is abandoned on an exception).
+  /// profiles. Answered from the grid's occupancy table (one bit test per
+  /// query; see the header comment), or by the per-pair core past the
+  /// table budget. Equals counting met == false over verify(g). With a
+  /// cache attached the count comes from the binding's unmet row
+  /// (battery key, trajectory key): a hit returns it without touching
+  /// the engine; a miss claims the row, computes every distinct
+  /// meet-capable grid locally and publishes the row (the claim is
+  /// abandoned on an exception).
   std::uint64_t count_unmet(std::size_t g);
 
   /// Gathering verdicts of grid g (any arity, k = 2 included) under the
@@ -229,6 +258,11 @@ class EnumerationContext {
   std::uint64_t count_ungathered(std::size_t g);
 
   std::size_t grid_count() const { return grids_.size(); }
+
+  /// Words (u64) one occupancy table may hold: rounds x nodes. A grid
+  /// whose table would be larger is counted by the per-pair fallback.
+  static constexpr std::size_t kOccupancyWords = std::size_t{1} << 14;
+
   /// Telemetry accumulated by this context so far (orbits_extracted sums
   /// over the engines built so far). Also reports the memo hits served
   /// from rows to the attached cache's stats(), which otherwise receive
@@ -263,6 +297,31 @@ class EnumerationContext {
     std::uint64_t pending_ = 0;
   };
 
+  /// One distinct (delayed start, delay gap, shifted horizon) of a meet
+  /// grid: its queries meet iff the partner's bit is in the OR of the
+  /// occupancy rows a's rounds read (see the header comment).
+  struct MaskSpec {
+    tree::NodeId a = -1;        ///< the later start (gap 0: the first)
+    std::uint64_t gap = 0;      ///< delay of a over its partner
+    std::uint64_t horizon = 0;  ///< max_rounds - the partner's delay
+    std::uint64_t want = 0;     ///< bits of the partners asked once
+  };
+
+  /// A meet grid's queries in occupancy form, built at the grid's first
+  /// count in this context and shared by its content-identical copies.
+  /// Bit i names warm_starts[i].
+  struct CountPlan {
+    bool table_ok = false;  ///< <= 64 distinct starts
+    std::vector<MaskSpec> masks;  ///< sorted by (a, gap, horizon)
+    /// Repeats of a (mask, partner bit) already in `want`: mask index
+    /// << 6 | bit.
+    std::vector<std::uint64_t> repeats;
+    std::uint64_t never = 0;    ///< queries nobody moves in
+    /// Largest gap of a mask whose a moves within its horizon.
+    std::uint64_t max_gap = 0;
+    std::uint64_t max_horizon = 0;
+  };
+
   struct Slot {
     std::optional<CompiledConfigEngine> engine;
     std::vector<tree::NodeId> warm_starts;  ///< unique starts of the grid
@@ -275,6 +334,7 @@ class EnumerationContext {
     /// Grid qualifies for the meet API: agents == 2 with pairwise
     /// distinct starts per query (precomputed by the constructor).
     bool meet_ok = false;
+    std::optional<CountPlan> plan;  ///< see count_plan
     /// first_unmet (0) / first_ungathered (1) answer of this grid for
     /// the binding named by first_serial.
     std::ptrdiff_t first_index[2] = {0, 0};
@@ -325,6 +385,20 @@ class EnumerationContext {
   /// The count scans over a locally prepared slot of grid g.
   std::uint64_t scan_unmet(std::size_t g);
   std::uint64_t scan_ungathered(std::size_t g);
+  /// Meet grid g's CountPlan, kept on its first content-identical grid's
+  /// slot.
+  const CountPlan& count_plan(std::size_t g);
+  /// scan_unmet through a prepared slot's occupancy table over a tree
+  /// of n nodes; nullopt when the grid is past the table budget for this
+  /// binding.
+  std::optional<std::uint64_t> table_unmet(const Slot& slot,
+                                           const CountPlan& plan,
+                                           std::size_t n);
+  /// Canonicalizes a meet grid's queries into a CountPlan; `starts` are
+  /// the grid's distinct starts (the plan's bit order).
+  static CountPlan plan_counts(const EnumGrid& grid,
+                               std::span<const tree::NodeId> starts,
+                               std::uint64_t max_rounds);
   /// first_unmet (kind 0) / first_ungathered (kind 1) of grid g, scanned
   /// once per (binding, distinct grid) and stored on the distinct grid's
   /// slot.
@@ -348,6 +422,8 @@ class EnumerationContext {
   MemoRow rows_[2];  ///< kUnmet, kUngathered
   mutable HitTally row_hits_;
   std::vector<Verdict> verdicts_;
+  std::vector<std::uint64_t> occ_;    ///< table_unmet's occupancy rows
+  std::vector<std::uint64_t> masks_;  ///< table_unmet's per-spec ORs
   std::vector<GatherVerdict> gather_verdicts_;
   EnumTelemetry stats_;
 };
@@ -382,6 +458,7 @@ auto sweep_enumeration(std::span<const EnumGrid> grids, std::uint64_t count,
         telemetry->cache_misses += t.cache_misses;
         telemetry->orbits_extracted += t.orbits_extracted;
         telemetry->canonical_collapses += t.canonical_collapses;
+        telemetry->fallback_counts += t.fallback_counts;
       },
       num_threads);
   return results;

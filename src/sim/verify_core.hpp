@@ -15,10 +15,12 @@
 //   verify_with_state()  the full five-field verdict (Brent detection
 //                        round, certificate cycle length) — what
 //                        verify()/verify_grid return.
-//   met_with_state()     the met/unmet classification alone — what
-//                        defeat counting needs; skips the Brent window
-//                        arithmetic entirely on the (majority) unmet
-//                        outcomes.
+//   met_with_state()     the met/unmet classification alone; skips the
+//                        Brent window arithmetic entirely on the
+//                        (majority) unmet outcomes. Defeat counts use it
+//                        only through count_unmet_run, the fallback for
+//                        grids past the occupancy-table budget
+//                        (sim/enumeration.hpp).
 //
 // Everything assumes validated inputs (distinct in-range starts,
 // max_rounds > 0, orbits fetched from the right engines):
@@ -352,8 +354,10 @@ inline bool met_with_state(const PairState& st, std::uint64_t da,
 /// Unmet count over a pair-major run of queries sharing one PairState.
 /// `delays` is the flat k = 2 delay storage of the grid (delay_a, delay_b
 /// per query, `len` queries). Flattened so the classification inlines and
-/// the pair state stays hot across the delay run — the innermost loop of
-/// defeat-density profiles.
+/// the pair state stays hot across the delay run. This is the FALLBACK
+/// count: EnumerationContext::count_unmet answers a grid from one
+/// occupancy table and comes here only for grids with more than 64
+/// distinct starts or a table past EnumerationContext::kOccupancyWords.
 __attribute__((flatten)) inline std::uint64_t count_unmet_run(
     const PairState& st, const std::uint64_t* delays, std::size_t len,
     std::uint64_t M) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -715,6 +716,210 @@ TEST(Enumeration, ValidatesGridsAndBindingUpFront) {
     EnumerationContext memo(grids, 10, &cache);
     EXPECT_THROW(memo.count_unmet(0), std::logic_error);
     EXPECT_THROW(memo.count_ungathered(0), std::logic_error);
+  }
+}
+
+// ---- count_unmet against verify(): the occupancy table and its fallback
+
+/// Uniformly random table over max degree D (actions kStay or a port).
+TabularAutomaton random_tabular(int K, int D, util::Rng& rng) {
+  TabularAutomaton a;
+  a.max_degree = D;
+  a.initial = static_cast<int>(rng.index(static_cast<std::size_t>(K)));
+  a.delta.resize(static_cast<std::size_t>(K) * (D + 1) * D);
+  for (int& next : a.delta) {
+    next = static_cast<int>(rng.index(static_cast<std::size_t>(K)));
+  }
+  a.lambda.resize(static_cast<std::size_t>(K));
+  for (int& act : a.lambda) {
+    act = static_cast<int>(rng.index(static_cast<std::size_t>(D) + 1)) - 1;
+  }
+  a.validate();
+  return a;
+}
+
+/// Every ordered pair of distinct `starts` under every (delay_a, delay_b)
+/// drawn from `delays`, plus a repeat of the first query.
+EnumGrid ordered_pairs_grid(const tree::Tree& t,
+                            const std::vector<tree::NodeId>& starts,
+                            const std::vector<std::uint64_t>& delays) {
+  EnumGrid grid(&t, 2);
+  for (const tree::NodeId u : starts) {
+    for (const tree::NodeId v : starts) {
+      if (u == v) continue;
+      for (const std::uint64_t da : delays) {
+        for (const std::uint64_t db : delays) grid.push({u, v, da, db});
+      }
+    }
+  }
+  grid.push({starts[0], starts[1], delays[0], delays[0]});
+  return grid;
+}
+
+std::uint64_t unmet_by_verify(EnumerationContext& ctx, std::size_t g) {
+  std::uint64_t unmet = 0;
+  for (const Verdict& v : ctx.verify(g)) unmet += v.met ? 0 : 1;
+  return unmet;
+}
+
+/// count_unmet equals the met == false count over verify() on every grid,
+/// with and without a cache attached. Returns the plain context's
+/// telemetry (its fallback_counts says which path counted).
+EnumTelemetry expect_counts_match_verify(const std::vector<EnumGrid>& grids,
+                                         std::uint64_t horizon,
+                                         const TabularAutomaton& a,
+                                         std::uint64_t* unmet_total) {
+  OrbitCache cache;
+  EnumerationContext plain(grids, horizon);
+  EnumerationContext cached(grids, horizon, &cache);
+  EnumerationContext reference(grids, horizon);
+  plain.bind(a);
+  cached.bind(a);
+  reference.bind(a);
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    const std::uint64_t want = unmet_by_verify(reference, g);
+    EXPECT_EQ(plain.count_unmet(g), want) << "grid " << g << " M " << horizon;
+    EXPECT_EQ(cached.count_unmet(g), want) << "grid " << g << " M " << horizon;
+    *unmet_total += want;
+  }
+  EXPECT_EQ(cached.telemetry().cache_misses + cached.telemetry().cache_hits,
+            grids.size());
+  EXPECT_EQ(cached.telemetry().fallback_counts,
+            plain.telemetry().fallback_counts);
+  return plain.telemetry();
+}
+
+TEST(CountUnmet, MatchesVerifyOnRandomTreesDelaysAndHorizons) {
+  // Seeded random trees (random ports) and tables over their max degree.
+  // Every ordered start pair meets every delay pair, so both agents are
+  // delayed in either order; delays at and past the horizon, and a
+  // horizon ending inside the first joint period of a start pair, are in
+  // every case. A copy of each grid on a twin tree shares its plan.
+  util::Rng rng(0x0cc7ab1eull);
+  std::uint64_t counts = 0, fallbacks = 0, unmet = 0, inside = 0;
+  for (int rep = 0; rep < 48; ++rep) {
+    const auto n = static_cast<tree::NodeId>(3 + rng.index(14));
+    const tree::Tree t =
+        tree::randomize_ports(tree::random_attachment(n, rng), rng);
+    const tree::Tree twin = t;
+    const TabularAutomaton a = random_tabular(
+        1 + static_cast<int>(rng.index(4)), t.max_degree(), rng);
+    std::vector<tree::NodeId> starts(static_cast<std::size_t>(n));
+    for (tree::NodeId v = 0; v < n; ++v) {
+      starts[static_cast<std::size_t>(v)] = v;
+    }
+    rng.shuffle(starts);
+    starts.resize(2 + rng.index(static_cast<std::size_t>(n) - 1));
+
+    // A horizon inside the first joint period of the first start pair
+    // under zero delays: Tc <= M < Tc + lcm - 1 once the lcm is >= 3.
+    const CompiledConfigEngine engine(t, a);
+    const auto& oa = engine.orbit(starts[0]);
+    const auto& ob = engine.orbit(starts[1]);
+    const std::uint64_t tc = std::max(oa.mu, ob.mu);
+    const std::uint64_t lcm = std::lcm(oa.lambda, ob.lambda);
+    const std::uint64_t mid = tc + lcm / 2;
+    if (lcm >= 3) ++inside;
+
+    for (const std::uint64_t horizon :
+         {std::uint64_t{100000}, mid, std::uint64_t{1 + rng.index(6)}}) {
+      std::vector<std::uint64_t> delays{0, 1, 2, 5, 11, horizon, horizon + 3};
+      if (horizon <= 1000) delays.push_back(horizon - 1);
+      std::vector<EnumGrid> grids{ordered_pairs_grid(t, starts, delays)};
+      grids.push_back(grids[0]);
+      grids.back().tree = &twin;
+      const EnumTelemetry tel =
+          expect_counts_match_verify(grids, horizon, a, &unmet);
+      counts += grids.size();
+      fallbacks += tel.fallback_counts;
+    }
+    ASSERT_FALSE(HasFailure()) << "rep " << rep;
+  }
+  // Most grids take the occupancy table; the counts are not all trivial.
+  EXPECT_LT(fallbacks * 4, counts);
+  EXPECT_GT(unmet, 0u);
+  EXPECT_GT(inside, 10u);
+}
+
+TEST(CountUnmet, FallsBackPastSixtyFourStarts) {
+  // 70 distinct starts do not fit one 64-bit mask: every count takes the
+  // per-pair core and still equals verify's.
+  const tree::Tree t = tree::line_edge_colored(70, 0);
+  std::vector<tree::NodeId> starts;
+  for (tree::NodeId v = 0; v < 70; ++v) starts.push_back(v);
+  EnumGrid grid(&t, 2);
+  for (std::size_t i = 0; i + 1 < starts.size(); ++i) {
+    grid.push({starts[i], starts[i + 1], 0, 3});
+    grid.push({starts[i + 1], starts[i], 2, 0});
+  }
+  const std::vector<EnumGrid> grids{grid};
+  util::Rng rng(0x64b175ull);
+  std::uint64_t unmet = 0;
+  for (int rep = 0; rep < 6; ++rep) {
+    const TabularAutomaton a =
+        random_line_automaton(1 + static_cast<int>(rng.index(4)), rng)
+            .tabular();
+    const EnumTelemetry tel =
+        expect_counts_match_verify(grids, 5000, a, &unmet);
+    EXPECT_EQ(tel.fallback_counts, 1u) << rep;
+  }
+}
+
+/// Spider with legs of `legs[i]` edges on center port i; along a leg, port
+/// 0 points to the center.
+tree::Tree spider_with_legs(const std::vector<int>& legs) {
+  std::vector<tree::PortedEdge> edges;
+  tree::NodeId next = 1;
+  for (std::size_t leg = 0; leg < legs.size(); ++leg) {
+    tree::NodeId parent = 0;
+    for (int k = 0; k < legs[leg]; ++k, ++next) {
+      const int port = parent == 0 ? static_cast<int>(leg) : 1;
+      edges.push_back({parent, next, port, 0});
+      parent = next;
+    }
+  }
+  return tree::Tree(next, edges);
+}
+
+TEST(CountUnmet, FallsBackPastTheTableBudgetOnNearCoprimeCycles) {
+  // Each agent bounces between its leg's leaf and the center: straight on
+  // at degree 2, back the way it came at the leaf and at the center (a
+  // third, short leg makes the center degree 3). Legs of 61 and 63 edges
+  // give cycles of 122 and 126 rounds (gcd 2), so a cross-leg pair's
+  // joint period is 7686 rounds: the table would need min(horizon, 7686)
+  // rows x 127 nodes, past kOccupancyWords at both horizons, one of
+  // which ends inside that first joint period.
+  const tree::Tree t = spider_with_legs({61, 63, 2});
+  ASSERT_EQ(t.node_count(), 127);
+  TreeAutomaton bounce;
+  bounce.initial = 0;
+  bounce.lambda = {0, 1, 2};  // state s exits by port s
+  bounce.delta.assign(3, {});
+  for (int s = 0; s < 3; ++s) {
+    for (int i = -1; i <= 2; ++i) {
+      bounce.delta[s][i + 1][0] = 0;               // leaf: back
+      bounce.delta[s][i + 1][1] = i == 0 ? 1 : 0;  // straight on
+      bounce.delta[s][i + 1][2] = i < 0 ? 0 : i;   // center: back
+    }
+  }
+  const TabularAutomaton a = bounce.tabular();
+  {
+    const CompiledConfigEngine engine(t, a);
+    ASSERT_EQ(engine.orbit(30).lambda, 122u);   // on the 61-edge leg
+    ASSERT_EQ(engine.orbit(100).lambda, 126u);  // on the 63-edge leg
+  }
+  ASSERT_GT(std::size_t{5000} * 127, EnumerationContext::kOccupancyWords);
+  const std::vector<tree::NodeId> starts{0, 5, 30, 61, 62, 64, 100, 124};
+  for (const std::uint64_t horizon : {std::uint64_t{300000},
+                                      std::uint64_t{5000}}) {
+    const std::vector<EnumGrid> grids{
+        ordered_pairs_grid(t, starts, {0, 1, 6, 40})};
+    std::uint64_t unmet = 0;
+    const EnumTelemetry tel =
+        expect_counts_match_verify(grids, horizon, a, &unmet);
+    EXPECT_EQ(tel.fallback_counts, 1u) << horizon;
+    EXPECT_GT(unmet, 0u) << horizon;
+    EXPECT_LT(unmet, grids[0].query_count()) << horizon;
   }
 }
 
