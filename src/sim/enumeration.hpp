@@ -363,6 +363,12 @@ class EnumerationContext {
   /// Ensures slot g's engine is bound to the current automaton with its
   /// orbits warmed and orbit_ptr refreshed; returns the slot.
   Slot& prepare(std::size_t g);
+  /// Prepares every grid a row of `kind` computes, before any is counted.
+  void prepare_row(CountKind kind);
+  /// prepare()'s work on a slot not yet warmed for the binding, with its
+  /// rvt_enum_bind_ns sample opened at obs_t0 (0: none); returns the
+  /// sample's end.
+  std::uint64_t warm(std::size_t g, std::uint64_t obs_t0);
   /// Binding only (no warm-up, orbit_ptr not refreshed) — the lazy path
   /// of first_unmet() and first_ungathered().
   Slot& prepare_scan(std::size_t g);

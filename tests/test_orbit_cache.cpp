@@ -802,10 +802,11 @@ TEST(CountMemo, ThrowMidRowAbandonsTheClaim) {
     EXPECT_EQ(*cache.find_row(key), 11u);  // ... and published
     EXPECT_EQ(cache.stats().publishes, 1u);
   }
-  // Context level: a line automaton computes the line grid, then throws
-  // binding the degree-3 grid — mid-row. The claim is abandoned, so the
-  // next context to ask recomputes (and throws again) instead of
-  // blocking, and the failed row is never published.
+  // Context level: a line automaton binds the line grid, then throws
+  // binding the degree-3 grid — mid-row (a row binds every grid it
+  // computes before counting any). The claim is abandoned, so the next
+  // context to ask recomputes (and throws again) instead of blocking,
+  // and the failed row is never published.
   const tree::Tree line = tree::line(6);
   const tree::Tree star = tree::star(3);
   EnumGrid line_grid(&line, {{0, 5, 0, 0}, {1, 4, 2, 0}});
@@ -820,8 +821,9 @@ TEST(CountMemo, ThrowMidRowAbandonsTheClaim) {
     ctx.bind(line_automaton);
     EXPECT_THROW((void)ctx.count_unmet(0), std::invalid_argument)
         << "attempt " << attempt;
-    EXPECT_EQ(ctx.telemetry().cache_misses, 1u);  // the line grid ran
-    EXPECT_GT(ctx.telemetry().queries, 0u);
+    EXPECT_EQ(ctx.telemetry().bindings, 1u);  // the line grid was bound
+    EXPECT_EQ(ctx.telemetry().cache_misses, 0u);  // ... and nothing counted
+    EXPECT_EQ(ctx.telemetry().queries, 0u);
     // The failed binding's row is looked up afresh, not served half-done.
     EXPECT_THROW((void)ctx.count_unmet(0), std::invalid_argument);
   }
