@@ -179,15 +179,18 @@ int main() {
   // answers — within a pass, an automaton whose trajectory class was
   // already counted is answered from its memo row.
   //
-  // The same loop is the observability overhead probe: every round runs
-  // one idle pass and one pass with every instrumentation site armed
-  // (metrics registry + delay tracker recording), alternating which goes
-  // first, so machine drift lands on both sides alike. The contract this
-  // bench enforces is the one obs/obs.hpp promises — one relaxed atomic
-  // load per idle site — so armed-vs-idle must stay within noise: the
-  // bench FAILS if the median over rounds of the paired ratio (armed pass
-  // / idle pass of the same round) exceeds 1.05x. Pairing cancels drift
-  // slower than a round; the median discards the rounds a co-tenant
+  // The same loop is the observability overhead probe: after one
+  // untimed warm-up round (one idle pass, one armed), every timed round
+  // interleaves kPassesPerSide idle passes with as many passes with every
+  // instrumentation site armed (metrics registry + delay tracker
+  // recording), alternating which side opens the round, so machine drift
+  // lands on both sides alike. The contract this bench enforces is the
+  // one obs/obs.hpp promises — one relaxed atomic load per idle site — so
+  // armed-vs-idle must stay within noise: the bench FAILS if the median
+  // over rounds of the paired ratio (summed armed time / summed idle time
+  // of the same round) exceeds 1.05x. Pairing cancels drift slower than a
+  // round; summing several passes per side keeps one co-tenant burst
+  // from deciding a ratio, and the median discards the rounds a longer
   // burst hit on one side only. Its deterministic companion counts the
   // armed sites' work instead of timing it: every armed pass adds exactly
   // one delay-tracker result per automaton and one rvt_enum_bind_ns
@@ -200,8 +203,9 @@ int main() {
   // each epoch.
   sim::OrbitCache cache(16, sim::OrbitCache::capacity_for(sample.size()));
   sim::EnumerationContext profile_ctx(profile_grids, kHorizon, &cache);
-  constexpr int kCompiledWarmup = 1;
-  constexpr int kCompiledRepeats = 25;
+  constexpr int kTimedRounds = 5;
+  constexpr int kPassesPerSide = 5;  // per side and timed round
+  constexpr int kCompiledRepeats = kTimedRounds * kPassesPerSide;
   std::uint64_t compiled_sum = 0, probe_sum = 0;
   double compiled_s = -1.0, obs_on_s = -1.0;
   std::vector<double> obs_ratios;  // armed / idle, one per timed round
@@ -209,9 +213,11 @@ int main() {
   obs::Histogram& bind_ns =
       obs::Registry::instance().histogram("rvt_enum_bind_ns");
   bool obs_work_ok = true;
-  for (int round = 0; round < kCompiledWarmup + kCompiledRepeats; ++round) {
-    double round_s[2] = {0.0, 0.0};  // idle, armed
-    for (const bool armed : {round % 2 == 1, round % 2 == 0}) {
+  for (int round = 0; round <= kTimedRounds; ++round) {  // 0: warm-up
+    const int per_side = round == 0 ? 1 : kPassesPerSide;
+    double round_s[2] = {0.0, 0.0};  // idle, armed: summed pass times
+    for (int p = 0; p < 2 * per_side; ++p) {
+      const bool armed = (p + round) % 2 == 1;
       if (armed && !probe_delay) probe_delay.emplace();
       const std::uint64_t results0 =
           probe_delay ? probe_delay->stats().results : 0;
@@ -234,12 +240,12 @@ int main() {
                     results == (armed ? sample.size() : 0) &&
                     binds == (armed ? prepared : 0);
       (armed ? probe_sum : compiled_sum) = sum;
-      round_s[armed ? 1 : 0] = sec;
-      if (round < kCompiledWarmup) continue;
+      round_s[armed ? 1 : 0] += sec;
+      if (round == 0) continue;
       double& best = armed ? obs_on_s : compiled_s;
       if (best < 0.0 || sec < best) best = sec;
     }
-    if (round >= kCompiledWarmup) obs_ratios.push_back(round_s[1] / round_s[0]);
+    if (round > 0) obs_ratios.push_back(round_s[1] / round_s[0]);
   }
   const obs::EnumDelayStats probe_stats = probe_delay->finish();
   // Same timing discipline as the compiled side (steady-state CPU time),
@@ -287,7 +293,7 @@ int main() {
                           : 0;
   }
   const std::uint64_t keys_per_pass = distinct_classes * distinct_grids;
-  constexpr std::uint64_t kPasses = 2 * (kCompiledWarmup + kCompiledRepeats);
+  constexpr std::uint64_t kPasses = 2 * (1 + kCompiledRepeats);
   const std::uint64_t counts_asked =
       kPasses * sample.size() * profile_grids.size();
   all_ok = all_ok && cache_stats.hits > 0 && cache_stats.rejects == 0 &&
@@ -318,7 +324,8 @@ int main() {
   const double obs_q1 = ratio_quantile(0.25), obs_q3 = ratio_quantile(0.75);
   const bool obs_ok = obs_ratio <= 1.05 && obs_work_ok;
   std::cout << "  obs armed:        " << obs_on_s << " s (paired armed/idle "
-            << "ratio over " << obs_ratios.size() << " rounds: median "
+            << "ratio over " << obs_ratios.size() << " rounds of "
+            << kPassesPerSide << " passes a side: median "
             << obs_ratio << "x, quartiles " << obs_q1 << "x-" << obs_q3
             << "x, budget 1.05x)\n"
             << "  obs work:         "

@@ -1,10 +1,8 @@
 #include "sim/enumeration.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
-#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -52,10 +50,6 @@ bool same_content(const EnumGrid& x, const EnumGrid& y) {
     }
   }
   return x.starts == y.starts && x.delays == y.delays;
-}
-
-inline std::uint64_t saturating_add(std::uint64_t x, std::uint64_t y) {
-  return x > UINT64_MAX - y ? UINT64_MAX : x + y;
 }
 
 }  // namespace
@@ -131,72 +125,15 @@ EnumerationContext::EnumerationContext(std::span<const EnumGrid> grids,
   }
   if (cache_ == nullptr) return;
   battery_key_ = battery.key();
-  for (MemoRow& row : rows_) {
-    row.computed.resize(grids_.size());
-    row.owed.resize(grids_.size());
-  }
-}
-
-EnumerationContext::CountPlan EnumerationContext::plan_counts(
-    const EnumGrid& grid, std::span<const tree::NodeId> starts,
-    std::uint64_t max_rounds) {
-  CountPlan plan;
-  if (starts.size() > 64) return plan;
-  std::vector<std::uint8_t> bit(
-      static_cast<std::size_t>(grid.tree->node_count()), 0);
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    bit[static_cast<std::size_t>(starts[i])] = static_cast<std::uint8_t>(i);
-  }
-  // Canonical form of a query: b starts no later than a, time runs from
-  // the round before b's first move (both agents sit on their distinct
-  // starts until then), and a is delayed by the gap.
-  struct Item {
-    tree::NodeId a;
-    std::uint64_t gap;
-    std::uint64_t horizon;
-    std::uint8_t b;
-  };
-  std::vector<Item> items;
-  items.reserve(grid.query_count());
-  for (std::size_t q = 0; q < grid.query_count(); ++q) {
-    const tree::NodeId* s = grid.starts.data() + 2 * q;
-    const std::uint64_t* d = grid.delays.data() + 2 * q;
-    const bool swap = d[0] < d[1];
-    const std::uint64_t lo = swap ? d[0] : d[1];
-    const std::uint64_t hi = swap ? d[1] : d[0];
-    if (lo >= max_rounds) {  // nobody moves within the horizon
-      ++plan.never;
-      continue;
-    }
-    items.push_back({swap ? s[1] : s[0], hi - lo, max_rounds - lo,
-                     bit[static_cast<std::size_t>(swap ? s[0] : s[1])]});
-  }
-  std::sort(items.begin(), items.end(), [](const Item& x, const Item& y) {
-    return std::tie(x.a, x.gap, x.horizon) < std::tie(y.a, y.gap, y.horizon);
-  });
-  for (const Item& it : items) {
-    if (plan.masks.empty() || plan.masks.back().a != it.a ||
-        plan.masks.back().gap != it.gap ||
-        plan.masks.back().horizon != it.horizon) {
-      plan.masks.push_back({it.a, it.gap, it.horizon, 0});
-      if (it.gap < it.horizon) plan.max_gap = std::max(plan.max_gap, it.gap);
-      plan.max_horizon = std::max(plan.max_horizon, it.horizon);
-    }
-    const std::uint64_t b = std::uint64_t{1} << it.b;
-    if ((plan.masks.back().want & b) != 0) {
-      plan.repeats.push_back((plan.masks.size() - 1) << 6 | it.b);
-    }
-    plan.masks.back().want |= b;
-  }
-  plan.table_ok = true;
-  return plan;
+  row_.computed.resize(grids_.size());
+  row_.owed.resize(grids_.size());
 }
 
 void EnumerationContext::require_meet(std::size_t g) const {
   if (!slots_[g].meet_ok) {
     throw std::invalid_argument(
         "EnumerationContext: the meet API needs a 2-agent grid with "
-        "distinct starts per query (use the gathering API otherwise)");
+        "distinct starts per query (use verify_gather otherwise)");
   }
 }
 
@@ -221,33 +158,32 @@ const OrbitKey& EnumerationContext::automaton_key() {
   return automaton_key_;
 }
 
-EnumerationContext::MemoRow& EnumerationContext::lookup_row(CountKind kind,
-                                                            MemoRow& row) {
+EnumerationContext::MemoRow& EnumerationContext::lookup_row() {
   // Before the first bind() no row matches (rows start at epoch 0, the
   // cache at 1), so every unbound count lands here.
   if (automaton_ == nullptr) {
     throw std::logic_error("EnumerationContext: bind() an automaton first");
   }
   const std::uint64_t epoch = cache_->epoch();
-  const OrbitKey key = row_memo_key(battery_key_, automaton_key(), kind);
+  const OrbitKey key = row_memo_key(battery_key_, automaton_key());
+  MemoRow& row = row_;
   row.local = false;
   row.counts = cache_->find_row(key);
   if (row.counts == nullptr) row.counts = cache_->acquire_row(key);
   if (row.counts == nullptr) {
     // We hold the claim: compute every distinct grid of the row once and
-    // copy the rest. An unmet row covers the meet-capable grids only.
+    // copy the rest. A row covers the meet-capable grids only.
     std::uint64_t computed = 0;
     try {
-      prepare_row(kind);
+      prepare_row();
       std::fill(row.owed.begin(), row.owed.end(), 0);
       for (std::size_t g = 0; g < grids_.size(); ++g) {
-        if (kind == CountKind::kUnmet && !slots_[g].meet_ok) {
+        if (!slots_[g].meet_ok) {
           row.computed[g] = 0;
         } else if (distinct_[g] != g) {
           row.computed[g] = row.computed[distinct_[g]];
         } else {
-          row.computed[g] =
-              kind == CountKind::kUnmet ? scan_unmet(g) : scan_ungathered(g);
+          row.computed[g] = scan_unmet(g);
           row.owed[g] = 1;
           ++computed;
           ++stats_.cache_misses;
@@ -277,14 +213,14 @@ EnumerationContext::Slot& EnumerationContext::prepare(std::size_t g) {
   return slot;
 }
 
-void EnumerationContext::prepare_row(CountKind kind) {
+void EnumerationContext::prepare_row() {
   // Back to back, so with obs armed one clock read closes one binding's
   // latency sample and opens the next: half the reads of timing each
   // binding alone, the armed site's main cost.
   std::uint64_t t_ns = 0;
   for (std::size_t g = 0; g < grids_.size(); ++g) {
     if (distinct_[g] != g || slots_[g].warmed_serial == serial_ ||
-        (kind == CountKind::kUnmet && !slots_[g].meet_ok)) {
+        !slots_[g].meet_ok) {
       continue;
     }
     if (!obs::enabled()) {
@@ -315,9 +251,8 @@ std::uint64_t EnumerationContext::warm(std::size_t g, std::uint64_t obs_t0) {
   return note_binding_prepared(obs_t0);
 }
 
-std::uint64_t EnumerationContext::memoized_count(std::size_t g,
-                                                 CountKind kind) {
-  MemoRow& row = memo_row(kind);
+std::uint64_t EnumerationContext::memoized_count(std::size_t g) {
+  MemoRow& row = memo_row();
   // A grid this binding just computed was its miss; every other count
   // served from the row is a hit. A hit prepares no binding, so it
   // records no binding latency: reading the row costs less than reading
@@ -398,19 +333,15 @@ std::span<const Verdict> EnumerationContext::verify(std::size_t g) {
   return {verdicts_.data(), nq};
 }
 
-std::ptrdiff_t EnumerationContext::first_answer(std::size_t g, int kind) {
-  Slot& first = slots_[distinct_[g]];
-  if (first.first_serial[kind] != serial_ || automaton_ == nullptr) {
-    first.first_index[kind] = kind == 0 ? scan_first_unmet(distinct_[g])
-                                        : scan_first_ungathered(distinct_[g]);
-    first.first_serial[kind] = serial_;
-  }
-  return first.first_index[kind];
-}
-
 std::ptrdiff_t EnumerationContext::first_unmet(std::size_t g) {
   require_meet(g);
-  return first_answer(g, 0);
+  // Scanned once per (binding, distinct grid), on the distinct grid.
+  Slot& first = slots_[distinct_[g]];
+  if (first.first_serial != serial_ || automaton_ == nullptr) {
+    first.first_index = scan_first_unmet(distinct_[g]);
+    first.first_serial = serial_;
+  }
+  return first.first_index;
 }
 
 std::ptrdiff_t EnumerationContext::scan_first_unmet(std::size_t g) {
@@ -438,105 +369,18 @@ std::ptrdiff_t EnumerationContext::scan_first_unmet(std::size_t g) {
 
 std::uint64_t EnumerationContext::count_unmet(std::size_t g) {
   require_meet(g);
-  return cache_ == nullptr ? scan_unmet(g)
-                           : memoized_count(g, CountKind::kUnmet);
+  return cache_ == nullptr ? scan_unmet(g) : memoized_count(g);
 }
 
-const EnumerationContext::CountPlan& EnumerationContext::count_plan(
+const CountPlan& EnumerationContext::count_plan(
     std::size_t g) {
   Slot& owner = slots_[distinct_[g]];
   if (!owner.plan.has_value()) {
-    owner.plan = plan_counts(grids_[distinct_[g]], owner.warm_starts,
-                             max_rounds_);
+    const EnumGrid& grid = grids_[distinct_[g]];
+    owner.plan =
+        plan_counts(grid.starts, grid.delays, owner.warm_starts, max_rounds_);
   }
   return *owner.plan;
-}
-
-std::optional<std::uint64_t> EnumerationContext::table_unmet(
-    const Slot& slot, const CountPlan& plan, std::size_t n) {
-  if (!plan.table_ok) return std::nullopt;
-  const auto* optr = slot.orbit_ptr.data();
-  // reach = H + L - 1, H the longest tail and L the largest lcm of two
-  // cycle lengths. b's first visit to a parked a, if any, falls at or
-  // before round reach; once a walks (from round gap + 1), both agents
-  // are in-cycle from Tc <= gap + H, so their first meeting, if any,
-  // falls at or before Tc + lcm(lambda_a, lambda_b) - 1 <= gap + reach.
-  std::uint64_t tail = 0;
-  std::uint64_t period = 1;
-  std::uint64_t lens[64];
-  std::size_t nlens = 0;
-  for (const tree::NodeId s : slot.warm_starts) {
-    const CompiledConfigEngine::Orbit& o = *optr[s];
-    tail = std::max(tail, o.mu);
-    if (std::find(lens, lens + nlens, o.lambda) == lens + nlens) {
-      lens[nlens++] = o.lambda;
-    }
-  }
-  for (std::size_t i = 0; i < nlens; ++i) {
-    for (std::size_t j = i; j < nlens; ++j) {
-      period = std::max(period, detail::saturating_lcm(lens[i], lens[j]));
-    }
-  }
-  const std::uint64_t reach = saturating_add(tail, period) - 1;
-  const std::uint64_t rows =
-      std::min(plan.max_horizon, saturating_add(plan.max_gap, reach));
-  if (rows > kOccupancyWords / n) return std::nullopt;
-
-  // occ_[t * n + w]: starts whose undelayed agent is on w at round t + 1.
-  occ_.assign(static_cast<std::size_t>(rows) * n, 0);
-  for (std::size_t i = 0; i < slot.warm_starts.size(); ++i) {
-    const CompiledConfigEngine::Orbit& o = *optr[slot.warm_starts[i]];
-    const std::uint64_t bit = std::uint64_t{1} << i;
-    const tree::NodeId* node = o.node.data();
-    const std::size_t size = o.node.size();
-    std::size_t j = 0;
-    std::uint64_t* row = occ_.data();
-    for (std::uint64_t t = 0; t < rows; ++t, row += n) {
-      if (++j == size) j = o.mu;
-      row[node[j]] |= bit;
-    }
-  }
-
-  // One OR per mask, shared by the masks of one (a, gap): horizons run
-  // ascending, so each extends the rounds of the one before.
-  masks_.resize(plan.masks.size());
-  std::uint64_t unmet = plan.never;
-  const std::uint64_t* occ = occ_.data();
-  for (std::size_t k = 0; k < plan.masks.size();) {
-    const tree::NodeId a = plan.masks[k].a;
-    const std::uint64_t gap = plan.masks[k].gap;
-    const std::uint64_t* parked_col = occ + a;
-    const CompiledConfigEngine::Orbit& o = *optr[a];
-    const tree::NodeId* node = o.node.data();
-    const std::size_t size = o.node.size();
-    const std::uint64_t parked_cap = std::min(gap, reach);
-    const std::uint64_t walk_cap = saturating_add(gap, reach);
-    std::uint64_t acc = 0;
-    std::uint64_t parked = 0;  // parked rounds ORed so far
-    std::uint64_t t = gap;     // last walking round ORed so far
-    std::size_t j = 0;
-    for (; k < plan.masks.size() && plan.masks[k].a == a &&
-           plan.masks[k].gap == gap;
-         ++k) {
-      const std::uint64_t horizon = plan.masks[k].horizon;
-      for (const std::uint64_t end = std::min(parked_cap, horizon);
-           parked < end; ++parked) {
-        acc |= parked_col[parked * n];
-      }
-      for (const std::uint64_t end = std::min(walk_cap, horizon); t < end;
-           ++t) {
-        if (++j == size) j = o.mu;
-        acc |= occ[t * n + static_cast<std::size_t>(node[j])];
-      }
-      masks_[k] = acc;
-      unmet += static_cast<std::uint64_t>(
-          std::popcount(plan.masks[k].want & ~acc));
-    }
-  }
-  for (const std::uint64_t r : plan.repeats) {
-    unmet += ((masks_[r >> 6] >> (r & 63)) & 1) ^ 1;
-  }
-  return unmet;
 }
 
 std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
@@ -544,15 +388,19 @@ std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
   const EnumGrid& grid = grids_[g];
   const std::size_t nq = grid.query_count();
   stats_.queries += nq;
-  if (const auto unmet =
-          table_unmet(slot, count_plan(g),
-                      static_cast<std::size_t>(grid.tree->node_count()))) {
+  const auto* optr = slot.orbit_ptr.data();
+  start_orbits_.clear();
+  for (const tree::NodeId s : slot.warm_starts) {
+    start_orbits_.push_back(optr[s]);
+  }
+  if (const auto unmet = occupancy_.count_unmet(
+          start_orbits_, count_plan(g),
+          static_cast<std::size_t>(grid.tree->node_count()))) {
     return *unmet;
   }
-  // Past the table budget: one pair state per start pair.
+  // Declined: one pair state per start pair.
   ++stats_.fallback_counts;
   const CompiledConfigEngine& e = *slot.engine;
-  const auto* optr = slot.orbit_ptr.data();
   std::uint64_t unmet = 0;
   const tree::NodeId* sdata = grid.starts.data();
   const std::uint64_t* ddata = grid.delays.data();
@@ -589,68 +437,6 @@ std::span<const GatherVerdict> EnumerationContext::verify_gather(
   }
   stats_.queries += nq;
   return {gather_verdicts_.data(), nq};
-}
-
-std::ptrdiff_t EnumerationContext::first_ungathered(std::size_t g) {
-  return first_answer(g, 1);
-}
-
-std::ptrdiff_t EnumerationContext::scan_first_ungathered(std::size_t g) {
-  Slot& slot = prepare_scan(g);
-  const CompiledConfigEngine& e = *slot.engine;
-  const EnumGrid& grid = grids_[g];
-  const std::size_t k = grid.agents;
-  const std::size_t nq = grid.query_count();
-  detail::TupleState st;
-  for (std::size_t i = 0; i < nq; ++i) {
-    const tree::NodeId* s = grid.starts.data() + k * i;
-    const std::uint64_t* d = grid.delays.data() + k * i;
-    if (st.k != k ||
-        std::memcmp(st.start, s, k * sizeof(tree::NodeId)) != 0) {
-      // orbit() extracts on demand, like the first_unmet scan.
-      const CompiledConfigEngine::Orbit* orbs[kMaxGatherAgents];
-      for (std::size_t a = 0; a < k; ++a) orbs[a] = &e.orbit(s[a]);
-      st = detail::make_tuple_state(e, orbs, s, k);
-    }
-    ++stats_.queries;
-    if (!detail::scan_gather(st, d, max_rounds_).gathered) {
-      return static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  return -1;
-}
-
-std::uint64_t EnumerationContext::count_ungathered(std::size_t g) {
-  return cache_ == nullptr ? scan_ungathered(g)
-                           : memoized_count(g, CountKind::kUngathered);
-}
-
-std::uint64_t EnumerationContext::scan_ungathered(std::size_t g) {
-  const Slot& slot = prepare(g);
-  const CompiledConfigEngine& e = *slot.engine;
-  const auto* optr = slot.orbit_ptr.data();
-  const EnumGrid& grid = grids_[g];
-  const std::size_t k = grid.agents;
-  const tree::NodeId* sdata = grid.starts.data();
-  const std::uint64_t* ddata = grid.delays.data();
-  const std::size_t nq = grid.query_count();
-  std::uint64_t ungathered = 0;
-  detail::TupleState st;
-  std::size_t i = 0;
-  while (i < nq) {
-    const tree::NodeId* s = sdata + k * i;
-    std::size_t j = i + 1;
-    while (j < nq &&
-           std::memcmp(sdata + k * j, s, k * sizeof(tree::NodeId)) == 0) {
-      ++j;
-    }
-    refresh_tuple(st, e, optr, s, k);
-    ungathered +=
-        detail::count_ungathered_run(st, ddata + k * i, j - i, max_rounds_);
-    i = j;
-  }
-  stats_.queries += nq;
-  return ungathered;
 }
 
 EnumTelemetry EnumerationContext::telemetry() const {

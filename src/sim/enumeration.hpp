@@ -14,67 +14,54 @@
 //   verify(g)        answer grid g into a reused verdict buffer —
 //                    every start's orbit extracted (one walk each),
 //                    queries answered by the inlined verdict core,
-//   count_unmet(g)   the number of defeats of grid g, from one round x
-//                    node occupancy table of the grid's starts (see
-//                    below) — no verdict, no per-pair state,
+//   count_unmet(g)   the number of defeats of grid g — the one count
+//                    kind — no verdict, no per-pair state,
 //   first_unmet(g)   the adaptive variant: scan grid g until the first
 //                    defeat (verdict with met == false), early-exiting —
-//                    the shape of a "smallest defeating instance" search.
+//                    the shape of a "smallest defeating instance" search,
+//   verify_gather(g) gathering verdicts of grid g, any arity.
 //
 // Grids are k-AGENT (EnumGrid::agents, flat query-major start/delay
-// storage): the meet API above is the k = 2 specialization, and the
-// gathering API — verify_gather / count_ungathered / first_ungathered —
-// serves any arity through the k-tuple verdict core
-// (sim/verify_core.hpp), over the very same engines and warmed orbits
-// (orbits are per-agent; nothing below this layer knows k).
+// storage): the meet API (verify / count_unmet / first_unmet) is the
+// k = 2 specialization, and verify_gather serves any arity through the
+// k-tuple verdict core (sim/verify_core.hpp), over the very same engines
+// and warmed orbits (orbits are per-agent; nothing below this layer
+// knows k).
 //
-// A count needs met/unmet alone, and a query meets iff its two agents
-// stand on one node at some round <= the horizon: its first meeting, if
-// any, falls before Tc + lcm(lambda_a, lambda_b), where the joint run
-// turns periodic — which is before the Brent detection round the verdict
-// certifies at. count_unmet therefore answers a grid from one table per
-// binding: occ[t][w] = the bitmask of starts whose undelayed agent
-// stands on node w at round t. Let reach = H + L - 1, H the longest tail
-// and L the largest lcm of two cycle lengths among the grid's starts. A
-// query with a delayed by gap over b meets iff bit b is set in the OR of
-// occ[t][a] over the parked rounds t <= min(gap, reach) and of
-// occ[t][pos_a(t)] over the walking rounds gap < t <= gap + reach (both
-// capped at the horizon), so the table needs the largest moving gap +
-// reach rows. Each OR is computed once per distinct (delayed start,
-// gap, horizon). A grid's queries are canonicalized into that form once
-// per context, at its first count (roles swapped so b starts no later,
-// time shifted by the smaller delay): contexts that only ever serve
-// memo hits, or never count, pay nothing for it. Grids with more than
-// 64 distinct starts, or whose table would pass kOccupancyWords, are
-// counted by the per-pair core instead (make_pair_state +
-// count_unmet_run).
+// count_unmet is a caller of the occupancy unit (sim/occupancy.hpp): it
+// hands the unit the grid's distinct-start orbits in bit order and the
+// grid's CountPlan, which is built at the grid's first count in the
+// context and shared by content-identical copies — contexts that only
+// ever serve memo hits, or never count, pay nothing for it. When the unit
+// declines (more than kOccupancyStarts distinct starts, or a table past
+// kOccupancyWords), the context counts the grid by the per-pair core
+// (make_pair_state + count_unmet_run) and adds it to fallback_counts.
 //
 // Grids are validated once at construction; the steady state allocates
 // nothing. The constructor also maps each grid to its first content-
 // identical grid (same tree structure, arity, starts and delays): a
 // battery may hold copies (the E10 battery's 42 grids have 35 distinct
-// contents), and first_unmet / first_ungathered on a copy return the
-// original's answer for the binding — asked there if it was not yet.
+// contents), and first_unmet on a copy returns the original's answer for
+// the binding — asked there if it was not yet.
 //
-// When an OrbitCache is attached, the COUNT calls (count_unmet /
-// count_ungathered) are memoized in it, one ROW per (grid list,
-// trajectory class, count kind): the counts of every grid. The class is
-// trajectory_automaton_key's: automata whose agents walk the same
-// position sequences from every start share it, and a count depends on
-// nothing else — so the row is exact for counts, though not for the full
-// verdicts (rounds_checked, cycle_length) no row holds. The grid list's
-// battery key is hashed once at construction. A binding's first count of
-// a kind keys its row and probes it once, without claiming; a hit
-// answers that count and every later one of the binding from the row,
-// with no call into the cache (the hits served reach the cache's stats
-// once per binding). A miss claims the row and computes it EAGERLY —
-// every distinct grid once, copies copied — then publishes it. Every
-// shipped count caller asks every grid of a binding; a caller asking one
-// grid per binding should not attach a cache, since each miss pays for
-// the whole row. The verdict and early-exit calls (verify, verify_gather,
-// first_unmet, first_ungathered) never touch the cache: they extract the
-// binding's orbits in the context's own engines, whether or not a cache
-// is attached.
+// When an OrbitCache is attached, count_unmet is memoized in it, one ROW
+// per (grid list, trajectory class): the counts of every meet-capable
+// grid. The class is trajectory_automaton_key's: automata whose agents
+// walk the same position sequences from every start share it, and a
+// count depends on nothing else — so the row is exact for counts, though
+// not for the full verdicts (rounds_checked, cycle_length) no row holds.
+// The grid list's battery key is hashed once at construction. A
+// binding's first count keys its row and probes it once, without
+// claiming; a hit answers that count and every later one of the binding
+// from the row, with no call into the cache (the hits served reach the
+// cache's stats once per binding). A miss claims the row and computes it
+// EAGERLY — every distinct meet-capable grid once, copies copied — then
+// publishes it. Every shipped count caller asks every grid of a binding;
+// a caller asking one grid per binding should not attach a cache, since
+// each miss pays for the whole row. The verdict and early-exit calls
+// (verify, verify_gather, first_unmet) never touch the cache: they
+// extract the binding's orbits in the context's own engines, whether or
+// not a cache is attached.
 //
 // sweep_enumeration() fans an automaton range across workers, one context
 // per worker (sweep_indexed), with deterministic result ordering and
@@ -91,6 +78,7 @@
 #include <vector>
 
 #include "sim/compiled.hpp"
+#include "sim/occupancy.hpp"
 #include "sim/orbit_cache.hpp"
 #include "sim/sweep.hpp"
 #include "sim/verdict.hpp"
@@ -113,8 +101,8 @@ struct GatherQuery {
 /// stored flat, query-major, `agents` entries per query — the shape the
 /// verdict loops stream. Pair grids (agents == 2) are the same type: push
 /// PairQuery points and the meet API (verify/count_unmet/first_unmet)
-/// consumes them, while the gathering API serves any arity, k = 2
-/// included. The tree must outlive every context using the grid.
+/// consumes them, while verify_gather serves any arity, k = 2 included.
+/// The tree must outlive every context using the grid.
 struct EnumGrid {
   const tree::Tree* tree = nullptr;
   std::size_t agents = 2;             ///< k, fixed per grid (>= 2)
@@ -177,9 +165,9 @@ struct EnumTelemetry {
   /// tables the row key merges with smaller ones. Counted when a count
   /// keys its row, so only with a cache attached.
   std::uint64_t canonical_collapses = 0;
-  /// Grid counts computed by the per-pair fallback: grids with more than
-  /// 64 distinct starts, or whose occupancy table would pass
-  /// EnumerationContext::kOccupancyWords under the binding.
+  /// Grid counts computed by the per-pair fallback: grids the occupancy
+  /// unit declined (more than kOccupancyStarts distinct starts, or a
+  /// table past kOccupancyWords under the binding).
   std::uint64_t fallback_counts = 0;
   double hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -228,14 +216,13 @@ class EnumerationContext {
 
   /// Number of pair-grid-g queries with met == false, without
   /// materializing verdicts — the accumulation shape of defeat-density
-  /// profiles. Answered from the grid's occupancy table (one bit test per
-  /// query; see the header comment), or by the per-pair core past the
-  /// table budget. Equals counting met == false over verify(g). With a
-  /// cache attached the count comes from the binding's unmet row
-  /// (battery key, trajectory key): a hit returns it without touching
-  /// the engine; a miss claims the row, computes every distinct
-  /// meet-capable grid locally and publishes the row (the claim is
-  /// abandoned on an exception).
+  /// profiles. Answered by the occupancy unit (one bit test per query;
+  /// sim/occupancy.hpp), or by the per-pair core when the unit declines.
+  /// Equals counting met == false over verify(g). With a cache attached
+  /// the count comes from the binding's row (battery key, trajectory
+  /// key): a hit returns it without touching the engine; a miss claims
+  /// the row, computes every distinct meet-capable grid locally and
+  /// publishes the row (the claim is abandoned on an exception).
   std::uint64_t count_unmet(std::size_t g);
 
   /// Gathering verdicts of grid g (any arity, k = 2 included) under the
@@ -246,22 +233,7 @@ class EnumerationContext {
   /// verify_gather() call.
   std::span<const GatherVerdict> verify_gather(std::size_t g);
 
-  /// Index of the first query of grid g whose gathering verdict has
-  /// gathered == false, or -1 if every query gathers. Early-exits and
-  /// prepares lazily, like first_unmet.
-  std::ptrdiff_t first_ungathered(std::size_t g);
-
-  /// Number of grid-g queries with gathered == false, without
-  /// materializing verdicts. Equals counting gathered == false over
-  /// verify_gather(g). Memoized like count_unmet, in the binding's
-  /// ungathered row (every grid).
-  std::uint64_t count_ungathered(std::size_t g);
-
   std::size_t grid_count() const { return grids_.size(); }
-
-  /// Words (u64) one occupancy table may hold: rounds x nodes. A grid
-  /// whose table would be larger is counted by the per-pair fallback.
-  static constexpr std::size_t kOccupancyWords = std::size_t{1} << 14;
 
   /// Telemetry accumulated by this context so far (orbits_extracted sums
   /// over the engines built so far). Also reports the memo hits served
@@ -297,31 +269,6 @@ class EnumerationContext {
     std::uint64_t pending_ = 0;
   };
 
-  /// One distinct (delayed start, delay gap, shifted horizon) of a meet
-  /// grid: its queries meet iff the partner's bit is in the OR of the
-  /// occupancy rows a's rounds read (see the header comment).
-  struct MaskSpec {
-    tree::NodeId a = -1;        ///< the later start (gap 0: the first)
-    std::uint64_t gap = 0;      ///< delay of a over its partner
-    std::uint64_t horizon = 0;  ///< max_rounds - the partner's delay
-    std::uint64_t want = 0;     ///< bits of the partners asked once
-  };
-
-  /// A meet grid's queries in occupancy form, built at the grid's first
-  /// count in this context and shared by its content-identical copies.
-  /// Bit i names warm_starts[i].
-  struct CountPlan {
-    bool table_ok = false;  ///< <= 64 distinct starts
-    std::vector<MaskSpec> masks;  ///< sorted by (a, gap, horizon)
-    /// Repeats of a (mask, partner bit) already in `want`: mask index
-    /// << 6 | bit.
-    std::vector<std::uint64_t> repeats;
-    std::uint64_t never = 0;    ///< queries nobody moves in
-    /// Largest gap of a mask whose a moves within its horizon.
-    std::uint64_t max_gap = 0;
-    std::uint64_t max_horizon = 0;
-  };
-
   struct Slot {
     std::optional<CompiledConfigEngine> engine;
     std::vector<tree::NodeId> warm_starts;  ///< unique starts of the grid
@@ -334,17 +281,18 @@ class EnumerationContext {
     /// Grid qualifies for the meet API: agents == 2 with pairwise
     /// distinct starts per query (precomputed by the constructor).
     bool meet_ok = false;
-    std::optional<CountPlan> plan;  ///< see count_plan
-    /// first_unmet (0) / first_ungathered (1) answer of this grid for
-    /// the binding named by first_serial.
-    std::ptrdiff_t first_index[2] = {0, 0};
-    std::uint64_t first_serial[2] = {0, 0};
+    /// Occupancy form of the grid's queries (bit i names warm_starts[i]),
+    /// built at its first count; see count_plan.
+    std::optional<CountPlan> plan;
+    /// first_unmet's answer for the binding named by first_serial.
+    std::ptrdiff_t first_index = 0;
+    std::uint64_t first_serial = 0;
   };
 
-  /// The binding's memo row of one count kind.
+  /// The binding's memo row.
   struct MemoRow {
-    /// Count per grid (unmet rows: meet-capable grids only), from the
-    /// cache or `computed`. Valid for the binding `serial` names and the
+    /// Count per grid (meet-capable grids only), from the cache or
+    /// `computed`. Valid for the binding `serial` names and the
     /// cache epoch `epoch` names.
     const std::uint64_t* counts = nullptr;
     std::uint64_t serial = 0;
@@ -363,55 +311,36 @@ class EnumerationContext {
   /// Ensures slot g's engine is bound to the current automaton with its
   /// orbits warmed and orbit_ptr refreshed; returns the slot.
   Slot& prepare(std::size_t g);
-  /// Prepares every grid a row of `kind` computes, before any is counted.
-  void prepare_row(CountKind kind);
+  /// Prepares every grid a row computes, before any is counted.
+  void prepare_row();
   /// prepare()'s work on a slot not yet warmed for the binding, with its
   /// rvt_enum_bind_ns sample opened at obs_t0 (0: none); returns the
   /// sample's end.
   std::uint64_t warm(std::size_t g, std::uint64_t obs_t0);
   /// Binding only (no warm-up, orbit_ptr not refreshed) — the lazy path
-  /// of first_unmet() and first_ungathered().
+  /// of first_unmet().
   Slot& prepare_scan(std::size_t g);
   /// The bound automaton's trajectory key (trajectory_automaton_key,
   /// which allocates nothing), computed once per binding; counts a
   /// canonical collapse in the telemetry when the class has fewer states
   /// than the bound table.
   const OrbitKey& automaton_key();
-  /// The binding's row of `kind`, looked up (or computed and published)
-  /// at the binding's first count of the kind, or after the cache's epoch
-  /// moved.
-  MemoRow& memo_row(CountKind kind) {
-    MemoRow& row = rows_[kind == CountKind::kUnmet ? 0 : 1];
-    if (row.serial == serial_ && row.epoch == cache_->epoch()) return row;
-    return lookup_row(kind, row);
+  /// The binding's row, looked up (or computed and published) at the
+  /// binding's first count, or after the cache's epoch moved.
+  MemoRow& memo_row() {
+    if (row_.serial == serial_ && row_.epoch == cache_->epoch()) return row_;
+    return lookup_row();
   }
-  MemoRow& lookup_row(CountKind kind, MemoRow& row);
-  /// Grid g's count from the binding's row of `kind`.
-  std::uint64_t memoized_count(std::size_t g, CountKind kind);
-  /// The count scans over a locally prepared slot of grid g.
+  MemoRow& lookup_row();
+  /// Grid g's count from the binding's row.
+  std::uint64_t memoized_count(std::size_t g);
+  /// The count over a locally prepared slot of grid g.
   std::uint64_t scan_unmet(std::size_t g);
-  std::uint64_t scan_ungathered(std::size_t g);
   /// Meet grid g's CountPlan, kept on its first content-identical grid's
   /// slot.
   const CountPlan& count_plan(std::size_t g);
-  /// scan_unmet through a prepared slot's occupancy table over a tree
-  /// of n nodes; nullopt when the grid is past the table budget for this
-  /// binding.
-  std::optional<std::uint64_t> table_unmet(const Slot& slot,
-                                           const CountPlan& plan,
-                                           std::size_t n);
-  /// Canonicalizes a meet grid's queries into a CountPlan; `starts` are
-  /// the grid's distinct starts (the plan's bit order).
-  static CountPlan plan_counts(const EnumGrid& grid,
-                               std::span<const tree::NodeId> starts,
-                               std::uint64_t max_rounds);
-  /// first_unmet (kind 0) / first_ungathered (kind 1) of grid g, scanned
-  /// once per (binding, distinct grid) and stored on the distinct grid's
-  /// slot.
-  std::ptrdiff_t first_answer(std::size_t g, int kind);
-  /// The early-exit scans themselves.
+  /// The early-exit scan behind first_unmet.
   std::ptrdiff_t scan_first_unmet(std::size_t g);
-  std::ptrdiff_t scan_first_ungathered(std::size_t g);
 
   std::span<const EnumGrid> grids_;
   std::uint64_t max_rounds_;
@@ -425,11 +354,12 @@ class EnumerationContext {
   std::vector<std::size_t> distinct_;
   /// Content hash of the grid list, in order; only with a cache.
   OrbitKey battery_key_;
-  MemoRow rows_[2];  ///< kUnmet, kUngathered
+  MemoRow row_;
   mutable HitTally row_hits_;
   std::vector<Verdict> verdicts_;
-  std::vector<std::uint64_t> occ_;    ///< table_unmet's occupancy rows
-  std::vector<std::uint64_t> masks_;  ///< table_unmet's per-spec ORs
+  OccupancyCounter occupancy_;
+  /// scan_unmet's distinct-start orbits in bit order.
+  std::vector<const CompiledConfigEngine::Orbit*> start_orbits_;
   std::vector<GatherVerdict> gather_verdicts_;
   EnumTelemetry stats_;
 };

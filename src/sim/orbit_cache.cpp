@@ -342,11 +342,9 @@ OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton) {
   return h.key();
 }
 
-OrbitKey row_memo_key(const OrbitKey& battery, const OrbitKey& automaton,
-                      CountKind kind) {
+OrbitKey row_memo_key(const OrbitKey& battery, const OrbitKey& automaton) {
   KeyHasher h;
   h.feed(kRowMemoDomain);
-  h.feed(static_cast<std::uint64_t>(kind));
   h.feed(battery);
   h.feed(automaton);
   return h.key();

@@ -2,14 +2,14 @@
 //
 // Exhaustive enumeration fans (automaton x instance) grids across sweep
 // workers, and each worker owns a private CompiledConfigEngine. The
-// cache memoizes ANSWERS, one ROW per (grid list, trajectory class, count
-// kind): the defeat count of every grid of an EnumerationContext's
-// battery for one class of automata with the same trajectories
-// (trajectory_automaton_key), published under row_memo_key. A
-// binding's first count of a kind looks its row up with one lock-free
-// probe (find_row: no claim, no blocking, no stats), and every later
-// count of that binding is read from the row. A row lives in its shard's
-// row storage; its probe slot holds the address.
+// cache memoizes ANSWERS, one ROW per (grid list, trajectory class): the
+// defeat count (count_unmet, the one count kind) of every grid of an
+// EnumerationContext's battery for one class of automata with the same
+// trajectories (trajectory_automaton_key), published under row_memo_key
+// — the row key needs no kind. A binding's first count looks its row up
+// with one lock-free probe (find_row: no claim, no blocking, no stats),
+// and every later count of that binding is read from the row. A row
+// lives in its shard's row storage; its probe slot holds the address.
 //
 // The same table can also hold immutable OrbitSets (snapshot_orbits())
 // under a 128-bit content key of the (tree, automaton) binding, through
@@ -168,16 +168,12 @@ OrbitKey trajectory_automaton_key(const TabularAutomaton& a,
 /// Order-sensitive combination of two keys.
 OrbitKey combine_orbit_keys(const OrbitKey& tree, const OrbitKey& automaton);
 
-/// Which count a memo row answers: the meet API's count_unmet or the
-/// gathering API's count_ungathered (a k = 2 grid may be asked both).
-enum class CountKind : std::uint64_t { kUnmet = 1, kUngathered = 2 };
-
 /// Key of one memoized count row: the battery key of a grid list (its
 /// grids' content keys in order — see EnumerationContext) x the
-/// automaton's trajectory key x the count kind. Domain-separated from the orbit-set
-/// keys of combine_orbit_keys, so both share one table.
-OrbitKey row_memo_key(const OrbitKey& battery, const OrbitKey& automaton,
-                      CountKind kind);
+/// automaton's trajectory key. A row holds count_unmet's counts, the one
+/// count kind. Domain-separated from the orbit-set keys of
+/// combine_orbit_keys, so both share one table.
+OrbitKey row_memo_key(const OrbitKey& battery, const OrbitKey& automaton);
 
 class OrbitCache {
  public:

@@ -17,10 +17,15 @@
 //                        verify()/verify_grid return.
 //   met_with_state()     the met/unmet classification alone; skips the
 //                        Brent window arithmetic entirely on the
-//                        (majority) unmet outcomes. Defeat counts use it
-//                        only through count_unmet_run, the fallback for
-//                        grids past the occupancy-table budget
-//                        (sim/enumeration.hpp).
+//                        (majority) unmet outcomes. first_unmet scans
+//                        with it; defeat counts use it only through
+//                        count_unmet_run, EnumerationContext's fallback
+//                        for grids the occupancy unit (sim/occupancy.hpp)
+//                        declines.
+//
+// The k-tuple half below (make_tuple_state / scan_gather /
+// gather_with_state) answers gathering verdicts only: the one count kind
+// is the pair count above.
 //
 // Everything assumes validated inputs (distinct in-range starts,
 // max_rounds > 0, orbits fetched from the right engines):
@@ -355,9 +360,10 @@ inline bool met_with_state(const PairState& st, std::uint64_t da,
 /// `delays` is the flat k = 2 delay storage of the grid (delay_a, delay_b
 /// per query, `len` queries). Flattened so the classification inlines and
 /// the pair state stays hot across the delay run. This is the FALLBACK
-/// count: EnumerationContext::count_unmet answers a grid from one
-/// occupancy table and comes here only for grids with more than 64
-/// distinct starts or a table past EnumerationContext::kOccupancyWords.
+/// count: EnumerationContext::count_unmet answers a grid through the
+/// occupancy unit (sim/occupancy.hpp) and comes here only for grids it
+/// declines: more than kOccupancyStarts distinct starts, or a table past
+/// kOccupancyWords.
 __attribute__((flatten)) inline std::uint64_t count_unmet_run(
     const PairState& st, const std::uint64_t* delays, std::size_t len,
     std::uint64_t M) {
@@ -640,19 +646,6 @@ inline GatherVerdict gather_with_state(const TupleState& st,
     r.rounds_checked = M;  // the reference executes every round
   }
   return r;
-}
-
-/// Ungathered count over a tuple-major run of queries sharing one
-/// TupleState; `delays` strides st.k per query. The gathering analogue of
-/// count_unmet_run.
-__attribute__((flatten)) inline std::uint64_t count_ungathered_run(
-    const TupleState& st, const std::uint64_t* delays, std::size_t len,
-    std::uint64_t M) {
-  std::uint64_t ungathered = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    ungathered += scan_gather(st, delays + i * st.k, M).gathered ? 0 : 1;
-  }
-  return ungathered;
 }
 
 }  // namespace rvt::sim::detail

@@ -2,18 +2,22 @@
 // verify()/count_unmet()/first_unmet() must agree query-for-query with
 // the unfused verify_grid() path, across rebinds, grids, thread counts
 // and cache attachment — and the defeat-count memo must answer exactly
-// what a cache-less context computes.
+// what a cache-less context computes. The CountUnmet cases also call the
+// occupancy unit (sim/occupancy.hpp) directly, at both of its decline
+// edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
 #include "sim/enumeration.hpp"
+#include "sim/occupancy.hpp"
 #include "sim/orbit_cache.hpp"
 #include "tree/builders.hpp"
 #include "util/rng.hpp"
@@ -119,9 +123,9 @@ TEST(Enumeration, LazyFirstUnmetMatchesPreparedScan) {
 
 TEST(Enumeration, DuplicateGridAnswersOncePerBinding) {
   // Battery B holds a content-identical copy of grid 0 (on another tree
-  // object); battery A does not. The early-exit scans on B answer the
-  // copy exactly like grid 0, whichever is asked first, and the copy adds
-  // no binding, query or extracted orbit.
+  // object); battery A does not. first_unmet on B answers the copy
+  // exactly like grid 0, whichever is asked first, and the copy adds no
+  // binding, query or extracted orbit.
   std::vector<tree::Tree> trees;
   trees.push_back(tree::line(8));
   trees.push_back(tree::line_edge_colored(7, 1));
@@ -141,19 +145,14 @@ TEST(Enumeration, DuplicateGridAnswersOncePerBinding) {
     b_ctx.bind(a);
     const std::ptrdiff_t a0 = a_ctx.first_unmet(0);
     const std::ptrdiff_t a1 = a_ctx.first_unmet(1);
-    const std::ptrdiff_t g0 = a_ctx.first_ungathered(0);
     if (rep % 2 == 0) {  // the copy first: computed on grid 0
       EXPECT_EQ(b_ctx.first_unmet(2), a0) << rep;
       EXPECT_EQ(b_ctx.first_unmet(1), a1) << rep;
       EXPECT_EQ(b_ctx.first_unmet(0), a0) << rep;
-      EXPECT_EQ(b_ctx.first_ungathered(2), g0) << rep;
-      EXPECT_EQ(b_ctx.first_ungathered(0), g0) << rep;
     } else {
       EXPECT_EQ(b_ctx.first_unmet(0), a0) << rep;
       EXPECT_EQ(b_ctx.first_unmet(1), a1) << rep;
       EXPECT_EQ(b_ctx.first_unmet(2), a0) << rep;
-      EXPECT_EQ(b_ctx.first_ungathered(0), g0) << rep;
-      EXPECT_EQ(b_ctx.first_ungathered(2), g0) << rep;
     }
   }
   const EnumTelemetry ta = a_ctx.telemetry();
@@ -191,8 +190,6 @@ TEST(Enumeration, AttachedCacheLeavesVerdictsAndExtractionUnchanged) {
       for (std::size_t g = 0; g < grids.size(); ++g) {
         // Early exits first: a fully warmed binding would hide laziness.
         ASSERT_EQ(cached.first_unmet(g), plain.first_unmet(g)) << a;
-        ASSERT_EQ(cached.first_ungathered(g), plain.first_ungathered(g))
-            << a;
       }
       if (a % 3 != 0) continue;  // leave most bindings scan-only
       for (std::size_t g = 0; g < grids.size(); ++g) {
@@ -347,8 +344,17 @@ TEST(Enumeration, CanonicalDedupMeasurablyCollapsesK3) {
   EXPECT_EQ(distinct(traj), 3476u);
 }
 
+/// gathered == false over verify_gather(g).
+std::uint64_t ungathered_by_verify(EnumerationContext& ctx, std::size_t g) {
+  std::uint64_t ungathered = 0;
+  for (const GatherVerdict& v : ctx.verify_gather(g)) {
+    ungathered += v.gathered ? 0 : 1;
+  }
+  return ungathered;
+}
+
 /// The defeat counts of `a` on every grid: unmet on the pair grids (the
-/// first `meet_grids`), ungathered on all.
+/// first `meet_grids`), ungathered (over verify_gather) on all.
 std::vector<std::uint64_t> plain_counts(EnumerationContext& ctx,
                                         const TabularAutomaton& a,
                                         std::size_t meet_grids) {
@@ -356,7 +362,7 @@ std::vector<std::uint64_t> plain_counts(EnumerationContext& ctx,
   std::vector<std::uint64_t> counts;
   for (std::size_t g = 0; g < ctx.grid_count(); ++g) {
     if (g < meet_grids) counts.push_back(ctx.count_unmet(g));
-    counts.push_back(ctx.count_ungathered(g));
+    counts.push_back(ungathered_by_verify(ctx, g));
   }
   return counts;
 }
@@ -539,7 +545,8 @@ TEST(Enumeration, MemoCountsMatchCachelessCounts) {
   // Differential: seeded K <= 3 automata (with canonical-equivalent
   // pairs among them), counted through a memoizing context and a plain
   // one. Every count must agree — a memo hit answers for an equivalent
-  // automaton, never a different one.
+  // automaton, never a different one. The battery mixes in a gather-only
+  // grid: the row leaves it out, and verify_gather still serves it.
   std::vector<tree::Tree> trees;
   trees.push_back(tree::line(6));
   trees.push_back(tree::line_edge_colored(7, 1));
@@ -578,18 +585,18 @@ TEST(Enumeration, MemoCountsMatchCachelessCounts) {
   for (std::size_t i = 0; i < automata.size(); ++i) {
     memo.bind(automata[i]);
     plain.bind(automata[i]);
-    for (std::size_t g = 0; g < grids.size(); ++g) {
-      if (g < meet_grids) {
-        ASSERT_EQ(memo.count_unmet(g), plain.count_unmet(g)) << i << " " << g;
-      }
-      ASSERT_EQ(memo.count_ungathered(g), plain.count_ungathered(g))
+    for (std::size_t g = 0; g < meet_grids; ++g) {
+      ASSERT_EQ(memo.count_unmet(g), plain.count_unmet(g)) << i << " " << g;
+    }
+    for (std::size_t g = meet_grids; g < grids.size(); ++g) {
+      ASSERT_EQ(ungathered_by_verify(memo, g), ungathered_by_verify(plain, g))
           << i << " " << g;
     }
   }
   const EnumTelemetry t = memo.telemetry();
   EXPECT_GT(t.cache_hits, 0u);
-  // One row per (trajectory class, kind), never an orbit set; an unmet
-  // row computes the meet grids, an ungathered row every grid.
+  // One row per trajectory class, never an orbit set; a row computes the
+  // meet grids only.
   std::vector<OrbitKey> classes;
   for (const TabularAutomaton& a : automata) {
     const OrbitKey k = trajectory_automaton_key(a);
@@ -597,8 +604,8 @@ TEST(Enumeration, MemoCountsMatchCachelessCounts) {
       classes.push_back(k);
     }
   }
-  EXPECT_EQ(cache.stats().publishes, 2 * classes.size());
-  EXPECT_EQ(t.cache_misses, classes.size() * (meet_grids + grids.size()));
+  EXPECT_EQ(cache.stats().publishes, classes.size());
+  EXPECT_EQ(t.cache_misses, classes.size() * meet_grids);
   EXPECT_EQ(cache.stats().misses, t.cache_misses);
   EXPECT_EQ(cache.stats().rejects, 0u);
   // A hit skips the scan entirely: fewer verdicts than the plain context.
@@ -606,7 +613,7 @@ TEST(Enumeration, MemoCountsMatchCachelessCounts) {
   EXPECT_LT(t.orbits_extracted, plain.telemetry().orbits_extracted);
 }
 
-TEST(Enumeration, MemoKeysSeparateDelaysHorizonsAndCountKinds) {
+TEST(Enumeration, MemoKeysSeparateDelaysAndHorizons) {
   std::vector<tree::Tree> trees;
   trees.push_back(tree::line(7));
   // Two grids on one tree, identical but for ONE delay.
@@ -623,15 +630,12 @@ TEST(Enumeration, MemoKeysSeparateDelaysHorizonsAndCountKinds) {
   // The delay split the grids: the row computes both.
   EXPECT_EQ(ctx.telemetry().cache_misses, 2u);
   EXPECT_EQ(ctx.telemetry().cache_hits, 0u);
-  // The same grids under the other count are a different row too.
-  (void)ctx.count_ungathered(0);
-  EXPECT_EQ(ctx.telemetry().cache_misses, 4u);
-  EXPECT_EQ(cache.stats().publishes, 2u);
-  // A context over the same grid list shares the rows: hits only.
+  EXPECT_EQ(cache.stats().publishes, 1u);
+  // A context over the same grid list shares the row: hits only.
   EnumerationContext same(grids, 100000, &cache);
   same.bind(a);
   (void)same.count_unmet(0);
-  (void)same.count_ungathered(1);
+  (void)same.count_unmet(1);
   EXPECT_EQ(same.telemetry().cache_hits, 2u);
   EXPECT_EQ(same.telemetry().cache_misses, 0u);
   // One over a different list does not, even holding grid 0 alone.
@@ -657,7 +661,6 @@ TEST(Enumeration, MemoKeysSeparateDelaysHorizonsAndCountKinds) {
   ctx.bind(a);
   EXPECT_EQ(ctx.count_unmet(0), plain.count_unmet(0));
   EXPECT_EQ(ctx.count_unmet(1), plain.count_unmet(1));
-  EXPECT_EQ(ctx.count_ungathered(0), plain.count_ungathered(0));
 }
 
 TEST(Enumeration, ValidatesGridsAndBindingUpFront) {
@@ -715,11 +718,10 @@ TEST(Enumeration, ValidatesGridsAndBindingUpFront) {
     OrbitCache cache;
     EnumerationContext memo(grids, 10, &cache);
     EXPECT_THROW(memo.count_unmet(0), std::logic_error);
-    EXPECT_THROW(memo.count_ungathered(0), std::logic_error);
   }
 }
 
-// ---- count_unmet against verify(): the occupancy table and its fallback
+// ---- the occupancy unit against verify(), and count_unmet's fallback
 
 /// Uniformly random table over max degree D (actions kStay or a port).
 TabularAutomaton random_tabular(int K, int D, util::Rng& rng) {
@@ -756,6 +758,45 @@ EnumGrid ordered_pairs_grid(const tree::Tree& t,
   return grid;
 }
 
+/// met == false over a fresh engine's verify_grid: the reference count.
+std::uint64_t unmet_by_verify_grid(const EnumGrid& grid,
+                                   std::uint64_t horizon,
+                                   const TabularAutomaton& a) {
+  std::vector<PairQuery> queries;
+  for (std::size_t q = 0; q < grid.query_count(); ++q) {
+    const auto gq = grid.query(q);
+    queries.push_back({gq.starts[0], gq.starts[1], gq.delays[0], gq.delays[1]});
+  }
+  const CompiledConfigEngine engine(*grid.tree, a);
+  std::uint64_t unmet = 0;
+  for (const Verdict& v : verify_grid(engine, engine, queries, horizon)) {
+    unmet += v.met ? 0 : 1;
+  }
+  return unmet;
+}
+
+/// The occupancy unit's count of `grid` under `a`, called directly: the
+/// plan over the grid's distinct starts in first-use order and their
+/// orbits from a plain engine. nullopt when the unit declines.
+std::optional<std::uint64_t> unit_count(OccupancyCounter& counter,
+                                        const EnumGrid& grid,
+                                        std::uint64_t horizon,
+                                        const TabularAutomaton& a) {
+  std::vector<tree::NodeId> distinct;
+  for (const tree::NodeId s : grid.starts) {
+    if (std::find(distinct.begin(), distinct.end(), s) == distinct.end()) {
+      distinct.push_back(s);
+    }
+  }
+  const CompiledConfigEngine engine(*grid.tree, a);
+  std::vector<const CompiledConfigEngine::Orbit*> orbits;
+  for (const tree::NodeId s : distinct) orbits.push_back(&engine.orbit(s));
+  const CountPlan plan =
+      plan_counts(grid.starts, grid.delays, distinct, horizon);
+  return counter.count_unmet(
+      orbits, plan, static_cast<std::size_t>(grid.tree->node_count()));
+}
+
 std::uint64_t unmet_by_verify(EnumerationContext& ctx, std::size_t g) {
   std::uint64_t unmet = 0;
   for (const Verdict& v : ctx.verify(g)) unmet += v.met ? 0 : 1;
@@ -790,13 +831,17 @@ EnumTelemetry expect_counts_match_verify(const std::vector<EnumGrid>& grids,
 }
 
 TEST(CountUnmet, MatchesVerifyOnRandomTreesDelaysAndHorizons) {
-  // Seeded random trees (random ports) and tables over their max degree.
-  // Every ordered start pair meets every delay pair, so both agents are
-  // delayed in either order; delays at and past the horizon, and a
-  // horizon ending inside the first joint period of a start pair, are in
-  // every case. A copy of each grid on a twin tree shares its plan.
+  // The occupancy unit, called directly on a plain engine's orbits, and
+  // count_unmet, against met == false over verify. Seeded random trees
+  // (random ports) and tables over their max degree. Every ordered start
+  // pair meets every delay pair, so both agents are delayed in either
+  // order; delays at and past the horizon, and a horizon ending inside
+  // the first joint period of a start pair, are in every case. A copy of
+  // each grid on a twin tree shares its plan in the context.
   util::Rng rng(0x0cc7ab1eull);
-  std::uint64_t counts = 0, fallbacks = 0, unmet = 0, inside = 0;
+  OccupancyCounter counter;  // one scratch across every grid
+  std::uint64_t asked = 0, declined = 0, fallbacks = 0, unmet = 0;
+  std::uint64_t inside = 0;
   for (int rep = 0; rep < 48; ++rep) {
     const auto n = static_cast<tree::NodeId>(3 + rng.index(14));
     const tree::Tree t =
@@ -826,19 +871,63 @@ TEST(CountUnmet, MatchesVerifyOnRandomTreesDelaysAndHorizons) {
       std::vector<std::uint64_t> delays{0, 1, 2, 5, 11, horizon, horizon + 3};
       if (horizon <= 1000) delays.push_back(horizon - 1);
       std::vector<EnumGrid> grids{ordered_pairs_grid(t, starts, delays)};
+      const std::uint64_t want = unmet_by_verify_grid(grids[0], horizon, a);
+      if (const auto got = unit_count(counter, grids[0], horizon, a)) {
+        EXPECT_EQ(*got, want) << "M " << horizon;
+      } else {
+        ++declined;
+      }
+      ++asked;
       grids.push_back(grids[0]);
       grids.back().tree = &twin;
       const EnumTelemetry tel =
           expect_counts_match_verify(grids, horizon, a, &unmet);
-      counts += grids.size();
       fallbacks += tel.fallback_counts;
     }
     ASSERT_FALSE(HasFailure()) << "rep " << rep;
   }
-  // Most grids take the occupancy table; the counts are not all trivial.
-  EXPECT_LT(fallbacks * 4, counts);
+  // Most grids are answered by the unit; the context declines exactly
+  // where the unit does (twice per grid: the copy counts again); the
+  // counts are not all trivial.
+  EXPECT_LT(declined * 4, asked);
+  EXPECT_EQ(fallbacks, 2 * declined);
   EXPECT_GT(unmet, 0u);
   EXPECT_GT(inside, 10u);
+}
+
+TEST(CountUnmet, UnitAnswersSixtyFourStartsAndDeclinesSixtyFive) {
+  // Every node of a line is a start, so 64 starts fill the u64 masks and
+  // 65 overflow them. At horizon 100 either table holds at most 100 x 65
+  // words, well inside kOccupancyWords: the start count alone decides.
+  util::Rng rng(0x64b65ull);
+  OccupancyCounter counter;
+  for (const tree::NodeId n : {64, 65}) {
+    const tree::Tree t = tree::line_edge_colored(n, 0);
+    EnumGrid grid(&t, 2);
+    for (tree::NodeId v = 0; v + 1 < n; ++v) {
+      grid.push({v, static_cast<tree::NodeId>(v + 1), 0, 3});
+      grid.push({static_cast<tree::NodeId>(v + 1), v, 2, 0});
+    }
+    ASSERT_LE(std::size_t{100} * static_cast<std::size_t>(n),
+              kOccupancyWords);
+    const std::vector<EnumGrid> grids{grid};
+    std::uint64_t unmet = 0;
+    for (int rep = 0; rep < 6; ++rep) {
+      const TabularAutomaton a =
+          random_line_automaton(1 + static_cast<int>(rng.index(4)), rng)
+              .tabular();
+      const auto got = unit_count(counter, grid, 100, a);
+      if (n <= static_cast<tree::NodeId>(kOccupancyStarts)) {
+        ASSERT_TRUE(got.has_value()) << rep;
+        EXPECT_EQ(*got, unmet_by_verify_grid(grid, 100, a)) << rep;
+      } else {
+        EXPECT_FALSE(got.has_value()) << rep;
+      }
+      const EnumTelemetry tel =
+          expect_counts_match_verify(grids, 100, a, &unmet);
+      EXPECT_EQ(tel.fallback_counts, got.has_value() ? 0u : 1u) << rep;
+    }
+  }
 }
 
 TEST(CountUnmet, FallsBackPastSixtyFourStarts) {
@@ -881,16 +970,11 @@ tree::Tree spider_with_legs(const std::vector<int>& legs) {
   return tree::Tree(next, edges);
 }
 
-TEST(CountUnmet, FallsBackPastTheTableBudgetOnNearCoprimeCycles) {
-  // Each agent bounces between its leg's leaf and the center: straight on
-  // at degree 2, back the way it came at the leaf and at the center (a
-  // third, short leg makes the center degree 3). Legs of 61 and 63 edges
-  // give cycles of 122 and 126 rounds (gcd 2), so a cross-leg pair's
-  // joint period is 7686 rounds: the table would need min(horizon, 7686)
-  // rows x 127 nodes, past kOccupancyWords at both horizons, one of
-  // which ends inside that first joint period.
-  const tree::Tree t = spider_with_legs({61, 63, 2});
-  ASSERT_EQ(t.node_count(), 127);
+/// On a spider_with_legs of three legs, each agent bounces between its
+/// leg's leaf and the center: straight on at degree 2, back the way it
+/// came at the leaf and at the center. A leg of m edges gives a cycle of
+/// 2m rounds.
+TabularAutomaton bounce_automaton() {
   TreeAutomaton bounce;
   bounce.initial = 0;
   bounce.lambda = {0, 1, 2};  // state s exits by port s
@@ -902,13 +986,62 @@ TEST(CountUnmet, FallsBackPastTheTableBudgetOnNearCoprimeCycles) {
       bounce.delta[s][i + 1][2] = i < 0 ? 0 : i;   // center: back
     }
   }
-  const TabularAutomaton a = bounce.tabular();
+  return bounce.tabular();
+}
+
+TEST(CountUnmet, UnitAnswersAFullTableAndDeclinesOneRowMore) {
+  // 16 nodes, so a table of kOccupancyWords words has exactly 1024 rows.
+  // A query delayed by gap 1022 walks within horizon 1024 and 1025, so
+  // the table needs min(M, 1022 + reach) rows, which is M: reach is at
+  // least the 14-round cycle of a 7-edge leg less one. M = 1024 fills
+  // the budget exactly and is answered; M = 1025 needs one row more and
+  // is declined.
+  const tree::Tree t = spider_with_legs({7, 7, 1});
+  ASSERT_EQ(t.node_count(), 16);
+  const TabularAutomaton a = bounce_automaton();
+  const std::vector<tree::NodeId> starts{0, 3, 7, 10, 14, 15};
+  {
+    const CompiledConfigEngine engine(t, a);
+    ASSERT_EQ(engine.orbit(3).lambda, 14u);
+    ASSERT_EQ(engine.orbit(10).lambda, 14u);
+  }
+  const EnumGrid grid = ordered_pairs_grid(t, starts, {0, 1022});
+  const std::uint64_t full = kOccupancyWords / 16;
+  ASSERT_EQ(full, 1024u);
+  OccupancyCounter counter;
+  for (const std::uint64_t horizon : {full, full + 1}) {
+    const auto got = unit_count(counter, grid, horizon, a);
+    const std::uint64_t want = unmet_by_verify_grid(grid, horizon, a);
+    if (horizon == full) {
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(*got, want);
+    } else {
+      EXPECT_FALSE(got.has_value());
+    }
+    std::uint64_t unmet = 0;
+    const EnumTelemetry tel =
+        expect_counts_match_verify({grid}, horizon, a, &unmet);
+    EXPECT_EQ(tel.fallback_counts, got.has_value() ? 0u : 1u) << horizon;
+    EXPECT_GT(want, 0u) << horizon;
+    EXPECT_LT(want, grid.query_count()) << horizon;
+  }
+}
+
+TEST(CountUnmet, FallsBackPastTheTableBudgetOnNearCoprimeCycles) {
+  // Legs of 61 and 63 edges give cycles of 122 and 126 rounds (gcd 2),
+  // so a cross-leg pair's joint period is 7686 rounds: the table would
+  // need min(horizon, 7686) rows x 127 nodes, past kOccupancyWords at
+  // both horizons, one of which ends inside that first joint period. (A
+  // third, short leg makes the center degree 3.)
+  const tree::Tree t = spider_with_legs({61, 63, 2});
+  ASSERT_EQ(t.node_count(), 127);
+  const TabularAutomaton a = bounce_automaton();
   {
     const CompiledConfigEngine engine(t, a);
     ASSERT_EQ(engine.orbit(30).lambda, 122u);   // on the 61-edge leg
     ASSERT_EQ(engine.orbit(100).lambda, 126u);  // on the 63-edge leg
   }
-  ASSERT_GT(std::size_t{5000} * 127, EnumerationContext::kOccupancyWords);
+  ASSERT_GT(std::size_t{5000} * 127, kOccupancyWords);
   const std::vector<tree::NodeId> starts{0, 5, 30, 61, 62, 64, 100, 124};
   for (const std::uint64_t horizon : {std::uint64_t{300000},
                                       std::uint64_t{5000}}) {

@@ -1,5 +1,5 @@
 // The k-tuple gathering verdict core (sim/verify_core.hpp +
-// sim::verify_never_gather_compiled + the enumeration gathering API):
+// sim::verify_never_gather_compiled + EnumerationContext::verify_gather):
 //
 //  * differential against the interpreting sim::run_gathering reference,
 //    field for field, across random automata, substrates, arities and
@@ -10,8 +10,8 @@
 //  * a property test of the k-fold composed collision predicate against
 //    brute-force stepping over the full lcm window, with both coprime and
 //    shared-gcd cycle-length tuples exercised;
-//  * the fused enumeration entries (verify_gather / count_ungathered /
-//    first_ungathered) against the one-off call.
+//  * the fused enumeration entry (verify_gather) against the one-off
+//    call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
 #include "sim/enumeration.hpp"
-#include "sim/orbit_cache.hpp"
 #include "sim/simulator.hpp"
 #include "sim/verify_core.hpp"
 #include "tree/builders.hpp"
@@ -323,7 +322,7 @@ TEST(GatherCompiled, ValidatesConfig) {
   }
 }
 
-TEST(GatherEnum, ContextMatchesOneOffCallsAndCounts) {
+TEST(GatherEnum, ContextMatchesOneOffCalls) {
   util::Rng rng(0xe9a1ull);
   std::vector<tree::Tree> trees;
   trees.push_back(tree::line_edge_colored(7, 0));
@@ -350,8 +349,6 @@ TEST(GatherEnum, ContextMatchesOneOffCallsAndCounts) {
       const auto fused = ctx.verify_gather(g);
       ASSERT_EQ(fused.size(), grids[g].query_count());
       const CompiledConfigEngine engine(*grids[g].tree, a);
-      std::uint64_t ungathered = 0;
-      std::ptrdiff_t first = -1;
       for (std::size_t q = 0; q < fused.size(); ++q) {
         const auto gq = grids[g].query(q);
         const auto one = verify_never_gather_compiled(
@@ -364,13 +361,7 @@ TEST(GatherEnum, ContextMatchesOneOffCallsAndCounts) {
         ASSERT_EQ(fused[q].cycle_length, one.cycle_length) << rep << " " << q;
         ASSERT_EQ(fused[q].rounds_checked, one.rounds_checked)
             << rep << " " << q;
-        if (!fused[q].gathered) {
-          ++ungathered;
-          if (first < 0) first = static_cast<std::ptrdiff_t>(q);
-        }
       }
-      ASSERT_EQ(ctx.count_ungathered(g), ungathered) << rep << " " << g;
-      ASSERT_EQ(ctx.first_ungathered(g), first) << rep << " " << g;
       // A k != 2 grid must be refused by the meet API.
       EXPECT_THROW(ctx.verify(g), std::invalid_argument);
     }
@@ -398,15 +389,15 @@ TEST(GatherEnum, SweepIsDeterministicAcrossThreadCounts) {
     ctx.bind(a);
     std::uint64_t ungathered = 0;
     for (std::size_t g = 0; g < ctx.grid_count(); ++g) {
-      ungathered += ctx.count_ungathered(g);
+      for (const GatherVerdict& v : ctx.verify_gather(g)) {
+        ungathered += v.gathered ? 0 : 1;
+      }
     }
     return ungathered;
   };
   const auto serial = sweep_enumeration(grids, 30, 60000, fn, 1);
   for (const unsigned threads : {2u, 5u}) {
-    OrbitCache cache;
-    const auto parallel =
-        sweep_enumeration(grids, 30, 60000, fn, threads, &cache);
+    const auto parallel = sweep_enumeration(grids, 30, 60000, fn, threads);
     ASSERT_EQ(parallel, serial) << threads << " threads";
   }
 }

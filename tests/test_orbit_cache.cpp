@@ -1,8 +1,8 @@
 // Sharded cross-worker cache (sim/orbit_cache.hpp): keying, the
 // claim/publish/abandon protocol, epoch invalidation, and — the load-
 // bearing guarantee — that under many workers racing lookups the
-// defeat-count memo computes each (grid list, trajectory class, kind)
-// row once, each distinct grid of it once, degrading to recomputation
+// defeat-count memo computes each (grid list, trajectory class) row
+// once, each distinct grid of it once, degrading to recomputation
 // when the table is full. The races run under the ASan/UBSan CI job like
 // every tier-1 test, and under the TSan job, which checks the lock-free
 // slot publication.
@@ -353,11 +353,10 @@ TEST(CountMemo, ClaimPublishAcquireRowRoundTrip) {
   OrbitCache cache(4, 1024);
   const OrbitKey battery{1, 2};
   const OrbitKey automaton{3, 4};
-  const OrbitKey key = row_memo_key(battery, automaton, CountKind::kUnmet);
-  // Domain-separated from the other kind and from orbit-set keys.
-  EXPECT_NE(key, row_memo_key(battery, automaton, CountKind::kUngathered));
+  const OrbitKey key = row_memo_key(battery, automaton);
+  // Domain-separated from orbit-set keys, and order-sensitive.
   EXPECT_NE(key, combine_orbit_keys(battery, automaton));
-  EXPECT_NE(key, row_memo_key(automaton, battery, CountKind::kUnmet));
+  EXPECT_NE(key, row_memo_key(automaton, battery));
 
   EXPECT_EQ(cache.acquire_row(key), nullptr);  // claims
   const std::uint64_t row[] = {0, 5, 9};       // zero is a real answer
@@ -389,7 +388,7 @@ TEST(CountMemo, ClaimPublishAcquireRowRoundTrip) {
   // second advance clears slots the first one already recycled.
   std::vector<OrbitKey> keys;
   for (std::uint64_t i = 0; i < 600; ++i) {
-    keys.push_back(row_memo_key(battery, OrbitKey{i, ~i}, CountKind::kUnmet));
+    keys.push_back(row_memo_key(battery, OrbitKey{i, ~i}));
   }
   for (std::uint64_t round = 1; round <= 2; ++round) {
     cache.advance_epoch();
@@ -552,44 +551,45 @@ TEST(CountMemo, FullTableDegradesToRecomputation) {
 }
 
 TEST(CountMemo, RowAccountingIsOnePerCountAsked) {
-  // A binding asking every grid under both kinds, in alternating order,
-  // over a list holding a copy of each grid: one miss per distinct grid
-  // computed, one hit per other count asked, one publish per row.
+  // A binding asking every grid twice, opening its row from the front of
+  // the list or from the back in alternation, over a list holding a copy
+  // of each grid: one miss per distinct grid computed, one hit per other
+  // count asked, one publish per row.
   const MemoBattery b(24, 0xba7c4);
   std::vector<EnumGrid> grids{b.grid(0), b.grid(1), b.grid(0), b.grid(1)};
   const std::uint64_t n = b.automata.size() * 4;
-  const auto both_kinds = [&](EnumerationContext& ctx, std::uint64_t i) {
+  const auto twice = [&](EnumerationContext& ctx, std::uint64_t i) {
     ctx.bind(b.automata[i % b.automata.size()]);
+    const std::size_t last = ctx.grid_count() - 1;
     std::uint64_t sum = 0;
-    for (std::size_t g = 0; g < ctx.grid_count(); ++g) {
-      // Alternate which kind opens the binding's rows.
-      sum = sum * 31 + (((g + i) % 2 == 0) ? ctx.count_unmet(g)
-                                           : ctx.count_ungathered(g));
-      sum = sum * 31 + (((g + i) % 2 == 0) ? ctx.count_ungathered(g)
-                                           : ctx.count_unmet(g));
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t k = 0; k <= last; ++k) {
+        const std::size_t g = (i + pass) % 2 == 0 ? k : last - k;
+        sum = sum * 31 + ctx.count_unmet(g);
+      }
     }
     return sum;
   };
   OrbitCache cache(4);
   EnumTelemetry telemetry;
   const auto counts =
-      sweep_enumeration(grids, n, 100000, both_kinds, 4, &cache, &telemetry);
+      sweep_enumeration(grids, n, 100000, twice, 4, &cache, &telemetry);
   const OrbitCache::Stats st = cache.stats();
   const std::uint64_t asked = n * grids.size() * 2;
   EXPECT_EQ(st.hits + st.misses, asked);
   EXPECT_EQ(telemetry.cache_hits + telemetry.cache_misses, asked);
   EXPECT_EQ(st.misses, telemetry.cache_misses);
-  EXPECT_EQ(st.misses, b.distinct * 2 * 2);  // kinds x distinct grids
-  EXPECT_EQ(st.publishes, b.distinct * 2);   // one row per kind
+  EXPECT_EQ(st.misses, b.distinct * 2);  // classes x distinct grids
+  EXPECT_EQ(st.publishes, b.distinct);   // one row per class
   EXPECT_EQ(st.rejects, 0u);
-  EXPECT_EQ(counts, sweep_enumeration(grids, n, 100000, both_kinds, 1));
+  EXPECT_EQ(counts, sweep_enumeration(grids, n, 100000, twice, 1));
 }
 
 TEST(CountMemo, FindRowNeitherClaimsNorCounts) {
   OrbitCache cache(4, 1024);
   const OrbitKey keys[] = {
-      row_memo_key(OrbitKey{1, 2}, OrbitKey{3, 4}, CountKind::kUnmet),
-      row_memo_key(OrbitKey{1, 2}, OrbitKey{5, 6}, CountKind::kUnmet)};
+      row_memo_key(OrbitKey{1, 2}, OrbitKey{3, 4}),
+      row_memo_key(OrbitKey{1, 2}, OrbitKey{5, 6})};
   EXPECT_EQ(cache.find_row(keys[0]), nullptr);
   EXPECT_EQ(cache.find_row(keys[1]), nullptr);
   // The find claimed nothing: the first acquire still gets the claim.
@@ -654,7 +654,7 @@ TEST(CountMemo, RowMissSeesLaterPublish) {
   // A's claiming lookup adopts B's row as a hit instead of a claim.
   OrbitCache cache(4);
   const OrbitKey key =
-      row_memo_key(OrbitKey{7, 7}, OrbitKey{8, 8}, CountKind::kUnmet);
+      row_memo_key(OrbitKey{7, 7}, OrbitKey{8, 8});
   EXPECT_EQ(cache.find_row(key), nullptr);  // A
   EXPECT_EQ(cache.acquire_row(key), nullptr);  // B claims ...
   const std::uint64_t row[] = {4, 2};
@@ -784,7 +784,7 @@ TEST(CountMemo, ThrowMidRowAbandonsTheClaim) {
   {
     OrbitCache cache(1);
     const OrbitKey key =
-        row_memo_key(OrbitKey{5, 5}, OrbitKey{6, 6}, CountKind::kUnmet);
+        row_memo_key(OrbitKey{5, 5}, OrbitKey{6, 6});
     ASSERT_EQ(cache.acquire_row(key), nullptr);  // A claims
     const std::uint64_t* b_got = &key.hi;        // sentinel: not yet run
     std::thread waiter([&] {
@@ -844,9 +844,9 @@ TEST(CountMemo, ThrowMidRowAbandonsTheClaim) {
 
 TEST(CountMemo, UnmetRowSkipsGatherOnlyGrids) {
   // Grid 0 is a pair grid, grid 1 a 3-agent grid and grid 2 a pair grid
-  // with co-located starts: only grid 0 is meet-capable. The unmet row
-  // computes grid 0 alone; the gather-only grids still refuse the meet
-  // API and are served by the ungathered row.
+  // with co-located starts: only grid 0 is meet-capable. The row computes
+  // grid 0 alone; the gather-only grids still refuse the meet API, and
+  // verify_gather serves every grid without touching the memo.
   const tree::Tree line = tree::line(6);
   EnumGrid pair(&line, {{0, 5, 0, 0}, {1, 3, 2, 0}, {2, 4, 1, 0}});
   EnumGrid triple(&line, 3);
@@ -870,11 +870,20 @@ TEST(CountMemo, UnmetRowSkipsGatherOnlyGrids) {
   EXPECT_THROW((void)ctx.count_unmet(1), std::invalid_argument);
   EXPECT_THROW((void)ctx.count_unmet(2), std::invalid_argument);
   for (std::size_t g = 0; g < grids.size(); ++g) {
-    EXPECT_EQ(ctx.count_ungathered(g), plain.count_ungathered(g)) << g;
+    const auto want_span = plain.verify_gather(g);
+    const std::vector<GatherVerdict> want(want_span.begin(), want_span.end());
+    const auto got = ctx.verify_gather(g);
+    ASSERT_EQ(got.size(), want.size()) << g;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].gathered, want[i].gathered) << g << " " << i;
+      EXPECT_EQ(got[i].rounds_checked, want[i].rounds_checked)
+          << g << " " << i;
+    }
   }
-  EXPECT_EQ(ctx.telemetry().cache_misses, 1u + grids.size());
-  EXPECT_EQ(cache.stats().publishes, 2u);
-  EXPECT_EQ(cache.stats().misses, 1u + grids.size());
+  EXPECT_EQ(ctx.telemetry().cache_misses, 1u);
+  EXPECT_EQ(ctx.telemetry().cache_hits, 0u);
+  EXPECT_EQ(cache.stats().publishes, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 /// Raw acquire/publish race on one key: exactly one claimer, everyone
