@@ -141,6 +141,7 @@ int main() {
   // engines rebind in place, first_unmet() early-exits per tree. Grids
   // are ordered by line size, so the first defeated grid IS the frontier.
   bench::WallTimer total_timer;
+  sim::EnumTelemetry sweep_telemetry;
   for (int K = 1; K <= 3; ++K) {
     const std::uint64_t count = automaton_count(K);
     const auto defeats = sim::sweep_enumeration(
@@ -154,7 +155,8 @@ int main() {
             }
           }
           return tree::NodeId{0};  // survivor
-        });
+        },
+        0, nullptr, &sweep_telemetry);
     std::uint64_t survivors = 0;
     int frontier = 0;
     for (const int defeat : defeats) {
@@ -170,6 +172,12 @@ int main() {
   const double sweep_seconds = total_timer.seconds();
 
   table.print(std::cout);
+  // first_unmet answers each query by walking its two orbits; a pair
+  // whose joint period passes 4 (lambda_a + lambda_b) goes to the pair
+  // core instead.
+  std::cout << "adaptive sweep: " << sweep_telemetry.queries
+            << " first_unmet queries, " << sweep_telemetry.walk_fallbacks
+            << " handed to the pair core\n";
 
   // Engine shoot-out: the full defeat-density profile over a sampled
   // automaton set, single threaded on both sides so the ratio isolates
@@ -337,6 +345,9 @@ int main() {
   bench::JsonReport report("E10");
   report.workload("rendezvous", 2);
   report.metric("sweep_seconds", sweep_seconds);
+  report.metric("sweep_queries", static_cast<double>(sweep_telemetry.queries));
+  report.metric("sweep_walk_fallbacks",
+                static_cast<double>(sweep_telemetry.walk_fallbacks));
   report.metric("obs_on_seconds", obs_on_s);
   report.metric("obs_overhead_ratio", obs_ratio);
   report.metric("obs_overhead_ratio_q1", obs_q1);

@@ -46,16 +46,22 @@ CompiledConfigEngine::CompiledConfigEngine(const tree::Tree& t,
     cindex_epoch_.assign(nn, 0);
     cindex_slot_.resize(nn);
   }
-  bind_automaton(a);
+  bind_automaton(a, a.port_oblivious());
 }
 
 void CompiledConfigEngine::rebind(const TabularAutomaton& a) {
-  ++epoch_;  // cached orbits belong to the previous automaton
-  bind_automaton(a);
+  a.validate();
+  rebind_validated(a, a.port_oblivious());
 }
 
-void CompiledConfigEngine::bind_automaton(const TabularAutomaton& a) {
-  a.validate();
+void CompiledConfigEngine::rebind_validated(const TabularAutomaton& a,
+                                            bool port_oblivious) {
+  ++epoch_;  // cached orbits belong to the previous automaton
+  bind_automaton(a, port_oblivious);
+}
+
+void CompiledConfigEngine::bind_automaton(const TabularAutomaton& a,
+                                          bool port_oblivious) {
   if (a.max_degree != max_deg_) {
     throw std::invalid_argument(
         "CompiledConfigEngine: rebind must keep max_degree (the substrate "
@@ -65,7 +71,6 @@ void CompiledConfigEngine::bind_automaton(const TabularAutomaton& a) {
     throw std::invalid_argument("CompiledConfigEngine: too many states");
   }
   automaton_ = a;
-  delta_.assign(automaton_.delta.begin(), automaton_.delta.end());
   // Pre-reduce the action per (state, degree): lambda[s] mod d, or -1 for
   // kStay — the walk then indexes actd_ instead of dividing per step.
   const int K = automaton_.num_states();
@@ -77,7 +82,7 @@ void CompiledConfigEngine::bind_automaton(const TabularAutomaton& a) {
           act == kStay ? -1 : (act < d ? act : act % d);
     }
   }
-  port_slots_ = automaton_.port_oblivious() ? 1 : max_deg_ + 1;
+  port_slots_ = port_oblivious ? 1 : max_deg_ + 1;
   const std::uint64_t walk_space = static_cast<std::uint64_t>(
                                        automaton_.num_states()) *
                                    2 * static_cast<std::uint64_t>(n_) *
@@ -102,15 +107,6 @@ std::uint64_t CompiledConfigEngine::stamp_entries(const tree::Tree& t,
   const std::uint64_t slots = a.port_oblivious() ? 1 : a.max_degree + 1;
   return static_cast<std::uint64_t>(a.num_states()) * 2 *
          static_cast<std::uint64_t>(t.node_count()) * slots;
-}
-
-void CompiledConfigEngine::build_first_visit(Orbit& out, std::int32_t n) {
-  // The tail plus one full cycle covers every node the orbit ever touches.
-  out.first_visit.assign(static_cast<std::size_t>(n), Orbit::kNever);
-  for (std::uint32_t k = 0; k < out.node.size(); ++k) {
-    std::uint32_t& fv = out.first_visit[out.node[k]];
-    if (fv == Orbit::kNever) fv = k;
-  }
 }
 
 // Splice `out` — whose own prefix (hit_index steps) is already recorded in
@@ -148,7 +144,6 @@ void CompiledConfigEngine::finalize_merged(Orbit& out, const Orbit& host,
   } else {
     out.mu = out.sn_mu + 1;
   }
-  build_first_visit(out, n_);
 }
 
 // One stamped walk over the autonomous projection — (signature, node) for
@@ -175,7 +170,7 @@ void CompiledConfigEngine::extract_orbit(tree::NodeId start,
   };
   const std::uint8_t* deg = deg_.data();
   const std::uint32_t* nbrev = nbrev_.data();
-  const std::int32_t* delta = delta_.data();
+  const int* delta = automaton_.delta.data();
   const std::int32_t* actd = actd_.data();
   const std::int32_t D = max_deg_;
   const auto step = [deg, nbrev, delta, actd, D](const Conf& c) {
@@ -235,7 +230,6 @@ void CompiledConfigEngine::extract_orbit(tree::NodeId start,
       out.node.push_back(cur.node);  // == node[sn_mu]: same projection pair
       out.in_port.push_back(static_cast<std::int16_t>(cur.in_port));
     }
-    build_first_visit(out, n_);
   } else {
     // Merged into orbit `hit_owner` at its step hit_j after hit_index own
     // steps: inherit its cycle and splice the tail.
@@ -357,12 +351,19 @@ CompiledConfigEngine::snapshot_orbits() const {
   std::size_t bytes = sizeof(OrbitSet) + n * (sizeof(Orbit) + 1);
   for (std::size_t s = 0; s < n; ++s) {
     if (orbit_epoch_[s] != epoch_) continue;
-    const Orbit& src = orbits_[s];
-    set->orbits[s] = src;
+    Orbit& dst = set->orbits[s];
+    dst = orbits_[s];
+    // The set format carries each orbit's first-visit table, which the
+    // engine's own orbits do not keep.
+    dst.first_visit.assign(n, Orbit::kNever);
+    for (std::uint32_t k = 0; k < dst.node.size(); ++k) {
+      std::uint32_t& fv = dst.first_visit[dst.node[k]];
+      if (fv == Orbit::kNever) fv = k;
+    }
     set->has_orbit[s] = 1;
-    bytes += src.node.size() * sizeof(tree::NodeId) +
-             src.in_port.size() * sizeof(std::int16_t) +
-             src.first_visit.size() * sizeof(std::uint32_t);
+    bytes += dst.node.size() * sizeof(tree::NodeId) +
+             dst.in_port.size() * sizeof(std::int16_t) +
+             dst.first_visit.size() * sizeof(std::uint32_t);
   }
   if (!cindex_epoch_.empty()) {
     set->collision_index.assign(static_cast<std::size_t>(n_) * n_, -1);

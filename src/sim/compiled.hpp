@@ -71,7 +71,14 @@ class CompiledConfigEngine {
   /// Swaps in a new automaton over the same tree, invalidating cached
   /// orbits (references returned by orbit() become stale) but keeping all
   /// buffer capacity — the zero-allocation path for exhaustive sweeps.
+  /// Validates `a` like the constructor.
   void rebind(const TabularAutomaton& a);
+
+  /// rebind() for an automaton its caller has already validated, given
+  /// its port_oblivious() value: an enumeration context checks each
+  /// binding once, however many grid engines it rebinds. Only the
+  /// engine's own limits (same max_degree, state count) are checked.
+  void rebind_validated(const TabularAutomaton& a, bool port_oblivious);
 
   /// rho decomposition of the single-agent orbit from a start node:
   /// node[k] is the node occupied after k steps (node[0] == start), stored
@@ -103,10 +110,22 @@ class CompiledConfigEngine {
     std::vector<tree::NodeId> node;
     std::vector<std::int16_t> in_port;  ///< entry port after k steps
     /// first_visit[w]: first step at which the orbit occupies node w
-    /// (kNever if it never does). Answers "can the walker hit a parked
-    /// agent?" in O(1), making delayed-start queries O(1) in the delay.
+    /// (kNever if it never does). Filled only in snapshot_orbits() copies,
+    /// for the OrbitSet wire format: the engine's own orbits leave it
+    /// empty, since an n-entry table per extracted orbit cost more than
+    /// the few lookups a binding makes (see first_step_at).
     std::vector<std::uint32_t> first_visit;
     static constexpr std::uint32_t kNever = ~0u;
+
+    /// First step at which the orbit occupies node w, or kNever: a scan
+    /// of the tail plus one cycle, which covers every node the orbit
+    /// ever touches.
+    std::uint32_t first_step_at(tree::NodeId w) const {
+      for (std::size_t k = 0; k < node.size(); ++k) {
+        if (node[k] == w) return static_cast<std::uint32_t>(k);
+      }
+      return kNever;
+    }
 
     tree::NodeId node_at(std::uint64_t k) const {
       return k < node.size()
@@ -183,25 +202,24 @@ class CompiledConfigEngine {
                                      const TabularAutomaton& a);
 
  private:
-  void bind_automaton(const TabularAutomaton& a);
+  /// Flattens an already validated `a` into the successor tables.
+  void bind_automaton(const TabularAutomaton& a, bool port_oblivious);
   void extract_orbit(tree::NodeId start, Orbit& out) const;
   /// Splices `out` (whose own prefix of `hit_index` steps is already
   /// recorded) into completed orbit `host`, which it hit at host step
   /// `hit_j` with entry port `seam_port`.
   void finalize_merged(Orbit& out, const Orbit& host, std::uint64_t hit_index,
                        std::uint32_t hit_j, std::int16_t seam_port) const;
-  static void build_first_visit(Orbit& out, std::int32_t n);
 
   const tree::Tree* tree_;
   TabularAutomaton automaton_;
   std::int32_t n_ = 0;
   std::int32_t max_deg_ = 0;   ///< automaton_.max_degree
   std::int32_t port_slots_ = 1;  ///< stamped entry-port slots: 1 or D+1
-  // Flattened successor tables: substrate per (node, port), transitions
-  // per (state, entry port, degree).
+  // Flattened successor tables: substrate per (node, port); transitions
+  // per (state, entry port, degree) are automaton_.delta itself.
   std::vector<std::uint8_t> deg_;     ///< deg_[v]
   std::vector<std::uint32_t> nbrev_;  ///< (neighbor << 8 | rev_port) per port
-  std::vector<std::int32_t> delta_;   ///< delta_[(s*(D+1) + i+1)*D + d-1]
   /// Resolved action per (state, degree): lambda[s] reduced mod d, or -1
   /// for kStay — removes the per-step modulo from the walk.
   std::vector<std::int32_t> actd_;

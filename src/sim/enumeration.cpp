@@ -234,21 +234,30 @@ void EnumerationContext::prepare_row() {
 
 std::uint64_t EnumerationContext::warm(std::size_t g, std::uint64_t obs_t0) {
   Slot& slot = slots_[g];
-  if (!slot.engine.has_value()) {
-    slot.engine.emplace(*grids_[g].tree, *automaton_);
-    ++stats_.bindings;
-  } else if (slot.bound_serial != serial_) {  // else bound via prepare_scan
-    slot.engine->rebind(*automaton_);
-    ++stats_.bindings;
-  }
+  if (slot.bound_serial != serial_) bind_engine(g);  // else via prepare_scan
   // Orbit references are stable for the rest of the binding; snapshot
   // them for the verdict loops.
   for (const tree::NodeId s : slot.warm_starts) {
     slot.orbit_ptr[static_cast<std::size_t>(s)] = &slot.engine->orbit(s);
   }
-  slot.bound_serial = serial_;
   slot.warmed_serial = serial_;
   return note_binding_prepared(obs_t0);
+}
+
+void EnumerationContext::bind_engine(std::size_t g) {
+  Slot& slot = slots_[g];
+  if (!slot.engine.has_value()) {
+    slot.engine.emplace(*grids_[g].tree, *automaton_);  // validates
+  } else {
+    if (checked_serial_ != serial_) {
+      automaton_->validate();
+      port_oblivious_ = automaton_->port_oblivious();
+      checked_serial_ = serial_;
+    }
+    slot.engine->rebind_validated(*automaton_, port_oblivious_);
+  }
+  ++stats_.bindings;
+  slot.bound_serial = serial_;
 }
 
 std::uint64_t EnumerationContext::memoized_count(std::size_t g) {
@@ -272,14 +281,7 @@ EnumerationContext::Slot& EnumerationContext::prepare_scan(std::size_t g) {
     throw std::logic_error("EnumerationContext: bind() an automaton first");
   }
   Slot& slot = slots_[g];
-  if (slot.bound_serial == serial_) return slot;
-  if (!slot.engine.has_value()) {
-    slot.engine.emplace(*grids_[g].tree, *automaton_);
-  } else {
-    slot.engine->rebind(*automaton_);
-  }
-  ++stats_.bindings;
-  slot.bound_serial = serial_;
+  if (slot.bound_serial != serial_) bind_engine(g);
   return slot;
 }
 
@@ -349,20 +351,27 @@ std::ptrdiff_t EnumerationContext::scan_first_unmet(std::size_t g) {
   const CompiledConfigEngine& e = *slot.engine;
   const EnumGrid& grid = grids_[g];
   const std::size_t nq = grid.query_count();
-  detail::PairState st;
+  detail::PairState st;  // only for the queries the walk declines
   for (std::size_t i = 0; i < nq; ++i) {
     const tree::NodeId* s = grid.starts.data() + 2 * i;
     const std::uint64_t* d = grid.delays.data() + 2 * i;
-    if (st.start_a != s[0] || st.start_b != s[1]) {
-      // orbit() extracts on demand: a scan that defeats on the first
-      // pairs only ever walks those pairs' orbits.
-      st = detail::make_pair_state(e, e.orbit(s[0]), e.orbit(s[1]),
-                                   /*same_engine=*/true, s[0], s[1]);
-    }
+    // orbit() extracts on demand: a scan that defeats on the first pairs
+    // only ever walks those pairs' orbits.
+    const CompiledConfigEngine::Orbit& A = e.orbit(s[0]);
+    const CompiledConfigEngine::Orbit& B = e.orbit(s[1]);
     ++stats_.queries;
-    if (!detail::met_with_state(st, d[0], d[1], max_rounds_)) {
-      return static_cast<std::ptrdiff_t>(i);
+    const detail::Walk walk =
+        detail::walk_met(&A, &B, d[0], d[1], max_rounds_);
+    bool met = walk == detail::Walk::kMet;
+    if (walk == detail::Walk::kDeclined) {
+      ++stats_.walk_fallbacks;
+      if (st.start_a != s[0] || st.start_b != s[1]) {
+        st = detail::make_pair_state(e, A, B, /*same_engine=*/true, s[0],
+                                     s[1]);
+      }
+      met = detail::met_with_state(st, d[0], d[1], max_rounds_);
     }
+    if (!met) return static_cast<std::ptrdiff_t>(i);
   }
   return -1;
 }

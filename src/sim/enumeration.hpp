@@ -18,7 +18,9 @@
 //                    kind — no verdict, no per-pair state,
 //   first_unmet(g)   the adaptive variant: scan grid g until the first
 //                    defeat (verdict with met == false), early-exiting —
-//                    the shape of a "smallest defeating instance" search,
+//                    the shape of a "smallest defeating instance" search;
+//                    each query is one bounded walk over its two orbits
+//                    (detail::walk_met), with no pair state,
 //   verify_gather(g) gathering verdicts of grid g, any arity.
 //
 // Grids are k-AGENT (EnumGrid::agents, flat query-major start/delay
@@ -169,6 +171,10 @@ struct EnumTelemetry {
   /// unit declined (more than kOccupancyStarts distinct starts, or a
   /// table past kOccupancyWords under the binding).
   std::uint64_t fallback_counts = 0;
+  /// first_unmet queries the two-orbit walk handed to the pair core:
+  /// pairs whose joint period lcm(lambda_a, lambda_b) passes
+  /// 4 (lambda_a + lambda_b).
+  std::uint64_t walk_fallbacks = 0;
   double hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
     return total == 0 ? 0.0
@@ -196,8 +202,10 @@ class EnumerationContext {
 
   /// Makes `a` the automaton under test. Engines rebind lazily on the
   /// next query call per grid, so early-exiting a binding costs nothing
-  /// for the grids never touched. `a` must stay alive until the next
-  /// bind().
+  /// for the grids never touched; `a` is validated at the binding's
+  /// first engine rebind, once however many grid engines it reaches
+  /// (std::invalid_argument from that query call). `a` must stay alive
+  /// until the next bind().
   void bind(const TabularAutomaton& a);
 
   /// Meet verdicts of pair grid g under the bound automaton, in query
@@ -211,7 +219,11 @@ class EnumerationContext {
   /// past the first defeat are not answered — and the binding is
   /// prepared LAZILY (orbits extract as the scan touches them), so an
   /// adaptive sweep that defeats most automata on their first pairs never
-  /// pays for the whole grid's warm-up.
+  /// pays for the whole grid's warm-up. Each query walks its two orbits
+  /// in lockstep over the pair's own bound (detail::walk_met) and builds
+  /// no pair state or collision table; a pair whose joint period passes
+  /// 4 (lambda_a + lambda_b) goes to the pair core instead, counted in
+  /// EnumTelemetry::walk_fallbacks.
   std::ptrdiff_t first_unmet(std::size_t g);
 
   /// Number of pair-grid-g queries with met == false, without
@@ -320,6 +332,12 @@ class EnumerationContext {
   /// Binding only (no warm-up, orbit_ptr not refreshed) — the lazy path
   /// of first_unmet().
   Slot& prepare_scan(std::size_t g);
+  /// Binds slot g's engine to the current automaton, building it on the
+  /// slot's first binding. The automaton is validated, and its
+  /// port-obliviousness computed, once per binding at its first engine
+  /// rebind, not once per grid engine; bind() itself checks nothing, so
+  /// a binding served from memo rows alone never pays for the check.
+  void bind_engine(std::size_t g);
   /// The bound automaton's trajectory key (trajectory_automaton_key,
   /// which allocates nothing), computed once per binding; counts a
   /// canonical collapse in the telemetry when the class has fewer states
@@ -347,6 +365,10 @@ class EnumerationContext {
   OrbitCache* cache_;
   const TabularAutomaton* automaton_ = nullptr;
   std::uint64_t serial_ = 0;
+  /// The binding bind_engine() last validated, and its automaton's
+  /// port_oblivious().
+  std::uint64_t checked_serial_ = 0;
+  bool port_oblivious_ = false;
   OrbitKey automaton_key_;
   bool automaton_key_valid_ = false;
   std::vector<Slot> slots_;
@@ -395,6 +417,7 @@ auto sweep_enumeration(std::span<const EnumGrid> grids, std::uint64_t count,
         telemetry->orbits_extracted += t.orbits_extracted;
         telemetry->canonical_collapses += t.canonical_collapses;
         telemetry->fallback_counts += t.fallback_counts;
+        telemetry->walk_fallbacks += t.walk_fallbacks;
       },
       num_threads);
   return results;

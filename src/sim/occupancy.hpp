@@ -13,7 +13,9 @@
 // rounds t <= min(gap, reach) and of occ[t][pos_a(t)] over the walking
 // rounds gap < t <= gap + reach (both capped at the horizon), so the
 // table needs the largest moving gap + reach rows. Each OR is computed
-// once per distinct (delayed start, gap, horizon).
+// once per distinct (delayed start, gap, horizon). detail::walk_met
+// (sim/verify_core.hpp) is the same bound for one pair, with H and L
+// taken from that pair alone: first_unmet walks it query by query.
 //
 //   plan_counts(...)      a grid's queries in that canonical form (roles
 //                         swapped so b starts no later, time shifted by

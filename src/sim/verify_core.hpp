@@ -6,9 +6,10 @@
 //
 //   make_pair_state()    pair-invariant work — orbit headers, the cycle
 //                        relationship (gcd/lcm, the cycle-pair collision
-//                        table) and the first-visit lookups. Battery
-//                        grids are pair-major runs of delays, so this
-//                        runs once per (start_a, start_b).
+//                        table) and the two first-visit steps, found by
+//                        scanning each orbit for the other's start.
+//                        Battery grids are pair-major runs of delays, so
+//                        this runs once per (start_a, start_b).
 //   scan_meeting()       delay-dependent search for the earliest meeting
 //                        (one-walker phase, transient scan, in-cycle
 //                        collision decision + first-round scan).
@@ -17,11 +18,16 @@
 //                        verify()/verify_grid return.
 //   met_with_state()     the met/unmet classification alone; skips the
 //                        Brent window arithmetic entirely on the
-//                        (majority) unmet outcomes. first_unmet scans
-//                        with it; defeat counts use it only through
-//                        count_unmet_run, EnumerationContext's fallback
-//                        for grids the occupancy unit (sim/occupancy.hpp)
-//                        declines.
+//                        (majority) unmet outcomes. It serves only the
+//                        fallbacks: count_unmet_run, for grids the
+//                        occupancy unit (sim/occupancy.hpp) declines, and
+//                        the first_unmet queries walk_met declines.
+//
+// walk_met() answers the same met/unmet question for one query with no
+// PairState at all: it walks the two orbits in lockstep over the pair's
+// own bound, the one-pair form of the occupancy unit's. first_unmet asks
+// it first and builds a pair state only when it declines (joint period
+// lcm(lambda_a, lambda_b) > 4 (lambda_a + lambda_b)).
 //
 // The k-tuple half below (make_tuple_state / scan_gather /
 // gather_with_state) answers gathering verdicts only: the one count kind
@@ -43,6 +49,7 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "sim/compiled.hpp"
@@ -79,7 +86,8 @@ struct PairState {
   const tree::NodeId* na = nullptr;  ///< A.node.data()
   const tree::NodeId* nb = nullptr;  ///< B.node.data()
   /// First-visit steps for the one-walker phase: B's orbit onto parked
-  /// start_a (used when delay_a > delay_b) and vice versa.
+  /// start_a (used when delay_a > delay_b) and vice versa; kNever when
+  /// the orbit never visits that start.
   std::uint32_t fv_b_at_a = 0;
   std::uint32_t fv_a_at_b = 0;
   /// Cycle-pair collision table (gcd_l entries), or nullptr when
@@ -118,8 +126,8 @@ inline PairState make_pair_state(const CompiledConfigEngine& engine_a,
   st.size_b = B.node.size();
   st.na = A.node.data();
   st.nb = B.node.data();
-  st.fv_b_at_a = B.first_visit[start_a];
-  st.fv_a_at_b = A.first_visit[start_b];
+  st.fv_b_at_a = B.first_step_at(start_a);
+  st.fv_a_at_b = A.first_step_at(start_b);
   if (same_engine && st.lam_a <= CompiledConfigEngine::kCollisionLimit &&
       st.lam_b <= CompiledConfigEngine::kCollisionLimit) {
     const auto table =
@@ -354,6 +362,68 @@ inline bool met_with_state(const PairState& st, std::uint64_t da,
   // is one) have t_meet <= t0 <= the detection round by construction.
   if (s.early || s.late) return true;
   return s.t_meet <= detect_round(st, da, db);
+}
+
+/// walk_met's answer for one query.
+enum class Walk : std::uint8_t { kUnmet, kMet, kDeclined };
+
+/// met/unmet of one query — exactly met_with_state's answer — by walking
+/// the two orbits in lockstep, with no PairState and no collision table.
+/// `A`/`B` are the orbits of distinct starts, `da`/`db` their delays, M
+/// the horizon. It is the one-pair form of the bound sim/occupancy.hpp
+/// proves for a grid:
+///  - roles are swapped so b moves no later than a; a is delayed by
+///    gap = da - db, and time runs from round db (both agents sit on
+///    their distinct starts until then), leaving horizon M - db. A query
+///    nobody moves in within the horizon is unmet.
+///  - reach = max(mu_a, mu_b) + lcm(lambda_a, lambda_b) - 1 is the pair's
+///    own bound: b's first visit to a's parked start, if any, falls at a
+///    step <= mu_b + lambda_b - 1 <= reach, and once both walk (from
+///    round gap + 1) both are in-cycle by Tc <= gap + max(mu_a, mu_b),
+///    so their first meeting, if any, falls at or before
+///    Tc + lcm - 1 <= gap + reach — before the Brent detection round.
+///  - parked rounds t <= min(gap, reach, horizon): b's orbit against a's
+///    start; walking rounds gap < t <= min(gap + reach, horizon): the two
+///    orbits, b at step t and a at step t - gap.
+/// Declines (kDeclined) when lcm > 4 (lambda_a + lambda_b): the caller
+/// answers such a query with the pair core, whose residue intersection
+/// does not grow with the joint period.
+inline Walk walk_met(const CompiledConfigEngine::Orbit* A,
+                     const CompiledConfigEngine::Orbit* B, std::uint64_t da,
+                     std::uint64_t db, std::uint64_t M) {
+  if (da < db) {
+    std::swap(A, B);
+    std::swap(da, db);
+  }
+  if (db >= M) return Walk::kUnmet;
+  const std::uint64_t horizon = M - db;
+  const std::uint64_t gap = da - db;
+  const std::uint64_t la = A->lambda, lb = B->lambda;
+  std::uint64_t lcm = la;
+  if (la != lb) {
+    lcm = la / std::gcd(la, lb) * lb;
+    if (lcm > 4 * (la + lb)) return Walk::kDeclined;
+  }
+  const std::uint64_t reach = std::max(A->mu, B->mu) + lcm - 1;
+  const tree::NodeId* na = A->node.data();
+  const tree::NodeId* nb = B->node.data();
+  const std::size_t size_a = A->node.size(), size_b = B->node.size();
+  std::size_t ib = 0;  // b's orbit index: its step, wrapped into the cycle
+  for (std::uint64_t t = 1, end = std::min({gap, reach, horizon}); t <= end;
+       ++t) {
+    if (++ib == size_b) ib = B->mu;
+    if (nb[ib] == na[0]) return Walk::kMet;
+  }
+  if (gap >= horizon) return Walk::kUnmet;
+  ib = gap < size_b ? gap : B->mu + wrap_mod(gap - B->mu, lb);
+  std::size_t ia = 0;
+  for (std::uint64_t k = 0, steps = std::min(reach, horizon - gap);
+       k < steps; ++k) {
+    if (++ia == size_a) ia = A->mu;
+    if (++ib == size_b) ib = B->mu;
+    if (na[ia] == nb[ib]) return Walk::kMet;
+  }
+  return Walk::kUnmet;
 }
 
 /// Unmet count over a pair-major run of queries sharing one PairState.

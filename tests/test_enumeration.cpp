@@ -1056,6 +1056,211 @@ TEST(CountUnmet, FallsBackPastTheTableBudgetOnNearCoprimeCycles) {
   }
 }
 
+// ---- first_unmet's two-orbit walk against verify()
+
+/// first_unmet against the index of the first met == false over verify,
+/// on `grid` and on a one-query copy of each of its queries, so that
+/// every query's answer is compared, not only those before the grid's
+/// first defeat. Returns the walking context's telemetry (its
+/// walk_fallbacks says which queries the pair core answered) and adds
+/// the unmet queries to *unmet_total.
+EnumTelemetry expect_first_unmet_matches_verify(const EnumGrid& grid,
+                                                std::uint64_t horizon,
+                                                const TabularAutomaton& a,
+                                                std::uint64_t* unmet_total) {
+  std::vector<EnumGrid> grids{grid};
+  for (std::size_t q = 0; q < grid.query_count(); ++q) {
+    const GatherQuery gq = grid.query(q);
+    grids.emplace_back(grid.tree, 2).push(gq.starts, gq.delays);
+  }
+  EnumerationContext walk(grids, horizon);
+  EnumerationContext reference(grids, horizon);
+  walk.bind(a);
+  reference.bind(a);
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    const auto verdicts = reference.verify(g);
+    const auto defeat =
+        std::find_if(verdicts.begin(), verdicts.end(),
+                     [](const Verdict& v) { return !v.met; });
+    const std::ptrdiff_t want =
+        defeat == verdicts.end() ? -1 : defeat - verdicts.begin();
+    EXPECT_EQ(walk.first_unmet(g), want) << "grid " << g << " M " << horizon;
+    if (g > 0) *unmet_total += want == 0 ? 1 : 0;
+  }
+  return walk.telemetry();
+}
+
+TEST(FirstUnmet, MatchesVerifyOnRandomTreesDelaysAndHorizons) {
+  // Seeded random trees (random ports) and tables over their max degree,
+  // most of them port-sensitive. Every ordered start pair meets every
+  // delay pair, so either agent is the later one. The delays hold 0, 1
+  // and 7, gaps past every pair's reach (the longest tail plus the
+  // largest lcm of two cycles among the starts), and delays at and past
+  // the horizon, so one or both agents may never move. One horizon ends
+  // inside the first joint period of a start pair, one is tiny.
+  util::Rng rng(0xf125u);
+  std::uint64_t unmet = 0, queries = 0, fallbacks = 0, sensitive = 0;
+  std::uint64_t inside = 0;
+  for (int rep = 0; rep < 80; ++rep) {
+    const auto n = static_cast<tree::NodeId>(3 + rng.index(12));
+    const tree::Tree t =
+        tree::randomize_ports(tree::random_attachment(n, rng), rng);
+    const TabularAutomaton a = random_tabular(
+        1 + static_cast<int>(rng.index(5)), t.max_degree(), rng);
+    sensitive += a.port_oblivious() ? 0 : 1;
+    std::vector<tree::NodeId> starts(static_cast<std::size_t>(n));
+    std::iota(starts.begin(), starts.end(), 0);
+    rng.shuffle(starts);
+    starts.resize(2 + rng.index(std::min<std::size_t>(3, n - 1)));
+
+    // The start pair with the longest joint period sets the horizon
+    // inside it: Tc <= M < Tc + lcm - 1 once the lcm is >= 3.
+    const CompiledConfigEngine engine(t, a);
+    std::uint64_t tail = 0, period = 1, mid = 1;
+    for (const tree::NodeId u : starts) {
+      const auto& ou = engine.orbit(u);
+      tail = std::max(tail, ou.mu);
+      for (const tree::NodeId v : starts) {
+        const auto& ov = engine.orbit(v);
+        const std::uint64_t lcm = std::lcm(ou.lambda, ov.lambda);
+        if (u != v && lcm > period) {
+          period = lcm;
+          mid = std::max(ou.mu, ov.mu) + lcm / 2;
+        }
+      }
+    }
+    const std::uint64_t past_reach = tail + period + 2;
+    if (period >= 3) ++inside;
+
+    for (const std::uint64_t horizon :
+         {std::uint64_t{100000}, mid, std::uint64_t{1 + rng.index(6)}}) {
+      const EnumGrid grid = ordered_pairs_grid(
+          t, starts, {0, 1, 7, past_reach, horizon, horizon + 3});
+      queries += grid.query_count();
+      fallbacks +=
+          expect_first_unmet_matches_verify(grid, horizon, a, &unmet)
+              .walk_fallbacks;
+    }
+    ASSERT_FALSE(HasFailure()) << "rep " << rep;
+  }
+  // The walk answers nearly every query; the answers are not all alike.
+  EXPECT_LT(fallbacks * 10, queries);
+  EXPECT_GT(unmet, 0u);
+  EXPECT_LT(unmet, queries);
+  EXPECT_GT(sensitive, 20u);
+  EXPECT_GT(inside, 10u);
+}
+
+TEST(FirstUnmet, PairCoreAnswersNearCoprimeCycles) {
+  // Legs of 9 and 11 edges give cycles of 18 and 22 rounds: a cross-leg
+  // pair's joint period is 198 > 4 (18 + 22), so the walk hands its
+  // queries to the pair core, and the answers still equal verify's. A
+  // same-leg grid never falls back. One horizon ends inside the first
+  // joint period.
+  const tree::Tree t = spider_with_legs({9, 11, 2});
+  const TabularAutomaton a = bounce_automaton();
+  {
+    const CompiledConfigEngine engine(t, a);
+    ASSERT_EQ(engine.orbit(4).lambda, 18u);   // on the 9-edge leg
+    ASSERT_EQ(engine.orbit(15).lambda, 22u);  // on the 11-edge leg
+  }
+  const EnumGrid cross = ordered_pairs_grid(t, {4, 9, 15, 20}, {0, 1, 6, 40});
+  const EnumGrid same = ordered_pairs_grid(t, {2, 4, 9}, {0, 1, 6, 40});
+  for (const std::uint64_t horizon :
+       {std::uint64_t{100000}, std::uint64_t{150}}) {
+    std::uint64_t unmet = 0;
+    const EnumTelemetry tel =
+        expect_first_unmet_matches_verify(cross, horizon, a, &unmet);
+    EXPECT_GT(tel.walk_fallbacks, 0u) << horizon;
+    EXPECT_GT(unmet, 0u) << horizon;
+    EXPECT_LT(unmet, cross.query_count()) << horizon;
+    EXPECT_EQ(expect_first_unmet_matches_verify(same, horizon, a, &unmet)
+                  .walk_fallbacks,
+              0u)
+        << horizon;
+  }
+
+  // sweep_enumeration sums every worker's fallbacks: each index binds
+  // anew and asks the same grid, whose first query crosses legs.
+  const std::vector<EnumGrid> grids{
+      ordered_pairs_grid(t, {4, 15}, {0, 1, 6, 40})};
+  EnumerationContext one(grids, 100000);
+  one.bind(a);
+  one.first_unmet(0);
+  const std::uint64_t per_binding = one.telemetry().walk_fallbacks;
+  ASSERT_GT(per_binding, 0u);
+  EnumTelemetry summed;
+  sweep_enumeration(
+      grids, 6, 100000,
+      [&](EnumerationContext& ctx, std::uint64_t) {
+        ctx.bind(a);
+        return ctx.first_unmet(0);
+      },
+      2, nullptr, &summed);
+  EXPECT_EQ(summed.walk_fallbacks, 6 * per_binding);
+}
+
+TEST(FirstUnmet, ChecksEachBindingAtItsFirstEngineRebind) {
+  // One context over two grids alternates port-oblivious and
+  // port-sensitive tables: each binding's check (validation and
+  // port-obliviousness) is its own, so every verdict equals a fresh
+  // engine's. A malformed table is refused at every grid of its binding,
+  // with both engines already built, and the next binding works again.
+  const tree::Tree t = spider_with_legs({2, 3, 2});
+  std::vector<EnumGrid> grids{ordered_pairs_grid(t, {0, 2, 5}, {0, 1, 6}),
+                              ordered_pairs_grid(t, {1, 4, 7}, {0, 2})};
+  util::Rng rng(0xc4ecull);
+  EnumerationContext ctx(grids, 5000);
+  std::uint64_t sensitive = 0;
+  for (int rep = 0; rep < 12; ++rep) {
+    const TabularAutomaton a =
+        rep % 2 == 0 ? lift_to_tree_automaton(
+                           random_line_automaton(
+                               1 + static_cast<int>(rng.index(4)), rng))
+                           .tabular()
+                     : random_tabular(2 + static_cast<int>(rng.index(3)), 3,
+                                      rng);
+    sensitive += a.port_oblivious() ? 0 : 1;
+    ctx.bind(a);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      std::vector<PairQuery> queries;
+      for (std::size_t q = 0; q < grids[g].query_count(); ++q) {
+        const auto gq = grids[g].query(q);
+        queries.push_back(
+            {gq.starts[0], gq.starts[1], gq.delays[0], gq.delays[1]});
+      }
+      const CompiledConfigEngine fresh(t, a);
+      const auto want = verify_grid(fresh, fresh, queries, 5000);
+      const auto defeat =
+          std::find_if(want.begin(), want.end(),
+                       [](const Verdict& v) { return !v.met; });
+      EXPECT_EQ(ctx.first_unmet(g),
+                defeat == want.end() ? -1 : defeat - want.begin())
+          << "rep " << rep << " grid " << g;
+      const auto got = ctx.verify(g);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t q = 0; q < want.size(); ++q) {
+        EXPECT_EQ(got[q].met, want[q].met) << rep << " " << g << " " << q;
+        EXPECT_EQ(got[q].rounds_checked, want[q].rounds_checked)
+            << rep << " " << g << " " << q;
+      }
+    }
+  }
+  EXPECT_GE(sensitive, 5u);
+
+  TabularAutomaton bad = random_tabular(3, 3, rng);
+  bad.delta[1] = 3;  // no state 3
+  ctx.bind(bad);
+  EXPECT_THROW(ctx.first_unmet(0), std::invalid_argument);
+  EXPECT_THROW(ctx.verify(1), std::invalid_argument);
+  EXPECT_THROW(ctx.count_unmet(1), std::invalid_argument);
+  const TabularAutomaton good = random_tabular(3, 3, rng);
+  ctx.bind(good);
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    EXPECT_EQ(ctx.count_unmet(g), unmet_by_verify_grid(grids[g], 5000, good));
+  }
+}
+
 TEST(Enumeration, SweepPropagatesExceptions) {
   std::vector<tree::Tree> trees;
   trees.push_back(tree::line(5));
