@@ -172,12 +172,12 @@ int main() {
   const double sweep_seconds = total_timer.seconds();
 
   table.print(std::cout);
-  // first_unmet answers each query by walking its two orbits; a pair
-  // whose joint period passes 4 (lambda_a + lambda_b) goes to the pair
-  // core instead.
+  // first_unmet answers each query by walking its two orbits; the walk
+  // declines a pair whose joint period passes 4 (lambda_a + lambda_b),
+  // and the table-less pair core answers it.
   std::cout << "adaptive sweep: " << sweep_telemetry.queries
             << " first_unmet queries, " << sweep_telemetry.walk_fallbacks
-            << " handed to the pair core\n";
+            << " declined by the walk\n";
 
   // Engine shoot-out: the full defeat-density profile over a sampled
   // automaton set, single threaded on both sides so the ratio isolates

@@ -412,9 +412,8 @@ Verdict verify_never_meet_compiled(const CompiledConfigEngine& engine_a,
   const bool same_engine = &engine_a == &engine_b;
   const auto& A = engine_a.orbit(cfg.start_a);
   const auto& B = engine_b.orbit(cfg.start_b);
-  return detail::verify_pair_core(engine_a, A, B, same_engine, cfg.start_a,
-                                  cfg.start_b, cfg.delay_a, cfg.delay_b,
-                                  cfg.max_rounds);
+  return detail::verify_pair_core(engine_a, A, B, same_engine, cfg.delay_a,
+                                  cfg.delay_b, cfg.max_rounds);
 }
 
 GatherVerdict verify_never_gather_compiled(
@@ -477,9 +476,8 @@ std::vector<Verdict> verify_grid(const CompiledConfigEngine& engine_a,
     const PairQuery& q = queries[i];
     const auto& A = engine_a.orbit(q.start_a);
     const auto& B = engine_b.orbit(q.start_b);
-    out[i] = detail::verify_pair_core(engine_a, A, B, same_engine, q.start_a,
-                                      q.start_b, q.delay_a, q.delay_b,
-                                      max_rounds);
+    out[i] = detail::verify_pair_core(engine_a, A, B, same_engine, q.delay_a,
+                                      q.delay_b, max_rounds);
   }
   return out;
 }

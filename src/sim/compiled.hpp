@@ -284,20 +284,6 @@ class CompiledConfigEngine {
   static constexpr std::int32_t kCollisionIndexMaxN = 256;
 };
 
-/// Line-automaton convenience over CompiledConfigEngine: constructs from
-/// the historical LineAutomaton table format and insists the substrate is
-/// a line (the degree cap falls out of the automaton's max_degree == 2).
-class CompiledLineEngine : public CompiledConfigEngine {
- public:
-  CompiledLineEngine(const tree::Tree& line, const LineAutomaton& a)
-      : CompiledConfigEngine(line, a.tabular()) {}
-
-  using CompiledConfigEngine::rebind;
-  void rebind(const LineAutomaton& a) {
-    CompiledConfigEngine::rebind(a.tabular());
-  }
-};
-
 /// Table-driven equivalent of lowerbound::verify_never_meet for two
 /// tabular automata on the SAME tree object (pass the same engine twice
 /// for identical agents). Produces field-for-field the result the legacy

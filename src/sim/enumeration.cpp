@@ -288,14 +288,14 @@ EnumerationContext::Slot& EnumerationContext::prepare_scan(std::size_t g) {
 namespace {
 
 /// Battery grids are pair-major runs of delays: refresh the pair-invariant
-/// state only when the (start_a, start_b) pair changes.
+/// state, collision table included, only when the start pair (and so the
+/// orbit pair) changes.
 inline void refresh_pair(detail::PairState& st,
                          const CompiledConfigEngine& e,
                          const CompiledConfigEngine::Orbit* const* optr,
                          const tree::NodeId* s) {
-  if (st.start_a != s[0] || st.start_b != s[1]) {
-    st = detail::make_pair_state(e, *optr[s[0]], *optr[s[1]],
-                                 /*same_engine=*/true, s[0], s[1]);
+  if (st.A != optr[s[0]] || st.B != optr[s[1]]) {
+    st = detail::make_pair_state(&e, *optr[s[0]], *optr[s[1]]);
   }
 }
 
@@ -351,7 +351,6 @@ std::ptrdiff_t EnumerationContext::scan_first_unmet(std::size_t g) {
   const CompiledConfigEngine& e = *slot.engine;
   const EnumGrid& grid = grids_[g];
   const std::size_t nq = grid.query_count();
-  detail::PairState st;  // only for the queries the walk declines
   for (std::size_t i = 0; i < nq; ++i) {
     const tree::NodeId* s = grid.starts.data() + 2 * i;
     const std::uint64_t* d = grid.delays.data() + 2 * i;
@@ -360,18 +359,10 @@ std::ptrdiff_t EnumerationContext::scan_first_unmet(std::size_t g) {
     const CompiledConfigEngine::Orbit& A = e.orbit(s[0]);
     const CompiledConfigEngine::Orbit& B = e.orbit(s[1]);
     ++stats_.queries;
-    const detail::Walk walk =
-        detail::walk_met(&A, &B, d[0], d[1], max_rounds_);
-    bool met = walk == detail::Walk::kMet;
-    if (walk == detail::Walk::kDeclined) {
-      ++stats_.walk_fallbacks;
-      if (st.start_a != s[0] || st.start_b != s[1]) {
-        st = detail::make_pair_state(e, A, B, /*same_engine=*/true, s[0],
-                                     s[1]);
-      }
-      met = detail::met_with_state(st, d[0], d[1], max_rounds_);
+    if (!detail::orbits_met(A, B, d[0], d[1], max_rounds_,
+                            stats_.walk_fallbacks)) {
+      return static_cast<std::ptrdiff_t>(i);
     }
-    if (!met) return static_cast<std::ptrdiff_t>(i);
   }
   return -1;
 }
@@ -407,23 +398,16 @@ std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
           static_cast<std::size_t>(grid.tree->node_count()))) {
     return *unmet;
   }
-  // Declined: one pair state per start pair.
+  // Declined: query by query, from the two orbits.
   ++stats_.fallback_counts;
-  const CompiledConfigEngine& e = *slot.engine;
   std::uint64_t unmet = 0;
-  const tree::NodeId* sdata = grid.starts.data();
-  const std::uint64_t* ddata = grid.delays.data();
-  std::size_t i = 0;
-  while (i < nq) {
-    const tree::NodeId* s = sdata + 2 * i;
-    std::size_t j = i + 1;
-    while (j < nq && sdata[2 * j] == s[0] && sdata[2 * j + 1] == s[1]) {
-      ++j;
-    }
-    const detail::PairState st = detail::make_pair_state(
-        e, *optr[s[0]], *optr[s[1]], /*same_engine=*/true, s[0], s[1]);
-    unmet += detail::count_unmet_run(st, ddata + 2 * i, j - i, max_rounds_);
-    i = j;
+  for (std::size_t i = 0; i < nq; ++i) {
+    const tree::NodeId* s = grid.starts.data() + 2 * i;
+    const std::uint64_t* d = grid.delays.data() + 2 * i;
+    unmet += detail::orbits_met(*optr[s[0]], *optr[s[1]], d[0], d[1],
+                                max_rounds_, stats_.walk_fallbacks)
+                 ? 0
+                 : 1;
   }
   return unmet;
 }

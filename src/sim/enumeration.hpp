@@ -19,8 +19,8 @@
 //   first_unmet(g)   the adaptive variant: scan grid g until the first
 //                    defeat (verdict with met == false), early-exiting —
 //                    the shape of a "smallest defeating instance" search;
-//                    each query is one bounded walk over its two orbits
-//                    (detail::walk_met), with no pair state,
+//                    each query is answered from its two orbits alone
+//                    (detail::orbits_met), with no collision table,
 //   verify_gather(g) gathering verdicts of grid g, any arity.
 //
 // Grids are k-AGENT (EnumGrid::agents, flat query-major start/delay
@@ -36,8 +36,10 @@
 // context and shared by content-identical copies — contexts that only
 // ever serve memo hits, or never count, pay nothing for it. When the unit
 // declines (more than kOccupancyStarts distinct starts, or a table past
-// kOccupancyWords), the context counts the grid by the per-pair core
-// (make_pair_state + count_unmet_run) and adds it to fallback_counts.
+// kOccupancyWords), the context counts the grid query by query with the
+// same two-orbit predicate as first_unmet (detail::orbits_met) and adds
+// it to fallback_counts. Only verify() and verify_gather() build
+// collision tables.
 //
 // Grids are validated once at construction; the steady state allocates
 // nothing. The constructor also maps each grid to its first content-
@@ -167,13 +169,13 @@ struct EnumTelemetry {
   /// tables the row key merges with smaller ones. Counted when a count
   /// keys its row, so only with a cache attached.
   std::uint64_t canonical_collapses = 0;
-  /// Grid counts computed by the per-pair fallback: grids the occupancy
-  /// unit declined (more than kOccupancyStarts distinct starts, or a
-  /// table past kOccupancyWords under the binding).
+  /// Grid counts computed query by query (detail::orbits_met): grids the
+  /// occupancy unit declined (more than kOccupancyStarts distinct starts,
+  /// or a table past kOccupancyWords under the binding).
   std::uint64_t fallback_counts = 0;
-  /// first_unmet queries the two-orbit walk handed to the pair core:
-  /// pairs whose joint period lcm(lambda_a, lambda_b) passes
-  /// 4 (lambda_a + lambda_b).
+  /// Queries of first_unmet and of fallback counts that the two-orbit
+  /// walk declined and the table-less pair core answered: pairs whose
+  /// joint period lcm(lambda_a, lambda_b) passes 4 (lambda_a + lambda_b).
   std::uint64_t walk_fallbacks = 0;
   double hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -221,15 +223,16 @@ class EnumerationContext {
   /// adaptive sweep that defeats most automata on their first pairs never
   /// pays for the whole grid's warm-up. Each query walks its two orbits
   /// in lockstep over the pair's own bound (detail::walk_met) and builds
-  /// no pair state or collision table; a pair whose joint period passes
-  /// 4 (lambda_a + lambda_b) goes to the pair core instead, counted in
-  /// EnumTelemetry::walk_fallbacks.
+  /// no collision table; a pair whose joint period passes
+  /// 4 (lambda_a + lambda_b) goes to the table-less pair core instead,
+  /// counted in EnumTelemetry::walk_fallbacks.
   std::ptrdiff_t first_unmet(std::size_t g);
 
   /// Number of pair-grid-g queries with met == false, without
   /// materializing verdicts — the accumulation shape of defeat-density
   /// profiles. Answered by the occupancy unit (one bit test per query;
-  /// sim/occupancy.hpp), or by the per-pair core when the unit declines.
+  /// sim/occupancy.hpp), or query by query from the two orbits, as
+  /// first_unmet answers, when the unit declines.
   /// Equals counting met == false over verify(g). With a cache attached
   /// the count comes from the binding's row (battery key, trajectory
   /// key): a hit returns it without touching the engine; a miss claims

@@ -15,7 +15,8 @@
 // table needs the largest moving gap + reach rows. Each OR is computed
 // once per distinct (delayed start, gap, horizon). detail::walk_met
 // (sim/verify_core.hpp) is the same bound for one pair, with H and L
-// taken from that pair alone: first_unmet walks it query by query.
+// taken from that pair alone: first_unmet and the declined-grid count
+// walk it query by query.
 //
 //   plan_counts(...)      a grid's queries in that canonical form (roles
 //                         swapped so b starts no later, time shifted by
@@ -28,8 +29,9 @@
 // The counter DECLINES (nullopt) a grid with more than kOccupancyStarts
 // distinct starts (one bit each in a u64) or whose table would pass
 // kOccupancyWords words for the orbits given; the caller then counts the
-// grid another way (EnumerationContext: the per-pair core of
-// sim/verify_core.hpp).
+// grid another way (EnumerationContext: query by query with
+// detail::orbits_met of sim/verify_core.hpp: walk_met above or, where it
+// declines, the table-less pair core).
 #pragma once
 
 #include <cstddef>

@@ -4,30 +4,30 @@
 // The verdict reconstruction (see sim/compiled.hpp for the math) splits
 // three ways, matching how the battery loops consume it:
 //
-//   make_pair_state()    pair-invariant work — orbit headers, the cycle
-//                        relationship (gcd/lcm, the cycle-pair collision
-//                        table) and the two first-visit steps, found by
-//                        scanning each orbit for the other's start.
-//                        Battery grids are pair-major runs of delays, so
-//                        this runs once per (start_a, start_b).
+//   make_pair_state()    pair-invariant work, read off the two orbits
+//                        alone: orbit headers, the cycle relationship
+//                        (gcd/lcm) and the two first-visit steps, found by
+//                        scanning each orbit for the other's start. Given
+//                        an engine it also attaches the cycle-pair
+//                        collision table; only the full-verdict callers
+//                        give one, and verify() refreshes the state once
+//                        per run of queries sharing a start pair.
 //   scan_meeting()       delay-dependent search for the earliest meeting
 //                        (one-walker phase, transient scan, in-cycle
 //                        collision decision + first-round scan).
 //   verify_with_state()  the full five-field verdict (Brent detection
 //                        round, certificate cycle length) — what
 //                        verify()/verify_grid return.
-//   met_with_state()     the met/unmet classification alone; skips the
-//                        Brent window arithmetic entirely on the
-//                        (majority) unmet outcomes. It serves only the
-//                        fallbacks: count_unmet_run, for grids the
-//                        occupancy unit (sim/occupancy.hpp) declines, and
-//                        the first_unmet queries walk_met declines.
 //
-// walk_met() answers the same met/unmet question for one query with no
-// PairState at all: it walks the two orbits in lockstep over the pair's
-// own bound, the one-pair form of the occupancy unit's. first_unmet asks
-// it first and builds a pair state only when it declines (joint period
-// lcm(lambda_a, lambda_b) > 4 (lambda_a + lambda_b)).
+// Every met/unmet answer of the enumeration context is a function of the
+// query's two orbits. walk_met() walks them in lockstep over the pair's
+// own bound, the one-pair form of the occupancy unit's, with no PairState
+// at all; orbits_met() asks it first and, when it declines (joint period
+// lcm(lambda_a, lambda_b) > 4 (lambda_a + lambda_b)), takes the full
+// verdict's met over a table-less pair state, whose residue intersection
+// does not grow with the joint period. first_unmet and the count fallback
+// for grids the occupancy unit (sim/occupancy.hpp) declines both call it,
+// so neither builds a collision table.
 //
 // The k-tuple half below (make_tuple_state / scan_gather /
 // gather_with_state) answers gathering verdicts only: the one count kind
@@ -75,8 +75,6 @@ inline std::uint64_t wrap_mod(std::uint64_t x, std::uint64_t m) {
 struct PairState {
   const CompiledConfigEngine::Orbit* A = nullptr;
   const CompiledConfigEngine::Orbit* B = nullptr;
-  tree::NodeId start_a = -1;
-  tree::NodeId start_b = -1;
   std::uint64_t lam_a = 0, lam_b = 0;
   std::uint64_t gcd_l = 0, lam_joint = 0;
   /// Cached orbit headers: the delay loop reads these from the (hot)
@@ -85,13 +83,13 @@ struct PairState {
   std::size_t size_a = 0, size_b = 0;
   const tree::NodeId* na = nullptr;  ///< A.node.data()
   const tree::NodeId* nb = nullptr;  ///< B.node.data()
-  /// First-visit steps for the one-walker phase: B's orbit onto parked
-  /// start_a (used when delay_a > delay_b) and vice versa; kNever when
-  /// the orbit never visits that start.
+  /// First-visit steps for the one-walker phase: B's orbit onto A's
+  /// parked start (used when delay_a > delay_b) and vice versa; kNever
+  /// when the orbit never visits that start.
   std::uint32_t fv_b_at_a = 0;
   std::uint32_t fv_a_at_b = 0;
   /// Cycle-pair collision table (gcd_l entries), or nullptr when
-  /// unavailable (different engines, cycles past kCollisionLimit, build
+  /// unavailable (no engine given, cycles past kCollisionLimit, build
   /// gave up) — the fallbacks scan or intersect residues instead.
   const std::uint8_t* collisions = nullptr;
   /// Alignment bases: the collision class for delays (da, db) is
@@ -99,16 +97,15 @@ struct PairState {
   std::uint64_t lhs0 = 0, rhs0 = 0;
 };
 
-inline PairState make_pair_state(const CompiledConfigEngine& engine_a,
+/// Pair state of orbits A and B, whose starts are A.node[0] and B.node[0].
+/// `engine` (nullptr: no table) is the engine both orbits came from; only
+/// then is the cycle-pair collision table attached.
+inline PairState make_pair_state(const CompiledConfigEngine* engine,
                                  const CompiledConfigEngine::Orbit& A,
-                                 const CompiledConfigEngine::Orbit& B,
-                                 bool same_engine, tree::NodeId start_a,
-                                 tree::NodeId start_b) {
+                                 const CompiledConfigEngine::Orbit& B) {
   PairState st;
   st.A = &A;
   st.B = &B;
-  st.start_a = start_a;
-  st.start_b = start_b;
   st.lam_a = A.lambda;
   st.lam_b = B.lambda;
   // Orbits that merged share a cycle, so the equal-lambda case is the
@@ -126,12 +123,12 @@ inline PairState make_pair_state(const CompiledConfigEngine& engine_a,
   st.size_b = B.node.size();
   st.na = A.node.data();
   st.nb = B.node.data();
-  st.fv_b_at_a = B.first_step_at(start_a);
-  st.fv_a_at_b = A.first_step_at(start_b);
-  if (same_engine && st.lam_a <= CompiledConfigEngine::kCollisionLimit &&
+  st.fv_b_at_a = B.first_step_at(A.node[0]);
+  st.fv_a_at_b = A.first_step_at(B.node[0]);
+  if (engine != nullptr &&
+      st.lam_a <= CompiledConfigEngine::kCollisionLimit &&
       st.lam_b <= CompiledConfigEngine::kCollisionLimit) {
-    const auto table =
-        engine_a.cycle_pair_lookup(A.cycle_root, B.cycle_root);
+    const auto table = engine->cycle_pair_lookup(A.cycle_root, B.cycle_root);
     if (!table.empty()) {  // empty: build gave up, fall back to scanning
       st.collisions = table.data();
       st.lhs0 = A.cycle_phase + B.sn_mu;
@@ -144,25 +141,12 @@ inline PairState make_pair_state(const CompiledConfigEngine& engine_a,
 /// Delay-dependent meeting search. Returns whether the later agent acts
 /// within the horizon at all (`late` = it does not), whether a meeting
 /// was found, and its round (<= M by construction).
-///
-/// With kExistenceOnly the in-cycle phase may report a meeting WITHOUT
-/// locating its first round (t_meet is then a round <= the true one):
-/// when the collision table says the joint cycle meets and the whole
-/// first period fits the horizon (Tc + lam_joint - 1 <= M), the earliest
-/// meeting provably lies within both the horizon and the Brent detection
-/// round (which is always >= Tc + lam_joint), so met/unmet
-/// classification needs no scan. Only met_with_state may use this mode.
 struct MeetScan {
   bool late = false;
   bool meet = false;
-  /// Meeting found in the one-walker phase: t_meet <= t0 there, which is
-  /// always <= the Brent detection round — classification can skip the
-  /// window arithmetic.
-  bool early = false;
   std::uint64_t t_meet = 0;
 };
 
-template <bool kExistenceOnly = false>
 inline MeetScan scan_meeting(const PairState& st, std::uint64_t da,
                              std::uint64_t db, std::uint64_t M) {
   MeetScan s;
@@ -177,7 +161,6 @@ inline MeetScan scan_meeting(const PairState& st, std::uint64_t da,
     const std::uint64_t limit = std::min(d_late, M) - d_early;
     if (fv != CompiledConfigEngine::Orbit::kNever && fv <= limit) {
       s.meet = true;
-      s.early = true;
       s.t_meet = d_early + fv;
     }
   }
@@ -271,16 +254,6 @@ inline MeetScan scan_meeting(const PairState& st, std::uint64_t da,
                                         (w << 32) | ((db + st.mu_b + j) % g));
       }
     }
-    if constexpr (kExistenceOnly) {
-      if (scan_cycle && st.collisions != nullptr &&
-          Tc + st.lam_joint - 1 <= M) {
-        // A meeting exists somewhere in [Tc, Tc + lam_joint - 1], all of
-        // which is inside the horizon and before the detection round.
-        s.meet = true;
-        s.t_meet = Tc;  // lower bound on the true round; enough to classify
-        return s;
-      }
-    }
     if (scan_cycle) {
       const tree::NodeId* cyc_a = st.na + st.mu_a;
       const tree::NodeId* cyc_b = st.nb + st.mu_b;
@@ -351,23 +324,10 @@ inline Verdict verify_with_state(const PairState& st, std::uint64_t da,
   return r;
 }
 
-/// met/unmet classification alone — exactly verify_with_state().met, but
-/// the (majority) unmet outcomes skip the Brent window arithmetic and the
-/// verdict assembly. The defeat-counting loops live on this.
-inline bool met_with_state(const PairState& st, std::uint64_t da,
-                           std::uint64_t db, std::uint64_t M) {
-  const MeetScan s = scan_meeting<true>(st, da, db, M);
-  if (!s.meet) return false;
-  // One-walker meetings (and the late case, whose only observable event
-  // is one) have t_meet <= t0 <= the detection round by construction.
-  if (s.early || s.late) return true;
-  return s.t_meet <= detect_round(st, da, db);
-}
-
 /// walk_met's answer for one query.
 enum class Walk : std::uint8_t { kUnmet, kMet, kDeclined };
 
-/// met/unmet of one query — exactly met_with_state's answer — by walking
+/// met/unmet of one query — exactly verify_with_state().met — by walking
 /// the two orbits in lockstep, with no PairState and no collision table.
 /// `A`/`B` are the orbits of distinct starts, `da`/`db` their delays, M
 /// the horizon. It is the one-pair form of the bound sim/occupancy.hpp
@@ -385,7 +345,7 @@ enum class Walk : std::uint8_t { kUnmet, kMet, kDeclined };
 ///  - parked rounds t <= min(gap, reach, horizon): b's orbit against a's
 ///    start; walking rounds gap < t <= min(gap + reach, horizon): the two
 ///    orbits, b at step t and a at step t - gap.
-/// Declines (kDeclined) when lcm > 4 (lambda_a + lambda_b): the caller
+/// Declines (kDeclined) when lcm > 4 (lambda_a + lambda_b): orbits_met
 /// answers such a query with the pair core, whose residue intersection
 /// does not grow with the joint period.
 inline Walk walk_met(const CompiledConfigEngine::Orbit* A,
@@ -426,38 +386,41 @@ inline Walk walk_met(const CompiledConfigEngine::Orbit* A,
   return Walk::kUnmet;
 }
 
-/// Unmet count over a pair-major run of queries sharing one PairState.
-/// `delays` is the flat k = 2 delay storage of the grid (delay_a, delay_b
-/// per query, `len` queries). Flattened so the classification inlines and
-/// the pair state stays hot across the delay run. This is the FALLBACK
-/// count: EnumerationContext::count_unmet answers a grid through the
-/// occupancy unit (sim/occupancy.hpp) and comes here only for grids it
-/// declines: more than kOccupancyStarts distinct starts, or a table past
-/// kOccupancyWords.
-__attribute__((flatten)) inline std::uint64_t count_unmet_run(
-    const PairState& st, const std::uint64_t* delays, std::size_t len,
-    std::uint64_t M) {
-  std::uint64_t unmet = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    unmet += met_with_state(st, delays[2 * i], delays[2 * i + 1], M) ? 0 : 1;
-  }
-  return unmet;
+/// The pair core's met for a query walk_met declined, over a table-less
+/// pair state. Out of line: it runs for a few queries in a million, and
+/// the walk's loop stays tight in its callers.
+[[gnu::noinline]] inline bool pair_core_met(
+    const CompiledConfigEngine::Orbit& A,
+    const CompiledConfigEngine::Orbit& B, std::uint64_t da,
+    std::uint64_t db, std::uint64_t M) {
+  return verify_with_state(make_pair_state(nullptr, A, B), da, db, M).met;
+}
+
+/// met/unmet of one query from its two orbits alone: walk_met, or the
+/// pair core when the walk declines, counted in `declines`. Builds no
+/// collision table. Same preconditions as walk_met.
+inline bool orbits_met(const CompiledConfigEngine::Orbit& A,
+                       const CompiledConfigEngine::Orbit& B, std::uint64_t da,
+                       std::uint64_t db, std::uint64_t M,
+                       std::uint64_t& declines) {
+  const Walk walk = walk_met(&A, &B, da, db, M);
+  if (walk != Walk::kDeclined) [[likely]] return walk == Walk::kMet;
+  ++declines;
+  return pair_core_met(A, B, da, db, M);
 }
 
 /// Core of verify_never_meet_compiled over pre-fetched orbits, for
-/// one-off calls. `A`/`B` must be `engine_a.orbit(start_a)` /
-/// `engine_b.orbit(start_b)` and `same_engine` must be
-/// (&engine_a == &engine_b); the caller guarantees start_a != start_b,
-/// both in range, and M > 0.
+/// one-off calls. `A`/`B` must come from `engine_a` / `engine_b` and
+/// `same_engine` must be (&engine_a == &engine_b): only then is the
+/// collision table attached. The caller guarantees distinct in-range
+/// starts and M > 0.
 inline Verdict verify_pair_core(const CompiledConfigEngine& engine_a,
                                 const CompiledConfigEngine::Orbit& A,
                                 const CompiledConfigEngine::Orbit& B,
-                                bool same_engine, tree::NodeId start_a,
-                                tree::NodeId start_b, std::uint64_t da,
+                                bool same_engine, std::uint64_t da,
                                 std::uint64_t db, std::uint64_t M) {
   return verify_with_state(
-      make_pair_state(engine_a, A, B, same_engine, start_a, start_b), da,
-      db, M);
+      make_pair_state(same_engine ? &engine_a : nullptr, A, B), da, db, M);
 }
 
 // ---- k-tuple gathering composition (paper §1.3) ---------------------------

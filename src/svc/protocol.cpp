@@ -111,12 +111,8 @@ LeaseGrant decode_lease_grant(std::span<const std::uint8_t> p) {
   m.resume_sum = r.u64();
   m.token = r.u64();
   m.retry_ms = r.u64();
-  // The v3 tail: the campaign/trace id. A v2 grant ends here and still
-  // decodes (campaign_id stays 0 — spans just don't stitch).
-  if (r.remaining() != 0) {
-    m.campaign_id = r.u64();
-    r.expect_end();
-  }
+  m.campaign_id = r.u64();
+  r.expect_end();
   if (m.status == LeaseStatus::kGranted &&
       (m.begin > m.end || m.next_index < m.begin || m.next_index > m.end)) {
     throw SerializeError("svc: lease grant range inconsistent");

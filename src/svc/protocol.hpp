@@ -35,10 +35,10 @@ namespace rvt::svc {
 /// carries the workload fingerprint the session is (re)binding to plus
 /// the worker's reconnect count, so a coordinator can refuse a worker
 /// that reconnected into a different campaign and account fleet-wide
-/// reconnects; 3 = lease grants carry the coordinator-minted campaign/
-/// trace id as an OPTIONAL TAIL (decoders still accept the v2 payload
-/// — the id defaults to 0 — so a mixed-version rollout degrades to
-/// unstitched traces, never to a refused lease).
+/// reconnects; 3 = lease grants end with the coordinator-minted
+/// campaign/trace id. A worker refuses any hello reply of another
+/// version, so no session ever sees a v2 grant, and a grant without the
+/// id is refused like any other truncated payload.
 inline constexpr std::uint32_t kServiceProtocolVersion = 3;
 
 enum class ErrorCode : std::uint32_t {
@@ -99,7 +99,7 @@ struct LeaseGrant {
   /// holds lease requests; older coordinators answered at once with one.
   std::uint64_t retry_ms = 0;
   /// Campaign/trace id the coordinator minted for this plan (protocol
-  /// v3 optional tail; 0 from a v2 peer). Workers adopt it as their
+  /// v3; 0 means no campaign). Workers adopt it as their
   /// obs::trace campaign id so their spans stitch under the
   /// coordinator's timeline in an exported trace.
   std::uint64_t campaign_id = 0;

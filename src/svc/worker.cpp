@@ -259,8 +259,8 @@ WorkerReport run_worker(const std::string& host, std::uint16_t port,
         } else {
           ++rep.leases;
           // Adopt the coordinator-minted campaign id so every span this
-          // worker flushes stitches to the coordinator's trace. A v2
-          // grant carries no id (0) — leave whatever was configured.
+          // worker flushes stitches to the coordinator's trace. Id 0
+          // names no campaign: leave whatever was configured.
           if (g.campaign_id != 0) obs::set_campaign_id(g.campaign_id);
           lease.emplace();
           lease->g = g;

@@ -84,7 +84,7 @@ TEST(CompiledOrbit, MatchesInterpretedTrajectoryAndIsRho) {
     const tree::Tree t = random_line(n, rng);
     const auto a =
         random_line_automaton(1 + static_cast<int>(rng.index(8)), rng);
-    const CompiledLineEngine engine(t, a);
+    const CompiledConfigEngine engine(t, a.tabular());
     // Query every start so later orbits exercise the merge path, whose
     // spliced tails must still match the interpreted agent exactly
     // (including the entry port at the merge seam).
@@ -113,7 +113,7 @@ TEST(CompiledOrbit, CachedAcrossStartsAndBoundedBySpace) {
   util::Rng rng(7);
   const tree::Tree t = tree::line_edge_colored(9, 0);
   const auto a = random_line_automaton(5, rng);
-  const CompiledLineEngine engine(t, a);
+  const CompiledConfigEngine engine(t, a.tabular());
   for (tree::NodeId s = 0; s < 9; ++s) {
     const auto& o1 = engine.orbit(s);
     const auto& o2 = engine.orbit(s);
@@ -124,10 +124,10 @@ TEST(CompiledOrbit, CachedAcrossStartsAndBoundedBySpace) {
 
 TEST(CompiledEngine, RejectsNonLines) {
   util::Rng rng(3);
-  const auto a = random_line_automaton(2, rng);
-  EXPECT_THROW(CompiledLineEngine(tree::Tree::single_node(), a),
+  const auto a = random_line_automaton(2, rng).tabular();
+  EXPECT_THROW(CompiledConfigEngine(tree::Tree::single_node(), a),
                std::invalid_argument);
-  EXPECT_THROW(CompiledLineEngine(tree::star(4), a), std::invalid_argument);
+  EXPECT_THROW(CompiledConfigEngine(tree::star(4), a), std::invalid_argument);
 }
 
 // The acceptance-critical differential: the compiled verdict must match the
@@ -198,7 +198,7 @@ TEST(CompiledVerify, DirectEngineMatchesDispatcherAcrossPairsAndDelays) {
   util::Rng rng(42);
   const tree::Tree t = tree::line_symmetric_colored(9);
   const auto a = ping_pong_walker(2);
-  const CompiledLineEngine engine(t, a);
+  const CompiledConfigEngine engine(t, a.tabular());
   for (tree::NodeId u = 0; u < t.node_count(); ++u) {
     for (tree::NodeId v = 0; v < t.node_count(); ++v) {
       if (u == v) continue;
@@ -240,7 +240,7 @@ TEST(CompiledVerify, ExtremeDelaysMatchReference) {
         cfg.delay_a = dl;
         cfg.delay_b = dr;
         cfg.max_rounds = M;
-        const CompiledLineEngine engine(t, a);
+        const CompiledConfigEngine engine(t, a.tabular());
         const auto fast = verify_never_meet_compiled(engine, engine, cfg);
         LineAutomatonAgent ra(a), rb(a);
         const auto ref =
@@ -263,7 +263,7 @@ TEST(CompiledVerify, RejectsBadConfigsLikeReference) {
   util::Rng rng(9);
   const tree::Tree t = tree::line(5);
   const auto a = random_line_automaton(3, rng);
-  const CompiledLineEngine engine(t, a);
+  const CompiledConfigEngine engine(t, a.tabular());
   EXPECT_THROW(verify_never_meet_compiled(engine, engine, {0, 1, 0, 0, 0}),
                std::invalid_argument);
   EXPECT_THROW(verify_never_meet_compiled(engine, engine, {2, 2, 0, 0, 10}),
@@ -308,7 +308,7 @@ TEST(SweepInstances, SweepsVerificationGridDeterministically) {
     cases.push_back(c);
   }
   const auto fn = [&](const Case& c) {
-    const CompiledLineEngine engine(t, c.a);
+    const CompiledConfigEngine engine(t, c.a.tabular());
     const auto v = verify_never_meet_compiled(engine, engine, c.cfg);
     return std::tuple{v.met, v.certified_forever, v.cycle_length};
   };
@@ -567,7 +567,8 @@ TEST(ExtractionOrder, PingPongOnSymmetricLineAgrees) {
 TEST(ExtractionOrder, WarmOrbitsRejectsOutOfRangeStart) {
   util::Rng rng(12);
   const tree::Tree t = tree::line(5);
-  const CompiledLineEngine engine(t, random_line_automaton(3, rng));
+  const CompiledConfigEngine engine(t,
+                                    random_line_automaton(3, rng).tabular());
   const std::vector<tree::NodeId> bad{0, 5};
   EXPECT_THROW(engine.warm_orbits(bad), std::invalid_argument);
   const std::vector<tree::NodeId> negative{-1};
@@ -610,7 +611,8 @@ TEST(VerifyGrid, MatchesPerQueryVerdicts) {
 TEST(VerifyGrid, ValidatesQueriesUpFront) {
   util::Rng rng(6);
   const tree::Tree t = tree::line(5);
-  const CompiledLineEngine engine(t, random_line_automaton(3, rng));
+  const CompiledConfigEngine engine(t,
+                                    random_line_automaton(3, rng).tabular());
   const std::vector<PairQuery> empty;
   EXPECT_TRUE(verify_grid(engine, engine, empty, 10).empty());
   const std::vector<PairQuery> equal_starts{{2, 2, 0, 0}};

@@ -1032,7 +1032,9 @@ TEST(CountUnmet, FallsBackPastTheTableBudgetOnNearCoprimeCycles) {
   // so a cross-leg pair's joint period is 7686 rounds: the table would
   // need min(horizon, 7686) rows x 127 nodes, past kOccupancyWords at
   // both horizons, one of which ends inside that first joint period. (A
-  // third, short leg makes the center degree 3.)
+  // third, short leg makes the center degree 3.) 7686 also passes
+  // 4 (122 + 126), so the count fallback's walk declines those pairs and
+  // the table-less pair core answers them, while verify() uses tables.
   const tree::Tree t = spider_with_legs({61, 63, 2});
   ASSERT_EQ(t.node_count(), 127);
   const TabularAutomaton a = bounce_automaton();
@@ -1051,6 +1053,7 @@ TEST(CountUnmet, FallsBackPastTheTableBudgetOnNearCoprimeCycles) {
     const EnumTelemetry tel =
         expect_counts_match_verify(grids, horizon, a, &unmet);
     EXPECT_EQ(tel.fallback_counts, 1u) << horizon;
+    EXPECT_GT(tel.walk_fallbacks, 0u) << horizon;
     EXPECT_GT(unmet, 0u) << horizon;
     EXPECT_LT(unmet, grids[0].query_count()) << horizon;
   }

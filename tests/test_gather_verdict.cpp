@@ -285,7 +285,8 @@ TEST(GatherCore, KFoldCompositionMatchesBruteForceOverTheLcmWindow) {
 TEST(GatherCompiled, ValidatesConfig) {
   util::Rng rng(7);
   const tree::Tree t = tree::line(6);
-  const CompiledLineEngine engine(t, random_line_automaton(3, rng));
+  const CompiledConfigEngine engine(t,
+                                    random_line_automaton(3, rng).tabular());
   const std::vector<std::uint64_t> none;
   {
     const std::vector<tree::NodeId> one{0};

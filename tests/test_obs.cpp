@@ -373,7 +373,7 @@ TEST(ObsEnumDelay, MergeTakesMinOverObservedFirsts) {
 
 // ---- protocol v3 campaign tail --------------------------------------------
 
-TEST(ObsProtocol, LeaseGrantCampaignIdRoundTripsAndV2StillDecodes) {
+TEST(ObsProtocol, LeaseGrantCampaignIdRoundTripsAndTruncationIsRefused) {
   svc::LeaseGrant g;
   g.status = svc::LeaseStatus::kGranted;
   g.shard_index = 2;
@@ -385,14 +385,11 @@ TEST(ObsProtocol, LeaseGrantCampaignIdRoundTripsAndV2StillDecodes) {
   const std::vector<std::uint8_t> v3 = svc::encode(g);
   EXPECT_EQ(svc::decode_lease_grant(v3).campaign_id, g.campaign_id);
 
-  // A v2 grant is the same payload without the 8-byte tail — it must
-  // still decode, with the id defaulting to 0 (unstitched, not refused).
-  std::vector<std::uint8_t> v2 = v3;
-  v2.resize(v2.size() - 8);
-  const svc::LeaseGrant old = svc::decode_lease_grant(v2);
-  EXPECT_EQ(old.campaign_id, 0u);
-  EXPECT_EQ(old.token, 5u);
-  EXPECT_EQ(old.end, 20u);
+  // The same payload without its last 8 bytes (the campaign id) is a
+  // truncated grant: refused, not decoded with the id defaulted.
+  std::vector<std::uint8_t> truncated = v3;
+  truncated.resize(truncated.size() - 8);
+  EXPECT_THROW(svc::decode_lease_grant(truncated), dist::SerializeError);
 }
 
 // ---- the stitched fleet ---------------------------------------------------
