@@ -5,9 +5,9 @@
 // tree and asks whether they all co-locate in one round. Until this
 // battery the only executor was the interpreting sim::run_gathering, one
 // round at a time; the k-tuple verdict core (sim/verify_core.hpp) answers
-// the same question from the k rho orbits — per-pair collision tables
-// indexed mod pairwise gcds, combined over the lcm of the k cycle lengths
-// — on the very same fused enumeration pipeline (one-walk orbit
+// the same question from the k rho orbits — a per-pair in-cycle meeting
+// predicate (detail::cycles_meet), combined over the lcm of the k cycle
+// lengths — on the very same fused enumeration pipeline (one-walk orbit
 // extraction, tuple-major verdict loops) the pair batteries ride. Every
 // timed compiled pass is cold: each battery rebinds and re-extracts its
 // orbits.

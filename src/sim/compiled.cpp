@@ -40,12 +40,6 @@ CompiledConfigEngine::CompiledConfigEngine(const tree::Tree& t,
   }
   orbits_.resize(static_cast<std::size_t>(n_));
   orbit_epoch_.assign(static_cast<std::size_t>(n_), 0);
-  node_positions_.resize(static_cast<std::size_t>(n_));
-  if (n_ <= kCollisionIndexMaxN) {
-    const std::size_t nn = static_cast<std::size_t>(n_) * n_;
-    cindex_epoch_.assign(nn, 0);
-    cindex_slot_.resize(nn);
-  }
   bind_automaton(a, a.port_oblivious());
 }
 
@@ -238,89 +232,41 @@ void CompiledConfigEngine::extract_orbit(tree::NodeId start,
   }
 }
 
-std::span<const std::uint8_t> CompiledConfigEngine::cycle_pair_collisions(
+std::vector<std::uint8_t> CompiledConfigEngine::cycle_pair_collisions(
     std::uint32_t root_a, std::uint32_t root_b) const {
-  const std::size_t ckey =
-      static_cast<std::size_t>(root_a) * n_ + root_b;
-  const bool dense = !cindex_epoch_.empty();
-  if (dense && cindex_epoch_[ckey] == epoch_) {
-    return collision_[cindex_slot_[ckey]].table;
-  }
-  CyclePair* slot = nullptr;
-  std::size_t slot_index = 0;
-  if (dense) {
-    // The dense index is authoritative: a miss means the pair is not
-    // built this epoch — recycle any stale entry without scanning.
-    for (std::size_t i = 0; i < collision_.size(); ++i) {
-      if (collision_[i].epoch != epoch_) {
-        slot = &collision_[i];
-        slot_index = i;
-        break;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < collision_.size(); ++i) {
-      CyclePair& p = collision_[i];
-      if (p.epoch == epoch_) {
-        if (p.root_a == root_a && p.root_b == root_b) return p.table;
-      } else if (slot == nullptr) {
-        slot = &p;  // recycle a stale slot (keeps its table capacity)
-        slot_index = i;
-      }
-    }
-  }
-  if (slot == nullptr) {
-    slot_index = collision_.size();
-    slot = &collision_.emplace_back();
-  }
-  slot->root_a = root_a;
-  slot->root_b = root_b;
-  slot->epoch = epoch_;
-  if (dense) {
-    cindex_epoch_[ckey] = epoch_;
-    cindex_slot_[ckey] = static_cast<std::uint32_t>(slot_index);
-  }
-  auto& table = slot->table;
-  table.clear();
   const Orbit& ra = orbit(static_cast<tree::NodeId>(root_a));
   const Orbit& rb = orbit(static_cast<tree::NodeId>(root_b));
   const std::uint64_t la = ra.lambda, lb = rb.lambda;
-  if (la > kCollisionLimit || lb > kCollisionLimit) {
-    return table;  // empty: callers scan
-  }
+  std::vector<std::uint8_t> table;
+  if (la > kCollisionLimit || lb > kCollisionLimit) return table;
   const std::uint64_t g = la == lb ? la : std::gcd(la, lb);
   const tree::NodeId* cyc_a = ra.node.data() + ra.sn_mu;
   const tree::NodeId* cyc_b = rb.node.data() + rb.sn_mu;
+  // (node, j mod g) of every position j of cycle b, sorted by node.
+  std::vector<std::uint64_t> pos_b;
+  pos_b.reserve(lb);
+  for (std::uint64_t j = 0; j < lb; ++j) {
+    pos_b.push_back(static_cast<std::uint64_t>(cyc_b[j]) << 32 | j % g);
+  }
+  std::sort(pos_b.begin(), pos_b.end());
   // Mark every alignment class (i - j mod g) that co-locates position i
-  // of cycle a with position j of cycle b. The build is quadratic in
-  // per-node occupancy; degenerate cycles (e.g. stay-heavy automata
-  // parked on one node) would cost more than the scans the table saves,
-  // so give up beyond a linear budget and leave the table empty —
-  // callers then fall back to scanning.
+  // of cycle a with position j of cycle b, giving up (empty table) once
+  // the co-located pairs pass a linear budget.
   const std::uint64_t budget = 8 * (la + lb) + 64;
   table.assign(g, 0);
-  for (std::uint64_t j = 0; j < lb; ++j) {
-    node_positions_[cyc_b[j]].push_back(static_cast<std::uint32_t>(j % g));
-  }
-  bool aborted = false;
   std::uint64_t marks = 0;
-  std::uint32_t im = 0;  // i mod g, maintained incrementally
   for (std::uint64_t i = 0; i < la; ++i) {
-    const auto& positions = node_positions_[cyc_a[i]];
-    marks += positions.size();
-    if (marks > budget) {
-      aborted = true;
-      break;
-    }
-    for (const std::uint32_t jm : positions) {
+    const std::uint64_t key = static_cast<std::uint64_t>(cyc_a[i]) << 32;
+    const auto lo = std::lower_bound(pos_b.begin(), pos_b.end(), key);
+    const auto hi = std::lower_bound(lo, pos_b.end(), key + (1ull << 32));
+    marks += static_cast<std::uint64_t>(hi - lo);
+    if (marks > budget) return {};
+    const std::uint64_t im = i % g;
+    for (auto it = lo; it != hi; ++it) {
+      const std::uint64_t jm = *it & 0xffffffffu;
       table[im >= jm ? im - jm : im + g - jm] = 1;
     }
-    if (++im == g) im = 0;
   }
-  for (std::uint64_t j = 0; j < lb; ++j) {
-    node_positions_[cyc_b[j]].clear();
-  }
-  if (aborted) table.clear();
   return table;
 }
 
@@ -365,26 +311,6 @@ CompiledConfigEngine::snapshot_orbits() const {
              dst.in_port.size() * sizeof(std::int16_t) +
              dst.first_visit.size() * sizeof(std::uint32_t);
   }
-  if (!cindex_epoch_.empty()) {
-    set->collision_index.assign(static_cast<std::size_t>(n_) * n_, -1);
-  }
-  std::size_t live = 0;
-  for (const CyclePair& p : collision_) {
-    live += p.epoch == epoch_ ? 1 : 0;
-  }
-  set->collisions.reserve(live);
-  for (const CyclePair& p : collision_) {
-    if (p.epoch == epoch_) {
-      if (!set->collision_index.empty()) {
-        set->collision_index[static_cast<std::size_t>(p.root_a) * n_ +
-                             p.root_b] =
-            static_cast<std::int32_t>(set->collisions.size());
-      }
-      set->collisions.push_back(p);
-      bytes += sizeof(CyclePair) + p.table.size();
-    }
-  }
-  bytes += set->collision_index.size() * sizeof(std::int32_t);
   set->bytes = bytes;
   return set;
 }
@@ -409,11 +335,10 @@ Verdict verify_never_meet_compiled(const CompiledConfigEngine& engine_a,
     throw std::invalid_argument(
         "verify_never_meet_compiled: starts must differ");
   }
-  const bool same_engine = &engine_a == &engine_b;
-  const auto& A = engine_a.orbit(cfg.start_a);
-  const auto& B = engine_b.orbit(cfg.start_b);
-  return detail::verify_pair_core(engine_a, A, B, same_engine, cfg.delay_a,
-                                  cfg.delay_b, cfg.max_rounds);
+  return detail::verify_with_state(
+      detail::make_pair_state(engine_a.orbit(cfg.start_a),
+                              engine_b.orbit(cfg.start_b)),
+      cfg.delay_a, cfg.delay_b, cfg.max_rounds);
 }
 
 GatherVerdict verify_never_gather_compiled(
@@ -447,39 +372,8 @@ GatherVerdict verify_never_gather_compiled(
   for (std::size_t i = 0; i < k; ++i) orbs[i] = &engine.orbit(starts[i]);
   const std::uint64_t zeros[kMaxGatherAgents] = {};
   return detail::gather_with_state(
-      detail::make_tuple_state(engine, orbs, starts.data(), k),
+      detail::make_tuple_state(orbs, starts.data(), k),
       delays.empty() ? zeros : delays.data(), max_rounds);
-}
-
-std::vector<Verdict> verify_grid(const CompiledConfigEngine& engine_a,
-                                 const CompiledConfigEngine& engine_b,
-                                 std::span<const PairQuery> queries,
-                                 std::uint64_t max_rounds) {
-  if (&engine_a.tree() != &engine_b.tree()) {
-    throw std::invalid_argument("verify_grid: engines over different trees");
-  }
-  if (max_rounds == 0) {
-    throw std::invalid_argument("verify_grid: max_rounds must be > 0");
-  }
-  const tree::NodeId n = engine_a.tree().node_count();
-  for (const PairQuery& q : queries) {
-    if (q.start_a < 0 || q.start_a >= n || q.start_b < 0 || q.start_b >= n) {
-      throw std::invalid_argument("verify_grid: start range");
-    }
-    if (q.start_a == q.start_b) {
-      throw std::invalid_argument("verify_grid: starts must differ");
-    }
-  }
-  const bool same_engine = &engine_a == &engine_b;
-  std::vector<Verdict> out(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const PairQuery& q = queries[i];
-    const auto& A = engine_a.orbit(q.start_a);
-    const auto& B = engine_b.orbit(q.start_b);
-    out[i] = detail::verify_pair_core(engine_a, A, B, same_engine, q.delay_a,
-                                      q.delay_b, max_rounds);
-  }
-  return out;
 }
 
 }  // namespace rvt::sim

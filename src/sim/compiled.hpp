@@ -31,14 +31,15 @@
 //     mu_joint     = max of the per-agent tails (delay-adjusted)
 //     lambda_joint = lcm(lambda_a, lambda_b)
 // and a meeting exists iff one occurs in the transient, or two in-cycle
-// positions collide on a round compatible modulo gcd(lambda_a, lambda_b).
+// positions collide on a round compatible modulo gcd(lambda_a, lambda_b)
+// — decided from the two cycles alone by detail::cycles_meet
+// (sim/verify_core.hpp), with nothing built or cached per cycle pair.
 // The verdict — including the exact round Brent's algorithm in the legacy
 // stepper would have certified at, and the exact cycle length it would
 // have reported — is reconstructed analytically, so the compiled engine is
 // a drop-in replacement validated field-for-field by differential tests.
 // Start delays only shift the alignment of the two orbits, so sweeping a
 // whole (start-pair x delay) grid against one engine re-uses every orbit;
-// verify_grid() answers such grids in query order, and
 // sim/enumeration.hpp fuses rebind + grid for exhaustive batteries.
 #pragma once
 
@@ -100,10 +101,10 @@ class CompiledConfigEngine {
     /// Cycle identity: start node of the orbit that first walked this
     /// cycle, and this orbit's entry phase in that orbit's cycle
     /// coordinates. Two orbits of one engine share a cycle iff their
-    /// cycle_root matches; their relative phase then decides meeting
-    /// existence via the per-cycle collision table. (Which start owns a
-    /// shared cycle depends on extraction order, but root equality,
-    /// phases and collision answers are consistent within an epoch.)
+    /// cycle_root matches. (Which start owns a shared cycle depends on
+    /// extraction order, but root equality and phases are consistent
+    /// within an epoch.) The verdicts do not read these: the OrbitSet
+    /// wire format and cycle_pair_collisions() do.
     std::uint32_t cycle_root = 0;
     std::uint64_t cycle_phase = 0;
     /// Payload: cleared (capacity kept) when the slot is re-extracted.
@@ -139,35 +140,27 @@ class CompiledConfigEngine {
     }
   };
 
-  /// Collision table of one (cycle, cycle) pair, cached per ordered
-  /// (cycle_root_a, cycle_root_b): entry c is nonzero iff positions i of
-  /// root_a's cycle and j of root_b's cycle with i - j == c (mod g),
-  /// g = gcd(lambda_a, lambda_b), put both agents on one node — the O(1)
-  /// answer to "can two agents locked into these cycles at a given
-  /// alignment ever meet" (once both are in-cycle, their position pair
-  /// sweeps exactly the alignment class i - j mod g). A root pair with
-  /// root_a == root_b is the classic same-cycle case (g = lambda). An
-  /// EMPTY table means the build gave up (degenerate occupancy); callers
-  /// fall back to scanning one joint period.
+  /// One (cycle, cycle) collision table in an OrbitSet, in the table
+  /// semantics of cycle_pair_collisions(). Only the OrbitSet wire format
+  /// carries these.
   struct CyclePair {
     std::uint32_t root_a = 0;
     std::uint32_t root_b = 0;
-    std::uint32_t epoch = 0;       ///< binding the table belongs to
+    std::uint32_t epoch = 0;          ///< unused
     std::vector<std::uint8_t> table;  ///< g entries; empty = gave up
   };
 
   /// An immutable copy of one (tree, automaton) binding's extracted
-  /// orbits + collision tables, produced by snapshot_orbits(). The
-  /// OrbitCache set API and the OrbitSet wire codec (dist/serialize.hpp)
-  /// still carry it; no engine consumes one.
+  /// orbits, produced by snapshot_orbits(). The OrbitCache set API and
+  /// the OrbitSet wire codec (dist/serialize.hpp) still carry it; no
+  /// engine consumes one.
   struct OrbitSet {
     std::vector<Orbit> orbits;            ///< indexed by start node
     std::vector<std::uint8_t> has_orbit;  ///< 1 iff orbits[start] populated
-    /// Cycle-pair collision tables (epoch field unused). A pair present
-    /// with an empty table means the build gave up.
+    /// Cycle-pair collision tables and their dense (root_a * n + root_b)
+    /// -> collisions index (-1 = absent). The codec still carries both;
+    /// snapshot_orbits() leaves them empty.
     std::vector<CyclePair> collisions;
-    /// Dense (root_a * n + root_b) -> collisions index (-1 = absent),
-    /// present when the tree is small enough (kCollisionIndexMaxN).
     std::vector<std::int32_t> collision_index;
     std::size_t bytes = 0;  ///< approximate footprint, for cache budgeting
   };
@@ -181,9 +174,22 @@ class CompiledConfigEngine {
   /// to the benchmark calls orbit() directly and deletes this.
   void warm_orbits(std::span<const tree::NodeId> starts) const;
 
-  /// Copies every extracted orbit and collision table of the current
-  /// binding into an OrbitSet. The engine keeps its buffers —
-  /// snapshotting does not disturb the zero-allocation rebind loop.
+  /// Collision table of the ordered cycle pair (root_a, root_b) — both
+  /// Orbit::cycle_root values of this engine (extracted on demand): entry
+  /// c is nonzero iff positions i of root_a's cycle and j of root_b's
+  /// cycle with i - j == c (mod g), g = gcd(lambda_a, lambda_b), put
+  /// both agents on one node. Empty when a cycle is longer than
+  /// kCollisionLimit, or when the build passes its budget of
+  /// 8 (lambda_a + lambda_b) + 64 co-located position pairs. Built anew
+  /// on every call; no verdict reads it. Kept only for the benchmark
+  /// harness's traced probe, as warm_orbits is.
+  std::vector<std::uint8_t> cycle_pair_collisions(std::uint32_t root_a,
+                                                  std::uint32_t root_b) const;
+  static constexpr std::uint64_t kCollisionLimit = 512;
+
+  /// Copies every extracted orbit of the current binding into an
+  /// OrbitSet. The engine keeps its buffers — snapshotting does not
+  /// disturb the zero-allocation rebind loop.
   std::shared_ptr<const OrbitSet> snapshot_orbits() const;
 
   /// Number of orbits this engine extracted by walking (cached orbits do
@@ -246,42 +252,6 @@ class CompiledConfigEngine {
   // consecutive walk steps touch neighboring blocks — the walk stays
   // cache-resident.
   mutable std::vector<Stamp> stamps_;
-  // Cycle-pair collision tables, built lazily per ordered
-  // (cycle_root_a, cycle_root_b) and epoch-gated; slots plus their table
-  // capacity are recycled across rebinds. On small trees
-  // (n <= kCollisionIndexMaxN) the epoch-stamped dense index below makes
-  // the lookup O(1) — the battery loops refresh a pair state millions of
-  // times per sweep — while large trees fall back to a linear scan of
-  // the handful of entries.
-  mutable std::vector<CyclePair> collision_;
-  mutable std::vector<std::uint32_t> cindex_epoch_;  ///< n*n, 0 = stale
-  mutable std::vector<std::uint32_t> cindex_slot_;   ///< index into collision_
-  mutable std::vector<std::vector<std::uint32_t>> node_positions_;  // scratch
-
- public:
-  /// Collision table of the ordered cycle pair (root_a, root_b) — both
-  /// Orbit::cycle_root values of this engine, extracted this epoch; see
-  /// CyclePair for semantics. Lazily built; pairs with a cycle longer
-  /// than kCollisionLimit return an empty span ("scan instead"), as do
-  /// builds that gave up.
-  std::span<const std::uint8_t> cycle_pair_collisions(
-      std::uint32_t root_a, std::uint32_t root_b) const;
-
-  /// Inline fast path of cycle_pair_collisions: answers dense-index hits
-  /// without the out-of-line call — the per-pair lookup the battery loops
-  /// make millions of times per sweep.
-  std::span<const std::uint8_t> cycle_pair_lookup(std::uint32_t root_a,
-                                                  std::uint32_t root_b) const {
-    const std::size_t ckey = static_cast<std::size_t>(root_a) * n_ + root_b;
-    if (!cindex_epoch_.empty() && cindex_epoch_[ckey] == epoch_) {
-      return collision_[cindex_slot_[ckey]].table;
-    }
-    return cycle_pair_collisions(root_a, root_b);
-  }
-  static constexpr std::uint64_t kCollisionLimit = 512;
-  /// Largest node count for which the dense cycle-pair index (n*n
-  /// entries) is kept; larger substrates use a linear table scan.
-  static constexpr std::int32_t kCollisionIndexMaxN = 256;
 };
 
 /// Table-driven equivalent of lowerbound::verify_never_meet for two
@@ -312,24 +282,5 @@ Verdict verify_never_meet_compiled(const CompiledConfigEngine& engine_a,
 GatherVerdict verify_never_gather_compiled(
     const CompiledConfigEngine& engine, std::span<const tree::NodeId> starts,
     std::span<const std::uint64_t> delays, std::uint64_t max_rounds);
-
-/// One point of a verdict grid: a start pair plus per-agent start
-/// delays. max_rounds is shared by the whole grid (verify_grid argument).
-struct PairQuery {
-  tree::NodeId start_a = -1;
-  tree::NodeId start_b = -1;
-  std::uint64_t delay_a = 0;
-  std::uint64_t delay_b = 0;
-};
-
-/// verify_never_meet_compiled over a (start-pair x delay) grid:
-/// answers[i] corresponds to queries[i]. Every query is validated first
-/// (distinct in-range starts; std::invalid_argument otherwise, before any
-/// query is answered), then the queries are answered in order, each
-/// orbit and collision table extracted on first use.
-std::vector<Verdict> verify_grid(const CompiledConfigEngine& engine_a,
-                                 const CompiledConfigEngine& engine_b,
-                                 std::span<const PairQuery> queries,
-                                 std::uint64_t max_rounds);
 
 }  // namespace rvt::sim

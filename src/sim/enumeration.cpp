@@ -288,21 +288,18 @@ EnumerationContext::Slot& EnumerationContext::prepare_scan(std::size_t g) {
 namespace {
 
 /// Battery grids are pair-major runs of delays: refresh the pair-invariant
-/// state, collision table included, only when the start pair (and so the
-/// orbit pair) changes.
+/// state only when the start pair (and so the orbit pair) changes.
 inline void refresh_pair(detail::PairState& st,
-                         const CompiledConfigEngine& e,
                          const CompiledConfigEngine::Orbit* const* optr,
                          const tree::NodeId* s) {
   if (st.A != optr[s[0]] || st.B != optr[s[1]]) {
-    st = detail::make_pair_state(&e, *optr[s[0]], *optr[s[1]]);
+    st = detail::make_pair_state(*optr[s[0]], *optr[s[1]]);
   }
 }
 
 /// Tuple-major analogue: refresh the tuple-invariant state only when the
 /// k-tuple of starts changes.
 inline void refresh_tuple(detail::TupleState& st,
-                          const CompiledConfigEngine& e,
                           const CompiledConfigEngine::Orbit* const* optr,
                           const tree::NodeId* s, std::size_t k) {
   if (st.k == k &&
@@ -311,15 +308,14 @@ inline void refresh_tuple(detail::TupleState& st,
   }
   const CompiledConfigEngine::Orbit* orbs[kMaxGatherAgents];
   for (std::size_t i = 0; i < k; ++i) orbs[i] = optr[s[i]];
-  st = detail::make_tuple_state(e, orbs, s, k);
+  st = detail::make_tuple_state(orbs, s, k);
 }
 
 }  // namespace
 
 std::span<const Verdict> EnumerationContext::verify(std::size_t g) {
   require_meet(g);
-  Slot& slot = prepare(g);
-  const CompiledConfigEngine& e = *slot.engine;
+  const Slot& slot = prepare(g);
   const auto* optr = slot.orbit_ptr.data();
   const EnumGrid& grid = grids_[g];
   const std::size_t nq = grid.query_count();
@@ -328,7 +324,7 @@ std::span<const Verdict> EnumerationContext::verify(std::size_t g) {
   for (std::size_t i = 0; i < nq; ++i) {
     const tree::NodeId* s = grid.starts.data() + 2 * i;
     const std::uint64_t* d = grid.delays.data() + 2 * i;
-    refresh_pair(st, e, optr, s);
+    refresh_pair(st, optr, s);
     verdicts_[i] = detail::verify_with_state(st, d[0], d[1], max_rounds_);
   }
   stats_.queries += nq;
@@ -414,8 +410,7 @@ std::uint64_t EnumerationContext::scan_unmet(std::size_t g) {
 
 std::span<const GatherVerdict> EnumerationContext::verify_gather(
     std::size_t g) {
-  Slot& slot = prepare(g);
-  const CompiledConfigEngine& e = *slot.engine;
+  const Slot& slot = prepare(g);
   const auto* optr = slot.orbit_ptr.data();
   const EnumGrid& grid = grids_[g];
   const std::size_t k = grid.agents;
@@ -425,7 +420,7 @@ std::span<const GatherVerdict> EnumerationContext::verify_gather(
   for (std::size_t i = 0; i < nq; ++i) {
     const tree::NodeId* s = grid.starts.data() + k * i;
     const std::uint64_t* d = grid.delays.data() + k * i;
-    refresh_tuple(st, e, optr, s, k);
+    refresh_tuple(st, optr, s, k);
     gather_verdicts_[i] = detail::gather_with_state(st, d, max_rounds_);
   }
   stats_.queries += nq;

@@ -2,12 +2,10 @@
 //
 // The exhaustive batteries (E10-style: every K-state automaton against a
 // fixed set of instances, E11-style: a victim per instance against its
-// start-pair x delay grid) used to drive verify_grid() per automaton —
-// paying, per (automaton, tree), a verdict-vector allocation, an index
-// indirection, a re-validation of the same grid, and a second pass over
-// the queries to warm orbits. EnumerationContext fuses the whole
-// per-automaton pipeline into one object that lives for a worker's entire
-// sweep:
+// start-pair x delay grid) ask one grid of verdicts per (automaton, tree).
+// EnumerationContext fuses that per-automaton pipeline into one object
+// that lives for a worker's entire sweep — no verdict-vector allocation,
+// grid re-validation or separate orbit warm-up pass per automaton:
 //
 //   bind(a)          swap the automaton in (engines rebind lazily,
 //                    keeping every buffer),
@@ -20,7 +18,7 @@
 //                    defeat (verdict with met == false), early-exiting —
 //                    the shape of a "smallest defeating instance" search;
 //                    each query is answered from its two orbits alone
-//                    (detail::orbits_met), with no collision table,
+//                    (detail::orbits_met),
 //   verify_gather(g) gathering verdicts of grid g, any arity.
 //
 // Grids are k-AGENT (EnumGrid::agents, flat query-major start/delay
@@ -38,8 +36,8 @@
 // declines (more than kOccupancyStarts distinct starts, or a table past
 // kOccupancyWords), the context counts the grid query by query with the
 // same two-orbit predicate as first_unmet (detail::orbits_met) and adds
-// it to fallback_counts. Only verify() and verify_gather() build
-// collision tables.
+// it to fallback_counts. verify() and verify_gather() decide in-cycle
+// meetings from the two cycles alone (detail::cycles_meet).
 //
 // Grids are validated once at construction; the steady state allocates
 // nothing. The constructor also maps each grid to its first content-
@@ -89,9 +87,18 @@
 
 namespace rvt::sim {
 
+/// One point of a pair grid: a start pair plus per-agent start delays.
+/// The horizon is the context's, shared by every grid.
+struct PairQuery {
+  tree::NodeId start_a = -1;
+  tree::NodeId start_b = -1;
+  std::uint64_t delay_a = 0;
+  std::uint64_t delay_b = 0;
+};
+
 /// One query of a k-agent enumeration grid, viewing the grid's flat
-/// storage: the agents' start nodes and start delays. The pair query of
-/// the PR 1-3 pipeline is exactly the k = 2 case.
+/// storage: the agents' start nodes and start delays. A PairQuery is
+/// exactly the k = 2 case.
 struct GatherQuery {
   std::span<const tree::NodeId> starts;
   std::span<const std::uint64_t> delays;
@@ -222,10 +229,9 @@ class EnumerationContext {
   /// prepared LAZILY (orbits extract as the scan touches them), so an
   /// adaptive sweep that defeats most automata on their first pairs never
   /// pays for the whole grid's warm-up. Each query walks its two orbits
-  /// in lockstep over the pair's own bound (detail::walk_met) and builds
-  /// no collision table; a pair whose joint period passes
-  /// 4 (lambda_a + lambda_b) goes to the table-less pair core instead,
-  /// counted in EnumTelemetry::walk_fallbacks.
+  /// in lockstep over the pair's own bound (detail::walk_met); a pair
+  /// whose joint period passes 4 (lambda_a + lambda_b) goes to the pair
+  /// core instead, counted in EnumTelemetry::walk_fallbacks.
   std::ptrdiff_t first_unmet(std::size_t g);
 
   /// Number of pair-grid-g queries with met == false, without

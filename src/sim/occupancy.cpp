@@ -78,11 +78,16 @@ std::optional<std::uint64_t> OccupancyCounter::count_unmet(
     std::size_t nodes) {
   if (orbits.size() > kOccupancyStarts) return std::nullopt;
   const std::size_t n = nodes;
-  // reach = H + L - 1, H the longest tail and L the largest lcm of two
-  // cycle lengths. b's first visit to a parked a, if any, falls at or
-  // before round reach; once a walks (from round gap + 1), both agents
-  // are in-cycle from Tc <= gap + H, so their first meeting, if any,
-  // falls at or before Tc + lcm(lambda_a, lambda_b) - 1 <= gap + reach.
+  // reach = H + L - 2, H the longest tail and L the largest lcm of two
+  // cycle lengths. An orbit's node sequence is periodic from step mu - 1,
+  // one step before its configurations: a configuration's node and entry
+  // port fix its predecessor's node, and configurations mu - 1 + lambda
+  // and mu - 1 precede the equal configurations mu + lambda and mu. So
+  // b's first visit to a parked a, if any, falls at or before round
+  // mu_b + lambda_b - 2 <= reach; once a walks (from round gap + 1), both
+  // node sequences are periodic from Tn <= gap + H - 1, so their first
+  // meeting, if any, falls at or before Tn + lcm(lambda_a, lambda_b) - 1
+  // <= gap + reach.
   std::uint64_t tail = 0;
   std::uint64_t period = 1;
   std::uint64_t lens[kOccupancyStarts];
@@ -98,7 +103,7 @@ std::optional<std::uint64_t> OccupancyCounter::count_unmet(
       period = std::max(period, detail::saturating_lcm(lens[i], lens[j]));
     }
   }
-  const std::uint64_t reach = saturating_add(tail, period) - 1;
+  const std::uint64_t reach = saturating_add(tail, period) - 2;
   const std::uint64_t rows =
       std::min(plan.max_horizon, saturating_add(plan.max_gap, reach));
   if (rows > kOccupancyWords / n) return std::nullopt;

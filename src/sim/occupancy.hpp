@@ -7,8 +7,9 @@
 // turns periodic — which is before the Brent detection round the verdict
 // certifies at. So a grid is answered from one table: occ[t][w] = the
 // bitmask of starts whose undelayed agent stands on node w at round t.
-// Let reach = H + L - 1, H the longest tail and L the largest lcm of two
-// cycle lengths among the grid's starts. A query with a delayed by gap
+// Let reach = H + L - 2, H the longest tail and L the largest lcm of two
+// cycle lengths among the grid's starts (node sequences turn periodic one
+// step before configurations do: see count_unmet). A query with a delayed by gap
 // over b meets iff bit b is set in the OR of occ[t][a] over the parked
 // rounds t <= min(gap, reach) and of occ[t][pos_a(t)] over the walking
 // rounds gap < t <= gap + reach (both capped at the horizon), so the

@@ -7,27 +7,30 @@
 //   make_pair_state()    pair-invariant work, read off the two orbits
 //                        alone: orbit headers, the cycle relationship
 //                        (gcd/lcm) and the two first-visit steps, found by
-//                        scanning each orbit for the other's start. Given
-//                        an engine it also attaches the cycle-pair
-//                        collision table; only the full-verdict callers
-//                        give one, and verify() refreshes the state once
-//                        per run of queries sharing a start pair.
+//                        scanning each orbit for the other's start.
+//                        verify() refreshes it once per run of queries
+//                        sharing a start pair.
 //   scan_meeting()       delay-dependent search for the earliest meeting
 //                        (one-walker phase, transient scan, in-cycle
-//                        collision decision + first-round scan).
+//                        decision by cycles_meet() + first-round scan).
 //   verify_with_state()  the full five-field verdict (Brent detection
 //                        round, certificate cycle length) — what
-//                        verify()/verify_grid return.
+//                        verify() and verify_never_meet_compiled return.
+//
+// cycles_meet() is the one in-cycle meeting predicate: whether two agents
+// locked into their cycles at given offsets ever share a node, decided
+// from the two cycles alone — one joint-period scan when the period is
+// short, a residue intersection otherwise. The pair verdict and every
+// pair of a gathering tuple ask it; no table is built or cached.
 //
 // Every met/unmet answer of the enumeration context is a function of the
 // query's two orbits. walk_met() walks them in lockstep over the pair's
 // own bound, the one-pair form of the occupancy unit's, with no PairState
 // at all; orbits_met() asks it first and, when it declines (joint period
 // lcm(lambda_a, lambda_b) > 4 (lambda_a + lambda_b)), takes the full
-// verdict's met over a table-less pair state, whose residue intersection
-// does not grow with the joint period. first_unmet and the count fallback
-// for grids the occupancy unit (sim/occupancy.hpp) declines both call it,
-// so neither builds a collision table.
+// verdict's met, whose residue intersection does not grow with the joint
+// period. first_unmet and the count fallback for grids the occupancy unit
+// (sim/occupancy.hpp) declines both call it.
 //
 // The k-tuple half below (make_tuple_state / scan_gather /
 // gather_with_state) answers gathering verdicts only: the one count kind
@@ -36,7 +39,7 @@
 // Everything assumes validated inputs (distinct in-range starts,
 // max_rounds > 0, orbits fetched from the right engines):
 // sim::verify_never_meet_compiled wraps the checks for single calls,
-// while the grid/enumeration paths validate a whole batch once.
+// while the enumeration paths validate a whole batch once.
 //
 // Micro-structure tuned for the exhaustive-battery workloads (millions of
 // queries against tiny orbits): the Brent detection window is a bit_ceil
@@ -88,20 +91,10 @@ struct PairState {
   /// when the orbit never visits that start.
   std::uint32_t fv_b_at_a = 0;
   std::uint32_t fv_a_at_b = 0;
-  /// Cycle-pair collision table (gcd_l entries), or nullptr when
-  /// unavailable (no engine given, cycles past kCollisionLimit, build
-  /// gave up) — the fallbacks scan or intersect residues instead.
-  const std::uint8_t* collisions = nullptr;
-  /// Alignment bases: the collision class for delays (da, db) is
-  /// (lhs0 + db) - (rhs0 + da) mod gcd_l.
-  std::uint64_t lhs0 = 0, rhs0 = 0;
 };
 
 /// Pair state of orbits A and B, whose starts are A.node[0] and B.node[0].
-/// `engine` (nullptr: no table) is the engine both orbits came from; only
-/// then is the cycle-pair collision table attached.
-inline PairState make_pair_state(const CompiledConfigEngine* engine,
-                                 const CompiledConfigEngine::Orbit& A,
+inline PairState make_pair_state(const CompiledConfigEngine::Orbit& A,
                                  const CompiledConfigEngine::Orbit& B) {
   PairState st;
   st.A = &A;
@@ -125,17 +118,51 @@ inline PairState make_pair_state(const CompiledConfigEngine* engine,
   st.nb = B.node.data();
   st.fv_b_at_a = B.first_step_at(A.node[0]);
   st.fv_a_at_b = A.first_step_at(B.node[0]);
-  if (engine != nullptr &&
-      st.lam_a <= CompiledConfigEngine::kCollisionLimit &&
-      st.lam_b <= CompiledConfigEngine::kCollisionLimit) {
-    const auto table = engine->cycle_pair_lookup(A.cycle_root, B.cycle_root);
-    if (!table.empty()) {  // empty: build gave up, fall back to scanning
-      st.collisions = table.data();
-      st.lhs0 = A.cycle_phase + B.sn_mu;
-      st.rhs0 = B.cycle_phase + A.sn_mu;
-    }
-  }
   return st;
+}
+
+/// Whether two agents locked into their cycles ever share a node. Agent a
+/// stands at index ia of its cycle cyc_a[0, la), agent b at index ib of
+/// cyc_b[0, lb), and each advances one index per round; g and lcm are
+/// gcd(la, lb) and lcm(la, lb). The index pair returns to (ia, ib) after
+/// lcm rounds, so one joint period decides:
+///  - short period (lcm <= 4 (la + lb)): scan it with rolling indices;
+///  - otherwise, residue intersection: a stands on cyc_a[i] at the rounds
+///    t == i - ia (mod la), b on cyc_b[j] at t == j - ib (mod lb), and
+///    both congruences hold at once iff i - ia == j - ib (mod g) (CRT).
+///    So they meet iff some node carries one residue class from each
+///    cycle: a sorted intersection in O((la + lb) log la), whatever the
+///    joint period.
+inline bool cycles_meet(const tree::NodeId* cyc_a, std::uint64_t la,
+                        std::uint64_t ia, const tree::NodeId* cyc_b,
+                        std::uint64_t lb, std::uint64_t ib, std::uint64_t g,
+                        std::uint64_t lcm) {
+  if (lcm <= 4 * (la + lb)) {
+    for (std::uint64_t t = 0; t < lcm; ++t) {
+      if (cyc_a[ia] == cyc_b[ib]) return true;
+      if (++ia == la) ia = 0;
+      if (++ib == lb) ib = 0;
+    }
+    return false;
+  }
+  // Key (node, (i - ia) mod g), the residue maintained incrementally.
+  std::vector<std::uint64_t> occ_a;
+  occ_a.reserve(la);
+  std::uint64_t r = (g - ia % g) % g;
+  for (std::uint64_t i = 0; i < la; ++i) {
+    occ_a.push_back(static_cast<std::uint64_t>(cyc_a[i]) << 32 | r);
+    if (++r == g) r = 0;
+  }
+  std::sort(occ_a.begin(), occ_a.end());
+  r = (g - ib % g) % g;
+  for (std::uint64_t j = 0; j < lb; ++j) {
+    if (std::binary_search(occ_a.begin(), occ_a.end(),
+                           static_cast<std::uint64_t>(cyc_b[j]) << 32 | r)) {
+      return true;
+    }
+    if (++r == g) r = 0;
+  }
+  return false;
 }
 
 /// Delay-dependent meeting search. Returns whether the later agent acts
@@ -203,62 +230,16 @@ inline MeetScan scan_meeting(const PairState& st, std::uint64_t da,
   if (!s.meet && Tc <= M) {
     // Both in-cycle: the joint node-pair sequence from round Tc is purely
     // periodic with period lam_joint, and a meeting within it must be
-    // proven absent (certification) or located (first round). Three
-    // strategies, cheapest first:
-    //  1. Cycle-pair collision table: once both agents are in-cycle their
-    //     position pair sweeps exactly one alignment class i - j mod
-    //     gcd(lambda_a, lambda_b), so existence is one table lookup —
-    //     the common case of an exhaustive battery, whatever cycles the
-    //     two starts landed in.
-    //  2. Commensurate cycles (lam_joint comparable to the cycles): scan
-    //     one period directly with rolling indices.
-    //  3. Near-coprime cycles (lam_joint blown up): decide existence by
-    //     residue intersection — a meeting at round r >= Tc needs cycle
-    //     indices i, j with equal nodes and
-    //         r == da + A.mu + i (mod A.lambda)
-    //           == db + B.mu + j (mod B.lambda),
-    //     solvable iff both sides agree modulo gcd — sorted intersection
-    //     in O((la + lb) log la).
-    // Only if a meeting exists at all is the period scanned for its first
-    // round (that scan is bounded by the meeting round itself, i.e. never
-    // more work than the legacy stepper).
-    bool scan_cycle;
-    if (st.collisions != nullptr) {
-      const std::uint64_t lhs = st.lhs0 + db;
-      const std::uint64_t rhs = st.rhs0 + da;
-      std::uint64_t c;
-      if (lhs >= rhs) {
-        c = wrap_mod(lhs - rhs, st.gcd_l);
-      } else {
-        const std::uint64_t x = wrap_mod(rhs - lhs, st.gcd_l);
-        c = x == 0 ? 0 : st.gcd_l - x;
-      }
-      scan_cycle = st.collisions[c] != 0;
-    } else if (st.lam_joint <= 4 * (st.lam_a + st.lam_b)) {
-      scan_cycle = true;
-    } else {
-      const std::uint64_t g = st.gcd_l;
-      std::vector<std::uint64_t> occ_a;
-      occ_a.reserve(st.lam_a);
-      for (std::uint64_t i = 0; i < st.lam_a; ++i) {
-        const std::uint64_t w =
-            static_cast<std::uint64_t>(st.na[st.mu_a + i]);
-        occ_a.push_back((w << 32) | ((da + st.mu_a + i) % g));
-      }
-      std::sort(occ_a.begin(), occ_a.end());
-      scan_cycle = false;
-      for (std::uint64_t j = 0; j < st.lam_b && !scan_cycle; ++j) {
-        const std::uint64_t w =
-            static_cast<std::uint64_t>(st.nb[st.mu_b + j]);
-        scan_cycle = std::binary_search(occ_a.begin(), occ_a.end(),
-                                        (w << 32) | ((db + st.mu_b + j) % g));
-      }
-    }
-    if (scan_cycle) {
-      const tree::NodeId* cyc_a = st.na + st.mu_a;
-      const tree::NodeId* cyc_b = st.nb + st.mu_b;
-      std::uint64_t ia = wrap_mod(Tc - da - st.mu_a, st.lam_a);
-      std::uint64_t ib = wrap_mod(Tc - db - st.mu_b, st.lam_b);
+    // proven absent (certification) or located (first round). Existence
+    // is cycles_meet's; only if a meeting exists at all is the period
+    // scanned for its first round (that scan is bounded by the meeting
+    // round itself, i.e. never more work than the legacy stepper).
+    const tree::NodeId* cyc_a = st.na + st.mu_a;
+    const tree::NodeId* cyc_b = st.nb + st.mu_b;
+    std::uint64_t ia = wrap_mod(Tc - da - st.mu_a, st.lam_a);
+    std::uint64_t ib = wrap_mod(Tc - db - st.mu_b, st.lam_b);
+    if (cycles_meet(cyc_a, st.lam_a, ia, cyc_b, st.lam_b, ib, st.gcd_l,
+                    st.lam_joint)) {
       for (std::uint64_t t = Tc, hi = std::min(Tc + st.lam_joint - 1, M);
            t <= hi; ++t) {
         if (cyc_a[ia] == cyc_b[ib]) {
@@ -328,20 +309,25 @@ inline Verdict verify_with_state(const PairState& st, std::uint64_t da,
 enum class Walk : std::uint8_t { kUnmet, kMet, kDeclined };
 
 /// met/unmet of one query — exactly verify_with_state().met — by walking
-/// the two orbits in lockstep, with no PairState and no collision table.
-/// `A`/`B` are the orbits of distinct starts, `da`/`db` their delays, M
-/// the horizon. It is the one-pair form of the bound sim/occupancy.hpp
-/// proves for a grid:
+/// the two orbits in lockstep, with no PairState. `A`/`B` are the orbits
+/// of distinct starts, `da`/`db` their delays, M the horizon. It is the
+/// one-pair form of the bound sim/occupancy.hpp proves for a grid:
 ///  - roles are swapped so b moves no later than a; a is delayed by
 ///    gap = da - db, and time runs from round db (both agents sit on
 ///    their distinct starts until then), leaving horizon M - db. A query
 ///    nobody moves in within the horizon is unmet.
-///  - reach = max(mu_a, mu_b) + lcm(lambda_a, lambda_b) - 1 is the pair's
+///  - an orbit's NODE sequence is periodic from step mu - 1, one step
+///    before its configurations: a configuration's node and entry port
+///    fix its predecessor's node (the neighbor behind the entry port, or
+///    the node itself after a stay), and configurations mu - 1 + lambda
+///    and mu - 1 precede the equal configurations mu + lambda and mu.
+///  - reach = max(mu_a, mu_b) + lcm(lambda_a, lambda_b) - 2 is the pair's
 ///    own bound: b's first visit to a's parked start, if any, falls at a
-///    step <= mu_b + lambda_b - 1 <= reach, and once both walk (from
-///    round gap + 1) both are in-cycle by Tc <= gap + max(mu_a, mu_b),
-///    so their first meeting, if any, falls at or before
-///    Tc + lcm - 1 <= gap + reach — before the Brent detection round.
+///    step <= mu_b + lambda_b - 2 <= reach, and once both walk (from
+///    round gap + 1) both node sequences are periodic from round
+///    Tn = max(gap + mu_a, mu_b) - 1 on, so their first meeting, if any,
+///    falls at or before Tn + lcm - 1 <= gap + reach — before the Brent
+///    detection round.
 ///  - parked rounds t <= min(gap, reach, horizon): b's orbit against a's
 ///    start; walking rounds gap < t <= min(gap + reach, horizon): the two
 ///    orbits, b at step t and a at step t - gap.
@@ -364,7 +350,7 @@ inline Walk walk_met(const CompiledConfigEngine::Orbit* A,
     lcm = la / std::gcd(la, lb) * lb;
     if (lcm > 4 * (la + lb)) return Walk::kDeclined;
   }
-  const std::uint64_t reach = std::max(A->mu, B->mu) + lcm - 1;
+  const std::uint64_t reach = std::max(A->mu, B->mu) + lcm - 2;
   const tree::NodeId* na = A->node.data();
   const tree::NodeId* nb = B->node.data();
   const std::size_t size_a = A->node.size(), size_b = B->node.size();
@@ -386,19 +372,19 @@ inline Walk walk_met(const CompiledConfigEngine::Orbit* A,
   return Walk::kUnmet;
 }
 
-/// The pair core's met for a query walk_met declined, over a table-less
-/// pair state. Out of line: it runs for a few queries in a million, and
-/// the walk's loop stays tight in its callers.
+/// The pair core's met for a query walk_met declined. Out of line: it
+/// runs for a few queries in a million, and the walk's loop stays tight
+/// in its callers.
 [[gnu::noinline]] inline bool pair_core_met(
     const CompiledConfigEngine::Orbit& A,
     const CompiledConfigEngine::Orbit& B, std::uint64_t da,
     std::uint64_t db, std::uint64_t M) {
-  return verify_with_state(make_pair_state(nullptr, A, B), da, db, M).met;
+  return verify_with_state(make_pair_state(A, B), da, db, M).met;
 }
 
 /// met/unmet of one query from its two orbits alone: walk_met, or the
-/// pair core when the walk declines, counted in `declines`. Builds no
-/// collision table. Same preconditions as walk_met.
+/// pair core when the walk declines, counted in `declines`. Same
+/// preconditions as walk_met.
 inline bool orbits_met(const CompiledConfigEngine::Orbit& A,
                        const CompiledConfigEngine::Orbit& B, std::uint64_t da,
                        std::uint64_t db, std::uint64_t M,
@@ -409,20 +395,6 @@ inline bool orbits_met(const CompiledConfigEngine::Orbit& A,
   return pair_core_met(A, B, da, db, M);
 }
 
-/// Core of verify_never_meet_compiled over pre-fetched orbits, for
-/// one-off calls. `A`/`B` must come from `engine_a` / `engine_b` and
-/// `same_engine` must be (&engine_a == &engine_b): only then is the
-/// collision table attached. The caller guarantees distinct in-range
-/// starts and M > 0.
-inline Verdict verify_pair_core(const CompiledConfigEngine& engine_a,
-                                const CompiledConfigEngine::Orbit& A,
-                                const CompiledConfigEngine::Orbit& B,
-                                bool same_engine, std::uint64_t da,
-                                std::uint64_t db, std::uint64_t M) {
-  return verify_with_state(
-      make_pair_state(same_engine ? &engine_a : nullptr, A, B), da, db, M);
-}
-
 // ---- k-tuple gathering composition (paper §1.3) ---------------------------
 //
 // k identical agents evolve independently, so the joint configuration is
@@ -431,19 +403,19 @@ inline Verdict verify_pair_core(const CompiledConfigEngine& engine_a,
 // The verdict splits exactly like the pair case:
 //
 //   make_tuple_state()  tuple-invariant work — per-agent orbit headers,
-//                       the saturating lcm of the k cycle lengths, and one
-//                       cycle-PAIR collision filter per unordered agent
-//                       pair (the existing tables, indexed mod the
-//                       pairwise gcds — nothing k-specific is built).
+//                       the saturating lcm of the k cycle lengths, and the
+//                       gcd and lcm of each unordered agent pair's cycle
+//                       lengths (nothing k-specific is built).
 //   scan_gather()       delay-dependent search for the earliest round all
 //                       k positions coincide: the all-parked window, the
 //                       transient scan with k rolling indices, and the
-//                       in-cycle phase gated by the pairwise filter — a
+//                       in-cycle phase gated by a pairwise filter — a
 //                       gathering at t >= Tc co-locates EVERY pair, so one
-//                       zero table entry refutes the whole period without
-//                       scanning it (the common exit of exhaustive
-//                       batteries); only tuples every pair of which can
-//                       collide pay the lcm-bounded scan.
+//                       pair that cycles_meet() says never meets refutes
+//                       the whole joint period without scanning it (the
+//                       common exit of exhaustive batteries); only tuples
+//                       every pair of which can meet pay the lcm-bounded
+//                       scan.
 //   gather_with_state() the full GatherVerdict, field-for-field what
 //                       sim::run_gathering reports (the k = 2
 //                       instantiation agrees verdict-for-verdict with the
@@ -482,21 +454,16 @@ struct TupleState {
   /// saturated at kLcmSaturated — certification requires the exact value.
   std::uint64_t lam_joint = 1;
   bool lam_joint_exact = true;
-  /// One collision filter per unordered pair (i < j), in nested-loop
-  /// order: the pair's cycle-PAIR table (nullptr when unavailable — no
-  /// table means no prefilter, never a wrong answer), its gcd, and the
-  /// alignment bases such that the class swept by delays (d_i, d_j) is
-  /// (lhs0 + d_j) - (rhs0 + d_i) mod g — exactly PairState's convention.
+  /// gcd and lcm of each unordered pair's (i < j) cycle lengths, in
+  /// nested-loop order: the cycles_meet() arguments of the pair filter.
   struct PairFilter {
-    const std::uint8_t* table = nullptr;
     std::uint64_t g = 1;
-    std::uint64_t lhs0 = 0, rhs0 = 0;
+    std::uint64_t lcm = 1;
   };
   PairFilter pair[kMaxGatherAgents * (kMaxGatherAgents - 1) / 2] = {};
 };
 
 inline TupleState make_tuple_state(
-    const CompiledConfigEngine& engine,
     const CompiledConfigEngine::Orbit* const* orbs,
     const tree::NodeId* starts, std::size_t k) {
   TupleState st;
@@ -516,19 +483,9 @@ inline TupleState make_tuple_state(
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = i + 1; j < k; ++j, ++p) {
       TupleState::PairFilter& pf = st.pair[p];
-      const CompiledConfigEngine::Orbit& A = *orbs[i];
-      const CompiledConfigEngine::Orbit& B = *orbs[j];
-      pf.g = A.lambda == B.lambda ? A.lambda : std::gcd(A.lambda, B.lambda);
-      if (A.lambda <= CompiledConfigEngine::kCollisionLimit &&
-          B.lambda <= CompiledConfigEngine::kCollisionLimit) {
-        const auto table =
-            engine.cycle_pair_lookup(A.cycle_root, B.cycle_root);
-        if (!table.empty()) {
-          pf.table = table.data();
-          pf.lhs0 = A.cycle_phase + B.sn_mu;
-          pf.rhs0 = B.cycle_phase + A.sn_mu;
-        }
-      }
+      const std::uint64_t la = st.lam[i], lb = st.lam[j];
+      pf.g = la == lb ? la : std::gcd(la, lb);
+      pf.lcm = la / pf.g * lb;
     }
   }
   return st;
@@ -536,8 +493,8 @@ inline TupleState make_tuple_state(
 
 /// Delay-dependent gathering search. `certified` means no gathering can
 /// ever occur (at ANY round, not just within the horizon): the transient
-/// was fully scanned and the in-cycle phase either refuted by a pairwise
-/// collision table or scanned over one full joint period inside M.
+/// was fully scanned and the in-cycle phase either refuted by a pair that
+/// never meets or scanned over one full joint period inside M.
 struct GatherScan {
   bool gathered = false;
   bool certified = false;
@@ -601,25 +558,19 @@ inline GatherScan scan_gather(const TupleState& st, const std::uint64_t* d,
   if (Tc > M) return s;  // horizon ends before the joint cycle starts
 
   // In-cycle phase: from tick Tc the joint tuple is periodic with period
-  // lam_joint. A gathering at t >= Tc puts EVERY pair (i, j) on one node
-  // at a round compatible with its alignment class (d_j - d_i shifted by
-  // the cycle phases, mod gcd(lambda_i, lambda_j)) — so one zero table
-  // entry certifies the whole period gathering-free without scanning it.
+  // lam_joint. A gathering at t >= Tc puts EVERY pair (i, j) on one node,
+  // so one pair that never meets from its tick-Tc cycle indices on
+  // certifies the whole period gathering-free without scanning it.
+  for (std::size_t i = 0; i < k; ++i) {
+    idx[i] = wrap_mod(Tc - d[i] - st.mu[i], st.lam[i]);  // cycle index
+  }
   std::size_t p = 0;
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = i + 1; j < k; ++j, ++p) {
       const TupleState::PairFilter& pf = st.pair[p];
-      if (pf.table == nullptr) continue;  // no table: cannot prefilter
-      const std::uint64_t lhs = pf.lhs0 + d[j];
-      const std::uint64_t rhs = pf.rhs0 + d[i];
-      std::uint64_t c;
-      if (lhs >= rhs) {
-        c = wrap_mod(lhs - rhs, pf.g);
-      } else {
-        const std::uint64_t x = wrap_mod(rhs - lhs, pf.g);
-        c = x == 0 ? 0 : pf.g - x;
-      }
-      if (pf.table[c] == 0) {
+      if (!cycles_meet(st.nodes[i] + st.mu[i], st.lam[i], idx[i],
+                       st.nodes[j] + st.mu[j], st.lam[j], idx[j], pf.g,
+                       pf.lcm)) {
         // Pair (i, j) never co-locates at any t >= Tc; the transient was
         // scanned above (Tc <= M), so no gathering ever happens — a
         // certificate independent of the joint period's size.
@@ -633,9 +584,7 @@ inline GatherScan scan_gather(const TupleState& st, const std::uint64_t* d,
   const bool full_period =
       st.lam_joint_exact && st.lam_joint <= M - Tc + 1;
   const std::uint64_t hi2 = full_period ? Tc + st.lam_joint - 1 : M;
-  for (std::size_t i = 0; i < k; ++i) {
-    idx[i] = st.mu[i] + wrap_mod(Tc - d[i] - st.mu[i], st.lam[i]);
-  }
+  for (std::size_t i = 0; i < k; ++i) idx[i] += st.mu[i];  // array index
   for (std::uint64_t t = Tc; t <= hi2; ++t) {
     bool all = true;
     const tree::NodeId at = st.nodes[0][idx[0]];
@@ -673,8 +622,8 @@ inline GatherVerdict gather_with_state(const TupleState& st,
     r.rounds_checked = s.t_gather;
   } else {
     r.certified_forever = s.certified;
-    // A pairwise-table certificate needs no period; report it only when
-    // the joint period actually backed the scan (and is exact).
+    // A pairwise certificate needs no period; report the joint period
+    // only when it is exact.
     if (s.certified && st.lam_joint_exact) r.cycle_length = st.lam_joint;
     r.rounds_checked = M;  // the reference executes every round
   }

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "sim/automaton.hpp"
 #include "sim/compiled.hpp"
 #include "sim/sweep.hpp"
+#include "sim/verify_core.hpp"
 #include "tree/builders.hpp"
 #include "util/rng.hpp"
 
@@ -497,27 +500,24 @@ void run_extraction_order_differential(const tree::Tree& t,
     }
   }
 
-  std::vector<PairQuery> queries;
   for (tree::NodeId u = 0; u < n; ++u) {
     for (tree::NodeId v = u + 1; v < n; ++v) {
       for (const std::uint64_t d : {0ull, 1ull, 9ull}) {
-        queries.push_back({u, v, d, 0});
+        const RunConfig cfg{u, v, d, 0, 200000};
+        const std::string at = context + " " + std::to_string(u) + "-" +
+                               std::to_string(v) + " d" + std::to_string(d);
+        const Verdict lhs =
+            verify_never_meet_compiled(ascending, ascending, cfg);
+        const Verdict rhs =
+            verify_never_meet_compiled(descending, descending, cfg);
+        ASSERT_EQ(lhs.met, rhs.met) << at;
+        ASSERT_EQ(lhs.meeting_round, rhs.meeting_round) << at;
+        ASSERT_EQ(lhs.certified_forever, rhs.certified_forever) << at;
+        ASSERT_EQ(lhs.cycle_length, rhs.cycle_length) << at;
+        ASSERT_EQ(lhs.rounds_checked, rhs.rounds_checked) << at;
+        ASSERT_EQ(lhs.engine, rhs.engine) << at;
       }
     }
-  }
-  const auto lhs = verify_grid(ascending, ascending, queries, 200000);
-  const auto rhs = verify_grid(descending, descending, queries, 200000);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(lhs[i].met, rhs[i].met) << context << " " << i;
-    ASSERT_EQ(lhs[i].meeting_round, rhs[i].meeting_round)
-        << context << " " << i;
-    ASSERT_EQ(lhs[i].certified_forever, rhs[i].certified_forever)
-        << context << " " << i;
-    ASSERT_EQ(lhs[i].cycle_length, rhs[i].cycle_length)
-        << context << " " << i;
-    ASSERT_EQ(lhs[i].rounds_checked, rhs[i].rounds_checked)
-        << context << " " << i;
-    ASSERT_EQ(lhs[i].engine, rhs[i].engine) << context << " " << i;
   }
 }
 
@@ -575,60 +575,121 @@ TEST(ExtractionOrder, WarmOrbitsRejectsOutOfRangeStart) {
   EXPECT_THROW(engine.warm_orbits(negative), std::invalid_argument);
 }
 
-// --- Verdict grids ----------------------------------------------------------
+// --- In-cycle meeting predicate -------------------------------------------
 
-TEST(VerifyGrid, MatchesPerQueryVerdicts) {
-  util::Rng rng(314);
-  const tree::Tree t = random_degree3_tree(rng);
-  const auto a = random_tree_automaton(4, rng).tabular();
-  const CompiledConfigEngine engine(t, a);
-  std::vector<PairQuery> queries;
-  for (tree::NodeId u = 0; u < t.node_count(); ++u) {
-    for (tree::NodeId v = 0; v < t.node_count(); ++v) {
-      if (u == v) continue;
-      for (const std::uint64_t d : {0ull, 1ull, 7ull, 31ull}) {
-        queries.push_back({u, v, d, 0});
-      }
-    }
+/// Brute force for detail::cycles_meet: steps both cycle indices through
+/// one whole joint period.
+bool cycles_meet_brute(const std::vector<tree::NodeId>& a, std::uint64_t ia,
+                       const std::vector<tree::NodeId>& b, std::uint64_t ib) {
+  const std::uint64_t lcm = std::lcm(a.size(), b.size());
+  for (std::uint64_t t = 0; t < lcm; ++t) {
+    if (a[(ia + t) % a.size()] == b[(ib + t) % b.size()]) return true;
   }
-  constexpr std::uint64_t kHorizon = 100000;
-  const auto serial = verify_grid(engine, engine, queries, kHorizon);
-  ASSERT_EQ(serial.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto& q = queries[i];
-    const auto one = verify_never_meet_compiled(
-        engine, engine, {q.start_a, q.start_b, q.delay_a, q.delay_b,
-                         kHorizon});
-    ASSERT_EQ(serial[i].met, one.met) << i;
-    ASSERT_EQ(serial[i].meeting_round, one.meeting_round) << i;
-    ASSERT_EQ(serial[i].certified_forever, one.certified_forever) << i;
-    ASSERT_EQ(serial[i].cycle_length, one.cycle_length) << i;
-    ASSERT_EQ(serial[i].rounds_checked, one.rounds_checked) << i;
-    ASSERT_EQ(serial[i].engine, VerifyEngine::kCompiled) << i;
-  }
+  return false;
 }
 
-TEST(VerifyGrid, ValidatesQueriesUpFront) {
-  util::Rng rng(6);
-  const tree::Tree t = tree::line(5);
-  const CompiledConfigEngine engine(t,
-                                    random_line_automaton(3, rng).tabular());
-  const std::vector<PairQuery> empty;
-  EXPECT_TRUE(verify_grid(engine, engine, empty, 10).empty());
-  const std::vector<PairQuery> equal_starts{{2, 2, 0, 0}};
-  EXPECT_THROW(verify_grid(engine, engine, equal_starts, 10),
-               std::invalid_argument);
-  const std::vector<PairQuery> out_of_range{{0, 9, 0, 0}};
-  EXPECT_THROW(verify_grid(engine, engine, out_of_range, 10),
-               std::invalid_argument);
-  const std::vector<PairQuery> ok{{0, 1, 0, 0}};
-  EXPECT_THROW(verify_grid(engine, engine, ok, 0), std::invalid_argument);
-  // A bad query late in the grid is rejected before any query is
-  // answered: no orbit gets extracted.
-  const std::vector<PairQuery> bad_last{{0, 1, 0, 0}, {3, 3, 0, 0}};
-  EXPECT_THROW(verify_grid(engine, engine, bad_last, 10),
-               std::invalid_argument);
-  EXPECT_EQ(engine.orbits_extracted(), 0u);
+/// Co-located position pairs of two cycles: what the collision-table
+/// build counted against its 8 (la + lb) + 64 budget.
+std::uint64_t colocated_pairs(const std::vector<tree::NodeId>& a,
+                              const std::vector<tree::NodeId>& b) {
+  std::uint64_t pairs = 0;
+  for (const tree::NodeId u : a) {
+    pairs += static_cast<std::uint64_t>(std::count(b.begin(), b.end(), u));
+  }
+  return pairs;
+}
+
+/// A random cycle of `len` nodes. `colors` > 1 (dividing len): node
+/// w * colors + (index mod colors), so two such cycles meet only at
+/// alignments agreeing modulo `colors` — as on a tree walked one edge per
+/// round with colors = 2 — and a misaligned residue shows. `run` > 1:
+/// each node is held for up to `run` rounds, as by an agent that mostly
+/// stays (colors must be 1).
+std::vector<tree::NodeId> random_cycle(std::uint64_t len, int nodes,
+                                       int colors, int run, util::Rng& rng) {
+  std::vector<tree::NodeId> c;
+  while (c.size() < len) {
+    const auto w = static_cast<tree::NodeId>(rng.index(nodes));
+    const std::uint64_t hold = run > 1 ? 1 + rng.index(run) : 1;
+    for (std::uint64_t h = 0; h < hold && c.size() < len; ++h) {
+      c.push_back(w * colors + static_cast<tree::NodeId>(c.size() % colors));
+    }
+  }
+  return c;
+}
+
+TEST(CyclesMeet, MatchesBruteForceOverOneJointPeriod) {
+  util::Rng rng(0xc1c1e5ull);
+  // Answers seen per decision branch, and cases per old-table decline.
+  std::uint64_t scanned[2] = {}, intersected[2] = {};
+  std::uint64_t long_cycles = 0, over_budget = 0;
+  for (int rep = 0; rep < 1000; ++rep) {
+    std::uint64_t la = 0, lb = 0;
+    int run = 1;
+    switch (rep % 5) {
+      case 0:  // equal lengths
+        la = lb = 1 + rng.index(300);
+        break;
+      case 1: {  // commensurate: small multiples of a shared gcd
+        const std::uint64_t g = 1 + rng.index(40);
+        la = g * (1 + rng.index(4));
+        lb = g * (1 + rng.index(4));
+        break;
+      }
+      case 2: {  // near-coprime: g x and g (x + 1), lcm g x (x + 1)
+        const std::uint64_t g = 1 + rng.index(6);
+        const std::uint64_t x = 8 + rng.index(60);
+        la = g * x;
+        lb = g * (x + 1);
+        break;
+      }
+      case 3:  // past the old table's 512-entry cycle limit
+        la = 513 + rng.index(700);
+        lb = rng.coin() ? la : 513 + rng.index(700);
+        break;
+      default:  // stay-heavy: long holds on few nodes
+        la = 40 + rng.index(400);
+        lb = rng.coin() ? la : 40 + rng.index(400);
+        run = 8 + static_cast<int>(rng.index(24));
+        break;
+    }
+    if (std::lcm(la, lb) > 2000000) lb = la;  // keep the brute force cheap
+    const std::uint64_t g = std::gcd(la, lb);
+    const std::uint64_t lcm = la / g * lb;
+    int colors = 1;
+    if (run == 1 && rng.coin()) {
+      for (int m = 6; m >= 2; --m) {
+        if (g % m == 0 && rng.coin()) colors = m;
+      }
+    }
+    const int nodes = 2 + static_cast<int>(rng.index(run > 1 ? 4 : 30));
+    const auto a = random_cycle(la, nodes, colors, run, rng);
+    const auto b = random_cycle(lb, nodes, colors, run, rng);
+    if (la > CompiledConfigEngine::kCollisionLimit ||
+        lb > CompiledConfigEngine::kCollisionLimit) {
+      ++long_cycles;
+    } else if (colocated_pairs(a, b) > 8 * (la + lb) + 64) {
+      ++over_budget;
+    }
+    for (int probe = 0; probe < 4; ++probe) {
+      const std::uint64_t ia = rng.index(la), ib = rng.index(lb);
+      const bool want = cycles_meet_brute(a, ia, b, ib);
+      ASSERT_EQ(detail::cycles_meet(a.data(), la, ia, b.data(), lb, ib, g,
+                                    lcm),
+                want)
+          << "rep " << rep << " la " << la << " lb " << lb << " ia " << ia
+          << " ib " << ib;
+      (lcm <= 4 * (la + lb) ? scanned : intersected)[want ? 1 : 0] += 1;
+    }
+  }
+  // Both branches must answer both ways, and the shapes the old tables
+  // declined (long cycles, budget passed) must be well represented.
+  EXPECT_GT(scanned[0], 50u);
+  EXPECT_GT(scanned[1], 50u);
+  EXPECT_GT(intersected[0], 50u);
+  EXPECT_GT(intersected[1], 50u);
+  EXPECT_GT(long_cycles, 100u);
+  EXPECT_GT(over_budget, 50u);
 }
 
 // --- Dispatch boundaries ----------------------------------------------------

@@ -1,7 +1,7 @@
 // Fused rebind+grid enumeration (sim/enumeration.hpp): the context's
 // verify()/count_unmet()/first_unmet() must agree query-for-query with
-// the unfused verify_grid() path, across rebinds, grids, thread counts
-// and cache attachment — and the defeat-count memo must answer exactly
+// one-off verify_never_meet_compiled calls, across rebinds, grids, thread
+// counts and cache attachment — and the defeat-count memo must answer exactly
 // what a cache-less context computes. The CountUnmet cases also call the
 // occupancy unit (sim/occupancy.hpp) directly, at both of its decline
 // edges.
@@ -42,7 +42,22 @@ std::vector<EnumGrid> small_grids(const std::vector<tree::Tree>& trees) {
   return grids;
 }
 
-TEST(Enumeration, MatchesVerifyGridFieldForFieldAcrossRebinds) {
+/// The unfused reference: verify_never_meet_compiled per query of pair
+/// grid `grid`, on a fresh engine bound to `a`.
+std::vector<Verdict> verify_each(const EnumGrid& grid, std::uint64_t horizon,
+                                 const TabularAutomaton& a) {
+  const CompiledConfigEngine engine(*grid.tree, a);
+  std::vector<Verdict> out;
+  for (std::size_t q = 0; q < grid.query_count(); ++q) {
+    const auto gq = grid.query(q);
+    out.push_back(verify_never_meet_compiled(
+        engine, engine,
+        {gq.starts[0], gq.starts[1], gq.delays[0], gq.delays[1], horizon}));
+  }
+  return out;
+}
+
+TEST(Enumeration, MatchesOneOffVerdictsFieldForFieldAcrossRebinds) {
   util::Rng rng(0xe9u);
   std::vector<tree::Tree> trees;
   trees.push_back(tree::line_edge_colored(7, 0));
@@ -58,16 +73,7 @@ TEST(Enumeration, MatchesVerifyGridFieldForFieldAcrossRebinds) {
     ctx.bind(a);
     for (std::size_t g = 0; g < grids.size(); ++g) {
       const auto fused = ctx.verify(g);
-      // Unfused reference: a fresh engine through verify_grid (the pair
-      // API — rebuild its PairQuery view from the k = 2 flat grid).
-      std::vector<PairQuery> pair_queries;
-      for (std::size_t q = 0; q < grids[g].query_count(); ++q) {
-        const auto gq = grids[g].query(q);
-        pair_queries.push_back(
-            {gq.starts[0], gq.starts[1], gq.delays[0], gq.delays[1]});
-      }
-      const CompiledConfigEngine engine(*grids[g].tree, a);
-      const auto unfused = verify_grid(engine, engine, pair_queries, kHorizon);
+      const auto unfused = verify_each(grids[g], kHorizon, a);
       ASSERT_EQ(fused.size(), unfused.size());
       std::uint64_t unmet = 0;
       std::ptrdiff_t first = -1;
@@ -758,18 +764,13 @@ EnumGrid ordered_pairs_grid(const tree::Tree& t,
   return grid;
 }
 
-/// met == false over a fresh engine's verify_grid: the reference count.
-std::uint64_t unmet_by_verify_grid(const EnumGrid& grid,
+/// met == false over one-off verdicts on a fresh engine: the reference
+/// count.
+std::uint64_t unmet_by_verify_each(const EnumGrid& grid,
                                    std::uint64_t horizon,
                                    const TabularAutomaton& a) {
-  std::vector<PairQuery> queries;
-  for (std::size_t q = 0; q < grid.query_count(); ++q) {
-    const auto gq = grid.query(q);
-    queries.push_back({gq.starts[0], gq.starts[1], gq.delays[0], gq.delays[1]});
-  }
-  const CompiledConfigEngine engine(*grid.tree, a);
   std::uint64_t unmet = 0;
-  for (const Verdict& v : verify_grid(engine, engine, queries, horizon)) {
+  for (const Verdict& v : verify_each(grid, horizon, a)) {
     unmet += v.met ? 0 : 1;
   }
   return unmet;
@@ -871,7 +872,7 @@ TEST(CountUnmet, MatchesVerifyOnRandomTreesDelaysAndHorizons) {
       std::vector<std::uint64_t> delays{0, 1, 2, 5, 11, horizon, horizon + 3};
       if (horizon <= 1000) delays.push_back(horizon - 1);
       std::vector<EnumGrid> grids{ordered_pairs_grid(t, starts, delays)};
-      const std::uint64_t want = unmet_by_verify_grid(grids[0], horizon, a);
+      const std::uint64_t want = unmet_by_verify_each(grids[0], horizon, a);
       if (const auto got = unit_count(counter, grids[0], horizon, a)) {
         EXPECT_EQ(*got, want) << "M " << horizon;
       } else {
@@ -919,7 +920,7 @@ TEST(CountUnmet, UnitAnswersSixtyFourStartsAndDeclinesSixtyFive) {
       const auto got = unit_count(counter, grid, 100, a);
       if (n <= static_cast<tree::NodeId>(kOccupancyStarts)) {
         ASSERT_TRUE(got.has_value()) << rep;
-        EXPECT_EQ(*got, unmet_by_verify_grid(grid, 100, a)) << rep;
+        EXPECT_EQ(*got, unmet_by_verify_each(grid, 100, a)) << rep;
       } else {
         EXPECT_FALSE(got.has_value()) << rep;
       }
@@ -1011,7 +1012,7 @@ TEST(CountUnmet, UnitAnswersAFullTableAndDeclinesOneRowMore) {
   OccupancyCounter counter;
   for (const std::uint64_t horizon : {full, full + 1}) {
     const auto got = unit_count(counter, grid, horizon, a);
-    const std::uint64_t want = unmet_by_verify_grid(grid, horizon, a);
+    const std::uint64_t want = unmet_by_verify_each(grid, horizon, a);
     if (horizon == full) {
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(*got, want);
@@ -1226,14 +1227,7 @@ TEST(FirstUnmet, ChecksEachBindingAtItsFirstEngineRebind) {
     sensitive += a.port_oblivious() ? 0 : 1;
     ctx.bind(a);
     for (std::size_t g = 0; g < grids.size(); ++g) {
-      std::vector<PairQuery> queries;
-      for (std::size_t q = 0; q < grids[g].query_count(); ++q) {
-        const auto gq = grids[g].query(q);
-        queries.push_back(
-            {gq.starts[0], gq.starts[1], gq.delays[0], gq.delays[1]});
-      }
-      const CompiledConfigEngine fresh(t, a);
-      const auto want = verify_grid(fresh, fresh, queries, 5000);
+      const auto want = verify_each(grids[g], 5000, a);
       const auto defeat =
           std::find_if(want.begin(), want.end(),
                        [](const Verdict& v) { return !v.met; });
@@ -1260,7 +1254,7 @@ TEST(FirstUnmet, ChecksEachBindingAtItsFirstEngineRebind) {
   const TabularAutomaton good = random_tabular(3, 3, rng);
   ctx.bind(good);
   for (std::size_t g = 0; g < grids.size(); ++g) {
-    EXPECT_EQ(ctx.count_unmet(g), unmet_by_verify_grid(grids[g], 5000, good));
+    EXPECT_EQ(ctx.count_unmet(g), unmet_by_verify_each(grids[g], 5000, good));
   }
 }
 

@@ -282,6 +282,53 @@ TEST(GatherCore, KFoldCompositionMatchesBruteForceOverTheLcmWindow) {
   EXPECT_GT(certified, 20u);
 }
 
+TEST(GatherCompiled, CertifiesNeverMeetingPairsPastTheHorizonPeriod) {
+  // Two-agent queries whose joint period ends past the horizon, so no
+  // scan inside the horizon can certify them, and whose cycle pair the
+  // engine once had no collision table for: a cycle longer than
+  // kCollisionLimit (a basic walker on a 300-node line), or a table
+  // build past its budget (a walker that stays 15 rounds of every 16).
+  // The in-cycle predicate refutes such a pair from its two cycles, so
+  // the verdict certifies; brute force over the transient plus one whole
+  // joint period confirms that the agents never meet.
+  struct Case {
+    tree::Tree t;
+    TabularAutomaton a;
+    std::vector<tree::NodeId> starts;
+  };
+  const std::vector<Case> cases = {
+      {tree::line_edge_colored(300, 0), basic_walker_automaton().tabular(),
+       {100, 151}},
+      {tree::line_edge_colored(6, 0), ping_pong_walker(16).tabular(),
+       {1, 2}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Case& tc = cases[c];
+    const CompiledConfigEngine engine(tc.t, tc.a);
+    const auto& A = engine.orbit(tc.starts[0]);
+    const auto& B = engine.orbit(tc.starts[1]);
+    ASSERT_TRUE(engine.cycle_pair_collisions(A.cycle_root, B.cycle_root)
+                    .empty())
+        << c;
+    const std::uint64_t Tc = std::max(A.mu, B.mu);
+    const std::uint64_t L = std::lcm(A.lambda, B.lambda);
+    const std::uint64_t horizon = Tc + L / 2;
+    ASSERT_LT(horizon, Tc + L - 1) << c;  // the period ends past it
+
+    for (std::uint64_t t = 1; t < Tc + L; ++t) {
+      ASSERT_NE(A.node_at(t), B.node_at(t)) << c << " round " << t;
+    }
+    const std::vector<std::uint64_t> none;
+    const auto v =
+        verify_never_gather_compiled(engine, tc.starts, none, horizon);
+    EXPECT_TRUE(v.certified_forever) << c;
+    EXPECT_EQ(v.cycle_length, L) << c;
+    expect_matches_reference(
+        v, reference_gather(tc.t, tc.a, tc.starts, none, horizon),
+        "case " + std::to_string(c));
+  }
+}
+
 TEST(GatherCompiled, ValidatesConfig) {
   util::Rng rng(7);
   const tree::Tree t = tree::line(6);

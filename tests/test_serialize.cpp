@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -56,25 +57,40 @@ TabularAutomaton random_automaton(util::Rng& rng) {
       .tabular();
 }
 
-/// A fully warmed published set of a random binding (every start node,
-/// plus the collision tables a battery would touch).
+/// A fully warmed published set of a random binding (every start node),
+/// with collision tables filled in by hand: snapshot_orbits() leaves the
+/// table fields empty, but the codec still carries them. Every ordered
+/// pair of the binding's cycle roots gets its table (empty where the
+/// build gives up), and the dense index is present when `with_index` is.
 std::shared_ptr<const CompiledConfigEngine::OrbitSet> random_published_set(
-    const tree::Tree& t, const TabularAutomaton& a) {
+    const tree::Tree& t, const TabularAutomaton& a, bool with_index = true) {
   const CompiledConfigEngine engine(t, a);
-  std::vector<tree::NodeId> starts;
-  for (tree::NodeId s = 0; s < t.node_count(); ++s) starts.push_back(s);
-  for (const tree::NodeId s : starts) engine.orbit(s);
-  for (const tree::NodeId u : starts) {
-    for (const tree::NodeId v : starts) {
-      const auto& A = engine.orbit(u);
-      const auto& B = engine.orbit(v);
-      if (A.lambda <= CompiledConfigEngine::kCollisionLimit &&
-          B.lambda <= CompiledConfigEngine::kCollisionLimit) {
-        engine.cycle_pair_collisions(A.cycle_root, B.cycle_root);
-      }
+  const std::size_t n = static_cast<std::size_t>(t.node_count());
+  std::vector<std::uint32_t> roots;
+  for (tree::NodeId s = 0; s < t.node_count(); ++s) {
+    const std::uint32_t root = engine.orbit(s).cycle_root;
+    if (std::find(roots.begin(), roots.end(), root) == roots.end()) {
+      roots.push_back(root);
     }
   }
-  return engine.snapshot_orbits();
+  auto set = std::make_shared<CompiledConfigEngine::OrbitSet>(
+      *engine.snapshot_orbits());
+  if (with_index) set->collision_index.assign(n * n, -1);
+  for (const std::uint32_t ra : roots) {
+    for (const std::uint32_t rb : roots) {
+      if (!set->collision_index.empty()) {
+        set->collision_index[ra * n + rb] =
+            static_cast<std::int32_t>(set->collisions.size());
+      }
+      CompiledConfigEngine::CyclePair& p = set->collisions.emplace_back();
+      p.root_a = ra;
+      p.root_b = rb;
+      p.table = engine.cycle_pair_collisions(ra, rb);
+      set->bytes += sizeof(CompiledConfigEngine::CyclePair) + p.table.size();
+    }
+  }
+  set->bytes += set->collision_index.size() * sizeof(std::int32_t);
+  return set;
 }
 
 void expect_sets_equal(const CompiledConfigEngine::OrbitSet& got,
@@ -112,7 +128,8 @@ TEST(Serialize, OrbitSetRoundTripFuzz) {
     const TabularAutomaton a = random_automaton(rng);
     if (t.max_degree() > a.max_degree) continue;
     ++cases;
-    const auto set = random_published_set(t, a);
+    const auto set = random_published_set(t, a, cases % 4 != 0);
+    ASSERT_FALSE(set->collisions.empty());
     const auto bytes = dist::serialize_orbit_set(*set);
     const auto back = dist::deserialize_orbit_set(bytes);
     expect_sets_equal(*back, *set);
